@@ -24,7 +24,7 @@ from .fields import (
     odmr_linewidth_model,
     simulate_odmr_scan,
 )
-from .fitting import FitResult, GaussianPeak, fit_gaussians, format_fit_report
+from .fitting import FitError, FitResult, GaussianPeak, fit_gaussians, format_fit_report
 from .hamiltonians import (
     DegenerateCrossingError,
     DipolarGeometry,
@@ -38,6 +38,7 @@ from .hamiltonians import (
     level_shifts_exact,
     level_shifts_perturbative,
     noise_hamiltonian,
+    resolve_coupling,
     st0_fluctuation,
     target_hamiltonian,
     target_levels_mhz,
@@ -78,6 +79,7 @@ from .protocols import (
 from .pulses import (
     DecayModel,
     Pulse,
+    dephase,
     free,
     mw_2pi,
     mw_pi,
@@ -96,6 +98,7 @@ from .spectra import (
     Spectrum,
     TimeSeries,
     dft_spectrum,
+    write_csv,
     write_spectrum_csv,
     write_timeseries_csv,
 )

@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
+from .constants import FWHM_PER_SIGMA
 from .fields import (
-    CenterFitError,
     CoilConfig,
     ScanPlan,
     bsweep,
@@ -29,7 +29,7 @@ from .fields import (
     format_compensation_report,
     write_bsweep_csv,
 )
-from .fitting import fit_gaussians, format_fit_report
+from .fitting import FitError, fit_gaussians, format_fit_report
 from .hamiltonians import DegenerateCrossingError, FieldVector, TargetSpec
 from .noise import NoiseModel, linewidth_stats
 from .protocols import (
@@ -44,7 +44,13 @@ from .protocols import (
     synthesize_ramsey_series,
 )
 from .pulses import DecayModel
-from .spectra import FoldAmbiguityError, dft_spectrum, write_timeseries_csv, write_spectrum_csv
+from .spectra import (
+    FoldAmbiguityError,
+    dft_spectrum,
+    write_csv,
+    write_spectrum_csv,
+    write_timeseries_csv,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -162,7 +168,6 @@ _SCHEMA = {
         "seed": (int, None),
         "monte_carlo_n": (int, 2000),
         "out_dir": (str, "out"),
-        "threads": (int, 1),
     },
 }
 
@@ -259,23 +264,6 @@ def _resolve_seed(args, config):
     return DEFAULT_SEED
 
 
-def _fmt(x):
-    return f"{x:.12g}"
-
-
-def _write_csv(path, header, columns, plot_data=False):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-    if plot_data:
-        dat = os.path.splitext(path)[0] + ".dat"
-        with open(dat, "w", newline="\n") as fh:
-            fh.write("# " + " ".join(header) + "\n")
-            for row in zip(*columns):
-                fh.write(" ".join(_fmt(x) for x in row) + "\n")
-
-
 def _write_json(path, payload):
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -297,8 +285,8 @@ def _cmd_deer(args, config, seed):
     decay = _decay_model(config)
     taus = np.linspace(p["tau_start_us"], p["tau_stop_us"], p["tau_points"])
     signal = np.array([deer_signal(tau, p["couplings"], decay) for tau in taus])
-    _write_csv(_out(args, config, "deer.csv"), ("tau_us", "signal"),
-               (taus, signal), args.plot_data)
+    write_csv(_out(args, config, "deer.csv"), ("tau_us", "signal"),
+              (taus, signal), args.plot_data)
     _write_json(_out(args, config, "deer_summary.json"), {
         "couplings_mhz": p["couplings"],
         "decay_enabled": decay is not None,
@@ -324,8 +312,8 @@ def _cmd_rabi(args, config, seed):
         spec, p["couplings"])
     if abs(check - signal[len(thetas) // 2]) > 1e-8:
         raise NumericalError("closed form disagrees with simulator")
-    _write_csv(_out(args, config, "rabi.csv"), ("theta_rad", "signal"),
-               (thetas, signal), args.plot_data)
+    write_csv(_out(args, config, "rabi.csv"), ("theta_rad", "signal"),
+              (thetas, signal), args.plot_data)
     _write_json(_out(args, config, "rabi_summary.json"), {
         "transition": p["transition"],
         "coupling_mhz": p["couplings"],
@@ -347,17 +335,13 @@ def _ramsey_series(args, config, seed):
     series = synthesize_ramsey_series(
         p["transition"], t_grid, spec, p["couplings"], p["tau_us"],
         noise=noise, n_draws=config["run"]["monte_carlo_n"],
-        threads=config["run"]["threads"] if args.threads is None else args.threads,
     )
     return series, spec, noise
 
 
 def _cmd_ramsey(args, config, seed):
     series, spec, noise = _ramsey_series(args, config, seed)
-    write_timeseries_csv(series, _out(args, config, "ramsey.csv"))
-    if args.plot_data:
-        _write_csv(_out(args, config, "ramsey.csv"), ("t_us", "signal"),
-                   (series.times, series.values), True)
+    write_timeseries_csv(series, _out(args, config, "ramsey.csv"), args.plot_data)
     _write_json(_out(args, config, "ramsey_summary.json"), {
         "transition": config["protocol"]["transition"],
         "points": len(series),
@@ -448,10 +432,10 @@ def _cmd_compensate(args, config, seed):
         rows.append((trial, result.currents_a["X"], result.currents_a["Y"],
                      result.currents_a["Z"], *result.residual_g))
     cols = list(zip(*rows))
-    _write_csv(_out(args, config, "compensate.csv"),
-               ("trial", "I_X_A", "I_Y_A", "I_Z_A",
-                "residual_x_G", "residual_y_G", "residual_z_G"),
-               cols, args.plot_data)
+    write_csv(_out(args, config, "compensate.csv"),
+              ("trial", "I_X_A", "I_Y_A", "I_Z_A",
+               "residual_x_G", "residual_y_G", "residual_z_G"),
+              cols, args.plot_data)
     with open(_out(args, config, "compensate_report.txt"), "w", newline="\n") as fh:
         fh.write(format_compensation_report(first))
     residuals = np.array([row[4:] for row in rows])
@@ -478,7 +462,7 @@ def _cmd_linewidth(args, config, seed):
         "sigma_st1_mhz": stats.sigma_st1_mhz,
         "sigma_st0_mhz": stats.sigma_st0_mhz,
         "chi": stats.chi if math.isfinite(stats.chi) else "inf",
-        "fwhm_st1_mhz": stats.sigma_st1_mhz * 2.0 * math.sqrt(2.0 * math.log(2.0)),
+        "fwhm_st1_mhz": stats.sigma_st1_mhz * FWHM_PER_SIGMA,
     }
     _write_json(_out(args, config, "linewidth_summary.json"), payload)
     for key, value in payload.items():
@@ -570,7 +554,8 @@ CSV columns and units:
   bsweep.csv      B_Gauss, f_ST1_low, f_ST1_high, f_ST0_low, f_ST0_high  (MHz)
   compensate.csv  trial, I_X_A, I_Y_A, I_Z_A, residual_{x,y,z}_G
 
-The config file is sectioned key = value text; see README for the schema.
+The config file is sectioned key = value text: [section] headers over
+key = value lines, with the sections and keys of --set.
 Seed resolution order: --seed, [run] seed, $ZFEPR_SEED, builtin default.
 """
 
@@ -591,8 +576,6 @@ def build_parser():
         cmd.add_argument("--set", dest="overrides", action="append", default=[],
                          metavar="SECTION.KEY=VALUE", help="override one config value")
         cmd.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="Monte Carlo worker threads (results do not depend on this)")
         cmd.add_argument("--out-dir", default=None, help="output directory")
         cmd.add_argument("--plot-data", action="store_true",
                          help="also write whitespace-delimited .dat files")
@@ -604,15 +587,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, args.overrides)
-        if args.threads is not None:
-            config["run"]["threads"] = args.threads
         seed = _resolve_seed(args, config)
         handler, _ = _COMMANDS[args.command]
         return handler(args, config, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalError, CenterFitError, FoldAmbiguityError,
+    except (NumericalError, FitError, FoldAmbiguityError,
             DegenerateCrossingError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

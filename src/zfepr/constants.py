@@ -10,6 +10,9 @@ import math
 
 TWO_PI = 2.0 * math.pi
 
+#: FWHM of a Gaussian in units of its standard deviation.
+FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+
 #: Electron gyromagnetic ratio, MHz per Gauss.  Used for both the NV and the
 #: target electron spin (both are treated as bare electron spins).
 GAMMA_E_MHZ_PER_G = 2.8025

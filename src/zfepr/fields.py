@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E_MHZ_PER_G
-from .fitting import levenberg_marquardt
+from .fitting import FitError, levenberg_marquardt
 from .hamiltonians import FieldVector, transitions_vs_field
+from .spectra import write_csv
 
 __all__ = [
     "CoilConfig",
@@ -117,7 +118,7 @@ class OdmrScan:
                            np.asarray(self.nv_orientation, dtype=float))
 
 
-class CenterFitError(ValueError):
+class CenterFitError(FitError):
     """The linewidth fit failed numerically: no convergence, or a center
     outside the scanned window."""
 
@@ -329,8 +330,6 @@ def bsweep(spec, b_values_g, direction, mode="perturbative"):
 
 def write_bsweep_csv(points, path):
     """CSV columns: B_Gauss, f_ST1_low, f_ST1_high, f_ST0_low, f_ST0_high."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("B_Gauss,f_ST1_low,f_ST1_high,f_ST0_low,f_ST0_high\n")
-        for p in points:
-            row = (p.b_g, p.f_st1_low, p.f_st1_high, p.f_st0_low, p.f_st0_high)
-            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+    rows = [(p.b_g, p.f_st1_low, p.f_st1_high, p.f_st0_low, p.f_st0_high) for p in points]
+    write_csv(path, ("B_Gauss", "f_ST1_low", "f_ST1_high", "f_ST0_low", "f_ST0_high"),
+              list(zip(*rows)))

@@ -11,8 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import FWHM_PER_SIGMA
+
 __all__ = [
     "FWHM_PER_SIGMA",
+    "FitError",
     "GaussianPeak",
     "FitResult",
     "LMResult",
@@ -21,7 +24,9 @@ __all__ = [
     "format_fit_report",
 ]
 
-FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+
+class FitError(ValueError):
+    """A fit failed numerically: no acceptable or converged solution."""
 
 
 @dataclass(frozen=True)
@@ -228,7 +233,8 @@ def fit_gaussians(spectrum, m="auto", max_m=4):
     ``m`` is a fixed count (1..4) or "auto", which picks the count with the
     lowest small-sample-corrected information criterion; ties and degenerate
     candidates (peaks walking out of the frequency range) go to the smaller
-    model.  Initialization takes the ``m`` highest local maxima.
+    model.  Initialization takes the ``m`` highest local maxima.  Raises
+    :class:`FitError` when "auto" finds no acceptable candidate.
     """
     freqs = np.asarray(spectrum.freqs, dtype=float)
     amps = np.asarray(spectrum.amps, dtype=float)
@@ -263,7 +269,7 @@ def fit_gaussians(spectrum, m="auto", max_m=4):
         if score < best_score - 1e-9:
             best, best_score = result, score
     if best is None:
-        raise ValueError("no acceptable fit found for any peak count")
+        raise FitError("no acceptable fit found for any peak count")
     return best
 
 

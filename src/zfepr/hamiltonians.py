@@ -39,6 +39,7 @@ __all__ = [
     "transition_fluctuations",
     "st0_fluctuation",
     "dipolar_constant",
+    "resolve_coupling",
     "joint_hamiltonian",
     "transitions_vs_field",
 ]
@@ -288,6 +289,13 @@ def dipolar_constant(geometry):
     return DIPOLAR_K_MHZ_NM3 / g.r_nm**3 * angular
 
 
+def resolve_coupling(coupling):
+    """Coupling strength in MHz from a strength or a :class:`DipolarGeometry`."""
+    if isinstance(coupling, DipolarGeometry):
+        return dipolar_constant(coupling)
+    return float(coupling)
+
+
 def joint_hamiltonian(spec, coupling, zfs_mhz=NV_ZFS_MHZ, ops=DEFAULT_OPS):
     """Joint NV+target Hamiltonian (12x12, rad/us) with secular coupling.
 
@@ -295,7 +303,7 @@ def joint_hamiltonian(spec, coupling, zfs_mhz=NV_ZFS_MHZ, ops=DEFAULT_OPS):
     :class:`DipolarGeometry` from which one is derived.  Structure:
     ``zfs*(Sz_NV)^2 (x) I4 + I3 (x) H_target + C * Sz_NV (x) Szz``.
     """
-    c_mhz = dipolar_constant(coupling) if isinstance(coupling, DipolarGeometry) else float(coupling)
+    c_mhz = resolve_coupling(coupling)
     eye3 = np.eye(3, dtype=complex)
     eye4 = np.eye(4, dtype=complex)
     h_mhz = (

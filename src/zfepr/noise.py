@@ -4,7 +4,7 @@ Monte Carlo distribution of transition frequencies.
 Reproducibility contract: draw ``i`` of a model with seed ``s`` comes from
 ``numpy.random.default_rng(s + i)`` (PCG64), taking three normal deviates
 scaled by (sigma_x, sigma_y, sigma_z).  Per-draw seeding makes the stream
-identical under any chunking or parallel execution order.
+identical however its consumers split it into chunks.
 """
 
 import math
@@ -12,9 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import FWHM_PER_SIGMA
 from .hamiltonians import st0_fluctuation
 
 __all__ = [
+    "FWHM_PER_SIGMA",
     "NoiseModel",
     "LinewidthStats",
     "HistogramResult",
@@ -22,9 +24,6 @@ __all__ = [
     "linewidth_stats",
     "frequency_histogram",
 ]
-
-#: FWHM of a Gaussian in units of its standard deviation.
-FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ Basis orders are fixed globally:
 * NV spin-1: ``{|+1>, |0>, |-1>}``
 
 All matrices are plain complex ``numpy.ndarray`` values, marked read-only so
-operator sets can be shared freely between threads.
+one operator set can be shared by every caller.
 """
 
 from dataclasses import dataclass

@@ -5,30 +5,29 @@ Phase convention: every ``cos(C tau)`` in the formulas means the angular
 phase ``2*pi * C_MHz * tau_us``.  ``tau`` is the total free evolution of one
 interrogation block (two halves of tau/2 around the decoupling pulse).
 
-The simulator evolves the full 12x12 sensor+target density matrix element by
-element.  Free gaps that fall inside a spin-locking window evolve the target
-factor alone: the locked sensor averages the secular coupling away, which is
-exactly how the closed-form treatment handles that interval.
+The simulator holds one 12x12 sensor+target density matrix per noise draw
+in a single stack and applies each sequence element to the whole stack at
+once; a lone simulation is a stack of one.  Free gaps that fall inside a
+spin-locking window evolve the target factor alone: the locked sensor
+averages the secular coupling away, which is exactly how the closed-form
+treatment handles that interval.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .constants import NV_ZFS_MHZ, TWO_PI
 from .hamiltonians import (
     DEFAULT_OPS,
-    DipolarGeometry,
-    NoiseDraw,
     TargetSpec,
-    dipolar_constant,
+    resolve_coupling,
     st0_fluctuation,
     target_levels_mhz,
 )
 from .noise import sample_noise
-from .pulses import Pulse, free, mw_2pi, mw_pi, nv_pulse, readout, rf_st0, rf_st1, spinlock
-from .pulses import spinlock_channel, u_st0, u_st1, readout_pl
+from .pulses import Pulse, dephase, free, mw_2pi, mw_pi, nv_pulse, readout, rf_st0, rf_st1
+from .pulses import readout_pl, spinlock, spinlock_channel, u_st0, u_st1
 from .spectra import TimeSeries
 
 __all__ = [
@@ -47,11 +46,12 @@ __all__ = [
     "synthesize_ramsey_series",
 ]
 
-_EYE3 = np.eye(3, dtype=complex)
 _EYE4 = np.eye(4, dtype=complex)
-_MW_PI_JOINT = np.kron(nv_pulse("mw_pi"), _EYE4)
-_MW_2PI_JOINT = np.kron(nv_pulse("mw_2pi"), _EYE4)
-_SZZ_DIAG = np.array([0.5, 0.0, 0.0, -0.5])
+_MW_JOINT = {kind: np.kron(nv_pulse(kind), _EYE4) for kind in ("mw_pi", "mw_2pi")}
+#: Keeps the sensor-diagonal 4x4 blocks of a joint matrix, zeroes the rest.
+_SENSOR_DIAGONAL = np.kron(np.eye(3), np.ones((4, 4)))
+#: Manipulation elements the alternative protocol allows during its wait.
+_ALTERNATIVE_KINDS = ("free", "mw_pi", "mw_2pi", "rf_st1", "rf_st0")
 
 
 class SequenceError(ValueError):
@@ -125,7 +125,7 @@ def corr_rabi(transition, theta, tau_us, coupling_mhz):
 
 
 def corr_ramsey_diff(transition, t_us, tau_us, coupling_mhz, noise=None,
-                     spec=None, n_draws=2000, threads=1):
+                     spec=None, n_draws=2000):
     """Differential correlation Ramsey signal (sig minus ref correlated term).
 
     st1:  (1/4)(1-cos Ct)^2 <cos(dw t)> cos(w_st1 t), with the noise average
@@ -151,13 +151,13 @@ def corr_ramsey_diff(transition, t_us, tau_us, coupling_mhz, noise=None,
         if noise is None:
             out = amp * np.cos(TWO_PI * spec.f_st0_mhz * t)
         else:
-            out = amp * _averaged_cos(spec.f_st0_mhz, t, spec, noise, n_draws, threads)
+            out = amp * _averaged_cos((spec.f_st0_mhz,), t, spec, noise, n_draws)[0]
     return float(out) if np.isscalar(t_us) else out
 
 
-#: Fixed Monte Carlo chunk size.  Chunk boundaries never depend on the thread
-#: count, and partial sums are combined in index order, so results are
-#: bit-identical at any parallelism level.
+#: Fixed Monte Carlo chunk size: draws are sampled and simulated this many at
+#: a time, and the chunk sums are added in index order, which bounds memory
+#: and fixes the arithmetic for a given draw count.
 _MC_CHUNK = 512
 
 
@@ -165,28 +165,16 @@ def _mc_chunks(n_draws):
     return [(i, min(i + _MC_CHUNK, n_draws)) for i in range(0, n_draws, _MC_CHUNK)]
 
 
-def _run_chunks(worker, n_draws, threads):
-    bounds = _mc_chunks(n_draws)
-    if threads <= 1 or len(bounds) == 1:
-        partials = [worker(i0, i1) for i0, i1 in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda b: worker(*b), bounds))
-    total = partials[0]
-    for part in partials[1:]:
-        total = total + part
-    return total
-
-
-def _averaged_cos(f_mhz, t, spec, noise, n_draws, threads=1):
-    """Monte Carlo <cos(2 pi (f + dw_st0) t)> with fixed-order accumulation."""
-
-    def worker(i0, i1):
+def _averaged_cos(freqs_mhz, t, spec, noise, n_draws):
+    """Monte Carlo <cos(2 pi (f + dw_st0) t)> for each frequency f, all from
+    one pass over the draws, with fixed-order accumulation."""
+    totals = None
+    for i0, i1 in _mc_chunks(n_draws):
         draws = sample_noise(noise, i1 - i0, start=i0)
         dw = st0_fluctuation(draws[:, 0], draws[:, 1], draws[:, 2], spec)
-        return np.cos(TWO_PI * np.outer(f_mhz + dw, t)).sum(axis=0)
-
-    return _run_chunks(worker, n_draws, threads) / n_draws
+        parts = [np.cos(TWO_PI * np.outer(f + dw, t)).sum(axis=0) for f in freqs_mhz]
+        totals = parts if totals is None else [a + b for a, b in zip(totals, parts)]
+    return [total / n_draws for total in totals]
 
 
 def corr_signal(phi1, phi2, variant="main"):
@@ -221,8 +209,12 @@ def deer_sequence(theta, tau_us, transition="st1"):
     ]
 
 
+def _interrogation_block(tau_us):
+    return [free(tau_us / 2.0), mw_2pi(), rf_st1(2.0 * math.pi), free(tau_us / 2.0)]
+
+
 def _correlation_sequence(manipulation, tau_us, lock_us):
-    block = [free(tau_us / 2.0), mw_2pi(), rf_st1(2.0 * math.pi), free(tau_us / 2.0)]
+    block = _interrogation_block(tau_us)
     return ([mw_pi()] + block + [spinlock(lock_us)] + list(manipulation)
             + block + [mw_pi(), readout()])
 
@@ -290,43 +282,32 @@ def _validate_sequence(sequence):
             raise SequenceError("target-frame free evolution outside a locked window")
 
 
-class _Propagators:
-    """Cached eigendecompositions for one (spec, coupling, noise) context.
+def _eigensystems(spec, coupling, draws, zfs_mhz, ops):
+    """Eigendecompositions (rad/us) of the free Hamiltonians of each draw.
 
-    Free-evolution unitaries are memoized by duration, which makes repeated
-    interrogation blocks (and Monte Carlo sweeps sharing one draw) cheap.
+    ``draws`` is an (n, 3) array of noise triples in MHz.  Returns ``(w, v)``
+    of shapes (n, 4, 4) and (n, 4, 4, 4), from one batched ``eigh``: index 0
+    of the second axis is the target alone, 1..3 the sensor blocks
+    m = +1, 0, -1 of the joint Hamiltonian, whose secular coupling is
+    ``C * m * szz``.
     """
+    c_mhz = resolve_coupling(coupling)
+    d = np.asarray(draws, dtype=float)[:, :, None, None]
+    h_target = (np.diag(target_levels_mhz(spec)).astype(complex)
+                + (d[:, 0] * ops.sx_t + d[:, 1] * ops.sy_t + d[:, 2] * ops.sz_t))
+    szz = ops.szz_t.diagonal().real
+    offsets = [np.zeros((4, 4))] + [np.diag(zfs_mhz * m * m + c_mhz * m * szz)
+                                    for m in (1.0, 0.0, -1.0)]
+    return np.linalg.eigh(TWO_PI * (h_target[:, None] + np.array(offsets)))
 
-    def __init__(self, spec, coupling_mhz, noise, zfs_mhz, ops):
-        h_target = np.diag(target_levels_mhz(spec)).astype(complex)
-        if noise is not None:
-            h_target = h_target + (noise.delta_x * ops.sx_t + noise.delta_y * ops.sy_t
-                                   + noise.delta_z * ops.sz_t)
-        self._target_eig = np.linalg.eigh(TWO_PI * h_target)
-        self._block_eig = []
-        for m in (1.0, 0.0, -1.0):
-            block = h_target + np.diag(zfs_mhz * m * m + coupling_mhz * m * _SZZ_DIAG)
-            self._block_eig.append(np.linalg.eigh(TWO_PI * block))
-        self._joint_cache = {}
-        self._target_cache = {}
 
-    def joint_free(self, tau_us):
-        u = self._joint_cache.get(tau_us)
-        if u is None:
-            u = np.zeros((12, 12), dtype=complex)
-            for k, (w, v) in enumerate(self._block_eig):
-                u[4 * k : 4 * k + 4, 4 * k : 4 * k + 4] = \
-                    (v * np.exp(-1j * w * tau_us)) @ v.conj().T
-            self._joint_cache[tau_us] = u
-        return u
-
-    def target_free(self, tau_us):
-        u = self._target_cache.get(tau_us)
-        if u is None:
-            w, v = self._target_eig
-            u = np.kron(_EYE3, (v * np.exp(-1j * w * tau_us)) @ v.conj().T)
-            self._target_cache[tau_us] = u
-        return u
+def _block_diag(blocks):
+    """(..., 12, 12) block-diagonal matrix from sensor blocks (..., 3, 4, 4);
+    a single block (..., 1, 4, 4) is repeated, which lifts a target operator."""
+    out = np.zeros(blocks.shape[:-3] + (12, 12), dtype=complex)
+    for k in range(3):
+        out[..., 4 * k : 4 * k + 4, 4 * k : 4 * k + 4] = blocks[..., k % blocks.shape[-3], :, :]
+    return out
 
 
 def _apply_echo_decay(rho, factor):
@@ -338,8 +319,48 @@ def _apply_echo_decay(rho, factor):
     mask[:, 0] = factor
     mask[3, :] = factor
     mask[:, 3] = factor
-    rho[0:4, 8:12] *= mask
-    rho[8:12, 0:4] *= mask
+    rho[..., 0:4, 8:12] *= mask
+    rho[..., 8:12, 0:4] *= mask
+
+
+def _evolve(sequence, eig, decay):
+    """Readouts, one per draw, of a validated sequence from |0><0| (x) I/4.
+
+    ``eig`` comes from :func:`_eigensystems`; every element is applied once
+    to the (n, 12, 12) stack of density matrices.
+    """
+    w, v = eig
+    rho = np.zeros((len(w), 12, 12), dtype=complex)
+    rho[:, 4:8, 4:8] = _EYE4 / 4.0
+    t_coherent = 0.0
+
+    for el in sequence[:-1]:  # the last element is the readout
+        kind = el.kind
+        if kind in ("mw_pi", "spinlock"):
+            # an interrogation window closes
+            if decay is not None and t_coherent > 0.0:
+                _apply_echo_decay(rho, decay.echo_factor(t_coherent))
+            t_coherent = 0.0
+        if kind == "spinlock":
+            rho = spinlock_channel(rho, el.value, decay)
+            continue
+        if kind == "dephase":
+            rho = rho * _SENSOR_DIAGONAL
+            continue
+        if kind == "free":
+            if el.frame == "joint":
+                t_coherent += el.value
+                wb, vb = w[:, 1:], v[:, 1:]
+            else:
+                wb, vb = w[:, :1], v[:, :1]
+            u = _block_diag((vb * np.exp(-1j * wb[..., None, :] * el.value))
+                            @ vb.conj().swapaxes(-1, -2))
+        elif kind in _MW_JOINT:
+            u = _MW_JOINT[kind]
+        else:
+            u = _block_diag((u_st1 if kind == "rf_st1" else u_st0)(el.value)[None])
+        rho = u @ rho @ u.conj().swapaxes(-1, -2)
+    return readout_pl(rho)
 
 
 def simulate_sequence(sequence, spec, coupling, noise=None, decay=None,
@@ -354,57 +375,9 @@ def simulate_sequence(sequence, spec, coupling, noise=None, decay=None,
     model exactly.
     """
     _validate_sequence(sequence)
-    c_mhz = dipolar_constant(coupling) if isinstance(coupling, DipolarGeometry) else float(coupling)
-    props = _Propagators(spec, c_mhz, noise, zfs_mhz, ops)
-    return _run_sequence(sequence, props, decay)
-
-
-def _run_sequence(sequence, props, decay):
-    rho = np.zeros((12, 12), dtype=complex)
-    rho[4:8, 4:8] = _EYE4 / 4.0
-    t_coherent = 0.0
-
-    for el in sequence:
-        kind = el.kind
-        if kind == "free":
-            if el.frame == "target":
-                u = props.target_free(el.value)
-            else:
-                u = props.joint_free(el.value)
-                t_coherent += el.value
-            rho = u @ rho @ u.conj().T
-        elif kind == "mw_pi":
-            if decay is not None and t_coherent > 0.0:
-                _apply_echo_decay(rho, decay.echo_factor(t_coherent))
-            t_coherent = 0.0
-            rho = _MW_PI_JOINT @ rho @ _MW_PI_JOINT.conj().T
-        elif kind == "mw_2pi":
-            rho = _MW_2PI_JOINT @ rho @ _MW_2PI_JOINT.conj().T
-        elif kind == "rf_st1":
-            u = np.kron(_EYE3, u_st1(el.value))
-            rho = u @ rho @ u.conj().T
-        elif kind == "rf_st0":
-            u = np.kron(_EYE3, u_st0(el.value))
-            rho = u @ rho @ u.conj().T
-        elif kind == "spinlock":
-            if decay is not None and t_coherent > 0.0:
-                _apply_echo_decay(rho, decay.echo_factor(t_coherent))
-            t_coherent = 0.0
-            rho = spinlock_channel(rho, el.value, decay, validate=False)
-        elif kind == "readout":
-            return readout_pl(rho)
-        else:  # pragma: no cover - Pulse constructor restricts kinds
-            raise SequenceError(f"unknown element kind {kind!r}")
-    raise SequenceError("sequence must end with a readout")
-
-
-def _dephase_nv_energy_basis(rho):
-    """Erase every coherence between the sensor energy levels |+1>, |0>, |-1>."""
-    out = np.zeros_like(rho)
-    for k in range(3):
-        sl = slice(4 * k, 4 * k + 4)
-        out[sl, sl] = rho[sl, sl]
-    return out
+    draws = np.zeros((1, 3)) if noise is None else noise.as_array()[None]
+    return float(_evolve(sequence, _eigensystems(spec, coupling, draws, zfs_mhz, ops),
+                         decay)[0])
 
 
 def simulate_alternative_correlation(manipulation, tau_us, spec, coupling,
@@ -415,37 +388,15 @@ def simulate_alternative_correlation(manipulation, tau_us, spec, coupling,
     simply waits: the sensor fully dephases in its energy basis, which costs
     a quarter of the correlated-term contrast (Eq. corr_signal
     ``variant="alternative"``).  ``manipulation`` is a list of target pulses
-    applied during the wait.
+    applied during the wait: free evolution, MW and RF pulses.
     """
-    c_mhz = dipolar_constant(coupling) if isinstance(coupling, DipolarGeometry) else float(coupling)
-    props = _Propagators(spec, c_mhz, noise, zfs_mhz, ops)
-    block = [free(tau_us / 2.0), mw_2pi(), rf_st1(2.0 * math.pi), free(tau_us / 2.0)]
-
-    rho = np.zeros((12, 12), dtype=complex)
-    rho[4:8, 4:8] = _EYE4 / 4.0
-
-    def apply(elems):
-        nonlocal rho
-        for el in elems:
-            if el.kind == "free":
-                u = props.joint_free(el.value)
-            elif el.kind == "mw_pi":
-                u = _MW_PI_JOINT
-            elif el.kind == "mw_2pi":
-                u = _MW_2PI_JOINT
-            elif el.kind == "rf_st1":
-                u = np.kron(_EYE3, u_st1(el.value))
-            elif el.kind == "rf_st0":
-                u = np.kron(_EYE3, u_st0(el.value))
-            else:
-                raise SequenceError(f"element {el.kind!r} not allowed here")
-            rho = u @ rho @ u.conj().T
-
-    apply([mw_pi()] + block + [mw_pi()])
-    rho = _dephase_nv_energy_basis(rho)
-    apply(list(manipulation))
-    apply([mw_pi()] + block + [mw_pi()])
-    return readout_pl(rho)
+    manipulation = list(manipulation)
+    for el in manipulation:
+        if not (isinstance(el, Pulse) and el.kind in _ALTERNATIVE_KINDS):
+            raise SequenceError(f"element {el!r} not allowed here")
+    block = [mw_pi()] + _interrogation_block(tau_us) + [mw_pi()]
+    return simulate_sequence(block + [dephase()] + manipulation + block + [readout()],
+                             spec, coupling, noise=noise, zfs_mhz=zfs_mhz, ops=ops)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +404,12 @@ def simulate_alternative_correlation(manipulation, tau_us, spec, coupling,
 # ---------------------------------------------------------------------------
 
 def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
-                       decay=None, zfs_mhz=NV_ZFS_MHZ, threads=1):
+                       decay=None, zfs_mhz=NV_ZFS_MHZ):
     """Noise-averaged signal of ``sequence_family(t)`` on a time grid.
 
     Draw ``i`` uses the deterministic per-sample seed ``noise.seed + i``, so
-    the average is reproducible bit for bit no matter how the draws are
-    chunked or parallelized.
+    the average is reproducible bit for bit.  Draws are simulated a chunk at
+    a time, all times of a chunk sharing one batched eigendecomposition.
     """
     if n_draws < 1:
         raise ValueError("need at least one draw")
@@ -466,27 +417,22 @@ def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
     sequences = [sequence_family(t) for t in t_grid]
     for seq in sequences:
         _validate_sequence(seq)
-    c_mhz = dipolar_constant(coupling) if isinstance(coupling, DipolarGeometry) else float(coupling)
 
-    def worker(i0, i1):
-        part = np.zeros(len(t_grid))
-        for i in range(i0, i1):
-            draw = NoiseDraw(*sample_noise(noise, 1, start=i)[0])
-            props = _Propagators(spec, c_mhz, draw, zfs_mhz, DEFAULT_OPS)
-            part += np.array([_run_sequence(seq, props, decay) for seq in sequences])
-        return part
-
-    acc = _run_chunks(worker, n_draws, threads)
+    acc = np.zeros(len(t_grid))
+    for i0, i1 in _mc_chunks(n_draws):
+        eig = _eigensystems(spec, coupling, sample_noise(noise, i1 - i0, start=i0),
+                            zfs_mhz, DEFAULT_OPS)
+        acc = acc + [_evolve(seq, eig, decay).sum() for seq in sequences]
     return TimeSeries(times=t_grid, values=acc / n_draws)
 
 
 def synthesize_ramsey_series(transition, t_grid, spec, coupling_mhz, tau_us,
-                             noise=None, n_draws=2000, threads=1):
+                             noise=None, n_draws=2000):
     """Differential Ramsey time series from the closed forms, line structure
     included.
 
     The c13 doublet (st1) and the static offset doublet (st0) enter as
-    equal-weight cosine sums sharing one noise realization set.
+    equal-weight cosine sums sharing one noise realization set, sampled once.
     """
     _check_transition(transition)
     t = np.asarray(t_grid, dtype=float)
@@ -513,7 +459,6 @@ def synthesize_ramsey_series(transition, t_grid, spec, coupling_mhz, tau_us,
         if noise is None:
             values = amp * sum(w * np.cos(TWO_PI * f * t) for f, w in lines)
         else:
-            values = amp * sum(
-                w * _averaged_cos(f, t, spec, noise, n_draws, threads) for f, w in lines
-            )
+            averages = _averaged_cos([f for f, _ in lines], t, spec, noise, n_draws)
+            values = amp * sum(w * avg for (_, w), avg in zip(lines, averages))
     return TimeSeries(times=t, values=values)

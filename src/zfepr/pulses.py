@@ -5,6 +5,7 @@ Pulses are ideal and instantaneous; a finite-duration RF drive enters only
 through its flip angle theta = Omega_x * t_RF.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ __all__ = [
     "rf_st0",
     "free",
     "spinlock",
+    "dephase",
     "readout",
     "u_st1",
     "u_st0",
@@ -32,6 +34,8 @@ _SQRT2 = math.sqrt(2.0)
 _PSI_PLUS = np.array([1.0, 0.0, 1.0], dtype=complex) / _SQRT2
 _PSI_MINUS = np.array([1.0, 0.0, -1.0], dtype=complex) / _SQRT2
 _KET0 = np.array([0.0, 1.0, 0.0], dtype=complex)
+#: Columns are the dressed states |psi+>, |0>, |psi-> in the bare NV basis.
+_DRESSED = np.column_stack((_PSI_PLUS, _KET0, _PSI_MINUS))
 
 # pi pulse: |0> <-> |psi+> (up to -i), |psi-> untouched
 _MW_PI = np.array(
@@ -81,12 +85,15 @@ class DecayModel:
 IDEAL = DecayModel(t2_nv_us=math.inf, stretch_p=2.0, t1rho_us=math.inf)
 
 
+_KINDS = ("mw_pi", "mw_2pi", "rf_st1", "rf_st0", "free", "spinlock", "dephase", "readout")
+
+
 @dataclass(frozen=True)
 class Pulse:
     """One element of a pulse sequence.
 
     ``kind`` is one of mw_pi, mw_2pi, rf_st1, rf_st0, free, spinlock,
-    readout.  ``value`` carries the flip angle (rad) or duration (us).
+    dephase, readout.  ``value`` carries the flip angle (rad) or duration (us).
     ``frame`` applies to free evolution only: "joint" evolves sensor and
     target together, "target" evolves the target alone, which is how free
     gaps inside a spin-locking window behave (the drive decouples the NV).
@@ -97,6 +104,8 @@ class Pulse:
     frame: str = "joint"
 
     def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown pulse kind {self.kind!r}")
         if self.kind in ("free", "spinlock") and self.value < 0:
             raise ValueError(f"{self.kind} duration must be >= 0")
         if not math.isfinite(self.value):
@@ -127,6 +136,12 @@ def free(tau_us, frame="joint"):
 
 def spinlock(t_us):
     return Pulse("spinlock", t_us)
+
+
+def dephase():
+    """A wait without locking drive: the sensor loses every coherence between
+    its energy levels |+1>, |0>, |-1>."""
+    return Pulse("dephase")
 
 
 def readout():
@@ -176,53 +191,62 @@ def nv_pulse(kind):
 
 
 def _require_density_matrix(rho, tol=1e-10):
-    rho = np.asarray(rho, dtype=complex)
-    if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-9:
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    if np.abs(trace.real - 1.0).max() > 1e-9 or np.abs(trace.imag).max() > 1e-9:
         raise ValueError("density matrix must have unit trace")
-    if np.abs(rho - rho.conj().T).max() > tol:
+    if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > tol:
         raise ValueError("density matrix must be Hermitian")
     if np.linalg.eigvalsh(rho).min() < -tol:
         raise ValueError("density matrix must be positive semidefinite")
-    return rho
 
 
-def spinlock_channel(rho, t_us, decay=None, validate=True):
+def _nv_dimension(rho):
+    """d of a (..., 3d, 3d) NV (x) d-level matrix, 0 for any other shape."""
+    d = rho.shape[-1] // 3 if rho.ndim >= 2 else 0
+    return d if d and rho.shape[-2:] == (3 * d, 3 * d) else 0
+
+
+@functools.lru_cache(maxsize=None)
+def _dressed_change(d):
+    """kron(D, I_d): columns are the dressed NV states (x) the d-level basis."""
+    w = np.kron(_DRESSED, np.eye(d))
+    w.flags.writeable = False
+    return w
+
+
+def spinlock_channel(rho, t_us, decay=None):
     """Spin-locking as its net effect: a dephasing channel in the dressed basis.
 
     Populations of |psi+>, |psi-> and |0> survive; every coherence between
     them is erased, and the psi+/psi- population imbalance (which stores the
     first interrogation phase) relaxes by exp(-T/T1rho).  Accepts a bare 3x3
-    NV density matrix or a 3d x 3d joint one (NV factor first).
+    NV density matrix, which is validated, or a 3d x 3d joint one (NV factor
+    first), each with any leading batch axes.
     """
     rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0] // 3
-    if rho.shape != (3 * d, 3 * d):
+    d = _nv_dimension(rho)
+    if not d:
         raise ValueError("density matrix dimension must be a multiple of 3")
-    if validate and d == 1:
+    if d == 1:
         _require_density_matrix(rho)
 
-    eye = np.eye(d, dtype=complex)
-    basis = (_PSI_PLUS, _KET0, _PSI_MINUS)
-    # block extraction in the dressed basis: B_ab = (<a| x 1) rho (|b> x 1)
-    lift = [np.kron(v.reshape(3, 1), eye) for v in basis]
-    blocks = [lift[a].conj().T @ rho @ lift[a] for a in range(3)]
-
+    w = _dressed_change(d)
+    dressed = (w.conj().T @ rho @ w).reshape(rho.shape[:-2] + (3, d, 3, d))
+    plus, zero, minus = (dressed[..., k, :, k, :] for k in range(3))
     e = 1.0 if decay is None else decay.lock_factor(t_us)
-    b_plus = 0.5 * (1 + e) * blocks[0] + 0.5 * (1 - e) * blocks[2]
-    b_minus = 0.5 * (1 - e) * blocks[0] + 0.5 * (1 + e) * blocks[2]
-
-    out = np.zeros_like(rho)
-    for vec, block in zip(basis, (b_plus, blocks[1], b_minus)):
-        out += np.kron(np.outer(vec, vec.conj()), block)
-    return out
+    out = np.zeros_like(dressed)
+    out[..., 0, :, 0, :] = 0.5 * (1 + e) * plus + 0.5 * (1 - e) * minus
+    out[..., 1, :, 1, :] = zero
+    out[..., 2, :, 2, :] = 0.5 * (1 - e) * plus + 0.5 * (1 + e) * minus
+    return w @ out.reshape(rho.shape) @ w.conj().T
 
 
 def readout_pl(rho_joint):
     """Photoluminescence observable: population of NV |0>, traced over the
-    target.  Dimensionless in [0, 1]."""
+    target.  Dimensionless in [0, 1]; an array over any leading batch axes."""
     rho = np.asarray(rho_joint)
-    d = rho.shape[0] // 3
-    if rho.shape != (3 * d, 3 * d):
+    d = _nv_dimension(rho)
+    if not d:
         raise ValueError("expected an NV (x) target density matrix")
-    block = rho[d : 2 * d, d : 2 * d]
-    return float(np.trace(block).real)
+    pl = np.trace(rho[..., d : 2 * d, d : 2 * d], axis1=-2, axis2=-1).real
+    return float(pl) if pl.ndim == 0 else pl

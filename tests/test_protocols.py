@@ -10,6 +10,7 @@ from conftest import (
     rabi_manipulation,
 )
 
+import zfepr.protocols
 from zfepr.hamiltonians import NoiseDraw, TargetSpec
 from zfepr.noise import NoiseModel, sample_noise
 from zfepr.protocols import (
@@ -273,6 +274,8 @@ def test_sequence_validation_errors(spec):
         simulate_sequence([mw_pi(), readout(), mw_pi(), readout()], spec, 0.1)
     with pytest.raises(SequenceError):
         simulate_sequence([], spec, 0.1)
+    with pytest.raises(SequenceError):
+        simulate_alternative_correlation([spinlock(1.0)], 2.0, spec, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +343,10 @@ def test_monte_carlo_matches_gaussian_envelope(spec):
 
     sig_series = monte_carlo_signal(
         lambda t: correlation_ramsey_sequences("st1", t, tau)[0],
-        t_grid, spec, c, noise, 2000, threads=2)
+        t_grid, spec, c, noise, 2000)
     ref_series = monte_carlo_signal(
         lambda t: correlation_ramsey_sequences("st1", t, tau)[1],
-        t_grid, spec, c, noise, 2000, threads=2)
+        t_grid, spec, c, noise, 2000)
     sims = sig_series.values - ref_series.values
 
     draws = sample_noise(noise, 2000)
@@ -381,9 +384,17 @@ def test_monte_carlo_deterministic_and_chunk_independent(spec):
     t_grid = [0.1, 0.3]
     a = monte_carlo_signal(family, t_grid, spec, 0.3, noise, 40)
     b = monte_carlo_signal(family, t_grid, spec, 0.3, noise, 40)
-    c = monte_carlo_signal(family, t_grid, spec, 0.3, noise, 40, threads=4)
     assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.values, c.values)
+    # 600 draws span two chunks; the chunked, batched average must equal the
+    # mean of one simulation per draw
+    decay = DecayModel(t2_nv_us=16.0, stretch_p=1.7, t1rho_us=150.0)
+    draws = [NoiseDraw(*d) for d in sample_noise(noise, 600)]
+    for transition in ("st1", "st0"):
+        family = lambda t: correlation_ramsey_sequences(transition, t, 4.0)[0]
+        series = monte_carlo_signal(family, t_grid, spec, 0.3, noise, 600, decay=decay)
+        per_draw = [[simulate_sequence(family(t), spec, 0.3, noise=d, decay=decay)
+                     for t in t_grid] for d in draws]
+        assert np.abs(series.values - np.mean(per_draw, axis=0)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +416,21 @@ def test_synthesize_c13_beat(spec):
     expected = amp * 0.5 * (np.cos(TWO_PI * (137.0 - 0.185) * t)
                             + np.cos(TWO_PI * (137.0 + 0.185) * t))
     assert np.abs(series.values - expected).max() < 1e-12
+
+
+def test_synthesize_doublet_samples_each_draw_once(spec, monkeypatch):
+    spec2 = TargetSpec(st0_offset_doublet_mhz=(-0.03, 0.03))
+    requested = []
+
+    def counting(model, n, start=0):
+        requested.append(n)
+        return sample_noise(model, n, start)
+
+    monkeypatch.setattr(zfepr.protocols, "sample_noise", counting)
+    noise = NoiseModel.isotropic(0.196, seed=4)
+    synthesize_ramsey_series("st0", np.linspace(0, 2, 16), spec2, 0.25, 4.0,
+                             noise=noise, n_draws=1100)
+    assert sum(requested) == 1100
 
 
 def test_synthesize_st0_outlives_st1(spec):

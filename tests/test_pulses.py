@@ -191,3 +191,5 @@ def test_pulse_element_validation():
         Pulse("free", 1.0, frame="sideways")
     with pytest.raises(ValueError):
         Pulse("rf_st1", math.nan)
+    with pytest.raises(ValueError):
+        Pulse("bogus")
