@@ -1,9 +1,9 @@
 """Damped nonlinear least squares and multi-Gaussian spectrum fitting.
 
 The solver is a plain Levenberg-Marquardt loop: damping starts at 1e-3 and
-adapts by factors of 10 up / 0.1 down, the step tolerance is 1e-10 relative,
-and the iteration cap is 200.  Non-convergence is reported through a flag
-with the best parameters so far, never by raising.
+adapts by factors of 10 up / 0.1 down, the step tolerance is 1e-10 of the
+parameter vector's norm, and the iteration cap is 200.  Non-convergence is
+reported through a flag with the best parameters so far, never by raising.
 """
 
 import math
@@ -63,7 +63,9 @@ def levenberg_marquardt(residual_jacobian, p0, max_iter=200, rtol=1e-10, lam0=1e
         p_new = p + step
         r_new, jac_new = residual_jacobian(p_new)
         cost_new = float(r_new @ r_new)
-        rel = float((np.abs(step) / np.maximum(np.abs(p_new), 1e-12)).max())
+        # MINPACK-style norm test: a parameter whose optimum is near zero
+        # would never pass a test of its own relative step
+        rel = float(np.linalg.norm(step) / max(np.linalg.norm(p_new), 1e-12))
         if cost_new <= cost:
             p, r, jac, cost = p_new, r_new, jac_new, cost_new
             lam = max(lam * 0.1, 1e-12)

@@ -7,10 +7,15 @@ interrogation block (two halves of tau/2 around the decoupling pulse).
 
 The simulator holds one 12x12 sensor+target density matrix per noise draw
 in a single stack and applies each sequence element to the whole stack at
-once; a lone simulation is a stack of one.  Free gaps that fall inside a
-spin-locking window evolve the target factor alone: the locked sensor
-averages the secular coupling away, which is exactly how the closed-form
-treatment handles that interval.
+once; a lone simulation is a stack of one.  A grid of sequences, such as the
+times of a Ramsey record, is evolved together: the prefix every sequence
+shares is applied once, the tail they share is folded backwards into the
+readout observable (Heisenberg picture), and each sequence then runs only
+its own middle from the prefix state, streamed one at a time and read out
+against that observable.  Free gaps that fall inside a spin-locking window
+evolve the target factor alone: the locked sensor averages the secular
+coupling away, which is exactly how the closed-form treatment handles that
+interval.
 """
 
 import math
@@ -27,7 +32,7 @@ from .hamiltonians import (
 )
 from .noise import sample_noise
 from .pulses import Pulse, dephase, free, mw_2pi, mw_pi, nv_pulse, readout, rf_st0, rf_st1
-from .pulses import readout_pl, spinlock, spinlock_channel, u_st0, u_st1
+from .pulses import spinlock, spinlock_channel, u_st0, u_st1
 from .spectra import TimeSeries
 
 __all__ = [
@@ -50,6 +55,10 @@ _EYE4 = np.eye(4, dtype=complex)
 _MW_JOINT = {kind: np.kron(nv_pulse(kind), _EYE4) for kind in ("mw_pi", "mw_2pi")}
 #: Keeps the sensor-diagonal 4x4 blocks of a joint matrix, zeroes the rest.
 _SENSOR_DIAGONAL = np.kron(np.eye(3), np.ones((4, 4)))
+#: Readout observable P0 = |0><0| (x) I4: the NV |0> population.
+_READOUT = np.kron(np.diag([0.0, 1.0, 0.0]), _EYE4)
+#: Elements that close an interrogation window and so apply its echo decay.
+_WINDOW_CLOSING = ("mw_pi", "spinlock")
 #: Manipulation elements the alternative protocol allows during its wait.
 _ALTERNATIVE_KINDS = ("free", "mw_pi", "mw_2pi", "rf_st1", "rf_st0")
 
@@ -172,7 +181,8 @@ def _averaged_cos(freqs_mhz, t, spec, noise, n_draws):
     for i0, i1 in _mc_chunks(n_draws):
         draws = sample_noise(noise, i1 - i0, start=i0)
         dw = st0_fluctuation(draws[:, 0], draws[:, 1], draws[:, 2], spec)
-        parts = [np.cos(TWO_PI * np.outer(f + dw, t)).sum(axis=0) for f in freqs_mhz]
+        parts = [np.cos(TWO_PI * np.multiply.outer(f + dw, t)).sum(axis=0)
+                 for f in freqs_mhz]
         totals = parts if totals is None else [a + b for a, b in zip(totals, parts)]
     return [total / n_draws for total in totals]
 
@@ -310,57 +320,119 @@ def _block_diag(blocks):
     return out
 
 
-def _apply_echo_decay(rho, factor):
-    """Scale the target-modulated sectors of the |+1><-1| sensor coherence."""
-    if factor >= 1.0:
-        return
-    mask = np.ones((4, 4))
-    mask[0, :] = factor
-    mask[:, 0] = factor
-    mask[3, :] = factor
-    mask[:, 3] = factor
-    rho[..., 0:4, 8:12] *= mask
-    rho[..., 8:12, 0:4] *= mask
+def _echo_mask(factor):
+    """12x12 mask scaling the target-modulated sectors of the |+1><-1|
+    sensor coherence by ``factor``, ones elsewhere."""
+    block = np.ones((4, 4))
+    block[[0, 3], :] = factor
+    block[:, [0, 3]] = factor
+    mask = np.ones((12, 12))
+    mask[0:4, 8:12] = block
+    mask[8:12, 0:4] = block
+    return mask
 
 
-def _evolve(sequence, eig, decay):
-    """Readouts, one per draw, of a validated sequence from |0><0| (x) I/4.
-
-    ``eig`` comes from :func:`_eigensystems`; every element is applied once
-    to the (n, 12, 12) stack of density matrices.
-    """
-    w, v = eig
-    rho = np.zeros((len(w), 12, 12), dtype=complex)
-    rho[:, 4:8, 4:8] = _EYE4 / 4.0
-    t_coherent = 0.0
-
-    for el in sequence[:-1]:  # the last element is the readout
-        kind = el.kind
-        if kind in ("mw_pi", "spinlock"):
-            # an interrogation window closes
-            if decay is not None and t_coherent > 0.0:
-                _apply_echo_decay(rho, decay.echo_factor(t_coherent))
+def _steps(elements, t_coherent, decay):
+    """``elements`` with the echo decay of each interrogation window inserted,
+    as an :func:`_echo_mask`, before the element that closes the window, and
+    the joint free time still open after the last element; ``t_coherent`` is
+    the time already open before the first."""
+    steps = []
+    for el in elements:
+        if el.kind in _WINDOW_CLOSING:
+            factor = 1.0 if decay is None else decay.echo_factor(t_coherent)
+            if factor < 1.0:
+                steps.append(_echo_mask(factor))
             t_coherent = 0.0
-        if kind == "spinlock":
-            rho = spinlock_channel(rho, el.value, decay)
-            continue
-        if kind == "dephase":
-            rho = rho * _SENSOR_DIAGONAL
-            continue
-        if kind == "free":
-            if el.frame == "joint":
-                t_coherent += el.value
-                wb, vb = w[:, 1:], v[:, 1:]
-            else:
-                wb, vb = w[:, :1], v[:, :1]
-            u = _block_diag((vb * np.exp(-1j * wb[..., None, :] * el.value))
-                            @ vb.conj().swapaxes(-1, -2))
-        elif kind in _MW_JOINT:
-            u = _MW_JOINT[kind]
-        else:
-            u = _block_diag((u_st1 if kind == "rf_st1" else u_st0)(el.value)[None])
-        rho = u @ rho @ u.conj().swapaxes(-1, -2)
-    return readout_pl(rho)
+        elif el.kind == "free" and el.frame == "joint":
+            t_coherent += el.value
+        steps.append(el)
+    return steps, t_coherent
+
+
+def _apply(x, step, eig, decay, adjoint=False):
+    """One step of :func:`_steps` applied to a stack ``x`` of 12x12 matrices:
+    rho -> Phi(rho), or with ``adjoint`` an observable O -> Phi^dagger(O).
+
+    Masks, dephasing and the locking channel are their own adjoints; a
+    unitary u acts as u x u^dagger forward and u^dagger x u backward.
+    """
+    if isinstance(step, np.ndarray):
+        return x * step
+    kind = step.kind
+    if kind == "dephase":
+        return x * _SENSOR_DIAGONAL
+    if kind == "spinlock":
+        return spinlock_channel(x, step.value, decay)
+    if kind == "free":
+        w, v = eig
+        wb, vb = (w[:, 1:], v[:, 1:]) if step.frame == "joint" else (w[:, :1], v[:, :1])
+        u = _block_diag((vb * np.exp(-1j * wb[..., None, :] * step.value))
+                        @ vb.conj().swapaxes(-1, -2))
+    elif kind in _MW_JOINT:
+        u = _MW_JOINT[kind]
+    else:
+        u = _block_diag((u_st1 if kind == "rf_st1" else u_st0)(step.value)[None])
+    if adjoint:
+        u = u.conj().swapaxes(-1, -2)
+    return u @ x @ u.conj().swapaxes(-1, -2)
+
+
+def _split(bodies, decay):
+    """Lengths of the prefix and of the tail that all ``bodies`` share.
+
+    The tail's echo factors need one coherent time open at its start for
+    every body; where the middles leave different ones, the tail starts after
+    its first window-closing element instead.
+    """
+    first = bodies[0]
+    shared = min(map(len, bodies))
+    n_prefix = next((i for i in range(shared) if any(b[i] != first[i] for b in bodies)),
+                    shared)
+    n_tail = next((j for j in range(shared - n_prefix)
+                   if any(b[-1 - j] != first[-1 - j] for b in bodies)), shared - n_prefix)
+    if decay is not None and len({_steps(b[: len(b) - n_tail], 0.0, decay)[1]
+                                  for b in bodies}) > 1:
+        tail = first[len(first) - n_tail :]
+        n_tail -= next((i + 1 for i, el in enumerate(tail) if el.kind in _WINDOW_CLOSING),
+                       n_tail)
+    return n_prefix, n_tail
+
+
+def _evolve(sequences, eig, decay):
+    """Readouts, shape (len(sequences), n_draws), of validated sequences
+    started from |0><0| (x) I/4.
+
+    ``eig`` comes from :func:`_eigensystems`.  The prefix every sequence
+    shares is applied once to the (n, 12, 12) stack of density matrices; the
+    tail they share is folded, walking backwards, into the readout observable
+    P0 = |0><0| (x) I4 (Heisenberg picture).  Each sequence then runs only
+    its own middle from the prefix state and is read out at once as
+    Re Tr(O rho), so one middle stack is alive at a time.
+    """
+    bodies = [seq[:-1] for seq in sequences]  # the last element is the readout
+    n_prefix, n_tail = _split(bodies, decay)
+    first = bodies[0]
+    head, tail = first[: len(first) - n_tail], first[len(first) - n_tail :]
+
+    rho = np.zeros((len(eig[0]), 12, 12), dtype=complex)
+    rho[:, 4:8, 4:8] = _EYE4 / 4.0
+    steps, t_prefix = _steps(first[:n_prefix], 0.0, decay)
+    for step in steps:
+        rho = _apply(rho, step, eig, decay)
+
+    obs = _READOUT
+    for step in reversed(_steps(tail, _steps(head, 0.0, decay)[1], decay)[0]):
+        obs = _apply(obs, step, eig, decay, adjoint=True)
+    obs = obs.conj()  # Tr(O rho) = sum(conj(O) * rho) for a Hermitian O
+
+    out = np.empty((len(bodies), len(rho)))
+    for k, body in enumerate(bodies):
+        x = rho
+        for step in _steps(body[n_prefix : len(body) - n_tail], t_prefix, decay)[0]:
+            x = _apply(x, step, eig, decay)
+        out[k] = np.einsum("...ij,...ij->...", obs, x).real
+    return out
 
 
 def simulate_sequence(sequence, spec, coupling, noise=None, decay=None,
@@ -376,8 +448,8 @@ def simulate_sequence(sequence, spec, coupling, noise=None, decay=None,
     """
     _validate_sequence(sequence)
     draws = np.zeros((1, 3)) if noise is None else noise.as_array()[None]
-    return float(_evolve(sequence, _eigensystems(spec, coupling, draws, zfs_mhz, ops),
-                         decay)[0])
+    return float(_evolve([sequence], _eigensystems(spec, coupling, draws, zfs_mhz, ops),
+                         decay)[0, 0])
 
 
 def simulate_alternative_correlation(manipulation, tau_us, spec, coupling,
@@ -409,7 +481,10 @@ def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
 
     Draw ``i`` uses the deterministic per-sample seed ``noise.seed + i``, so
     the average is reproducible bit for bit.  Draws are simulated a chunk at
-    a time, all times of a chunk sharing one batched eigendecomposition.
+    a time.  All times of a chunk share one batched eigendecomposition, one
+    pass through the sequence prefix they have in common, and one readout
+    observable into which their common tail is folded; only the middle of
+    each time's sequence is run on its own, one time after another.
     """
     if n_draws < 1:
         raise ValueError("need at least one draw")
@@ -422,7 +497,7 @@ def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
     for i0, i1 in _mc_chunks(n_draws):
         eig = _eigensystems(spec, coupling, sample_noise(noise, i1 - i0, start=i0),
                             zfs_mhz, DEFAULT_OPS)
-        acc = acc + [_evolve(seq, eig, decay).sum() for seq in sequences]
+        acc = acc + _evolve(sequences, eig, decay).sum(axis=1)
     return TimeSeries(times=t_grid, values=acc / n_draws)
 
 

@@ -81,6 +81,22 @@ def test_find_center_with_jitter():
     assert se <= 1e-3
 
 
+def test_zero_field_compensation_fits_converge_quickly(monkeypatch):
+    # with no field to cancel every null current is 0 A; a center at zero
+    # must pass the convergence test as quickly as any other
+    fits = []
+    lm = zfepr.fields.levenberg_marquardt
+
+    def recording(*args, **kwargs):
+        fits.append(lm(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(zfepr.fields, "levenberg_marquardt", recording)
+    compensate_3axis(FieldVector(0, 0, 0), CoilConfig(), ScanPlan(jitter_frac=0))
+    assert fits
+    assert all(fit.converged and fit.iterations <= 10 for fit in fits)
+
+
 def test_find_center_unbiased():
     rng = np.random.default_rng(5)
     plan = ScanPlan()

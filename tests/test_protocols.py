@@ -28,7 +28,18 @@ from zfepr.protocols import (
     simulate_sequence,
     synthesize_ramsey_series,
 )
-from zfepr.pulses import DecayModel, free, mw_pi, readout, rf_st1, spinlock, u_st0, u_st1
+from zfepr.pulses import (
+    DecayModel,
+    dephase,
+    free,
+    mw_pi,
+    readout,
+    rf_st1,
+    spinlock,
+    spinlock_channel,
+    u_st0,
+    u_st1,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -114,6 +125,19 @@ def test_corr_ramsey_diff_values(spec):
     assert np.abs(vals - amp * np.cos(TWO_PI * 137.0 * t)).max() < 1e-12
     vals0 = corr_ramsey_diff("st0", t, 4.0, 0.25, spec=spec)
     assert np.abs(vals0 - amp * np.cos(TWO_PI * 114.0 * t)).max() < 1e-12
+
+
+def test_corr_ramsey_diff_scalar_time_with_noise(spec):
+    # the Monte Carlo average of a scalar time is a scalar, equal to the
+    # value of the one-point grid
+    noise = NoiseModel.isotropic(0.1, seed=6)
+    for transition in ("st0", "st1"):
+        scalar = corr_ramsey_diff(transition, 0.1, 5.0, 0.1, noise=noise, spec=spec,
+                                  n_draws=100)
+        grid = corr_ramsey_diff(transition, [0.1], 5.0, 0.1, noise=noise, spec=spec,
+                                n_draws=100)
+        assert isinstance(scalar, float)
+        assert scalar == grid[0]
 
 
 def test_corr_ramsey_gaussian_envelope_vs_quadrature(spec):
@@ -395,6 +419,80 @@ def test_monte_carlo_deterministic_and_chunk_independent(spec):
         per_draw = [[simulate_sequence(family(t), spec, 0.3, noise=d, decay=decay)
                      for t in t_grid] for d in draws]
         assert np.abs(series.values - np.mean(per_draw, axis=0)).max() < 1e-12
+
+
+def _per_draw_mean(family, t_grid, spec, coupling, draws, decay):
+    return np.mean([[simulate_sequence(family(t), spec, coupling, noise=d, decay=decay)
+                     for t in t_grid] for d in draws], axis=0)
+
+
+def test_monte_carlo_joint_free_grid_matches_per_draw(spec):
+    # DEER's differing elements are joint-frame free gaps, so the grid's
+    # middles leave different echo times open: the shared tail must start
+    # after the closing pi pulse.  600 draws span two chunks.
+    noise = NoiseModel.isotropic(0.2, seed=12)
+    decay = DecayModel(t2_nv_us=16.0, stretch_p=1.7, t1rho_us=150.0)
+    draws = [NoiseDraw(*d) for d in sample_noise(noise, 600)]
+    family = lambda t: deer_sequence(1.3, t)
+    t_grid = [0.5, 4.0, 7.5]
+    series = monte_carlo_signal(family, t_grid, spec, 0.3, noise, 600, decay=decay)
+    expected = _per_draw_mean(family, t_grid, spec, 0.3, draws, decay)
+    assert np.abs(series.values - expected).max() < 1e-12
+
+
+def test_monte_carlo_grid_of_changing_length_matches_per_draw(spec):
+    # the sequence shape changes with t (15 elements, then 17): the grid
+    # still shares what its sequences share at their start and their end
+    noise = NoiseModel.isotropic(0.2, seed=13)
+    decay = DecayModel(t2_nv_us=16.0, stretch_p=1.7, t1rho_us=150.0)
+    draws = [NoiseDraw(*d) for d in sample_noise(noise, 600)]
+    family = lambda t: correlation_ramsey_sequences("st1" if t < 0.2 else "st0", t, 4.0)[0]
+    t_grid = [0.1, 0.3, 0.5]
+    assert len({len(family(t)) for t in t_grid}) == 2
+    series = monte_carlo_signal(family, t_grid, spec, 0.3, noise, 600, decay=decay)
+    expected = _per_draw_mean(family, t_grid, spec, 0.3, draws, decay)
+    assert np.abs(series.values - expected).max() < 1e-12
+
+
+def test_engine_steps_adjoint_identity(spec, rng):
+    # the engine folds a sequence's shared tail into the readout observable:
+    # Tr(O Phi(rho)) must equal Tr(Phi^dagger(O) rho) for every step kind
+    decay = DecayModel(t2_nv_us=16.0, stretch_p=1.7, t1rho_us=150.0)
+    n = 5
+    a = rng.normal(size=(n, 12, 12)) + 1j * rng.normal(size=(n, 12, 12))
+    rho = a @ a.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+    b = rng.normal(size=(n, 12, 12)) + 1j * rng.normal(size=(n, 12, 12))
+    obs = b + b.conj().swapaxes(-1, -2)
+    eig = zfepr.protocols._eigensystems(spec, 0.3, rng.normal(0, 0.2, (n, 3)), 2870.0,
+                                        zfepr.protocols.DEFAULT_OPS)
+    steps = [zfepr.protocols._echo_mask(0.37), dephase(), spinlock(40.0), mw_pi(),
+             free(0.8), free(0.8, frame="target"), rf_st1(1.1)]
+    for step in steps:
+        forward = zfepr.protocols._apply(rho, step, eig, decay)
+        backward = zfepr.protocols._apply(obs, step, eig, decay, adjoint=True)
+        lhs = np.einsum("nij,nji->n", obs, forward)
+        rhs = np.einsum("nij,nji->n", backward, rho)
+        assert np.abs(lhs - rhs).max() < 1e-12, step
+    # the locking channel on its own, as the public function
+    lhs = np.einsum("nij,nji->n", obs, spinlock_channel(rho, 40.0, decay))
+    rhs = np.einsum("nij,nji->n", spinlock_channel(obs, 40.0, decay), rho)
+    assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def test_ramsey_grid_runs_shared_prefix_once(spec, monkeypatch):
+    # the spin lock sits in the prefix every time of the grid shares
+    calls = []
+
+    def counting(rho, t_us, decay=None):
+        calls.append(t_us)
+        return spinlock_channel(rho, t_us, decay)
+
+    monkeypatch.setattr(zfepr.protocols, "spinlock_channel", counting)
+    noise = NoiseModel.isotropic(0.196, seed=8)
+    family = lambda t: correlation_ramsey_sequences("st0", t, 5.0)[0]
+    monte_carlo_signal(family, 0.17 * np.arange(12), spec, 0.1, noise, 50)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
