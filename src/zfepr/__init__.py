@@ -57,8 +57,6 @@ from .noise import (
 from .operators import (
     OperatorSet,
     build_operator_set,
-    eigh_jacobi,
-    evolve_unitary,
     rotation_matrix,
 )
 from .protocols import (

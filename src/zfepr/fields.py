@@ -305,7 +305,7 @@ def bsweep(spec, b_values_g, direction, mode="perturbative"):
     S0<->T0 moves only quadratically.  For an orientation perpendicular to
     the field (delta_z = 0) the perturbative T+-1 lines stay degenerate
     where second-order theory splits them by 2|v|; use ``mode="exact"`` for
-    such directions.
+    such directions, which resolves that pair at any field direction.
     """
     direction = np.asarray(direction, dtype=float)
     if abs(np.linalg.norm(direction) - 1.0) > 1e-6:

@@ -234,8 +234,9 @@ def fit_gaussians(spectrum, m="auto", max_m=4):
 
     ``m`` is a fixed count (1..4) or "auto", which picks the count with the
     lowest small-sample-corrected information criterion; ties and degenerate
-    candidates (peaks walking out of the frequency range) go to the smaller
-    model.  Initialization takes the ``m`` highest local maxima.  Raises
+    candidates (peaks walking out of the frequency range, sub-bin or
+    negative components) go to the smaller model.  Initialization takes the
+    ``m`` highest local maxima.  Raises
     :class:`FitError` when "auto" finds no acceptable candidate.
     """
     freqs = np.asarray(spectrum.freqs, dtype=float)
@@ -263,10 +264,11 @@ def fit_gaussians(spectrum, m="auto", max_m=4):
         if len(candidates) == 1:
             return result
         # reject degenerate candidates: runaway centers, sub-bin spikes,
-        # or fits that never settled
+        # negative components, or fits that never settled
         valid = (result.converged
                  and all(freqs[0] <= p.center_mhz <= freqs[-1] for p in result.peaks)
-                 and all(p.fwhm_mhz >= bin_spacing for p in result.peaks))
+                 and all(p.fwhm_mhz >= bin_spacing for p in result.peaks)
+                 and all(p.amplitude > 0 for p in result.peaks))
         score = _aicc(lm.rss, len(freqs), 3 * mm + 1) if valid else math.inf
         if score < best_score - 1e-9:
             best, best_score = result, score

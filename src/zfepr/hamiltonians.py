@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DIPOLAR_K_MHZ_NM3, GAMMA_E_MHZ_PER_G, NV_ZFS_MHZ, mhz_to_angular
-from .operators import build_operator_set, eigh_jacobi, rotation_matrix
+from .operators import build_operator_set, rotation_matrix
 
 __all__ = [
     "TargetSpec",
@@ -85,6 +85,9 @@ class TargetSpec:
     def __post_init__(self):
         if not (self.a_perp_mhz > 0 and self.a_par_mhz > 0):
             raise ValueError("hyperfine constants must be positive")
+        if self.a_par_mhz == self.a_perp_mhz:
+            raise ValueError("a_par_mhz == a_perp_mhz leaves T0 and T+-1 degenerate at "
+                             "zero field")
         weights = [w for (_, _, w) in self.orientations]
         if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
             raise ValueError("orientation weights must be >= 0 and sum to 1")
@@ -202,8 +205,15 @@ def noise_hamiltonian(draw, ops=DEFAULT_OPS):
     return mhz_to_angular(_noise_matrix_mhz(draw, ops))
 
 
+def _deltas(draw):
+    """Noise triples (..., 3) in MHz from a :class:`NoiseDraw` or an array."""
+    return draw.as_array() if isinstance(draw, NoiseDraw) else np.asarray(draw, float)
+
+
 def _noise_matrix_mhz(draw, ops=DEFAULT_OPS):
-    return (draw.delta_x * ops.sx_t + draw.delta_y * ops.sy_t + draw.delta_z * ops.sz_t)
+    """sum_j delta_j S_j in MHz, shape (..., 4, 4) for (..., 3) triples."""
+    d = _deltas(draw)[..., None, None]
+    return d[..., 0, :, :] * ops.sx_t + d[..., 1, :, :] * ops.sy_t + d[..., 2, :, :] * ops.sz_t
 
 
 def level_shifts_perturbative(draw, spec):
@@ -216,46 +226,60 @@ def level_shifts_perturbative(draw, spec):
     sqrt((delta_z/2)^2 + v^2), signed to follow the delta_z branch.  Against
     exact diagonalization the residual is third order in the noise.  Warns
     when the noise is too large for perturbation theory to be trustworthy.
+
+    ``draw`` is a :class:`NoiseDraw` or a (..., 3) array; returns (..., 4).
     """
-    delta = draw.as_array() if isinstance(draw, NoiseDraw) else np.asarray(draw, float)
+    delta = _deltas(draw)
     if np.max(np.abs(delta)) > spec.a_perp_mhz / 10.0:
         warnings.warn("noise amplitude above a_perp/10; perturbative shifts degrade",
                       stacklevel=2)
-    dx, dy, dz = delta
+    dx, dy, dz = np.moveaxis(delta, -1, 0)
     ap, al = spec.a_perp_mhz, spec.a_par_mhz
     dperp2 = dx * dx + dy * dy
     t_common = dperp2 * al / (2.0 * (al * al - ap * ap))
     v_pair = dperp2 * ap / (2.0 * (al * al - ap * ap))
-    root = math.copysign(math.sqrt(0.25 * dz * dz + v_pair * v_pair), dz)
-    return np.array(
+    root = np.copysign(np.sqrt(0.25 * dz * dz + v_pair * v_pair), dz)
+    return np.stack(
         [
             root + t_common,
             -dperp2 / (2.0 * (al + ap)) - dz * dz / (4.0 * ap),
             -dperp2 / (2.0 * (al - ap)) + dz * dz / (4.0 * ap),
             -root + t_common,
-        ]
+        ],
+        axis=-1,
     )
 
 
 def level_shifts_exact(draw, spec, ops=DEFAULT_OPS):
-    """Level shifts from exact diagonalization, matched by eigenvector overlap.
+    """Level shifts (T+1, S0, T0, T-1) in MHz from exact diagonalization.
 
-    Valid at any noise amplitude.  Raises :class:`DegenerateCrossingError`
-    when a perturbed eigenvector overlaps its nearest unperturbed level by
-    less than 0.5 in probability, i.e. the level assignment is ambiguous.
+    Valid at any noise amplitude.  ``draw`` is a :class:`NoiseDraw` or a
+    (..., 3) array; returns (..., 4) from one batched ``eigh``.  S0 and T0
+    are non-degenerate and take the eigenvector they overlap most.  The two
+    remaining eigenvalues belong to the T+-1 pair, which noise can mix 50/50:
+    T+1 takes the upper one for delta_z >= 0 and the lower one for
+    delta_z < 0, following its +delta_z/2 shift (at delta_z = 0 both labels
+    give the same lines).  Raises :class:`DegenerateCrossingError` when S0 or
+    T0 overlaps its best eigenvector by less than 0.5 in probability, or both
+    pick the same one, i.e. the noise carries a level across S0 or T0.
     """
-    h = np.diag(target_levels_mhz(spec)).astype(complex) + _noise_matrix_mhz(draw, ops)
-    vals, vecs = eigh_jacobi(h)
-    assignment = {}
-    for col in range(4):
-        overlaps = np.abs(vecs[:, col]) ** 2
-        row = int(np.argmax(overlaps))
-        if overlaps[row] < 0.5 - 1e-9 or row in assignment:
-            raise DegenerateCrossingError(
-                "level matching ambiguous; noise mixes degenerate states")
-        assignment[row] = vals[col]
+    delta = _deltas(draw)
     levels0 = target_levels_mhz(spec)
-    return np.array([assignment[i] - levels0[i] for i in range(4)])
+    vals, vecs = np.linalg.eigh(np.diag(levels0) + _noise_matrix_mhz(delta, ops))
+    overlaps = np.abs(vecs[..., 1:3, :]) ** 2
+    cols = np.argmax(overlaps, axis=-1)
+    if (np.take_along_axis(overlaps, cols[..., None], -1).min(initial=1.0) < 0.5 - 1e-9
+            or np.any(cols[..., 0] == cols[..., 1])):
+        raise DegenerateCrossingError(
+            "level matching ambiguous: S0 or T0 overlaps its best eigenvector by less "
+            "than 0.5, or both pick the same one")
+    s0_t0 = np.take_along_axis(vals, cols, -1)
+    rest = np.ones(vals.shape, bool)
+    np.put_along_axis(rest, cols, False, -1)
+    lo, hi = np.moveaxis(vals[rest].reshape(vals.shape[:-1] + (2,)), -1, 0)
+    plus_low = np.signbit(delta[..., 2])
+    t_plus, t_minus = np.where(plus_low, lo, hi), np.where(plus_low, hi, lo)
+    return np.stack([t_plus, s0_t0[..., 0], s0_t0[..., 1], t_minus], axis=-1) - levels0
 
 
 def transition_fluctuations(draw, spec):
@@ -265,8 +289,7 @@ def transition_fluctuations(draw, spec):
     as +-delta_z/2 while the S0<->T0 line picks up only the quadratic form
     -a_perp*(dx^2+dy^2)/(a_par^2-a_perp^2) + dz^2/(2*a_perp).
     """
-    delta = draw.as_array() if isinstance(draw, NoiseDraw) else np.asarray(draw, float)
-    dx, dy, dz = delta
+    dx, dy, dz = _deltas(draw)
     d_st1 = 0.5 * dz
     d_st0 = st0_fluctuation(dx, dy, dz, spec)
     return (d_st1, -d_st1), float(d_st0)
@@ -296,22 +319,33 @@ def resolve_coupling(coupling):
     return float(coupling)
 
 
+def _block_diag(blocks):
+    """(..., 12, 12) block-diagonal matrix from sensor blocks (..., 3, 4, 4);
+    a single block (..., 1, 4, 4) is repeated, which lifts a target operator."""
+    out = np.zeros(blocks.shape[:-3] + (12, 12), dtype=complex)
+    for k in range(3):
+        out[..., 4 * k : 4 * k + 4, 4 * k : 4 * k + 4] = blocks[..., k % blocks.shape[-3], :, :]
+    return out
+
+
+def _sensor_offsets_mhz(coupling, zfs_mhz=NV_ZFS_MHZ, ops=DEFAULT_OPS):
+    """The sensor's part of the joint Hamiltonian in each of its blocks
+    m = +1, 0, -1: ``zfs*m^2 + C*m*szz``, shape (3, 4, 4), MHz."""
+    c_mhz = resolve_coupling(coupling)
+    szz = ops.szz_t.diagonal().real
+    return np.array([np.diag(zfs_mhz * m * m + c_mhz * m * szz) for m in (1.0, 0.0, -1.0)])
+
+
 def joint_hamiltonian(spec, coupling, zfs_mhz=NV_ZFS_MHZ, ops=DEFAULT_OPS):
     """Joint NV+target Hamiltonian (12x12, rad/us) with secular coupling.
 
     ``coupling`` is either a coupling strength in MHz or a
     :class:`DipolarGeometry` from which one is derived.  Structure:
-    ``zfs*(Sz_NV)^2 (x) I4 + I3 (x) H_target + C * Sz_NV (x) Szz``.
+    ``zfs*(Sz_NV)^2 (x) I4 + I3 (x) H_target + C * Sz_NV (x) Szz``, block
+    diagonal in the sensor's m = +1, 0, -1.
     """
-    c_mhz = resolve_coupling(coupling)
-    eye3 = np.eye(3, dtype=complex)
-    eye4 = np.eye(4, dtype=complex)
-    h_mhz = (
-        zfs_mhz * np.kron(ops.sz_one @ ops.sz_one, eye4)
-        + np.kron(eye3, np.diag(target_levels_mhz(spec)).astype(complex))
-        + c_mhz * np.kron(ops.sz_one, ops.szz_t)
-    )
-    return mhz_to_angular(h_mhz)
+    blocks = np.diag(target_levels_mhz(spec)) + _sensor_offsets_mhz(coupling, zfs_mhz, ops)
+    return mhz_to_angular(_block_diag(blocks))
 
 
 def _doublet(center, splitting):
@@ -332,31 +366,28 @@ def transitions_vs_field(field, spec, mode="perturbative"):
     order in the field.  The effective T+-1 coupling v enters the pair
     splitting only at order v^2/delta_z, so the S0<->T+-1 lines sit at
     +-delta_z/2 about their common second-order shift; S0<->T0 takes the
-    second-order shift of :func:`level_shifts_perturbative`.  Limit: for an
-    orientation perpendicular to the field (delta_z = 0) the T+-1 lines stay
-    degenerate, while second-order theory splits them by 2|v|; use
-    ``mode="exact"`` there.
+    second-order shift of :func:`level_shifts_perturbative`, which warns when
+    some orientation sees more than a_perp/10.  Limit: for an orientation
+    perpendicular to the field (delta_z = 0) the T+-1 lines stay degenerate,
+    while second-order theory splits them by 2|v|; use ``mode="exact"``
+    there, which resolves that pair at any field direction.
     """
     if mode not in ("perturbative", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    b = field.as_array()
-    levels0 = target_levels_mhz(spec)
+    axes = np.array([rotation_matrix(theta_e, phi_e) for theta_e, phi_e, _ in spec.orientations])
+    delta = GAMMA_E_MHZ_PER_G * (np.swapaxes(axes, 1, 2) @ field.as_array())
+    if mode == "perturbative":
+        shifts = level_shifts_perturbative(delta, spec)
+        common = 0.5 * (shifts[:, 0] + shifts[:, 3])
+        shifts[:, 0], shifts[:, 3] = common + 0.5 * delta[:, 2], common - 0.5 * delta[:, 2]
+    else:
+        shifts = level_shifts_exact(delta, spec)
+    levels = target_levels_mhz(spec) + shifts
     out = []
-    for theta_e, phi_e, weight in spec.orientations:
-        delta = GAMMA_E_MHZ_PER_G * (rotation_matrix(theta_e, phi_e).T @ b)
-        draw = NoiseDraw(*delta)
-        if mode == "perturbative":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                shifts = level_shifts_perturbative(draw, spec)
-            common = 0.5 * (shifts[0] + shifts[3])
-            shifts[0], shifts[3] = common + 0.5 * delta[2], common - 0.5 * delta[2]
-        else:
-            shifts = level_shifts_exact(draw, spec)
-        levels = levels0 + shifts
-        f_plus = levels[0] - levels[1]
-        f_minus = levels[3] - levels[1]
-        f_zero = levels[2] - levels[1]
+    for (theta_e, phi_e, weight), (t_plus, s0, t0, t_minus) in zip(spec.orientations, levels):
+        f_plus = t_plus - s0
+        f_minus = t_minus - s0
+        f_zero = t0 - s0
 
         st1 = []
         for center, w in ((f_plus, 0.5), (f_minus, 0.5)):

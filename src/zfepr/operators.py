@@ -1,5 +1,5 @@
-"""Dense spin operators, the singlet-triplet basis transform, and small
-Hermitian matrix kernels.
+"""Dense spin operators, the singlet-triplet basis transform, and the
+rotation into a defect's principal frame.
 
 Basis orders are fixed globally:
 
@@ -18,9 +18,6 @@ __all__ = [
     "OperatorSet",
     "build_operator_set",
     "rotation_matrix",
-    "eigh_jacobi",
-    "evolve_unitary",
-    "require_hermitian",
     "unitarity_defect",
 ]
 
@@ -31,17 +28,6 @@ def _readonly(a):
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
-
-
-def require_hermitian(m, tol=1e-12):
-    """Raise ``ValueError`` unless ``max|M - M^dag|`` is below ``tol`` (scaled
-    by the matrix magnitude for large entries)."""
-    m = np.asarray(m)
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
-    defect = float(np.abs(m - m.conj().T).max())
-    if defect > tol * scale:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    return m
 
 
 def unitarity_defect(u):
@@ -136,64 +122,3 @@ def rotation_matrix(theta_e, phi_e):
         ]
     )
 
-
-def eigh_jacobi(matrix, tol=1e-13, max_sweeps=60):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Dependency-free diagonalization route used as the independent oracle
-    against formula-based level shifts.  Converges when the off-diagonal
-    Frobenius norm drops below ``tol`` relative to the matrix norm.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors in matching columns.
-    """
-    a = require_hermitian(matrix).astype(complex).copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = max(float(np.linalg.norm(a)), 1.0)
-
-    def offdiag_norm(m):
-        off = m - np.diag(np.diag(m))
-        return float(np.linalg.norm(off))
-
-    for _ in range(max_sweeps):
-        if offdiag_norm(a) <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                # strip the phase of a_pq, then a standard real 2x2 rotation
-                phase = apq / abs(apq)
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * abs(apq))
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot = np.eye(n, dtype=complex)
-                rot[p, p] = c
-                rot[p, q] = s
-                rot[q, p] = -s * np.conj(phase)
-                rot[q, q] = c * np.conj(phase)
-                a = rot.conj().T @ a @ rot
-                v = v @ rot
-    else:
-        if offdiag_norm(a) > tol * scale:
-            raise RuntimeError("Jacobi iteration did not converge")
-
-    w = np.diag(a).real
-    order = np.argsort(w)
-    return w[order], v[:, order]
-
-
-def evolve_unitary(hamiltonian, t):
-    """U = exp(-i H t) for Hermitian ``hamiltonian`` in rad/us and ``t`` in us.
-
-    Computed through the eigendecomposition, so the result is unitary to
-    rounding even for long evolutions.  Non-Hermitian input is rejected.
-    """
-    h = require_hermitian(hamiltonian)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T

@@ -26,7 +26,9 @@ from .constants import NV_ZFS_MHZ, TWO_PI
 from .hamiltonians import (
     DEFAULT_OPS,
     TargetSpec,
-    resolve_coupling,
+    _block_diag,
+    _noise_matrix_mhz,
+    _sensor_offsets_mhz,
     st0_fluctuation,
     target_levels_mhz,
 )
@@ -298,26 +300,11 @@ def _eigensystems(spec, coupling, draws, zfs_mhz, ops):
     ``draws`` is an (n, 3) array of noise triples in MHz.  Returns ``(w, v)``
     of shapes (n, 4, 4) and (n, 4, 4, 4), from one batched ``eigh``: index 0
     of the second axis is the target alone, 1..3 the sensor blocks
-    m = +1, 0, -1 of the joint Hamiltonian, whose secular coupling is
-    ``C * m * szz``.
+    m = +1, 0, -1 of :func:`~zfepr.hamiltonians.joint_hamiltonian`.
     """
-    c_mhz = resolve_coupling(coupling)
-    d = np.asarray(draws, dtype=float)[:, :, None, None]
-    h_target = (np.diag(target_levels_mhz(spec)).astype(complex)
-                + (d[:, 0] * ops.sx_t + d[:, 1] * ops.sy_t + d[:, 2] * ops.sz_t))
-    szz = ops.szz_t.diagonal().real
-    offsets = [np.zeros((4, 4))] + [np.diag(zfs_mhz * m * m + c_mhz * m * szz)
-                                    for m in (1.0, 0.0, -1.0)]
-    return np.linalg.eigh(TWO_PI * (h_target[:, None] + np.array(offsets)))
-
-
-def _block_diag(blocks):
-    """(..., 12, 12) block-diagonal matrix from sensor blocks (..., 3, 4, 4);
-    a single block (..., 1, 4, 4) is repeated, which lifts a target operator."""
-    out = np.zeros(blocks.shape[:-3] + (12, 12), dtype=complex)
-    for k in range(3):
-        out[..., 4 * k : 4 * k + 4, 4 * k : 4 * k + 4] = blocks[..., k % blocks.shape[-3], :, :]
-    return out
+    h_target = np.diag(target_levels_mhz(spec)) + _noise_matrix_mhz(draws, ops)
+    offsets = np.concatenate([np.zeros((1, 4, 4)), _sensor_offsets_mhz(coupling, zfs_mhz, ops)])
+    return np.linalg.eigh(TWO_PI * (h_target[:, None] + offsets))
 
 
 def _echo_mask(factor):

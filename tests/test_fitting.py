@@ -9,7 +9,10 @@ from zfepr.fitting import (
     format_fit_report,
     levenberg_marquardt,
 )
-from zfepr.spectra import Spectrum
+from zfepr.hamiltonians import TargetSpec
+from zfepr.noise import NoiseModel
+from zfepr.protocols import synthesize_ramsey_series
+from zfepr.spectra import Spectrum, dft_spectrum
 
 
 def _gaussian(freqs, amp, center, fwhm):
@@ -125,3 +128,15 @@ def test_lm_reports_non_convergence():
     res = levenberg_marquardt(fun, np.array([5.0]), max_iter=1)
     assert not res.converged
     assert res.iterations == 1
+
+
+def test_auto_mode_rejects_negative_components():
+    # the S0<->T0 offset doublet under noise: a negative Gaussian carving a
+    # dip beside the lines lowers the information criterion, but is no line
+    spec = TargetSpec(st0_offset_doublet_mhz=(-0.03, 0.03))
+    t = 0.15 * np.arange(256)
+    series = synthesize_ramsey_series("st0", t, spec, 0.1, 5.0,
+                                      noise=NoiseModel.isotropic(0.196, seed=7))
+    fit = fit_gaussians(dft_spectrum(series, band_hint=(112.5, 115.5)), "auto")
+    assert fit.m >= 2
+    assert all(p.amplitude > 0 for p in fit.peaks)

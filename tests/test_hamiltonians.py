@@ -21,7 +21,7 @@ from zfepr.hamiltonians import (
     transition_frequencies,
     transitions_vs_field,
 )
-from zfepr.operators import build_operator_set, eigh_jacobi
+from zfepr.operators import build_operator_set
 
 OPS = build_operator_set()
 
@@ -39,9 +39,14 @@ def test_zero_hyperfine_means_zero_matrix():
         TargetSpec(a_perp_mhz=0.0, a_par_mhz=0.0)
 
 
+def test_degenerate_hyperfine_constants_rejected():
+    with pytest.raises(ValueError, match="degenerate"):
+        TargetSpec(a_perp_mhz=114.0, a_par_mhz=114.0)
+
+
 def test_levels_against_bare_hamiltonian_diagonalization(spec):
     # build A_perp (SxIx + SyIy) + A_par SzIz in the product basis, transform
-    # with T and diagonalize with the Jacobi solver
+    # with T and diagonalize the bare form
     h_bare = (
         spec.a_perp_mhz * (np.kron(OPS.sx_half, OPS.sx_half)
                            + np.kron(OPS.sy_half, OPS.sy_half))
@@ -50,7 +55,7 @@ def test_levels_against_bare_hamiltonian_diagonalization(spec):
     t = OPS.transform
     h_st = t @ h_bare @ np.linalg.inv(t)
     assert np.abs(h_st - np.diag(target_levels_mhz(spec))).max() < 1e-12
-    vals, _ = eigh_jacobi(h_bare)
+    vals = np.linalg.eigvalsh(h_bare)
     assert np.abs(np.sort(vals) - np.sort(target_levels_mhz(spec))).max() < 1e-12
     # every singlet-triplet basis state is an eigenvector
     ang = target_hamiltonian(spec)
@@ -116,8 +121,23 @@ def test_exact_shifts_strong_axial_noise(spec):
 
 
 def test_exact_shifts_degenerate_crossing(spec):
-    with pytest.raises(DegenerateCrossingError):
-        level_shifts_exact(NoiseDraw(0.5, 0.2, 0.0), spec)
+    # delta_z = 0 mixes the T+-1 pair 50/50; the pair still resolves, to the
+    # second-order shifts within their cubic residual
+    draw = NoiseDraw(0.5, 0.2, 0.0)
+    assert np.abs(level_shifts_exact(draw, spec)
+                  - level_shifts_perturbative(draw, spec)).max() < 1e-6
+    # strong axial noise carries T+1 across T0, which the transverse noise mixes
+    with pytest.raises(DegenerateCrossingError, match="S0 or T0"):
+        level_shifts_exact(NoiseDraw(5.0, -4.0, -39.5), spec)
+
+
+def test_exact_shifts_batch_matches_single_draws(spec, rng):
+    deltas = rng.normal(scale=3.0, size=(5, 4, 3))
+    deltas[0, 0, 2] = 0.0
+    batch = level_shifts_exact(deltas, spec)
+    assert batch.shape == (5, 4, 4)
+    for idx in np.ndindex(5, 4):
+        assert np.array_equal(batch[idx], level_shifts_exact(NoiseDraw(*deltas[idx]), spec))
 
 
 def test_axial_shift_antisymmetry_both_modes(spec):
@@ -252,6 +272,29 @@ def test_transitions_exact_vs_perturbative():
     exact = transitions_vs_field(field, spec, mode="exact")[0]
     for (fp, _), (fe, _) in zip(pert.st1 + pert.st0, exact.st1 + exact.st0):
         assert abs(fp - fe) < 1e-3
+
+
+def test_transitions_field_perpendicular_to_bond_axes(spec):
+    # [110] is perpendicular to bonds 3 and 4: no axial field there, so the
+    # T+-1 pair splits only at second order, by 2|v|
+    b_g = 0.3
+    field = FieldVector(*(b_g * np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)))
+    exact = transitions_vs_field(field, spec, mode="exact")
+    pert = transitions_vs_field(field, spec, mode="perturbative")
+    ap, al = spec.a_perp_mhz, spec.a_par_mhz
+    v = (GAMMA_E_MHZ_PER_G * b_g) ** 2 * ap / (2.0 * (al * al - ap * ap))
+    for k in (2, 3):
+        (f_plus, _), (f_minus, _) = exact[k].st1
+        # the residual is fourth order in the field, 4e-4 of the split here
+        assert abs(f_plus - f_minus) == pytest.approx(2.0 * v, rel=1e-3)
+        (f_plus, _), (f_minus, _) = pert[k].st1
+        assert abs(f_plus - f_minus) < 1e-12
+
+
+def test_transitions_perturbative_warns_beyond_validity(spec):
+    # 10 G along z puts about 16 MHz on each bond axis, above a_perp/10
+    with pytest.warns(UserWarning, match="a_perp/10"):
+        transitions_vs_field(FieldVector(0, 0, 10.0), spec)
 
 
 def test_transitions_parity_in_field():

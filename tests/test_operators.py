@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from zfepr.operators import (
-    build_operator_set,
-    eigh_jacobi,
-    evolve_unitary,
-    rotation_matrix,
-    unitarity_defect,
-)
+from zfepr.operators import build_operator_set, rotation_matrix
 
 OPS = build_operator_set()
 SQRT2 = np.sqrt(2.0)
@@ -82,46 +76,3 @@ def test_rotation_matrix_is_proper(rng):
         r = rotation_matrix(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
         assert abs(np.linalg.det(r) - 1.0) < 1e-12
         assert np.abs(r @ r.T - np.eye(3)).max() < 1e-12
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 8, 12])
-def test_jacobi_matches_lapack(rng, n):
-    for _ in range(10):
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (m + m.conj().T) / 2
-        w, v = eigh_jacobi(h)
-        assert np.abs(w - np.linalg.eigvalsh(h)).max() < 1e-11
-        assert np.abs(h @ v - v * w).max() < 1e-10
-        assert unitarity_defect(v) < 1e-12
-
-
-def test_jacobi_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        eigh_jacobi(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_evolve_identity_for_zero_hamiltonian():
-    u = evolve_unitary(np.zeros((4, 4)), 3.7)
-    assert np.abs(u - np.eye(4)).max() < 1e-14
-
-
-def test_evolve_diagonal_case():
-    w = np.array([1.0, -2.0, 0.5])
-    u = evolve_unitary(np.diag(w), 2.0)
-    assert np.abs(u - np.diag(np.exp(-1j * w * 2.0))).max() < 1e-14
-
-
-def test_evolve_group_property(rng):
-    for _ in range(10):
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        h = (m + m.conj().T) / 2
-        t1, t2 = rng.uniform(0.1, 3.0, size=2)
-        lhs = evolve_unitary(h, t1) @ evolve_unitary(h, t2)
-        rhs = evolve_unitary(h, t1 + t2)
-        assert np.abs(lhs - rhs).max() < 1e-10
-        assert unitarity_defect(lhs) < 1e-10
-
-
-def test_evolve_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        evolve_unitary(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
