@@ -30,7 +30,7 @@ from .fields import (
     write_bsweep_csv,
 )
 from .fitting import FitError, fit_gaussians, format_fit_report
-from .hamiltonians import DegenerateCrossingError, FieldVector, TargetSpec
+from .hamiltonians import DegenerateCrossingError, FieldVector, P1_BOND_ORIENTATIONS, TargetSpec
 from .noise import NoiseModel, linewidth_stats
 from .protocols import (
     corr_rabi,
@@ -94,11 +94,16 @@ def _parse_couplings(text):
     return tuple(pairs)
 
 
+def _parse_count(text):
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"need at least 1, got {n}")
+    return n
+
+
 def _parse_orientations(text):
     """"p1_bonds", "single", or semicolon-separated theta,phi,weight triples."""
     if text == "p1_bonds":
-        from .hamiltonians import P1_BOND_ORIENTATIONS
-
         return P1_BOND_ORIENTATIONS
     if text == "single":
         return ((0.0, 0.0, 1.0),)
@@ -112,7 +117,7 @@ _SCHEMA = {
         "a_par_mhz": (float, 160.0),
         "c13_splitting_mhz": (float, 0.0),
         "st0_offset_doublet_mhz": (_parse_pair, None),
-        "orientations": (_parse_orientations, "p1_bonds"),
+        "orientations": (_parse_orientations, P1_BOND_ORIENTATIONS),
     },
     "noise": {
         "sigma_mhz": (float, None),
@@ -133,13 +138,13 @@ _SCHEMA = {
         "lock_us": (float, 10.0),
         "tau_start_us": (float, 0.0),
         "tau_stop_us": (float, 20.0),
-        "tau_points": (int, 201),
+        "tau_points": (_parse_count, 201),
         "theta_start_rad": (float, 0.0),
         "theta_stop_rad": (float, 4.0 * math.pi),
-        "theta_points": (int, 201),
+        "theta_points": (_parse_count, 201),
         "t_start_us": (float, 0.0),
         "dt_us": (float, 0.2),
-        "t_points": (int, 256),
+        "t_points": (_parse_count, 256),
         "band_lo_mhz": (float, None),
         "band_hi_mhz": (float, None),
         "m_gaussians": (str, "auto"),
@@ -147,7 +152,7 @@ _SCHEMA = {
     "field": {
         "b_start_g": (float, 0.0),
         "b_stop_g": (float, 3.0),
-        "b_points": (int, 13),
+        "b_points": (_parse_count, 13),
         "direction": (_parse_triple, (0.0, 0.0, 1.0)),
         "mode": (str, "perturbative"),
     },
@@ -159,14 +164,14 @@ _SCHEMA = {
         "current_stability_a": (float, 0.004),
         "scan_i_min_a": (float, -0.5),
         "scan_i_max_a": (float, 0.5),
-        "scan_points": (int, 201),
+        "scan_points": (_parse_count, 201),
         "base_width_mhz": (float, 2.0),
         "jitter_frac": (float, 0.03),
-        "trials": (int, 1),
+        "trials": (_parse_count, 1),
     },
     "run": {
         "seed": (int, None),
-        "monte_carlo_n": (int, 2000),
+        "monte_carlo_n": (_parse_count, 2000),
         "out_dir": (str, "out"),
     },
 }
@@ -220,8 +225,7 @@ def _target_spec(config):
         return TargetSpec(
             a_perp_mhz=t["a_perp_mhz"],
             a_par_mhz=t["a_par_mhz"],
-            orientations=(t["orientations"] if not isinstance(t["orientations"], str)
-                          else _parse_orientations(t["orientations"])),
+            orientations=t["orientations"],
             st0_offset_doublet_mhz=t["st0_offset_doublet_mhz"],
             c13_splitting_mhz=t["c13_splitting_mhz"],
         )
@@ -365,8 +369,8 @@ def _cmd_spectrum(args, config, seed):
     if not fit.converged:
         raise NumericalError("gaussian fit did not converge")
 
-    write_timeseries_csv(series, _out(args, config, "ramsey.csv"))
-    write_spectrum_csv(spectrum, _out(args, config, "spectrum.csv"))
+    write_timeseries_csv(series, _out(args, config, "ramsey.csv"), args.plot_data)
+    write_spectrum_csv(spectrum, _out(args, config, "spectrum.csv"), args.plot_data)
     with open(_out(args, config, "spectrum_fit.txt"), "w", newline="\n") as fh:
         fh.write(format_fit_report(fit, label=p["transition"]))
     _write_json(_out(args, config, "spectrum_summary.json"), {
@@ -402,7 +406,7 @@ def _cmd_bsweep(args, config, seed):
     if f["mode"] not in ("perturbative", "exact"):
         raise ConfigError(f"unknown field mode {f['mode']!r}")
     points = bsweep(spec, b_values, direction, mode=f["mode"])
-    write_bsweep_csv(points, _out(args, config, "bsweep.csv"))
+    write_bsweep_csv(points, _out(args, config, "bsweep.csv"), args.plot_data)
     _write_json(_out(args, config, "bsweep_summary.json"), {
         "mode": f["mode"],
         "direction": list(direction),

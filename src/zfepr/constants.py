@@ -1,9 +1,10 @@
 """Physical constants and unit conventions.
 
 Unit policy: all public interfaces use ordinary frequencies in MHz, times in
-microseconds, magnetic fields in Gauss and angles in radians.  Hamiltonian
-matrices handed to the time evolvers are in angular units (rad/us); the 2*pi
-conversion happens exactly once, inside the Hamiltonian builders.
+microseconds, magnetic fields in Gauss and angles in radians.  Only
+Hamiltonian matrices are angular (rad/us): the public ``*_hamiltonian``
+builders and the density-matrix engine in ``protocols`` each multiply their
+MHz matrices by ``TWO_PI``.
 """
 
 import math
@@ -26,12 +27,3 @@ NV_ZFS_MHZ = 2870.0
 #: to give an ordinary-frequency coupling.
 DIPOLAR_K_MHZ_NM3 = 52.041
 
-
-def mhz_to_angular(f_mhz):
-    """Ordinary frequency in MHz to angular rad/us."""
-    return TWO_PI * f_mhz
-
-
-def angular_to_mhz(w_rad_per_us):
-    """Angular rad/us to ordinary frequency in MHz."""
-    return w_rad_per_us / TWO_PI

@@ -61,13 +61,10 @@ class CoilConfig:
 
     coefficient_g_per_a: float = 2.8
     current_stability_a: float = 0.004
-    axis: str = "Z"
 
     def __post_init__(self):
         if not self.coefficient_g_per_a > 0:
             raise ValueError("coil coefficient must be positive")
-        if self.axis not in _AXIS_VECTORS:
-            raise ValueError("axis must be one of X, Y, Z")
 
 
 @dataclass(frozen=True)
@@ -196,31 +193,27 @@ def simulate_odmr_scan(nv_axis, coil_axis, total_field, coil, plan, rng, center_
 
 @dataclass(frozen=True)
 class CompensationResult:
-    """Outcome of the three-step procedure."""
+    """Outcome of the three-step procedure: the delivered coil current and
+    the standard error of its fitted center per axis "X", "Y", "Z" (A), and
+    the residual field (x, y, z) left after compensation (G)."""
 
     currents_a: dict
     fit_errors_a: dict
-    applied_field: FieldVector
     residual_g: np.ndarray
-
-    @property
-    def residual_abs_g(self):
-        return np.abs(self.residual_g)
 
 
 def compensate_3axis(true_field, coil, plan=ScanPlan(), seed=0):
-    """Simulate the full Bz -> By -> Bx compensation.
+    """Simulate the full Bz -> By -> Bx compensation of a :class:`FieldVector`.
 
     Step (i) sweeps the Z coil with sensors A and B and averages the two
     symmetric centers, which cancels their equal-and-opposite Y projections.
-    Steps (ii)/(iii) sweep Y with sensor A and X with sensor C.  Each applied
-    current is the fitted center plus a supply-stability error, so the
-    per-axis residual is of order stability * coefficient.
+    Steps (ii)/(iii) sweep Y with sensor A (insensitive to Bx) and X with
+    sensor C.  Each applied current is the fitted center plus a
+    supply-stability error, so the per-axis residual is of order
+    stability * coefficient.
     """
     rng = np.random.default_rng(seed)
-    b = np.asarray(true_field.as_array() if isinstance(true_field, FieldVector)
-                   else true_field, dtype=float).copy()
-    coeff = coil.coefficient_g_per_a
+    b = true_field.as_array()
     currents, fit_errors = {}, {}
 
     def measure(nv_name, axis):
@@ -234,31 +227,13 @@ def compensate_3axis(true_field, coil, plan=ScanPlan(), seed=0):
                                   center_a=coarse)
         return find_symmetric_center(scan)
 
-    # (i) Bz from sensors A and B, averaged
-    i_za, se_a = measure("A", "Z")
-    i_zb, se_b = measure("B", "Z")
-    i_z = 0.5 * (i_za + i_zb)
-    fit_errors["Z"] = 0.5 * math.hypot(se_a, se_b)
-    delivered_z = i_z + coil.current_stability_a * rng.standard_normal()
-    currents["Z"] = delivered_z
-    b = b + coeff * delivered_z * _AXIS_VECTORS["Z"]
-
-    # (ii) By from sensor A (insensitive to Bx)
-    i_y, fit_errors["Y"] = measure("A", "Y")
-    delivered_y = i_y + coil.current_stability_a * rng.standard_normal()
-    currents["Y"] = delivered_y
-    b = b + coeff * delivered_y * _AXIS_VECTORS["Y"]
-
-    # (iii) Bx from sensor C
-    i_x, fit_errors["X"] = measure("C", "X")
-    delivered_x = i_x + coil.current_stability_a * rng.standard_normal()
-    currents["X"] = delivered_x
-    b = b + coeff * delivered_x * _AXIS_VECTORS["X"]
-
-    applied = FieldVector(*(b - (true_field.as_array() if isinstance(true_field, FieldVector)
-                                 else np.asarray(true_field, float))))
-    return CompensationResult(currents_a=currents, fit_errors_a=fit_errors,
-                              applied_field=applied, residual_g=b)
+    for axis, sensors in (("Z", "AB"), ("Y", "A"), ("X", "C")):
+        centers, errors = zip(*(measure(name, axis) for name in sensors))
+        fit_errors[axis] = math.hypot(*errors) / len(sensors)
+        currents[axis] = (sum(centers) / len(sensors)
+                          + coil.current_stability_a * rng.standard_normal())
+        b = b + coil.coefficient_g_per_a * currents[axis] * _AXIS_VECTORS[axis]
+    return CompensationResult(currents_a=currents, fit_errors_a=fit_errors, residual_g=b)
 
 
 def format_compensation_report(result):
@@ -280,16 +255,14 @@ def format_compensation_report(result):
 
 @dataclass(frozen=True)
 class BsweepPoint:
-    """Aggregated line extrema at one field value, plus the full line lists
-    (frequency, weight) merged over orientations."""
+    """The lowest and highest S0<->T+-1 and S0<->T0 line frequencies (MHz)
+    over all orientations at one field magnitude ``b_g`` (G)."""
 
     b_g: float
     f_st1_low: float
     f_st1_high: float
     f_st0_low: float
     f_st0_high: float
-    st1_lines: tuple
-    st0_lines: tuple
 
 
 def bsweep(spec, b_values_g, direction, mode="perturbative"):
@@ -312,24 +285,19 @@ def bsweep(spec, b_values_g, direction, mode="perturbative"):
         raise ValueError("direction must be a unit vector")
     points = []
     for b in np.asarray(b_values_g, dtype=float):
-        field = FieldVector(*(b * direction))
-        st1, st0 = [], []
-        for lines in transitions_vs_field(field, spec, mode=mode):
-            st1 += [(f, w * lines.weight) for f, w in lines.st1]
-            st0 += [(f, w * lines.weight) for f, w in lines.st0]
-        f1 = [f for f, _ in st1]
-        f0 = [f for f, _ in st0]
+        lines = transitions_vs_field(FieldVector(*(b * direction)), spec, mode=mode)
+        f1 = [f for orientation in lines for f, _ in orientation.st1]
+        f0 = [f for orientation in lines for f, _ in orientation.st0]
         points.append(BsweepPoint(
             b_g=float(b),
             f_st1_low=min(f1), f_st1_high=max(f1),
             f_st0_low=min(f0), f_st0_high=max(f0),
-            st1_lines=tuple(st1), st0_lines=tuple(st0),
         ))
     return points
 
 
-def write_bsweep_csv(points, path):
+def write_bsweep_csv(points, path, plot_data=False):
     """CSV columns: B_Gauss, f_ST1_low, f_ST1_high, f_ST0_low, f_ST0_high."""
     rows = [(p.b_g, p.f_st1_low, p.f_st1_high, p.f_st0_low, p.f_st0_high) for p in points]
     write_csv(path, ("B_Gauss", "f_ST1_low", "f_ST1_high", "f_ST0_low", "f_ST0_high"),
-              list(zip(*rows)))
+              list(zip(*rows)), plot_data)

@@ -25,6 +25,12 @@ __all__ = [
 ]
 
 
+#: Convergence threshold on a step's norm relative to the parameter vector's.
+_STEP_TOL = 1e-10
+#: Largest number of Gaussians ``fit_gaussians`` fits or tries in "auto".
+_MAX_PEAKS = 4
+
+
 class FitError(ValueError):
     """A fit failed numerically: no acceptable or converged solution."""
 
@@ -38,7 +44,7 @@ class LMResult:
     converged: bool
 
 
-def levenberg_marquardt(residual_jacobian, p0, max_iter=200, rtol=1e-10, lam0=1e-3):
+def levenberg_marquardt(residual_jacobian, p0, max_iter=200):
     """Minimize ||r(p)||^2 given a callable returning (residuals, jacobian).
 
     Returns an :class:`LMResult`; ``covariance`` is s^2 (J^T J)^-1 evaluated
@@ -47,7 +53,7 @@ def levenberg_marquardt(residual_jacobian, p0, max_iter=200, rtol=1e-10, lam0=1e
     p = np.asarray(p0, dtype=float).copy()
     r, jac = residual_jacobian(p)
     cost = float(r @ r)
-    lam = lam0
+    lam = 1e-3
     converged = False
     iterations = 0
 
@@ -69,13 +75,13 @@ def levenberg_marquardt(residual_jacobian, p0, max_iter=200, rtol=1e-10, lam0=1e
         if cost_new <= cost:
             p, r, jac, cost = p_new, r_new, jac_new, cost_new
             lam = max(lam * 0.1, 1e-12)
-            if rel < rtol:
+            if rel < _STEP_TOL:
                 converged = True
                 break
         else:
             # a rejected step that is already negligible means the minimum
             # is reached to within the tolerance
-            if rel < rtol:
+            if rel < _STEP_TOL:
                 converged = True
                 break
             lam *= 10.0
@@ -229,7 +235,7 @@ def _aicc(rss, n, k):
     return n * math.log(max(rss, 1e-300) / n) + 2 * kk + 2 * kk * (kk + 1) / (n - kk - 1)
 
 
-def fit_gaussians(spectrum, m="auto", max_m=4):
+def fit_gaussians(spectrum, m="auto"):
     """Fit ``m`` Gaussians plus a constant baseline to a magnitude spectrum.
 
     ``m`` is a fixed count (1..4) or "auto", which picks the count with the
@@ -245,11 +251,11 @@ def fit_gaussians(spectrum, m="auto", max_m=4):
         raise ValueError("flat spectrum cannot be fitted")
 
     if m == "auto":
-        candidates = range(1, max_m + 1)
+        candidates = range(1, _MAX_PEAKS + 1)
     else:
         m = int(m)
-        if not 1 <= m <= max_m:
-            raise ValueError(f"peak count must be in 1..{max_m}")
+        if not 1 <= m <= _MAX_PEAKS:
+            raise ValueError(f"peak count must be in 1..{_MAX_PEAKS}")
         candidates = (m,)
 
     bin_spacing = float(np.median(np.diff(freqs))) if len(freqs) > 1 else 0.0

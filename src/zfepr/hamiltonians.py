@@ -9,16 +9,16 @@ theory and from exact diagonalization so one can always cross-check the other.
 
 Frequencies in/out of the shift and transition functions are ordinary MHz;
 Hamiltonian matrices returned by the ``*_hamiltonian`` builders are angular
-(rad/us) ready for the time evolvers.
+(rad/us).
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DIPOLAR_K_MHZ_NM3, GAMMA_E_MHZ_PER_G, NV_ZFS_MHZ, mhz_to_angular
+from .constants import DIPOLAR_K_MHZ_NM3, GAMMA_E_MHZ_PER_G, NV_ZFS_MHZ, TWO_PI
 from .operators import build_operator_set, rotation_matrix
 
 __all__ = [
@@ -197,12 +197,12 @@ def transition_frequencies(spec):
 
 def target_hamiltonian(spec):
     """Zero-field target Hamiltonian, diagonal in the ST basis, rad/us."""
-    return mhz_to_angular(np.diag(target_levels_mhz(spec)).astype(complex))
+    return TWO_PI * np.diag(target_levels_mhz(spec)).astype(complex)
 
 
-def noise_hamiltonian(draw, ops=DEFAULT_OPS):
+def noise_hamiltonian(draw):
     """Magnetic-noise perturbation sum_j delta_j S_j in the ST basis, rad/us."""
-    return mhz_to_angular(_noise_matrix_mhz(draw, ops))
+    return TWO_PI * _noise_matrix_mhz(draw)
 
 
 def _deltas(draw):
@@ -210,9 +210,10 @@ def _deltas(draw):
     return draw.as_array() if isinstance(draw, NoiseDraw) else np.asarray(draw, float)
 
 
-def _noise_matrix_mhz(draw, ops=DEFAULT_OPS):
+def _noise_matrix_mhz(draw):
     """sum_j delta_j S_j in MHz, shape (..., 4, 4) for (..., 3) triples."""
     d = _deltas(draw)[..., None, None]
+    ops = DEFAULT_OPS
     return d[..., 0, :, :] * ops.sx_t + d[..., 1, :, :] * ops.sy_t + d[..., 2, :, :] * ops.sz_t
 
 
@@ -250,7 +251,7 @@ def level_shifts_perturbative(draw, spec):
     )
 
 
-def level_shifts_exact(draw, spec, ops=DEFAULT_OPS):
+def level_shifts_exact(draw, spec):
     """Level shifts (T+1, S0, T0, T-1) in MHz from exact diagonalization.
 
     Valid at any noise amplitude.  ``draw`` is a :class:`NoiseDraw` or a
@@ -265,7 +266,7 @@ def level_shifts_exact(draw, spec, ops=DEFAULT_OPS):
     """
     delta = _deltas(draw)
     levels0 = target_levels_mhz(spec)
-    vals, vecs = np.linalg.eigh(np.diag(levels0) + _noise_matrix_mhz(delta, ops))
+    vals, vecs = np.linalg.eigh(np.diag(levels0) + _noise_matrix_mhz(delta))
     overlaps = np.abs(vecs[..., 1:3, :]) ** 2
     cols = np.argmax(overlaps, axis=-1)
     if (np.take_along_axis(overlaps, cols[..., None], -1).min(initial=1.0) < 0.5 - 1e-9
@@ -328,15 +329,15 @@ def _block_diag(blocks):
     return out
 
 
-def _sensor_offsets_mhz(coupling, zfs_mhz=NV_ZFS_MHZ, ops=DEFAULT_OPS):
+def _sensor_offsets_mhz(coupling):
     """The sensor's part of the joint Hamiltonian in each of its blocks
     m = +1, 0, -1: ``zfs*m^2 + C*m*szz``, shape (3, 4, 4), MHz."""
     c_mhz = resolve_coupling(coupling)
-    szz = ops.szz_t.diagonal().real
-    return np.array([np.diag(zfs_mhz * m * m + c_mhz * m * szz) for m in (1.0, 0.0, -1.0)])
+    szz = DEFAULT_OPS.szz_t.diagonal().real
+    return np.array([np.diag(NV_ZFS_MHZ * m * m + c_mhz * m * szz) for m in (1.0, 0.0, -1.0)])
 
 
-def joint_hamiltonian(spec, coupling, zfs_mhz=NV_ZFS_MHZ, ops=DEFAULT_OPS):
+def joint_hamiltonian(spec, coupling):
     """Joint NV+target Hamiltonian (12x12, rad/us) with secular coupling.
 
     ``coupling`` is either a coupling strength in MHz or a
@@ -344,14 +345,22 @@ def joint_hamiltonian(spec, coupling, zfs_mhz=NV_ZFS_MHZ, ops=DEFAULT_OPS):
     ``zfs*(Sz_NV)^2 (x) I4 + I3 (x) H_target + C * Sz_NV (x) Szz``, block
     diagonal in the sensor's m = +1, 0, -1.
     """
-    blocks = np.diag(target_levels_mhz(spec)) + _sensor_offsets_mhz(coupling, zfs_mhz, ops)
-    return mhz_to_angular(_block_diag(blocks))
+    blocks = np.diag(target_levels_mhz(spec)) + _sensor_offsets_mhz(coupling)
+    return TWO_PI * _block_diag(blocks)
 
 
-def _doublet(center, splitting):
-    if splitting:
-        return ((center - 0.5 * splitting, 0.5), (center + 0.5 * splitting, 0.5))
-    return ((center, 1.0),)
+def _line(spec, transition, center):
+    """(frequency, weight) pairs of one ``transition`` line at ``center`` MHz:
+    the c13 doublet splits an S0<->T+-1 line, the static offset doublet the
+    S0<->T0 line; the weights sum to one."""
+    if transition == "st1":
+        half = 0.5 * spec.c13_splitting_mhz
+        offsets = (-half, half) if spec.c13_splitting_mhz else None
+    else:
+        offsets = spec.st0_offset_doublet_mhz
+    if offsets is None:
+        return ((center, 1.0),)
+    return tuple((center + o, 0.5) for o in offsets)
 
 
 def transitions_vs_field(field, spec, mode="perturbative"):
@@ -385,19 +394,8 @@ def transitions_vs_field(field, spec, mode="perturbative"):
     levels = target_levels_mhz(spec) + shifts
     out = []
     for (theta_e, phi_e, weight), (t_plus, s0, t0, t_minus) in zip(spec.orientations, levels):
-        f_plus = t_plus - s0
-        f_minus = t_minus - s0
-        f_zero = t0 - s0
-
-        st1 = []
-        for center, w in ((f_plus, 0.5), (f_minus, 0.5)):
-            for f, wd in _doublet(center, spec.c13_splitting_mhz):
-                st1.append((f, w * wd))
-        if spec.st0_offset_doublet_mhz is None:
-            st0 = [(f_zero, 1.0)]
-        else:
-            o1, o2 = spec.st0_offset_doublet_mhz
-            st0 = [(f_zero + o1, 0.5), (f_zero + o2, 0.5)]
+        st1 = tuple((f, 0.5 * w) for center in (t_plus - s0, t_minus - s0)
+                    for f, w in _line(spec, "st1", center))
         out.append(TransitionLines(theta_e=theta_e, phi_e=phi_e, weight=weight,
-                                   st1=tuple(st1), st0=tuple(st0)))
+                                   st1=st1, st0=_line(spec, "st0", t0 - s0)))
     return out

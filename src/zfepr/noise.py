@@ -43,10 +43,6 @@ class NoiseModel:
     def isotropic(cls, sigma_mhz, seed=12345):
         return cls(sigma_mhz, sigma_mhz, sigma_mhz, seed)
 
-    @property
-    def is_isotropic(self):
-        return self.sigma_x_mhz == self.sigma_y_mhz == self.sigma_z_mhz
-
 
 def sample_noise(model, n, start=0):
     """``n`` independent quasi-static draws as an (n, 3) array of MHz triples.
@@ -105,8 +101,9 @@ class HistogramResult:
     values: np.ndarray
 
 
-def frequency_histogram(model, spec, transition, n, bins=128):
-    """Distribution of the transition-frequency shift over ``n`` noise draws.
+def frequency_histogram(model, spec, transition, n):
+    """Distribution of the transition-frequency shift over ``n`` noise draws,
+    in 128 bins.
 
     The S0<->T0 shift is a quadratic form in three Gaussians, so its
     distribution is asymmetric and sharper than a matched Gaussian; S0<->T+-1
@@ -123,7 +120,7 @@ def frequency_histogram(model, spec, transition, n, bins=128):
     else:
         values = st0_fluctuation(draws[:, 0], draws[:, 1], draws[:, 2], spec)
 
-    counts, edges = np.histogram(values, bins=bins)
+    counts, edges = np.histogram(values, bins=128)
     mean = float(values.mean())
     centered = values - mean
     var = float(np.mean(centered**2))

@@ -22,11 +22,11 @@ import math
 
 import numpy as np
 
-from .constants import NV_ZFS_MHZ, TWO_PI
+from .constants import TWO_PI
 from .hamiltonians import (
-    DEFAULT_OPS,
     TargetSpec,
     _block_diag,
+    _line,
     _noise_matrix_mhz,
     _sensor_offsets_mhz,
     st0_fluctuation,
@@ -179,6 +179,8 @@ def _mc_chunks(n_draws):
 def _averaged_cos(freqs_mhz, t, spec, noise, n_draws):
     """Monte Carlo <cos(2 pi (f + dw_st0) t)> for each frequency f, all from
     one pass over the draws, with fixed-order accumulation."""
+    if n_draws < 1:
+        raise ValueError("need at least one draw")
     totals = None
     for i0, i1 in _mc_chunks(n_draws):
         draws = sample_noise(noise, i1 - i0, start=i0)
@@ -294,7 +296,7 @@ def _validate_sequence(sequence):
             raise SequenceError("target-frame free evolution outside a locked window")
 
 
-def _eigensystems(spec, coupling, draws, zfs_mhz, ops):
+def _eigensystems(spec, coupling, draws):
     """Eigendecompositions (rad/us) of the free Hamiltonians of each draw.
 
     ``draws`` is an (n, 3) array of noise triples in MHz.  Returns ``(w, v)``
@@ -302,8 +304,8 @@ def _eigensystems(spec, coupling, draws, zfs_mhz, ops):
     of the second axis is the target alone, 1..3 the sensor blocks
     m = +1, 0, -1 of :func:`~zfepr.hamiltonians.joint_hamiltonian`.
     """
-    h_target = np.diag(target_levels_mhz(spec)) + _noise_matrix_mhz(draws, ops)
-    offsets = np.concatenate([np.zeros((1, 4, 4)), _sensor_offsets_mhz(coupling, zfs_mhz, ops)])
+    h_target = np.diag(target_levels_mhz(spec)) + _noise_matrix_mhz(draws)
+    offsets = np.concatenate([np.zeros((1, 4, 4)), _sensor_offsets_mhz(coupling)])
     return np.linalg.eigh(TWO_PI * (h_target[:, None] + offsets))
 
 
@@ -422,8 +424,7 @@ def _evolve(sequences, eig, decay):
     return out
 
 
-def simulate_sequence(sequence, spec, coupling, noise=None, decay=None,
-                      zfs_mhz=NV_ZFS_MHZ, ops=DEFAULT_OPS):
+def simulate_sequence(sequence, spec, coupling, noise=None, decay=None):
     """Evolve |0><0| (x) I/4 through the sequence and read out.
 
     ``coupling`` is a strength in MHz or a :class:`DipolarGeometry`;
@@ -435,12 +436,10 @@ def simulate_sequence(sequence, spec, coupling, noise=None, decay=None,
     """
     _validate_sequence(sequence)
     draws = np.zeros((1, 3)) if noise is None else noise.as_array()[None]
-    return float(_evolve([sequence], _eigensystems(spec, coupling, draws, zfs_mhz, ops),
-                         decay)[0, 0])
+    return float(_evolve([sequence], _eigensystems(spec, coupling, draws), decay)[0, 0])
 
 
-def simulate_alternative_correlation(manipulation, tau_us, spec, coupling,
-                                     noise=None, zfs_mhz=NV_ZFS_MHZ, ops=DEFAULT_OPS):
+def simulate_alternative_correlation(manipulation, tau_us, spec, coupling, noise=None):
     """Correlation protocol without the locking drive.
 
     Both interrogation blocks are closed by pi pulses and the stored state
@@ -455,7 +454,7 @@ def simulate_alternative_correlation(manipulation, tau_us, spec, coupling,
             raise SequenceError(f"element {el!r} not allowed here")
     block = [mw_pi()] + _interrogation_block(tau_us) + [mw_pi()]
     return simulate_sequence(block + [dephase()] + manipulation + block + [readout()],
-                             spec, coupling, noise=noise, zfs_mhz=zfs_mhz, ops=ops)
+                             spec, coupling, noise=noise)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +462,7 @@ def simulate_alternative_correlation(manipulation, tau_us, spec, coupling,
 # ---------------------------------------------------------------------------
 
 def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
-                       decay=None, zfs_mhz=NV_ZFS_MHZ):
+                       decay=None):
     """Noise-averaged signal of ``sequence_family(t)`` on a time grid.
 
     Draw ``i`` uses the deterministic per-sample seed ``noise.seed + i``, so
@@ -482,8 +481,7 @@ def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
 
     acc = np.zeros(len(t_grid))
     for i0, i1 in _mc_chunks(n_draws):
-        eig = _eigensystems(spec, coupling, sample_noise(noise, i1 - i0, start=i0),
-                            zfs_mhz, DEFAULT_OPS)
+        eig = _eigensystems(spec, coupling, sample_noise(noise, i1 - i0, start=i0))
         acc = acc + _evolve(sequences, eig, decay).sum(axis=1)
     return TimeSeries(times=t_grid, values=acc / n_draws)
 
@@ -500,27 +498,15 @@ def synthesize_ramsey_series(transition, t_grid, spec, coupling_mhz, tau_us,
     t = np.asarray(t_grid, dtype=float)
     amp = 0.25 * (1.0 - np.cos(_phase(coupling_mhz, tau_us))) ** 2
 
+    lines = _line(spec, transition, spec.f_st1_mhz if transition == "st1" else spec.f_st0_mhz)
     if transition == "st1":
-        center = spec.f_st1_mhz
-        if spec.c13_splitting_mhz:
-            half = 0.5 * spec.c13_splitting_mhz
-            lines = ((center - half, 0.5), (center + half, 0.5))
-        else:
-            lines = ((center, 1.0),)
         env = 1.0
         if noise is not None and noise.sigma_z_mhz > 0:
             env = np.exp(-0.5 * (math.pi * noise.sigma_z_mhz * t) ** 2)
         values = amp * env * sum(w * np.cos(TWO_PI * f * t) for f, w in lines)
+    elif noise is None:
+        values = amp * sum(w * np.cos(TWO_PI * f * t) for f, w in lines)
     else:
-        center = spec.f_st0_mhz
-        if spec.st0_offset_doublet_mhz is not None:
-            o1, o2 = spec.st0_offset_doublet_mhz
-            lines = ((center + o1, 0.5), (center + o2, 0.5))
-        else:
-            lines = ((center, 1.0),)
-        if noise is None:
-            values = amp * sum(w * np.cos(TWO_PI * f * t) for f, w in lines)
-        else:
-            averages = _averaged_cos([f for f, _ in lines], t, spec, noise, n_draws)
-            values = amp * sum(w * avg for (_, w), avg in zip(lines, averages))
+        averages = _averaged_cos([f for f, _ in lines], t, spec, noise, n_draws)
+        values = amp * sum(w * avg for (_, w), avg in zip(lines, averages))
     return TimeSeries(times=t, values=values)

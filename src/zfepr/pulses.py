@@ -81,10 +81,6 @@ class DecayModel:
         return math.exp(-t_us / self.t1rho_us)
 
 
-#: No-decoherence model for closed-form equivalence checks.
-IDEAL = DecayModel(t2_nv_us=math.inf, stretch_p=2.0, t1rho_us=math.inf)
-
-
 _KINDS = ("mw_pi", "mw_2pi", "rf_st1", "rf_st0", "free", "spinlock", "dephase", "readout")
 
 

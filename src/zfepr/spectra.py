@@ -8,7 +8,7 @@ hint must select exactly one fold, otherwise unfolding refuses to guess.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class Spectrum:
         object.__setattr__(self, "amps", amps)
 
 
-def dft_spectrum(series, band_hint=None, pad_factor=4):
+def dft_spectrum(series, band_hint=None):
     """Magnitude spectrum of a mean-subtracted series, zero-padded 4x.
 
     The record only covers t >= 0 but the model signal is even in t (every
@@ -96,7 +96,7 @@ def dft_spectrum(series, band_hint=None, pad_factor=4):
         raise ValueError("need at least 8 samples for a spectrum")
     dt = series.dt
     values = series.values - series.values.mean()
-    nfft = pad_factor * len(series)
+    nfft = 4 * len(series)
     freqs = np.fft.rfftfreq(nfft, dt)
     # rfft phases are referenced to the first sample; rotate to absolute time,
     # then the even extension doubles the real part (a t = 0 sample, if any,
@@ -150,6 +150,6 @@ def write_timeseries_csv(series, path, plot_data=False):
     write_csv(path, ("t_us", "signal"), (series.times, series.values), plot_data)
 
 
-def write_spectrum_csv(spectrum, path):
+def write_spectrum_csv(spectrum, path, plot_data=False):
     """CSV with columns freq_MHz, amplitude."""
-    write_csv(path, ("freq_MHz", "amplitude"), (spectrum.freqs, spectrum.amps))
+    write_csv(path, ("freq_MHz", "amplitude"), (spectrum.freqs, spectrum.amps), plot_data)

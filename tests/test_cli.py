@@ -82,14 +82,36 @@ def test_compensate_failed_center_fit_is_numerical(tmp_path, monkeypatch, capsys
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_ramsey_plot_data_adds_dat_and_keeps_csv(tmp_path):
+@pytest.mark.parametrize("command, headers", [
+    ("ramsey", {"ramsey": "# t_us signal"}),
+    ("spectrum", {"ramsey": "# t_us signal", "spectrum": "# freq_MHz amplitude"}),
+    ("bsweep", {"bsweep": "# B_Gauss f_ST1_low f_ST1_high f_ST0_low f_ST0_high"}),
+], ids=["ramsey", "spectrum", "bsweep"])
+def test_ramsey_plot_data_adds_dat_and_keeps_csv(command, headers, tmp_path):
     plain, plot = tmp_path / "plain", tmp_path / "plot"
-    assert main(["ramsey", "--out-dir", str(plain)]) == EXIT_OK
-    assert main(["ramsey", "--out-dir", str(plot), "--plot-data"]) == EXIT_OK
-    assert (plot / "ramsey.csv").read_bytes() == (plain / "ramsey.csv").read_bytes()
-    dat = (plot / "ramsey.dat").read_text().splitlines()
-    assert dat[0] == "# t_us signal"
-    assert len(dat) == len((plain / "ramsey.csv").read_text().splitlines())
+    assert main([command, "--out-dir", str(plain)]) == EXIT_OK
+    assert main([command, "--out-dir", str(plot), "--plot-data"]) == EXIT_OK
+    for stem, header in headers.items():
+        assert (plot / f"{stem}.csv").read_bytes() == (plain / f"{stem}.csv").read_bytes()
+        dat = (plot / f"{stem}.dat").read_text().splitlines()
+        assert dat[0] == header
+        assert len(dat) == len((plain / f"{stem}.csv").read_text().splitlines())
+
+
+@pytest.mark.parametrize("argv", [
+    ["ramsey", "run.monte_carlo_n=0", "protocol.transition=st0", "noise.sigma_mhz=0.1"],
+    ["compensate", "compensation.trials=0"],
+    ["bsweep", "field.b_points=0"],
+    ["rabi", "protocol.theta_points=0"],
+    ["deer", "protocol.tau_points=0"],
+], ids=lambda argv: argv[0])
+def test_zero_count_is_a_config_error(argv, tmp_path, capsys):
+    command, *overrides = argv
+    args = [command, "--out-dir", str(tmp_path)]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == EXIT_CONFIG
+    assert f"bad value for {overrides[0].split('=')[0]}" in capsys.readouterr().err
 
 
 def test_spectrum_failed_gaussian_fit_is_numerical(tmp_path, capsys):

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zfepr import protocols
-from zfepr.constants import NV_ZFS_MHZ
-from zfepr.hamiltonians import DEFAULT_OPS, NoiseDraw, TargetSpec
+from zfepr.hamiltonians import NoiseDraw, TargetSpec
 from zfepr.pulses import DecayModel
 
 SPEC = TargetSpec()
@@ -44,8 +43,7 @@ def test_grid_engine_equals_per_sequence_simulation(family, transition, k, point
     sequences = _grid(family, transition, k, theta, tau, points)
     draw = NoiseDraw(*noise)
     decay = DECAY if decayed else None
-    eig = protocols._eigensystems(SPEC, coupling, draw.as_array()[None], NV_ZFS_MHZ,
-                                  DEFAULT_OPS)
+    eig = protocols._eigensystems(SPEC, coupling, draw.as_array()[None])
     grid = protocols._evolve(sequences, eig, decay)[:, 0]
     single = [protocols.simulate_sequence(seq, SPEC, coupling, noise=draw, decay=decay)
               for seq in sequences]

@@ -11,7 +11,7 @@ from conftest import (
 )
 
 import zfepr.protocols
-from zfepr.hamiltonians import NoiseDraw, TargetSpec
+from zfepr.hamiltonians import FieldVector, NoiseDraw, TargetSpec, transitions_vs_field
 from zfepr.noise import NoiseModel, sample_noise
 from zfepr.protocols import (
     SequenceError,
@@ -138,6 +138,12 @@ def test_corr_ramsey_diff_scalar_time_with_noise(spec):
                                 n_draws=100)
         assert isinstance(scalar, float)
         assert scalar == grid[0]
+
+
+def test_corr_ramsey_diff_rejects_zero_draws(spec):
+    with pytest.raises(ValueError):
+        corr_ramsey_diff("st0", 0.1, 5.0, 0.1, noise=NoiseModel.isotropic(0.1), spec=spec,
+                         n_draws=0)
 
 
 def test_corr_ramsey_gaussian_envelope_vs_quadrature(spec):
@@ -464,8 +470,7 @@ def test_engine_steps_adjoint_identity(spec, rng):
     rho /= np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
     b = rng.normal(size=(n, 12, 12)) + 1j * rng.normal(size=(n, 12, 12))
     obs = b + b.conj().swapaxes(-1, -2)
-    eig = zfepr.protocols._eigensystems(spec, 0.3, rng.normal(0, 0.2, (n, 3)), 2870.0,
-                                        zfepr.protocols.DEFAULT_OPS)
+    eig = zfepr.protocols._eigensystems(spec, 0.3, rng.normal(0, 0.2, (n, 3)))
     steps = [zfepr.protocols._echo_mask(0.37), dephase(), spinlock(40.0), mw_pi(),
              free(0.8), free(0.8, frame="target"), rf_st1(1.1)]
     for step in steps:
@@ -514,6 +519,19 @@ def test_synthesize_c13_beat(spec):
     expected = amp * 0.5 * (np.cos(TWO_PI * (137.0 - 0.185) * t)
                             + np.cos(TWO_PI * (137.0 + 0.185) * t))
     assert np.abs(series.values - expected).max() < 1e-12
+
+
+def test_synthesize_uses_the_zero_field_lines_of_the_sweep():
+    # the series and the field sweep share one line model
+    spec2 = TargetSpec(orientations=((0.0, 0.0, 1.0),), c13_splitting_mhz=0.37,
+                       st0_offset_doublet_mhz=(-0.0125, 0.0125))
+    lines = transitions_vs_field(FieldVector(), spec2)[0]
+    t = np.linspace(0, 20, 512)
+    amp = 0.25 * (1 - math.cos(TWO_PI * 0.25 * 4.0)) ** 2
+    for transition, pairs in (("st1", lines.st1), ("st0", lines.st0)):
+        series = synthesize_ramsey_series(transition, t, spec2, 0.25, 4.0)
+        expected = amp * sum(w * np.cos(TWO_PI * f * t) for f, w in pairs)
+        assert np.abs(series.values - expected).max() < 1e-12
 
 
 def test_synthesize_doublet_samples_each_draw_once(spec, monkeypatch):
