@@ -359,10 +359,13 @@ def _cmd_ramsey(args, config, seed):
 
 def _cmd_spectrum(args, config, seed):
     p = config["protocol"]
+    lo, hi = p["band_lo_mhz"], p["band_hi_mhz"]
+    if (lo is None) != (hi is None):
+        missing, given = ("hi", "lo") if hi is None else ("lo", "hi")
+        raise ConfigError(f"protocol.band_{missing}_mhz is required when "
+                          f"protocol.band_{given}_mhz is set")
+    band = None if lo is None else (lo, hi)
     series, spec, noise = _ramsey_series(args, config, seed)
-    band = None
-    if p["band_lo_mhz"] is not None and p["band_hi_mhz"] is not None:
-        band = (p["band_lo_mhz"], p["band_hi_mhz"])
     spectrum = dft_spectrum(series, band_hint=band)
     m = p["m_gaussians"]
     fit = fit_gaussians(spectrum, m if m == "auto" else int(m))
@@ -430,7 +433,8 @@ def _cmd_compensate(args, config, seed):
     rows = []
     first = None
     for trial in range(c["trials"]):
-        result = compensate_3axis(true_field, coil, plan, seed=seed + trial)
+        trial_seed = np.random.SeedSequence(seed, spawn_key=(trial,))
+        result = compensate_3axis(true_field, coil, plan, seed=trial_seed)
         if first is None:
             first = result
         rows.append((trial, result.currents_a["X"], result.currents_a["Y"],
@@ -561,6 +565,7 @@ CSV columns and units:
 The config file is sectioned key = value text: [section] headers over
 key = value lines, with the sections and keys of --set.
 Seed resolution order: --seed, [run] seed, $ZFEPR_SEED, builtin default.
+Different seeds give independent random streams.
 """
 
 

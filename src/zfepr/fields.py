@@ -210,7 +210,9 @@ def compensate_3axis(true_field, coil, plan=ScanPlan(), seed=0):
     Steps (ii)/(iii) sweep Y with sensor A (insensitive to Bx) and X with
     sensor C.  Each applied current is the fitted center plus a
     supply-stability error, so the per-axis residual is of order
-    stability * coefficient.
+    stability * coefficient.  ``seed`` is anything
+    :func:`numpy.random.default_rng` accepts, such as an integer or a
+    :class:`numpy.random.SeedSequence`.
     """
     rng = np.random.default_rng(seed)
     b = true_field.as_array()

@@ -1,13 +1,21 @@
 """Quasi-static Gaussian noise: sampling, linewidth theory, and the
 Monte Carlo distribution of transition frequencies.
 
-Reproducibility contract: draw ``i`` of a model with seed ``s`` comes from
-``numpy.random.default_rng(s + i)`` (PCG64), taking three normal deviates
-scaled by (sigma_x, sigma_y, sigma_z).  Per-draw seeding makes the stream
-identical however its consumers split it into chunks.
+Reproducibility contract: the draws of a model with seed ``s`` form one
+stream cut into blocks of :data:`DRAWS_PER_BLOCK`.  Block ``b`` is
+``numpy.random.default_rng(numpy.random.SeedSequence(s, spawn_key=(b,)))
+.standard_normal((DRAWS_PER_BLOCK, 3))`` (PCG64), each row scaled by
+(sigma_x, sigma_y, sigma_z), so draw ``i`` is row ``i % DRAWS_PER_BLOCK`` of
+block ``i // DRAWS_PER_BLOCK``.  Keying every block by its index makes the
+stream identical however its consumers split it into chunks.  The seed and
+the block index are hashed together, with the seed padded to 128 bits
+before the index, so different seeds below 2**128 give independent streams.
+(Plain entropy ``[s, b]`` would not: numpy ignores trailing zero words, so
+seed ``s + b * 2**32`` would repeat block ``b`` of seed ``s`` as its block 0.)
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +24,7 @@ from .constants import FWHM_PER_SIGMA
 from .hamiltonians import st0_fluctuation
 
 __all__ = [
+    "DRAWS_PER_BLOCK",
     "FWHM_PER_SIGMA",
     "NoiseModel",
     "LinewidthStats",
@@ -24,6 +33,11 @@ __all__ = [
     "linewidth_stats",
     "frequency_histogram",
 ]
+
+
+#: Draws per generator block of a noise stream.  Monte Carlo averages take
+#: their draws a block at a time, so each of their chunks builds one generator.
+DRAWS_PER_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -38,6 +52,9 @@ class NoiseModel:
     def __post_init__(self):
         if min(self.sigma_x_mhz, self.sigma_y_mhz, self.sigma_z_mhz) < 0:
             raise ValueError("noise widths must be >= 0")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ValueError(f"noise seed must be a non-negative integer, got {self.seed!r}")
 
     @classmethod
     def isotropic(cls, sigma_mhz, seed=12345):
@@ -45,19 +62,26 @@ class NoiseModel:
 
 
 def sample_noise(model, n, start=0):
-    """``n`` independent quasi-static draws as an (n, 3) array of MHz triples.
+    """Draws ``start`` to ``start + n - 1`` of the model's stream as an (n, 3)
+    array of MHz triples.
 
-    ``start`` offsets the draw index so chunked consumers see one continuous,
-    order-independent stream.
+    The blocks that cover the range are generated whole and sliced (see the
+    module docstring), so any split of a range into calls returns the same
+    rows; a call inside one block builds one generator.
     """
     if n < 1:
         raise ValueError("need at least one draw")
+    if start < 0:
+        raise ValueError("start must be >= 0")
+    first, stop = start // DRAWS_PER_BLOCK, (start + n - 1) // DRAWS_PER_BLOCK + 1
+    blocks = [
+        np.random.default_rng(np.random.SeedSequence(model.seed, spawn_key=(b,)))
+        .standard_normal((DRAWS_PER_BLOCK, 3))
+        for b in range(first, stop)
+    ]
+    offset = start - first * DRAWS_PER_BLOCK
     sigmas = np.array([model.sigma_x_mhz, model.sigma_y_mhz, model.sigma_z_mhz])
-    out = np.empty((n, 3))
-    for i in range(n):
-        rng = np.random.default_rng(model.seed + start + i)
-        out[i] = rng.standard_normal(3) * sigmas
-    return out
+    return np.concatenate(blocks)[offset:offset + n] * sigmas
 
 
 @dataclass(frozen=True)

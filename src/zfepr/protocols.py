@@ -32,7 +32,7 @@ from .hamiltonians import (
     st0_fluctuation,
     target_levels_mhz,
 )
-from .noise import sample_noise
+from .noise import DRAWS_PER_BLOCK, sample_noise
 from .pulses import Pulse, dephase, free, mw_2pi, mw_pi, nv_pulse, readout, rf_st0, rf_st1
 from .pulses import spinlock, spinlock_channel, u_st0, u_st1
 from .spectra import TimeSeries
@@ -166,14 +166,12 @@ def corr_ramsey_diff(transition, t_us, tau_us, coupling_mhz, noise=None,
     return float(out) if np.isscalar(t_us) else out
 
 
-#: Fixed Monte Carlo chunk size: draws are sampled and simulated this many at
-#: a time, and the chunk sums are added in index order, which bounds memory
-#: and fixes the arithmetic for a given draw count.
-_MC_CHUNK = 512
-
-
 def _mc_chunks(n_draws):
-    return [(i, min(i + _MC_CHUNK, n_draws)) for i in range(0, n_draws, _MC_CHUNK)]
+    """Monte Carlo chunks, one noise block each: draws are sampled and
+    simulated a block at a time, and the chunk sums are added in index order,
+    which bounds memory and fixes the arithmetic for a given draw count."""
+    return [(i, min(i + DRAWS_PER_BLOCK, n_draws))
+            for i in range(0, n_draws, DRAWS_PER_BLOCK)]
 
 
 def _averaged_cos(freqs_mhz, t, spec, noise, n_draws):
@@ -465,10 +463,11 @@ def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
                        decay=None):
     """Noise-averaged signal of ``sequence_family(t)`` on a time grid.
 
-    Draw ``i`` uses the deterministic per-sample seed ``noise.seed + i``, so
-    the average is reproducible bit for bit.  Draws are simulated a chunk at
-    a time.  All times of a chunk share one batched eigendecomposition, one
-    pass through the sequence prefix they have in common, and one readout
+    Draws ``0`` to ``n_draws - 1`` of the noise model's seeded stream are
+    simulated one block of :data:`zfepr.noise.DRAWS_PER_BLOCK` at a time, so
+    each chunk builds one generator and the average is reproducible bit for
+    bit.  All times of a chunk share one batched eigendecomposition, one pass
+    through the sequence prefix they have in common, and one readout
     observable into which their common tail is folded; only the middle of
     each time's sequence is run on its own, one time after another.
     """

@@ -123,3 +123,23 @@ def test_spectrum_failed_gaussian_fit_is_numerical(tmp_path, capsys):
             "--set", "protocol.band_lo_mhz=112.5", "--set", "protocol.band_hi_mhz=115.5"]
     assert main(argv) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_adjacent_compensation_seeds_share_no_trial(tmp_path):
+    rows = []
+    for seed in (5, 6):
+        out = tmp_path / str(seed)
+        argv = ["compensate", "--out-dir", str(out), "--seed", str(seed),
+                "--set", "compensation.trials=3"]
+        assert main(argv) == EXIT_OK
+        lines = (out / "compensate.csv").read_text().splitlines()[1:]
+        rows.append({line.split(",", 1)[1] for line in lines})  # drop the trial index
+    assert len(rows[0]) == 3 and not rows[0] & rows[1]
+
+
+@pytest.mark.parametrize("given, missing", [("band_lo_mhz", "band_hi_mhz"),
+                                            ("band_hi_mhz", "band_lo_mhz")])
+def test_spectrum_band_needs_both_edges(given, missing, tmp_path, capsys):
+    argv = ["spectrum", "--out-dir", str(tmp_path), "--set", f"protocol.{given}=136"]
+    assert main(argv) == EXIT_CONFIG
+    assert f"protocol.{missing} is required" in capsys.readouterr().err

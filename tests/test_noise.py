@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zfepr.hamiltonians import TargetSpec
 from zfepr.noise import (
@@ -34,6 +36,38 @@ def test_sample_noise_deterministic_and_chunkable():
     assert np.array_equal(bulk, np.vstack([head, tail]))
     other = NoiseModel(0.1, 0.2, 0.3, seed=100)
     assert not np.array_equal(bulk, sample_noise(other, 20))
+    # splits at and around the block edges, and a start inside a block
+    bulk = sample_noise(model, 1100)
+    for cut in (511, 512, 513, 1023, 1024, 1025):
+        pieces = [sample_noise(model, cut), sample_noise(model, 1100 - cut, start=cut)]
+        assert np.array_equal(bulk, np.vstack(pieces))
+    assert np.array_equal(bulk[300:1100], sample_noise(model, 800, start=300))
+    assert np.array_equal(bulk[1024:1025], sample_noise(model, 1, start=1024))
+
+
+@settings(max_examples=50, deadline=None)
+@given(start=st.integers(0, 3000), n=st.integers(1, 1500),
+       cuts=st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_sample_noise_pieces_concatenate_to_the_whole(start, n, cuts):
+    model = NoiseModel(0.1, 0.2, 0.3, seed=7)
+    edges = sorted({start, start + n, *(start + int(c * n) for c in cuts)})
+    pieces = [sample_noise(model, b - a, start=a) for a, b in zip(edges, edges[1:])]
+    assert np.array_equal(np.vstack(pieces), sample_noise(model, n, start=start))
+
+
+@pytest.mark.parametrize("other", [6, 5 + 3 * 2**32], ids=["adjacent", "high_word"])
+def test_distinct_seeds_share_no_draw(other):
+    # 5 + 3 * 2**32 is seed 5's block 3 if seed and block index are hashed
+    # as one entropy list [seed, block]
+    draws = [sample_noise(NoiseModel.isotropic(1.0, seed=s), 2048) for s in (5, other)]
+    shared = (draws[0][:, None, :] == draws[1][None, :, :]).all(axis=2)
+    assert not shared.any()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+def test_noise_model_rejects_a_bad_seed_by_name(seed):
+    with pytest.raises(ValueError, match="noise seed must be a non-negative integer"):
+        NoiseModel.isotropic(0.1, seed=seed)
 
 
 def test_sample_noise_anisotropic_scaling():

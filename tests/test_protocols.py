@@ -10,6 +10,7 @@ from conftest import (
     rabi_manipulation,
 )
 
+import zfepr.noise
 import zfepr.protocols
 from zfepr.hamiltonians import FieldVector, NoiseDraw, TargetSpec, transitions_vs_field
 from zfepr.noise import NoiseModel, sample_noise
@@ -547,6 +548,22 @@ def test_synthesize_doublet_samples_each_draw_once(spec, monkeypatch):
     synthesize_ramsey_series("st0", np.linspace(0, 2, 16), spec2, 0.25, 4.0,
                              noise=noise, n_draws=1100)
     assert sum(requested) == 1100
+
+
+def test_synthesize_builds_one_generator_per_block(spec, monkeypatch):
+    # 2000 draws are four chunks of 512 (the last one short), one generator each
+    default_rng = zfepr.noise.np.random.default_rng
+    built = []
+
+    def counting(seed):
+        built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(zfepr.noise.np.random, "default_rng", counting)
+    noise = NoiseModel.isotropic(0.196, seed=4)
+    synthesize_ramsey_series("st0", np.linspace(0, 2, 16), spec, 0.25, 4.0,
+                             noise=noise, n_draws=2000)
+    assert len(built) == 4
 
 
 def test_synthesize_st0_outlives_st1(spec):
