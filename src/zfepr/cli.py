@@ -113,11 +113,11 @@ def _parse_orientations(text):
 # section -> key -> (parser, default).  Unknown sections or keys are errors.
 _SCHEMA = {
     "target": {
-        "a_perp_mhz": (float, 114.0),
-        "a_par_mhz": (float, 160.0),
-        "c13_splitting_mhz": (float, 0.0),
-        "st0_offset_doublet_mhz": (_parse_pair, None),
-        "orientations": (_parse_orientations, P1_BOND_ORIENTATIONS),
+        "a_perp_mhz": (float, TargetSpec.a_perp_mhz),
+        "a_par_mhz": (float, TargetSpec.a_par_mhz),
+        "c13_splitting_mhz": (float, TargetSpec.c13_splitting_mhz),
+        "st0_offset_doublet_mhz": (_parse_pair, TargetSpec.st0_offset_doublet_mhz),
+        "orientations": (_parse_orientations, TargetSpec.orientations),
     },
     "noise": {
         "sigma_mhz": (float, None),
@@ -127,9 +127,9 @@ _SCHEMA = {
     },
     "decay": {
         "enabled": (lambda s: s.lower() in ("1", "true", "yes"), False),
-        "t2_nv_us": (float, 16.0),
-        "stretch_p": (float, 2.0),
-        "t1rho_us": (float, 150.0),
+        "t2_nv_us": (float, DecayModel.t2_nv_us),
+        "stretch_p": (float, DecayModel.stretch_p),
+        "t1rho_us": (float, DecayModel.t1rho_us),
     },
     "protocol": {
         "transition": (str, "st1"),
@@ -160,13 +160,13 @@ _SCHEMA = {
         "true_bx_g": (float, 0.35),
         "true_by_g": (float, -0.52),
         "true_bz_g": (float, 0.47),
-        "coefficient_g_per_a": (float, 2.8),
-        "current_stability_a": (float, 0.004),
-        "scan_i_min_a": (float, -0.5),
-        "scan_i_max_a": (float, 0.5),
-        "scan_points": (_parse_count, 201),
-        "base_width_mhz": (float, 2.0),
-        "jitter_frac": (float, 0.03),
+        "coefficient_g_per_a": (float, CoilConfig.coefficient_g_per_a),
+        "current_stability_a": (float, CoilConfig.current_stability_a),
+        "scan_i_min_a": (float, ScanPlan.i_min_a),
+        "scan_i_max_a": (float, ScanPlan.i_max_a),
+        "scan_points": (_parse_count, ScanPlan.n_points),
+        "base_width_mhz": (float, ScanPlan.base_width_mhz),
+        "jitter_frac": (float, ScanPlan.jitter_frac),
         "trials": (_parse_count, 1),
     },
     "run": {
@@ -220,17 +220,7 @@ def load_config(path, overrides=()):
 
 
 def _target_spec(config):
-    t = config["target"]
-    try:
-        return TargetSpec(
-            a_perp_mhz=t["a_perp_mhz"],
-            a_par_mhz=t["a_par_mhz"],
-            orientations=t["orientations"],
-            st0_offset_doublet_mhz=t["st0_offset_doublet_mhz"],
-            c13_splitting_mhz=t["c13_splitting_mhz"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return TargetSpec(**config["target"])
 
 
 def _noise_model(config, seed):
@@ -248,11 +238,7 @@ def _decay_model(config):
     d = config["decay"]
     if not d["enabled"]:
         return None
-    try:
-        return DecayModel(t2_nv_us=d["t2_nv_us"], stretch_p=d["stretch_p"],
-                          t1rho_us=d["t1rho_us"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return DecayModel(**{key: value for key, value in d.items() if key != "enabled"})
 
 
 def _resolve_seed(args, config):

@@ -125,16 +125,9 @@ class FitResult:
             raise ValueError("fitted FWHM must be positive")
 
 
-def _gaussian_model(freqs, params):
-    """baseline + sum of Gaussians; params = [b, a1, c1, w1, a2, c2, w2, ...]."""
-    y = np.full_like(freqs, params[0])
-    for j in range((len(params) - 1) // 3):
-        a, c, w = params[1 + 3 * j : 4 + 3 * j]
-        y += a * np.exp(-0.5 * ((freqs - c) / w) ** 2)
-    return y
-
-
 def _residual_jacobian(freqs, amps):
+    """Residuals and Jacobian of baseline + sum of Gaussians against ``amps``;
+    params = [b, a1, c1, w1, a2, c2, w2, ...]."""
     def fun(params):
         n_peaks = (len(params) - 1) // 3
         model = np.full_like(freqs, params[0])

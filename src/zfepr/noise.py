@@ -50,8 +50,9 @@ class NoiseModel:
     seed: int = 12345
 
     def __post_init__(self):
-        if min(self.sigma_x_mhz, self.sigma_y_mhz, self.sigma_z_mhz) < 0:
-            raise ValueError("noise widths must be >= 0")
+        widths = (self.sigma_x_mhz, self.sigma_y_mhz, self.sigma_z_mhz)
+        if not all(math.isfinite(w) and w >= 0 for w in widths):
+            raise ValueError(f"noise widths must be finite and >= 0, got {widths}")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
                 or self.seed < 0):
             raise ValueError(f"noise seed must be a non-negative integer, got {self.seed!r}")
@@ -101,8 +102,8 @@ def linewidth_stats(sigma_mhz, spec):
     their ratio, the predicted spectral-resolution improvement (about 133 for
     the default hyperfine constants at sigma_st1 = 98 kHz).
     """
-    if sigma_mhz < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (math.isfinite(sigma_mhz) and sigma_mhz >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma_mhz}")
     ap, al = spec.a_perp_mhz, spec.a_par_mhz
     sigma_st1 = 0.5 * sigma_mhz
     sigma_st0 = sigma_mhz**2 * math.sqrt(

@@ -6,16 +6,18 @@ phase ``2*pi * C_MHz * tau_us``.  ``tau`` is the total free evolution of one
 interrogation block (two halves of tau/2 around the decoupling pulse).
 
 The simulator holds one 12x12 sensor+target density matrix per noise draw
-in a single stack and applies each sequence element to the whole stack at
-once; a lone simulation is a stack of one.  A grid of sequences, such as the
-times of a Ramsey record, is evolved together: the prefix every sequence
-shares is applied once, the tail they share is folded backwards into the
-readout observable (Heisenberg picture), and each sequence then runs only
-its own middle from the prefix state, streamed one at a time and read out
-against that observable.  Free gaps that fall inside a spin-locking window
-evolve the target factor alone: the locked sensor averages the secular
-coupling away, which is exactly how the closed-form treatment handles that
-interval.
+in a single stack and applies each step to the whole stack at once; a lone
+simulation is a stack of one.  Each sequence is compiled in one pass that
+checks it and yields its steps: the elements before the readout, with the
+echo decay of each interrogation window inserted as a step where the window
+closes.  A grid of sequences, such as the times of a Ramsey record, is
+evolved together: the prefix of steps every sequence shares is applied once,
+the tail they share is folded backwards into the readout observable
+(Heisenberg picture), and each sequence then runs only its own middle from
+the prefix state, streamed one at a time and read out against that
+observable.  Free gaps that fall inside a spin-locking window evolve the
+target factor alone: the locked sensor averages the secular coupling away,
+which is exactly how the closed-form treatment handles that interval.
 """
 
 import math
@@ -150,20 +152,24 @@ def corr_ramsey_diff(transition, t_us, tau_us, coupling_mhz, noise=None,
     """
     _check_transition(transition)
     spec = spec or TargetSpec()
-    t = np.asarray(t_us, dtype=float)
-    amp = 0.25 * (1.0 - np.cos(_phase(coupling_mhz, tau_us))) ** 2
-    if transition == "st1":
-        carrier = np.cos(TWO_PI * spec.f_st1_mhz * t)
-        env = 1.0
-        if noise is not None and noise.sigma_z_mhz > 0:
-            env = np.exp(-0.5 * (math.pi * noise.sigma_z_mhz * t) ** 2)
-        out = amp * env * carrier
-    else:
-        if noise is None:
-            out = amp * np.cos(TWO_PI * spec.f_st0_mhz * t)
-        else:
-            out = amp * _averaged_cos((spec.f_st0_mhz,), t, spec, noise, n_draws)[0]
+    center = spec.f_st1_mhz if transition == "st1" else spec.f_st0_mhz
+    out = _ramsey_diff(transition, ((center, 1.0),), np.asarray(t_us, dtype=float),
+                       tau_us, coupling_mhz, spec, noise, n_draws)
     return float(out) if np.isscalar(t_us) else out
+
+
+def _ramsey_diff(transition, lines, t, tau_us, coupling_mhz, spec, noise, n_draws):
+    """Differential Ramsey signal of a line given as (frequency, weight)
+    components: the st1 noise envelope is analytic, the st0 average is one
+    Monte Carlo pass shared by all components."""
+    amp = 0.25 * (1.0 - np.cos(_phase(coupling_mhz, tau_us))) ** 2
+    if transition == "st0" and noise is not None:
+        averages = _averaged_cos([f for f, _ in lines], t, spec, noise, n_draws)
+        return amp * sum(w * avg for (_, w), avg in zip(lines, averages))
+    env = 1.0
+    if transition == "st1" and noise is not None and noise.sigma_z_mhz > 0:
+        env = np.exp(-0.5 * (math.pi * noise.sigma_z_mhz * t) ** 2)
+    return amp * env * sum(w * np.cos(TWO_PI * f * t) for f, w in lines)
 
 
 def _mc_chunks(n_draws):
@@ -270,30 +276,6 @@ def correlation_ramsey_sequences(transition, t_us, tau_us, lock_us=10.0):
 # density-matrix simulator
 # ---------------------------------------------------------------------------
 
-def _validate_sequence(sequence):
-    if not sequence:
-        raise SequenceError("empty sequence")
-    for el in sequence:
-        if not isinstance(el, Pulse):
-            raise SequenceError(f"not a pulse element: {el!r}")
-    if sequence[-1].kind != "readout":
-        raise SequenceError("sequence must end with a readout")
-    if any(el.kind == "readout" for el in sequence[:-1]):
-        raise SequenceError("readout must be the final element")
-    seen_mw = False
-    in_window = False
-    for el in sequence:
-        if el.kind in ("mw_pi", "mw_2pi"):
-            seen_mw = True
-            in_window = False
-        elif el.kind == "spinlock":
-            if not seen_mw:
-                raise SequenceError("spin locking before any MW pulse")
-            in_window = True
-        elif el.kind == "free" and el.frame == "target" and not in_window:
-            raise SequenceError("target-frame free evolution outside a locked window")
-
-
 def _eigensystems(spec, coupling, draws):
     """Eigendecompositions (rad/us) of the free Hamiltonians of each draw.
 
@@ -319,33 +301,52 @@ def _echo_mask(factor):
     return mask
 
 
-def _steps(elements, t_coherent, decay):
-    """``elements`` with the echo decay of each interrogation window inserted,
-    as an :func:`_echo_mask`, before the element that closes the window, and
-    the joint free time still open after the last element; ``t_coherent`` is
-    the time already open before the first."""
-    steps = []
-    for el in elements:
+def _steps(sequence, decay):
+    """Compile a sequence in one pass: check it, and return the elements
+    before its readout with each interrogation window's echo factor, a float,
+    inserted as a step just before the element that closes the window.
+
+    Equal steps are equal maps, so sequences can share compiled steps by
+    plain equality.
+    """
+    if not sequence:
+        raise SequenceError("empty sequence")
+    steps, seen_mw, in_window, t_coherent = [], False, False, 0.0
+    for i, el in enumerate(sequence):
+        if not isinstance(el, Pulse):
+            raise SequenceError(f"not a pulse element: {el!r}")
+        if el.kind == "readout":
+            if i < len(sequence) - 1:
+                raise SequenceError("readout must be the final element")
+            return steps
+        if el.kind in ("mw_pi", "mw_2pi"):
+            seen_mw, in_window = True, False
+        elif el.kind == "spinlock":
+            if not seen_mw:
+                raise SequenceError("spin locking before any MW pulse")
+            in_window = True
+        elif el.kind == "free" and el.frame == "target" and not in_window:
+            raise SequenceError("target-frame free evolution outside a locked window")
         if el.kind in _WINDOW_CLOSING:
             factor = 1.0 if decay is None else decay.echo_factor(t_coherent)
             if factor < 1.0:
-                steps.append(_echo_mask(factor))
+                steps.append(factor)
             t_coherent = 0.0
         elif el.kind == "free" and el.frame == "joint":
             t_coherent += el.value
         steps.append(el)
-    return steps, t_coherent
+    raise SequenceError("sequence must end with a readout")
 
 
 def _apply(x, step, eig, decay, adjoint=False):
     """One step of :func:`_steps` applied to a stack ``x`` of 12x12 matrices:
     rho -> Phi(rho), or with ``adjoint`` an observable O -> Phi^dagger(O).
 
-    Masks, dephasing and the locking channel are their own adjoints; a
+    Echo masks, dephasing and the locking channel are their own adjoints; a
     unitary u acts as u x u^dagger forward and u^dagger x u backward.
     """
-    if isinstance(step, np.ndarray):
-        return x * step
+    if isinstance(step, float):
+        return x * _echo_mask(step)
     kind = step.kind
     if kind == "dephase":
         return x * _SENSOR_DIAGONAL
@@ -365,58 +366,49 @@ def _apply(x, step, eig, decay, adjoint=False):
     return u @ x @ u.conj().swapaxes(-1, -2)
 
 
-def _split(bodies, decay):
-    """Lengths of the prefix and of the tail that all ``bodies`` share.
-
-    The tail's echo factors need one coherent time open at its start for
-    every body; where the middles leave different ones, the tail starts after
-    its first window-closing element instead.
-    """
+def _split(bodies):
+    """Lengths of the prefix and of the tail that all compiled ``bodies``
+    share, step for step."""
     first = bodies[0]
     shared = min(map(len, bodies))
     n_prefix = next((i for i in range(shared) if any(b[i] != first[i] for b in bodies)),
                     shared)
     n_tail = next((j for j in range(shared - n_prefix)
                    if any(b[-1 - j] != first[-1 - j] for b in bodies)), shared - n_prefix)
-    if decay is not None and len({_steps(b[: len(b) - n_tail], 0.0, decay)[1]
-                                  for b in bodies}) > 1:
-        tail = first[len(first) - n_tail :]
-        n_tail -= next((i + 1 for i, el in enumerate(tail) if el.kind in _WINDOW_CLOSING),
-                       n_tail)
     return n_prefix, n_tail
 
 
 def _evolve(sequences, eig, decay):
-    """Readouts, shape (len(sequences), n_draws), of validated sequences
-    started from |0><0| (x) I/4.
+    """Readouts, shape (len(sequences), n_draws), of sequences started from
+    |0><0| (x) I/4.
 
-    ``eig`` comes from :func:`_eigensystems`.  The prefix every sequence
-    shares is applied once to the (n, 12, 12) stack of density matrices; the
-    tail they share is folded, walking backwards, into the readout observable
-    P0 = |0><0| (x) I4 (Heisenberg picture).  Each sequence then runs only
-    its own middle from the prefix state and is read out at once as
-    Re Tr(O rho), so one middle stack is alive at a time.
+    ``eig`` comes from :func:`_eigensystems`.  Each sequence is compiled once
+    by :func:`_steps`, which also rejects a malformed one before any work.
+    The prefix of steps every sequence shares is applied once to the
+    (n, 12, 12) stack of density matrices; the tail they share is folded,
+    walking backwards, into the readout observable P0 = |0><0| (x) I4
+    (Heisenberg picture).  Each sequence then runs only its own middle from
+    the prefix state and is read out at once as Re Tr(O rho), so one middle
+    stack is alive at a time.
     """
-    bodies = [seq[:-1] for seq in sequences]  # the last element is the readout
-    n_prefix, n_tail = _split(bodies, decay)
+    bodies = [_steps(seq, decay) for seq in sequences]
+    n_prefix, n_tail = _split(bodies)
     first = bodies[0]
-    head, tail = first[: len(first) - n_tail], first[len(first) - n_tail :]
 
     rho = np.zeros((len(eig[0]), 12, 12), dtype=complex)
     rho[:, 4:8, 4:8] = _EYE4 / 4.0
-    steps, t_prefix = _steps(first[:n_prefix], 0.0, decay)
-    for step in steps:
+    for step in first[:n_prefix]:
         rho = _apply(rho, step, eig, decay)
 
     obs = _READOUT
-    for step in reversed(_steps(tail, _steps(head, 0.0, decay)[1], decay)[0]):
+    for step in reversed(first[len(first) - n_tail :]):
         obs = _apply(obs, step, eig, decay, adjoint=True)
     obs = obs.conj()  # Tr(O rho) = sum(conj(O) * rho) for a Hermitian O
 
     out = np.empty((len(bodies), len(rho)))
     for k, body in enumerate(bodies):
         x = rho
-        for step in _steps(body[n_prefix : len(body) - n_tail], t_prefix, decay)[0]:
+        for step in body[n_prefix : len(body) - n_tail]:
             x = _apply(x, step, eig, decay)
         out[k] = np.einsum("...ij,...ij->...", obs, x).real
     return out
@@ -432,7 +424,6 @@ def simulate_sequence(sequence, spec, coupling, noise=None, decay=None):
     pulse or at the locking channel), which reproduces the closed-form decay
     model exactly.
     """
-    _validate_sequence(sequence)
     draws = np.zeros((1, 3)) if noise is None else noise.as_array()[None]
     return float(_evolve([sequence], _eigensystems(spec, coupling, draws), decay)[0, 0])
 
@@ -475,8 +466,6 @@ def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
         raise ValueError("need at least one draw")
     t_grid = np.asarray(t_grid, dtype=float)
     sequences = [sequence_family(t) for t in t_grid]
-    for seq in sequences:
-        _validate_sequence(seq)
 
     acc = np.zeros(len(t_grid))
     for i0, i1 in _mc_chunks(n_draws):
@@ -495,17 +484,6 @@ def synthesize_ramsey_series(transition, t_grid, spec, coupling_mhz, tau_us,
     """
     _check_transition(transition)
     t = np.asarray(t_grid, dtype=float)
-    amp = 0.25 * (1.0 - np.cos(_phase(coupling_mhz, tau_us))) ** 2
-
     lines = _line(spec, transition, spec.f_st1_mhz if transition == "st1" else spec.f_st0_mhz)
-    if transition == "st1":
-        env = 1.0
-        if noise is not None and noise.sigma_z_mhz > 0:
-            env = np.exp(-0.5 * (math.pi * noise.sigma_z_mhz * t) ** 2)
-        values = amp * env * sum(w * np.cos(TWO_PI * f * t) for f, w in lines)
-    elif noise is None:
-        values = amp * sum(w * np.cos(TWO_PI * f * t) for f, w in lines)
-    else:
-        averages = _averaged_cos([f for f, _ in lines], t, spec, noise, n_draws)
-        values = amp * sum(w * avg for (_, w), avg in zip(lines, averages))
+    values = _ramsey_diff(transition, lines, t, tau_us, coupling_mhz, spec, noise, n_draws)
     return TimeSeries(times=t, values=values)

@@ -143,3 +143,12 @@ def test_spectrum_band_needs_both_edges(given, missing, tmp_path, capsys):
     argv = ["spectrum", "--out-dir", str(tmp_path), "--set", f"protocol.{given}=136"]
     assert main(argv) == EXIT_CONFIG
     assert f"protocol.{missing} is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ramsey", "linewidth"])
+@pytest.mark.parametrize("width", ["nan", "inf"])
+def test_noise_width_that_is_not_finite_is_a_config_error(command, width, tmp_path, capsys):
+    argv = [command, "--out-dir", str(tmp_path), "--set", "protocol.transition=st0",
+            "--set", f"noise.sigma_mhz={width}"]
+    assert main(argv) == EXIT_CONFIG
+    assert "must be finite and >= 0" in capsys.readouterr().err

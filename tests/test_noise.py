@@ -70,6 +70,13 @@ def test_noise_model_rejects_a_bad_seed_by_name(seed):
         NoiseModel.isotropic(0.1, seed=seed)
 
 
+@pytest.mark.parametrize("widths", [(-0.1, 0.1, 0.1), (0.1, math.nan, 0.1),
+                                    (0.1, 0.1, math.inf), (-math.inf, 0.1, 0.1)])
+def test_noise_model_rejects_a_width_that_is_not_finite_and_non_negative(widths):
+    with pytest.raises(ValueError, match="noise widths must be finite and >= 0"):
+        NoiseModel(*widths)
+
+
 def test_sample_noise_anisotropic_scaling():
     model = NoiseModel(0.0, 1.0, 3.0, seed=4)
     draws = sample_noise(model, 5000)

@@ -472,7 +472,7 @@ def test_engine_steps_adjoint_identity(spec, rng):
     b = rng.normal(size=(n, 12, 12)) + 1j * rng.normal(size=(n, 12, 12))
     obs = b + b.conj().swapaxes(-1, -2)
     eig = zfepr.protocols._eigensystems(spec, 0.3, rng.normal(0, 0.2, (n, 3)))
-    steps = [zfepr.protocols._echo_mask(0.37), dephase(), spinlock(40.0), mw_pi(),
+    steps = [0.37, dephase(), spinlock(40.0), mw_pi(),
              free(0.8), free(0.8, frame="target"), rf_st1(1.1)]
     for step in steps:
         forward = zfepr.protocols._apply(rho, step, eig, decay)
