@@ -42,8 +42,6 @@ from .hamiltonians import (
     st0_fluctuation,
     target_hamiltonian,
     target_levels_mhz,
-    transition_fluctuations,
-    transition_frequencies,
     transitions_vs_field,
 )
 from .noise import (
@@ -53,11 +51,6 @@ from .noise import (
     frequency_histogram,
     linewidth_stats,
     sample_noise,
-)
-from .operators import (
-    OperatorSet,
-    build_operator_set,
-    rotation_matrix,
 )
 from .protocols import (
     SequenceError,

@@ -30,7 +30,19 @@ from .fields import (
     write_bsweep_csv,
 )
 from .fitting import FitError, fit_gaussians, format_fit_report
-from .hamiltonians import DegenerateCrossingError, FieldVector, P1_BOND_ORIENTATIONS, TargetSpec
+from .hamiltonians import (
+    DegenerateCrossingError,
+    FieldVector,
+    NoiseDraw,
+    P1_BOND_ORIENTATIONS,
+    ST_TRANSFORM,
+    SX_HALF,
+    SY_HALF,
+    SZ_HALF,
+    TargetSpec,
+    level_shifts_exact,
+    level_shifts_perturbative,
+)
 from .noise import NoiseModel, linewidth_stats
 from .protocols import (
     corr_rabi,
@@ -57,8 +69,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_SELFTEST = 4
 
-DEFAULT_SEED = 12345
-SEED_ENV_VAR = "ZFEPR_SEED"
+DEFAULT_SEED = NoiseModel.seed
 
 
 class ConfigError(Exception):
@@ -69,29 +80,26 @@ class NumericalError(Exception):
     pass
 
 
-def _parse_pair(text):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"expected a comma-separated pair, got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text.strip()!r}")
+    return value
 
 
-def _parse_triple(text):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"expected a comma-separated triple, got {text!r}")
-    return tuple(float(p) for p in parts)
+def _floats(text, n, sep=","):
+    """Exactly ``n`` finite numbers separated by ``sep``, as a tuple."""
+    parts = text.split(sep)
+    if len(parts) != n:
+        raise ConfigError(f"expected {n} numbers separated by {sep!r}, got {text!r}")
+    return tuple(_finite(p) for p in parts)
 
 
 def _parse_couplings(text):
     """"0.1" or "0.1:0.5, 0.2:0.5" (coupling_MHz:weight)."""
     if ":" not in text:
-        return float(text)
-    pairs = []
-    for item in text.split(","):
-        c, w = item.split(":")
-        pairs.append((float(c), float(w)))
-    return tuple(pairs)
+        return _finite(text)
+    return tuple(_floats(item, 2, ":") for item in text.split(","))
 
 
 def _parse_count(text):
@@ -107,16 +115,18 @@ def _parse_orientations(text):
         return P1_BOND_ORIENTATIONS
     if text == "single":
         return ((0.0, 0.0, 1.0),)
-    return tuple(_parse_triple(item) for item in text.split(";"))
+    return tuple(_floats(item, 3) for item in text.split(";"))
 
 
 # section -> key -> (parser, default).  Unknown sections or keys are errors.
+# Floats must be finite, but for the decay times (inf switches a channel off)
+# and the noise widths (NoiseModel and linewidth_stats check them by name).
 _SCHEMA = {
     "target": {
-        "a_perp_mhz": (float, TargetSpec.a_perp_mhz),
-        "a_par_mhz": (float, TargetSpec.a_par_mhz),
-        "c13_splitting_mhz": (float, TargetSpec.c13_splitting_mhz),
-        "st0_offset_doublet_mhz": (_parse_pair, TargetSpec.st0_offset_doublet_mhz),
+        "a_perp_mhz": (_finite, TargetSpec.a_perp_mhz),
+        "a_par_mhz": (_finite, TargetSpec.a_par_mhz),
+        "c13_splitting_mhz": (_finite, TargetSpec.c13_splitting_mhz),
+        "st0_offset_doublet_mhz": (lambda s: _floats(s, 2), TargetSpec.st0_offset_doublet_mhz),
         "orientations": (_parse_orientations, TargetSpec.orientations),
     },
     "noise": {
@@ -128,45 +138,44 @@ _SCHEMA = {
     "decay": {
         "enabled": (lambda s: s.lower() in ("1", "true", "yes"), False),
         "t2_nv_us": (float, DecayModel.t2_nv_us),
-        "stretch_p": (float, DecayModel.stretch_p),
+        "stretch_p": (_finite, DecayModel.stretch_p),
         "t1rho_us": (float, DecayModel.t1rho_us),
     },
     "protocol": {
         "transition": (str, "st1"),
         "couplings": (_parse_couplings, 0.1),
-        "tau_us": (float, 5.0),
-        "lock_us": (float, 10.0),
-        "tau_start_us": (float, 0.0),
-        "tau_stop_us": (float, 20.0),
+        "tau_us": (_finite, 5.0),
+        "tau_start_us": (_finite, 0.0),
+        "tau_stop_us": (_finite, 20.0),
         "tau_points": (_parse_count, 201),
-        "theta_start_rad": (float, 0.0),
-        "theta_stop_rad": (float, 4.0 * math.pi),
+        "theta_start_rad": (_finite, 0.0),
+        "theta_stop_rad": (_finite, 4.0 * math.pi),
         "theta_points": (_parse_count, 201),
-        "t_start_us": (float, 0.0),
-        "dt_us": (float, 0.2),
+        "t_start_us": (_finite, 0.0),
+        "dt_us": (_finite, 0.2),
         "t_points": (_parse_count, 256),
-        "band_lo_mhz": (float, None),
-        "band_hi_mhz": (float, None),
+        "band_lo_mhz": (_finite, None),
+        "band_hi_mhz": (_finite, None),
         "m_gaussians": (str, "auto"),
     },
     "field": {
-        "b_start_g": (float, 0.0),
-        "b_stop_g": (float, 3.0),
+        "b_start_g": (_finite, 0.0),
+        "b_stop_g": (_finite, 3.0),
         "b_points": (_parse_count, 13),
-        "direction": (_parse_triple, (0.0, 0.0, 1.0)),
+        "direction": (lambda s: _floats(s, 3), (0.0, 0.0, 1.0)),
         "mode": (str, "perturbative"),
     },
     "compensation": {
-        "true_bx_g": (float, 0.35),
-        "true_by_g": (float, -0.52),
-        "true_bz_g": (float, 0.47),
-        "coefficient_g_per_a": (float, CoilConfig.coefficient_g_per_a),
-        "current_stability_a": (float, CoilConfig.current_stability_a),
-        "scan_i_min_a": (float, ScanPlan.i_min_a),
-        "scan_i_max_a": (float, ScanPlan.i_max_a),
+        "true_bx_g": (_finite, 0.35),
+        "true_by_g": (_finite, -0.52),
+        "true_bz_g": (_finite, 0.47),
+        "coefficient_g_per_a": (_finite, CoilConfig.coefficient_g_per_a),
+        "current_stability_a": (_finite, CoilConfig.current_stability_a),
+        "scan_i_min_a": (_finite, ScanPlan.i_min_a),
+        "scan_i_max_a": (_finite, ScanPlan.i_max_a),
         "scan_points": (_parse_count, ScanPlan.n_points),
-        "base_width_mhz": (float, ScanPlan.base_width_mhz),
-        "jitter_frac": (float, ScanPlan.jitter_frac),
+        "base_width_mhz": (_finite, ScanPlan.base_width_mhz),
+        "jitter_frac": (_finite, ScanPlan.jitter_frac),
         "trials": (_parse_count, 1),
     },
     "run": {
@@ -246,11 +255,6 @@ def _resolve_seed(args, config):
         return args.seed
     if config["run"]["seed"] is not None:
         return config["run"]["seed"]
-    if os.environ.get(SEED_ENV_VAR):
-        try:
-            return int(os.environ[SEED_ENV_VAR])
-        except ValueError as exc:
-            raise ConfigError(f"bad {SEED_ENV_VAR}: {exc}") from exc
     return DEFAULT_SEED
 
 
@@ -298,7 +302,7 @@ def _cmd_rabi(args, config, seed):
     # spot-check the closed form against the density-matrix simulator
     check = simulate_sequence(
         correlation_rabi_sequence(p["transition"], float(thetas[len(thetas) // 2]),
-                                  p["tau_us"], p["lock_us"]),
+                                  p["tau_us"]),
         spec, p["couplings"])
     if abs(check - signal[len(thetas) // 2]) > 1e-8:
         raise NumericalError("closed form disagrees with simulator")
@@ -474,9 +478,15 @@ def _cmd_selftest(args, config, seed):
         if not ok:
             failures.append(name)
 
+    # diagonalize A_perp (SxIx + SyIy) + A_par SzIz in the product basis and
+    # label each singlet-triplet state by the eigenvector it overlaps most
+    h_bare = (spec.a_perp_mhz * (np.kron(SX_HALF, SX_HALF) + np.kron(SY_HALF, SY_HALF))
+              + spec.a_par_mhz * np.kron(SZ_HALF, SZ_HALF))
+    vals, vecs = np.linalg.eigh(h_bare)
+    t_plus, s0, t0, t_minus = vals[np.argmax(np.abs(ST_TRANSFORM @ vecs) ** 2, axis=1)]
     check("transition frequencies",
-          spec.f_st0_mhz == spec.a_perp_mhz
-          and spec.f_st1_mhz == 0.5 * (spec.a_par_mhz + spec.a_perp_mhz))
+          max(abs(t0 - s0 - spec.f_st0_mhz), abs(t_plus - s0 - spec.f_st1_mhz),
+              abs(t_minus - s0 - spec.f_st1_mhz)) < 1e-9)
 
     worst = 0.0
     for _ in range(10):
@@ -509,8 +519,6 @@ def _cmd_selftest(args, config, seed):
             closed = 0.5 * corr_ramsey_diff(transition, t, tau, c, spec=spec)
             worst = max(worst, abs(diff - closed))
     check(f"correlation ramsey vs simulator ({worst:.2e})", worst < 1e-9)
-
-    from .hamiltonians import NoiseDraw, level_shifts_exact, level_shifts_perturbative
 
     worst = 0.0
     for _ in range(10):
@@ -550,7 +558,7 @@ CSV columns and units:
 
 The config file is sectioned key = value text: [section] headers over
 key = value lines, with the sections and keys of --set.
-Seed resolution order: --seed, [run] seed, $ZFEPR_SEED, builtin default.
+Seed resolution order: --seed, [run] seed, builtin default.
 Different seeds give independent random streams.
 """
 
@@ -582,6 +590,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, args.overrides)
+        if config["decay"]["enabled"] and args.command in ("rabi", "ramsey", "spectrum"):
+            raise ConfigError(f"{args.command} has no decay model; decay.enabled is for deer")
         seed = _resolve_seed(args, config)
         handler, _ = _COMMANDS[args.command]
         return handler(args, config, seed)

@@ -231,11 +231,11 @@ def _aicc(rss, n, k):
 def fit_gaussians(spectrum, m="auto"):
     """Fit ``m`` Gaussians plus a constant baseline to a magnitude spectrum.
 
-    ``m`` is a fixed count (1..4) or "auto", which picks the count with the
-    lowest small-sample-corrected information criterion; ties and degenerate
-    candidates (peaks walking out of the frequency range, sub-bin or
-    negative components) go to the smaller model.  Initialization takes the
-    ``m`` highest local maxima.  Raises
+    ``m`` is a fixed count (1..4) or "auto", which raises the count from 1
+    while the small-sample-corrected information criterion keeps falling and
+    stops at the first count that ties, scores worse or is degenerate (peaks
+    walking out of the frequency range, sub-bin or negative components).
+    Initialization takes the ``m`` highest local maxima.  Raises
     :class:`FitError` when "auto" finds no acceptable candidate.
     """
     freqs = np.asarray(spectrum.freqs, dtype=float)
@@ -256,9 +256,9 @@ def fit_gaussians(spectrum, m="auto"):
     best_score = math.inf
     for mm in candidates:
         if len(freqs) < 15 * mm:
-            if best is None and mm == min(candidates):
+            if best is None:
                 raise ValueError("too few spectrum points for requested peak count")
-            continue
+            break
         result, lm = _fit_fixed_m(freqs, amps, mm)
         if len(candidates) == 1:
             return result
@@ -269,10 +269,11 @@ def fit_gaussians(spectrum, m="auto"):
                  and all(p.fwhm_mhz >= bin_spacing for p in result.peaks)
                  and all(p.amplitude > 0 for p in result.peaks))
         score = _aicc(lm.rss, len(freqs), 3 * mm + 1) if valid else math.inf
-        if score < best_score - 1e-9:
-            best, best_score = result, score
+        if not score < best_score - 1e-9:
+            break
+        best, best_score = result, score
     if best is None:
-        raise FitError("no acceptable fit found for any peak count")
+        raise FitError("no acceptable fit found: the one-peak candidate failed")
     return best
 
 

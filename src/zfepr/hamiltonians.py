@@ -7,6 +7,18 @@ quadratically (S0, T0), which is the whole point of probing the S0<->T0
 transition.  Level shifts are available both from second-order perturbation
 theory and from exact diagonalization so one can always cross-check the other.
 
+Basis orders are fixed globally: target (electron x nucleus) states are
+``{|T+1>, |S0>, |T0>, |T-1>}``, its product basis is ``{up-up, up-dn, dn-up,
+dn-dn}``, and the NV sensor's blocks run over ``m = +1, 0, -1``.  The
+singlet-triplet operators are the bare ``S_j (x) I_2`` conjugated with the
+basis transform, not typed in by hand, and are read-only shared constants.
+
+The hyperfine tensor is axial about the defect's bond, so a static field acts
+only through its component along the bond and its size across it: the joint
+rotation exp(-i phi (S_z + I_z)) about the bond commutes with the hyperfine
+term, turns the transverse field to any direction, and is diagonal in the
+singlet-triplet basis.  Fields therefore need the bond axis alone.
+
 Frequencies in/out of the shift and transition functions are ordinary MHz;
 Hamiltonian matrices returned by the ``*_hamiltonian`` builders are angular
 (rad/us).
@@ -19,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DIPOLAR_K_MHZ_NM3, GAMMA_E_MHZ_PER_G, NV_ZFS_MHZ, TWO_PI
-from .operators import build_operator_set, rotation_matrix
 
 __all__ = [
     "TargetSpec",
@@ -29,14 +40,19 @@ __all__ = [
     "TransitionLines",
     "DegenerateCrossingError",
     "P1_BOND_ORIENTATIONS",
-    "DEFAULT_OPS",
+    "SX_HALF",
+    "SY_HALF",
+    "SZ_HALF",
+    "ST_TRANSFORM",
+    "SX_T",
+    "SY_T",
+    "SZ_T",
+    "SZZ_T",
     "target_levels_mhz",
-    "transition_frequencies",
     "target_hamiltonian",
     "noise_hamiltonian",
     "level_shifts_perturbative",
     "level_shifts_exact",
-    "transition_fluctuations",
     "st0_fluctuation",
     "dipolar_constant",
     "resolve_coupling",
@@ -44,8 +60,28 @@ __all__ = [
     "transitions_vs_field",
 ]
 
-#: Shared immutable operator set; cheap to build, safe to reuse everywhere.
-DEFAULT_OPS = build_operator_set()
+
+def _readonly(a):
+    a.flags.writeable = False
+    return a
+
+
+#: Spin-1/2 operators of the bare electron or nucleus.
+SX_HALF = _readonly(0.5 * np.array([[0, 1], [1, 0]], dtype=complex))
+SY_HALF = _readonly(0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex))
+SZ_HALF = _readonly(0.5 * np.array([[1, 0], [0, -1]], dtype=complex))
+
+_R = 1.0 / math.sqrt(2.0)
+#: Rows are <T+1|, <S0|, <T0|, <T-1| expressed in {up-up, up-dn, dn-up, dn-dn}.
+ST_TRANSFORM = _readonly(np.array([[1, 0, 0, 0], [0, _R, -_R, 0], [0, _R, _R, 0],
+                                   [0, 0, 0, 1]]))
+
+#: Electron-spin operators S_j (x) I_2 in the singlet-triplet basis.
+SX_T, SY_T, SZ_T = (
+    _readonly(ST_TRANSFORM @ np.kron(s, np.eye(2, dtype=complex)) @ ST_TRANSFORM.T)
+    for s in (SX_HALF, SY_HALF, SZ_HALF))
+#: SZ_T without its S0<->T0 block: the secular part kept by the dipolar coupling.
+SZZ_T = _readonly(np.diag(np.diag(SZ_T)).astype(complex))
 
 _ACOS_INV_SQRT3 = math.acos(1.0 / math.sqrt(3.0))
 
@@ -190,11 +226,6 @@ def target_levels_mhz(spec):
     return np.array([al / 4, -al / 4 - ap / 2, -al / 4 + ap / 2, al / 4])
 
 
-def transition_frequencies(spec):
-    """(f_st0, f_st1) in MHz; 114 and 137 MHz for the default constants."""
-    return spec.f_st0_mhz, spec.f_st1_mhz
-
-
 def target_hamiltonian(spec):
     """Zero-field target Hamiltonian, diagonal in the ST basis, rad/us."""
     return TWO_PI * np.diag(target_levels_mhz(spec)).astype(complex)
@@ -213,8 +244,7 @@ def _deltas(draw):
 def _noise_matrix_mhz(draw):
     """sum_j delta_j S_j in MHz, shape (..., 4, 4) for (..., 3) triples."""
     d = _deltas(draw)[..., None, None]
-    ops = DEFAULT_OPS
-    return d[..., 0, :, :] * ops.sx_t + d[..., 1, :, :] * ops.sy_t + d[..., 2, :, :] * ops.sz_t
+    return d[..., 0, :, :] * SX_T + d[..., 1, :, :] * SY_T + d[..., 2, :, :] * SZ_T
 
 
 def level_shifts_perturbative(draw, spec):
@@ -283,19 +313,6 @@ def level_shifts_exact(draw, spec):
     return np.stack([t_plus, s0_t0[..., 0], s0_t0[..., 1], t_minus], axis=-1) - levels0
 
 
-def transition_fluctuations(draw, spec):
-    """Leading-order transition-frequency shifts in MHz.
-
-    Returns ``((d_st1_plus, d_st1_minus), d_st0)``: the S0<->T+-1 lines move
-    as +-delta_z/2 while the S0<->T0 line picks up only the quadratic form
-    -a_perp*(dx^2+dy^2)/(a_par^2-a_perp^2) + dz^2/(2*a_perp).
-    """
-    dx, dy, dz = _deltas(draw)
-    d_st1 = 0.5 * dz
-    d_st0 = st0_fluctuation(dx, dy, dz, spec)
-    return (d_st1, -d_st1), float(d_st0)
-
-
 def st0_fluctuation(dx, dy, dz, spec):
     """Vectorized S0<->T0 shift; accepts scalars or equal-shape arrays."""
     ap, al = spec.a_perp_mhz, spec.a_par_mhz
@@ -333,7 +350,7 @@ def _sensor_offsets_mhz(coupling):
     """The sensor's part of the joint Hamiltonian in each of its blocks
     m = +1, 0, -1: ``zfs*m^2 + C*m*szz``, shape (3, 4, 4), MHz."""
     c_mhz = resolve_coupling(coupling)
-    szz = DEFAULT_OPS.szz_t.diagonal().real
+    szz = SZZ_T.diagonal().real
     return np.array([np.diag(NV_ZFS_MHZ * m * m + c_mhz * m * szz) for m in (1.0, 0.0, -1.0)])
 
 
@@ -366,8 +383,10 @@ def _line(spec, transition, center):
 def transitions_vs_field(field, spec, mode="perturbative"):
     """Per-orientation transition lines under a static field.
 
-    The field is projected onto each principal axis (delta = gamma_e * R^T B)
-    and the level shifts are evaluated either perturbatively or by exact
+    The field enters each orientation only through its component along the
+    bond axis n and its size across it, delta = gamma_e * (|B x n|, 0, n.B)
+    (exact for the axial hyperfine tensor; see the module docstring), and the
+    level shifts are evaluated either perturbatively or by exact
     diagonalization.  The c13 doublet (ST+-1) and the static ST0 offset
     doublet are folded into the returned line lists.
 
@@ -383,8 +402,11 @@ def transitions_vs_field(field, spec, mode="perturbative"):
     """
     if mode not in ("perturbative", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    axes = np.array([rotation_matrix(theta_e, phi_e) for theta_e, phi_e, _ in spec.orientations])
-    delta = GAMMA_E_MHZ_PER_G * (np.swapaxes(axes, 1, 2) @ field.as_array())
+    b = field.as_array()
+    axes = np.array([_direction(theta_e, phi_e) for theta_e, phi_e, _ in spec.orientations])
+    b_axial = axes @ b
+    b_across = np.sqrt(np.maximum(b @ b - b_axial * b_axial, 0.0))
+    delta = GAMMA_E_MHZ_PER_G * np.stack([b_across, np.zeros_like(b_axial), b_axial], axis=-1)
     if mode == "perturbative":
         shifts = level_shifts_perturbative(delta, spec)
         common = 0.5 * (shifts[:, 0] + shifts[:, 3])

@@ -152,3 +152,152 @@ def test_noise_width_that_is_not_finite_is_a_config_error(command, width, tmp_pa
             "--set", f"noise.sigma_mhz={width}"]
     assert main(argv) == EXIT_CONFIG
     assert "must be finite and >= 0" in capsys.readouterr().err
+
+
+# every float key the parser checks, with a value that is not finite
+NON_FINITE = [
+    "target.a_perp_mhz=inf", "target.a_par_mhz=nan", "target.c13_splitting_mhz=nan",
+    "target.st0_offset_doublet_mhz=-0.03,nan", "target.orientations=0,nan,1",
+    "decay.stretch_p=nan",
+    "protocol.couplings=nan", "protocol.couplings=0.1:0.5,inf:0.5", "protocol.tau_us=nan",
+    "protocol.tau_start_us=-inf", "protocol.tau_stop_us=inf", "protocol.theta_start_rad=nan",
+    "protocol.theta_stop_rad=inf", "protocol.t_start_us=inf", "protocol.dt_us=nan",
+    "protocol.band_lo_mhz=nan", "protocol.band_hi_mhz=inf",
+    "field.b_start_g=nan", "field.b_stop_g=inf", "field.direction=0,0,nan",
+    "compensation.true_bx_g=nan", "compensation.true_by_g=inf", "compensation.true_bz_g=-inf",
+    "compensation.coefficient_g_per_a=inf", "compensation.current_stability_a=nan",
+    "compensation.scan_i_min_a=-inf", "compensation.scan_i_max_a=inf",
+    "compensation.base_width_mhz=nan", "compensation.jitter_frac=nan",
+]
+
+
+@pytest.mark.parametrize("setting", NON_FINITE)
+def test_float_that_is_not_finite_is_a_config_error(setting, tmp_path, capsys):
+    argv = ["ramsey", "--out-dir", str(tmp_path), "--set", setting]
+    assert main(argv) == EXIT_CONFIG
+    assert f"bad value for {setting.split('=')[0]}: must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("width", ["sigma_x_mhz", "sigma_y_mhz", "sigma_z_mhz"])
+def test_axis_noise_width_that_is_not_finite_is_a_config_error(width, tmp_path, capsys):
+    argv = ["ramsey", "--out-dir", str(tmp_path), "--set", f"noise.{width}=nan"]
+    assert main(argv) == EXIT_CONFIG
+    assert "must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_infinite_decay_times_switch_channels_off(tmp_path, capsys):
+    base = ["deer", "--set", "decay.enabled=true"]
+    assert main(base + ["--out-dir", str(tmp_path / "off"), "--set", "decay.t2_nv_us=inf",
+                        "--set", "decay.t1rho_us=inf"]) == EXIT_OK
+    assert main(["deer", "--out-dir", str(tmp_path / "none")]) == EXIT_OK
+    assert ((tmp_path / "off" / "deer.csv").read_bytes()
+            == (tmp_path / "none" / "deer.csv").read_bytes())
+    assert main(base + ["--out-dir", str(tmp_path / "nan"), "--set", "decay.t2_nv_us=nan"]) \
+        == EXIT_CONFIG
+    assert "t2_nv_us must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rabi", "ramsey", "spectrum"])
+def test_decay_on_a_closed_form_without_decay_is_a_config_error(command, tmp_path, capsys):
+    argv = [command, "--out-dir", str(tmp_path), "--set", "decay.enabled=true",
+            "--set", "decay.t2_nv_us=1"]
+    assert main(argv) == EXIT_CONFIG
+    assert f"{command} has no decay model" in capsys.readouterr().err
+
+
+def test_spinlock_duration_is_not_a_setting(tmp_path, capsys):
+    assert main(["rabi", "--out-dir", str(tmp_path), "--set", "protocol.lock_us=50"]) \
+        == EXIT_CONFIG
+    assert "unknown override target 'protocol.lock_us'" in capsys.readouterr().err
+
+
+def test_seed_comes_from_the_command_line_or_config_only(tmp_path, monkeypatch):
+    monkeypatch.setenv("ZFEPR_SEED", "5")
+    assert main(["ramsey", "--out-dir", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "ramsey_summary.json").read_text())
+    assert summary["seed"] == zfepr.NoiseModel.seed == 12345
+
+
+def _config_file(path, settings):
+    sections = {}
+    for item in settings:
+        key, value = item.split("=", 1)
+        section, name = key.split(".", 1)
+        sections.setdefault(section, []).append(f"{name} = {value}")
+    path.write_text("".join(f"[{section}]\n" + "\n".join(lines) + "\n\n"
+                            for section, lines in sections.items()))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("ramsey", ["protocol.transition=st0", "noise.sigma_mhz=0.196", "protocol.t_points=16",
+                "target.st0_offset_doublet_mhz=-0.03,0.03", "run.monte_carlo_n=300",
+                "run.seed=7"]),
+    ("deer", ["protocol.couplings=0.1:0.25,0.3:0.75", "decay.enabled=yes",
+              "decay.t2_nv_us=12", "protocol.tau_points=11"]),
+    ("bsweep", ["target.orientations=0.5,0.2,0.5;1.0,2.0,0.5", "field.b_points=5",
+                "field.mode=exact", "field.direction=1,0,1"]),
+    ("bsweep", ["target.orientations=single", "field.b_points=5"]),
+], ids=["ramsey", "deer", "bsweep-triples", "bsweep-single"])
+def test_config_file_matches_overrides(command, settings, tmp_path):
+    by_file, by_set = tmp_path / "file", tmp_path / "set"
+    config = _config_file(tmp_path / "run.cfg", settings)
+    assert main([command, config, "--out-dir", str(by_file), "--plot-data"]) == EXIT_OK
+    argv = [command, "--out-dir", str(by_set), "--plot-data"]
+    for item in settings:
+        argv += ["--set", item]
+    assert main(argv) == EXIT_OK
+    names = sorted(p.name for p in by_file.iterdir())
+    assert names == sorted(p.name for p in by_set.iterdir())
+    for name in names:
+        assert (by_file / name).read_bytes() == (by_set / name).read_bytes()
+    if command == "ramsey":
+        assert json.loads((by_file / "ramsey_summary.json").read_text())["seed"] == 7
+    if command == "deer":
+        summary = json.loads((by_file / "deer_summary.json").read_text())
+        assert summary["couplings_mhz"] == [[0.1, 0.25], [0.3, 0.75]]
+        assert summary["decay_enabled"] is True
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[bogus]\nx = 1\n", "unknown config section [bogus]"),
+    ("[target]\nbogus = 1\n", "unknown key 'bogus' in section [target]"),
+    ("a_perp_mhz = 114\n", "malformed config"),
+    ("[target]\nst0_offset_doublet_mhz = 0.1\n", "expected 2 numbers separated by ','"),
+    ("[field]\ndirection = 0, 1\n", "expected 3 numbers separated by ','"),
+    ("[protocol]\ncouplings = 0.1:0.5:1\n", "expected 2 numbers separated by ':'"),
+], ids=["section", "key", "malformed", "pair", "triple", "coupling"])
+def test_bad_config_file_is_a_config_error(text, message, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["bsweep", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_missing_config_file_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    assert main(["bsweep", str(missing), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert f"config file not found: {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bsweep", "field.direction=0,0,0"], "field direction must be nonzero"),
+    (["bsweep", "field.mode=bogus"], "unknown field mode 'bogus'"),
+    (["rabi", "protocol.couplings=0.1:0.5,0.2:0.5"], "rabi expects a single coupling strength"),
+    (["ramsey", "protocol.couplings=0.1:0.5,0.2:0.5"],
+     "ramsey expects a single coupling strength"),
+], ids=["zero-direction", "mode", "rabi-couplings", "ramsey-couplings"])
+def test_bad_setting_is_a_config_error(argv, message, tmp_path, capsys):
+    command, setting = argv
+    assert main([command, "--out-dir", str(tmp_path), "--set", setting]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_selftest_checks_the_transition_frequencies(monkeypatch, capsys):
+    # the zero-field gaps come from diagonalizing the product-basis
+    # hyperfine Hamiltonian, so a wrong frequency property is caught
+    monkeypatch.setattr(zfepr.TargetSpec, "f_st0_mhz",
+                        property(lambda self: self.a_perp_mhz + 1e-6))
+    assert main(["selftest"]) == 4
+    assert "selftest transition frequencies: FAIL" in capsys.readouterr().out

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import zfepr.fitting
 from zfepr.fitting import (
     FWHM_PER_SIGMA,
     fit_gaussians,
@@ -140,3 +141,23 @@ def test_auto_mode_rejects_negative_components():
     fit = fit_gaussians(dft_spectrum(series, band_hint=(112.5, 115.5)), "auto")
     assert fit.m >= 2
     assert all(p.amplitude > 0 for p in fit.peaks)
+
+
+def test_auto_mode_stops_at_the_first_count_that_does_not_improve(monkeypatch):
+    # the S0<->T+-1 line with a 0.4 MHz 13C doublet: m = 2 fits it, m = 3 runs
+    # to the iteration cap and is rejected, so m = 4 is never tried
+    calls = []
+
+    def counting(fun, p0, lm=levenberg_marquardt):
+        res = lm(fun, p0)
+        calls.append(res.converged)
+        return res
+
+    monkeypatch.setattr(zfepr.fitting, "levenberg_marquardt", counting)
+    spec = TargetSpec(c13_splitting_mhz=0.4)
+    series = synthesize_ramsey_series("st1", 0.2 * np.arange(256), spec, 0.1, 5.0,
+                                      noise=NoiseModel.isotropic(0.196))
+    fit = fit_gaussians(dft_spectrum(series, band_hint=(135.5, 138.5)), "auto")
+    assert calls == [True, True, False]
+    assert fit.m == 2
+    assert [p.center_mhz for p in fit.peaks] == pytest.approx([136.8, 137.2], abs=1e-3)

@@ -15,19 +15,23 @@ from zfepr.hamiltonians import (
     level_shifts_exact,
     level_shifts_perturbative,
     noise_hamiltonian,
+    st0_fluctuation,
     target_hamiltonian,
     target_levels_mhz,
-    transition_fluctuations,
-    transition_frequencies,
     transitions_vs_field,
 )
-from zfepr.operators import build_operator_set
 
-OPS = build_operator_set()
+# spin-1/2 oracle matrices and the product -> singlet-triplet transform,
+# typed in independently of the package
+SX_HALF = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
+SY_HALF = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
+SZ_HALF = 0.5 * np.array([[1, 0], [0, -1]], dtype=complex)
+_R = 1.0 / math.sqrt(2.0)
+ST_ORACLE = np.array([[1, 0, 0, 0], [0, _R, -_R, 0], [0, _R, _R, 0], [0, 0, 0, 1]])
 
 
 def test_transition_frequencies_default(spec):
-    assert transition_frequencies(spec) == (114.0, 137.0)
+    assert (spec.f_st0_mhz, spec.f_st1_mhz) == (114.0, 137.0)
 
 
 def test_levels_match_closed_form(spec):
@@ -48,11 +52,10 @@ def test_levels_against_bare_hamiltonian_diagonalization(spec):
     # build A_perp (SxIx + SyIy) + A_par SzIz in the product basis, transform
     # with T and diagonalize the bare form
     h_bare = (
-        spec.a_perp_mhz * (np.kron(OPS.sx_half, OPS.sx_half)
-                           + np.kron(OPS.sy_half, OPS.sy_half))
-        + spec.a_par_mhz * np.kron(OPS.sz_half, OPS.sz_half)
+        spec.a_perp_mhz * (np.kron(SX_HALF, SX_HALF) + np.kron(SY_HALF, SY_HALF))
+        + spec.a_par_mhz * np.kron(SZ_HALF, SZ_HALF)
     )
-    t = OPS.transform
+    t = ST_ORACLE
     h_st = t @ h_bare @ np.linalg.inv(t)
     assert np.abs(h_st - np.diag(target_levels_mhz(spec))).max() < 1e-12
     vals = np.linalg.eigvalsh(h_bare)
@@ -169,13 +172,9 @@ def test_perturbative_vs_exact_cubic_scaling(spec):
 
 
 def test_transition_fluctuation_examples(spec):
-    (plus, minus), st0 = transition_fluctuations(NoiseDraw(0, 0, 1.0), spec)
-    assert (plus, minus) == (0.5, -0.5)
-    assert st0 == pytest.approx(1.0 / 228.0, rel=1e-12)
-    (_, _), st0 = transition_fluctuations(NoiseDraw(), spec)
-    assert st0 == 0.0
-    (_, _), st0 = transition_fluctuations(NoiseDraw(1.0, 0, 0), spec)
-    assert st0 == pytest.approx(-114.0 / 12604.0, rel=1e-12)
+    assert st0_fluctuation(0.0, 0.0, 1.0, spec) == pytest.approx(1.0 / 228.0, rel=1e-12)
+    assert st0_fluctuation(0.0, 0.0, 0.0, spec) == 0.0
+    assert st0_fluctuation(1.0, 0.0, 0.0, spec) == pytest.approx(-114.0 / 12604.0, rel=1e-12)
 
 
 def test_dipolar_prefactor_from_physical_constants():
@@ -289,6 +288,22 @@ def test_transitions_field_perpendicular_to_bond_axes(spec):
         assert abs(f_plus - f_minus) == pytest.approx(2.0 * v, rel=1e-3)
         (f_plus, _), (f_minus, _) = pert[k].st1
         assert abs(f_plus - f_minus) < 1e-12
+
+
+def test_transitions_need_only_the_bond_axis(rng):
+    # oracle: rotate the full field into the defect frame, R = Rz(phi) Ry(theta),
+    # and diagonalize there; the axial projection must give the same lines
+    for _ in range(20):
+        theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
+        spec = TargetSpec(orientations=((theta, phi, 1.0),))
+        b = rng.uniform(-1.0, 1.0, 3) * 1.5
+        ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+        rot = np.array([[ct * cp, -sp, st * cp], [ct * sp, cp, st * sp], [-st, 0.0, ct]])
+        t_plus, s0, t0, t_minus = (target_levels_mhz(spec)
+                                   + level_shifts_exact(GAMMA_E_MHZ_PER_G * rot.T @ b, spec))
+        lines = transitions_vs_field(FieldVector(*b), spec, mode="exact")[0]
+        assert [f for f, _ in lines.st1] == pytest.approx([t_plus - s0, t_minus - s0], abs=1e-11)
+        assert lines.st0[0][0] == pytest.approx(t0 - s0, abs=1e-11)
 
 
 def test_transitions_perturbative_warns_beyond_validity(spec):

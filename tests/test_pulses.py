@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from zfepr.operators import unitarity_defect
 from zfepr.pulses import (
     DecayModel,
     Pulse,
@@ -16,6 +15,11 @@ from zfepr.pulses import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def unitarity_defect(u):
+    """max|U^dag U - I|."""
+    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
 
 def _u_st1_printed(theta):
