@@ -4,9 +4,9 @@ A sensor spin (NV-style S=1, optically read) interrogates a hyperfine-coupled
 S=1/2, I=1/2 target at zero magnetic field.  The package reproduces the
 interrogation protocols (DEER, correlation Rabi/Ramsey), the quasi-static
 noise linewidth theory around the magnetically quiet singlet-triplet
-transition, Monte Carlo lineshape synthesis, and the spectral fitting
-pipeline, with every closed form cross-checked against brute-force density
-matrix evolution.
+transition, lineshape synthesis with the noise averaged in closed form, and
+the spectral fitting pipeline, with every closed form cross-checked against
+brute-force density matrix evolution and its Monte Carlo noise average.
 """
 
 from .constants import DIPOLAR_K_MHZ_NM3, GAMMA_E_MHZ_PER_G, NV_ZFS_MHZ
@@ -51,6 +51,7 @@ from .noise import (
     frequency_histogram,
     linewidth_stats,
     sample_noise,
+    st0_characteristic,
 )
 from .protocols import (
     SequenceError,

@@ -180,7 +180,6 @@ _SCHEMA = {
     },
     "run": {
         "seed": (int, None),
-        "monte_carlo_n": (_parse_count, 2000),
         "out_dir": (str, "out"),
     },
 }
@@ -190,7 +189,7 @@ def load_config(path, overrides=()):
     """Parse the sectioned key = value file, apply overrides, reject unknowns."""
     raw = {}
     if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
         if not os.path.isfile(path):
             raise ConfigError(f"config file not found: {path}")
         try:
@@ -326,10 +325,8 @@ def _ramsey_series(args, config, seed):
     # the grid includes t = 0: the spectrum is built from the even extension
     # of the record, which needs the zero-time sample
     t_grid = p["t_start_us"] + p["dt_us"] * np.arange(p["t_points"])
-    series = synthesize_ramsey_series(
-        p["transition"], t_grid, spec, p["couplings"], p["tau_us"],
-        noise=noise, n_draws=config["run"]["monte_carlo_n"],
-    )
+    series = synthesize_ramsey_series(p["transition"], t_grid, spec, p["couplings"],
+                                      p["tau_us"], noise=noise)
     return series, spec, noise
 
 
@@ -557,7 +554,8 @@ CSV columns and units:
   compensate.csv  trial, I_X_A, I_Y_A, I_Z_A, residual_{x,y,z}_G
 
 The config file is sectioned key = value text: [section] headers over
-key = value lines, with the sections and keys of --set.
+key = value lines, with the sections and keys of --set.  Lines starting
+with # or ; are comments, as is the rest of a line from a spaced " #".
 Seed resolution order: --seed, [run] seed, builtin default.
 Different seeds give independent random streams.
 """

@@ -1,5 +1,6 @@
-"""Quasi-static Gaussian noise: sampling, linewidth theory, and the
-Monte Carlo distribution of transition frequencies.
+"""Quasi-static Gaussian noise: sampling, linewidth theory, the exact
+S0<->T0 noise average, and the Monte Carlo distribution of transition
+frequencies.
 
 Reproducibility contract: the draws of a model with seed ``s`` form one
 stream cut into blocks of :data:`DRAWS_PER_BLOCK`.  Block ``b`` is
@@ -31,6 +32,7 @@ __all__ = [
     "HistogramResult",
     "sample_noise",
     "linewidth_stats",
+    "st0_characteristic",
     "frequency_histogram",
 ]
 
@@ -111,6 +113,25 @@ def linewidth_stats(sigma_mhz, spec):
     )
     chi = sigma_st1 / sigma_st0 if sigma_st0 > 0 else math.inf
     return LinewidthStats(sigma_st1, sigma_st0, chi)
+
+
+def st0_characteristic(model, spec, t_us):
+    """Exact noise average <exp(2 pi i dw_st0 t)> of the S0<->T0 shift.
+
+    dw_st0 = sum_j c_j delta_j^2 (:func:`~zfepr.hamiltonians.st0_fluctuation`,
+    c_x = c_y = -a_perp/(a_par^2 - a_perp^2), c_z = 1/(2 a_perp)) is a sum of
+    scaled chi^2_1 variables, whose characteristic function is
+    prod_j (1 - 4 pi i c_j sigma_j^2 t)^(-1/2).  Each factor lies in the
+    right half-plane, so its principal root is continuous in t; the product
+    is taken of those roots, not rooted itself, because the product's phase
+    passes pi at long times when all c_j share a sign (a_perp > a_par).
+    ``t_us`` may be complex: the function is analytic for |t| below
+    1 / max_j |4 pi c_j sigma_j^2|.
+    """
+    scaled = st0_fluctuation(*np.eye(3), spec) * np.array(
+        [model.sigma_x_mhz, model.sigma_y_mhz, model.sigma_z_mhz]) ** 2
+    factors = 1.0 - 4j * math.pi * np.multiply.outer(t_us, scaled)
+    return 1.0 / np.prod(np.sqrt(factors), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,9 @@ from .hamiltonians import (
     _line,
     _noise_matrix_mhz,
     _sensor_offsets_mhz,
-    st0_fluctuation,
     target_levels_mhz,
 )
-from .noise import DRAWS_PER_BLOCK, sample_noise
+from .noise import DRAWS_PER_BLOCK, sample_noise, st0_characteristic
 from .pulses import Pulse, dephase, free, mw_2pi, mw_pi, nv_pulse, readout, rf_st0, rf_st1
 from .pulses import spinlock, spinlock_channel, u_st0, u_st1
 from .spectra import TimeSeries
@@ -137,16 +136,17 @@ def corr_rabi(transition, theta, tau_us, coupling_mhz):
     return (1.0 - cc) ** 2 * np.cos(theta) / 8.0 + 0.375 + cc / 4.0 + 0.375 * cc * cc
 
 
-def corr_ramsey_diff(transition, t_us, tau_us, coupling_mhz, noise=None,
-                     spec=None, n_draws=2000):
+def corr_ramsey_diff(transition, t_us, tau_us, coupling_mhz, noise=None, spec=None):
     """Differential correlation Ramsey signal (sig minus ref correlated term).
 
-    st1:  (1/4)(1-cos Ct)^2 <cos(dw t)> cos(w_st1 t), with the noise average
-    evaluated analytically from the Gaussian characteristic function
-    (dw = delta_z/2 -> envelope exp(-(pi sigma_z t)^2 / 2)).
+    (1/4)(1-cos Ct)^2 <cos(2 pi (w + dw) t)>, with the noise average in
+    closed form from the shift's characteristic function:
 
-    st0:  (1/4)(1-cos Ct)^2 <cos((w_st0 + dw_st0) t)>, averaged by Monte
-    Carlo because dw_st0 is a quadratic form of the noise.
+    st1:  dw = delta_z/2 is Gaussian -> envelope exp(-(pi sigma_z t)^2 / 2).
+
+    st0:  dw_st0 is a quadratic form of the noise -> the exact
+    :func:`~zfepr.noise.st0_characteristic` phi(t), complex because the
+    shift has a nonzero mean and a skewed distribution.
 
     The measured photoluminescence difference is half this value.
     """
@@ -154,45 +154,21 @@ def corr_ramsey_diff(transition, t_us, tau_us, coupling_mhz, noise=None,
     spec = spec or TargetSpec()
     center = spec.f_st1_mhz if transition == "st1" else spec.f_st0_mhz
     out = _ramsey_diff(transition, ((center, 1.0),), np.asarray(t_us, dtype=float),
-                       tau_us, coupling_mhz, spec, noise, n_draws)
+                       tau_us, coupling_mhz, spec, noise)
     return float(out) if np.isscalar(t_us) else out
 
 
-def _ramsey_diff(transition, lines, t, tau_us, coupling_mhz, spec, noise, n_draws):
+def _ramsey_diff(transition, lines, t, tau_us, coupling_mhz, spec, noise):
     """Differential Ramsey signal of a line given as (frequency, weight)
-    components: the st1 noise envelope is analytic, the st0 average is one
-    Monte Carlo pass shared by all components."""
+    components: amp * Re[sum_k w_k exp(2 pi i f_k t) env(t)], where env is
+    the noise average <exp(2 pi i dw t)> of the transition's shift (1 without
+    noise), shared by all components."""
     amp = 0.25 * (1.0 - np.cos(_phase(coupling_mhz, tau_us))) ** 2
-    if transition == "st0" and noise is not None:
-        averages = _averaged_cos([f for f, _ in lines], t, spec, noise, n_draws)
-        return amp * sum(w * avg for (_, w), avg in zip(lines, averages))
     env = 1.0
-    if transition == "st1" and noise is not None and noise.sigma_z_mhz > 0:
-        env = np.exp(-0.5 * (math.pi * noise.sigma_z_mhz * t) ** 2)
-    return amp * env * sum(w * np.cos(TWO_PI * f * t) for f, w in lines)
-
-
-def _mc_chunks(n_draws):
-    """Monte Carlo chunks, one noise block each: draws are sampled and
-    simulated a block at a time, and the chunk sums are added in index order,
-    which bounds memory and fixes the arithmetic for a given draw count."""
-    return [(i, min(i + DRAWS_PER_BLOCK, n_draws))
-            for i in range(0, n_draws, DRAWS_PER_BLOCK)]
-
-
-def _averaged_cos(freqs_mhz, t, spec, noise, n_draws):
-    """Monte Carlo <cos(2 pi (f + dw_st0) t)> for each frequency f, all from
-    one pass over the draws, with fixed-order accumulation."""
-    if n_draws < 1:
-        raise ValueError("need at least one draw")
-    totals = None
-    for i0, i1 in _mc_chunks(n_draws):
-        draws = sample_noise(noise, i1 - i0, start=i0)
-        dw = st0_fluctuation(draws[:, 0], draws[:, 1], draws[:, 2], spec)
-        parts = [np.cos(TWO_PI * np.multiply.outer(f + dw, t)).sum(axis=0)
-                 for f in freqs_mhz]
-        totals = parts if totals is None else [a + b for a, b in zip(totals, parts)]
-    return [total / n_draws for total in totals]
+    if noise is not None:
+        env = (np.exp(-0.5 * (math.pi * noise.sigma_z_mhz * t) ** 2) if transition == "st1"
+               else st0_characteristic(noise, spec, t))
+    return (amp * env * sum(w * np.exp(1j * (TWO_PI * f * t)) for f, w in lines)).real
 
 
 def corr_signal(phi1, phi2, variant="main"):
@@ -450,6 +426,14 @@ def simulate_alternative_correlation(manipulation, tau_us, spec, coupling, noise
 # Monte Carlo averaging and series synthesis
 # ---------------------------------------------------------------------------
 
+def _mc_chunks(n_draws):
+    """Monte Carlo chunks, one noise block each: draws are sampled and
+    simulated a block at a time, and the chunk sums are added in index order,
+    which bounds memory and fixes the arithmetic for a given draw count."""
+    return [(i, min(i + DRAWS_PER_BLOCK, n_draws))
+            for i in range(0, n_draws, DRAWS_PER_BLOCK)]
+
+
 def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
                        decay=None):
     """Noise-averaged signal of ``sequence_family(t)`` on a time grid.
@@ -474,16 +458,17 @@ def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
     return TimeSeries(times=t_grid, values=acc / n_draws)
 
 
-def synthesize_ramsey_series(transition, t_grid, spec, coupling_mhz, tau_us,
-                             noise=None, n_draws=2000):
+def synthesize_ramsey_series(transition, t_grid, spec, coupling_mhz, tau_us, noise=None):
     """Differential Ramsey time series from the closed forms, line structure
     included.
 
     The c13 doublet (st1) and the static offset doublet (st0) enter as
-    equal-weight cosine sums sharing one noise realization set, sampled once.
+    equal-weight sums of components that share the transition's exact noise
+    envelope (see :func:`corr_ramsey_diff`); no noise is sampled, so the
+    series is deterministic.
     """
     _check_transition(transition)
     t = np.asarray(t_grid, dtype=float)
     lines = _line(spec, transition, spec.f_st1_mhz if transition == "st1" else spec.f_st0_mhz)
-    values = _ramsey_diff(transition, lines, t, tau_us, coupling_mhz, spec, noise, n_draws)
+    values = _ramsey_diff(transition, lines, t, tau_us, coupling_mhz, spec, noise)
     return TimeSeries(times=t, values=values)

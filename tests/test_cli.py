@@ -99,7 +99,7 @@ def test_ramsey_plot_data_adds_dat_and_keeps_csv(command, headers, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["ramsey", "run.monte_carlo_n=0", "protocol.transition=st0", "noise.sigma_mhz=0.1"],
+    ["ramsey", "protocol.t_points=0"],
     ["compensate", "compensation.trials=0"],
     ["bsweep", "field.b_points=0"],
     ["rabi", "protocol.theta_points=0"],
@@ -212,6 +212,40 @@ def test_spinlock_duration_is_not_a_setting(tmp_path, capsys):
     assert "unknown override target 'protocol.lock_us'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ramsey", "spectrum"])
+def test_draw_count_is_not_a_setting(command, tmp_path, capsys):
+    # the closed form averages the noise exactly, so no draw count exists
+    assert main([command, "--out-dir", str(tmp_path), "--set", "run.monte_carlo_n=300"]) \
+        == EXIT_CONFIG
+    assert "unknown override target 'run.monte_carlo_n'" in capsys.readouterr().err
+    config = _config_file(tmp_path / "run.cfg", ["run.monte_carlo_n=300"])
+    assert main([command, config, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "unknown key 'monte_carlo_n' in section [run]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ramsey", "spectrum"])
+def test_noisy_st0_closed_form_does_not_depend_on_the_seed(command, tmp_path):
+    written = []
+    for seed in (5, 6):
+        out = tmp_path / str(seed)
+        argv = [command, "--seed", str(seed), "--out-dir", str(out),
+                "--set", "protocol.transition=st0", "--set", "noise.sigma_mhz=0.196",
+                "--set", "protocol.dt_us=0.15",
+                "--set", "protocol.band_lo_mhz=112.5", "--set", "protocol.band_hi_mhz=115.5"]
+        assert main(argv) == EXIT_OK
+        written.append({p.name: p.read_bytes() for p in out.iterdir() if p.suffix == ".csv"})
+    assert written[0] == written[1]
+
+
+def test_config_file_comments(tmp_path):
+    # whole lines starting with "#" or ";" are comments, and so is the rest
+    # of a line after a spaced "#"
+    path = tmp_path / "run.cfg"
+    path.write_text("; sweep settings\n[field]\n# five points\nb_points = 5 # inline\n")
+    assert main(["bsweep", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+    assert len((tmp_path / "out" / "bsweep.csv").read_text().splitlines()) == 6
+
+
 def test_seed_comes_from_the_command_line_or_config_only(tmp_path, monkeypatch):
     monkeypatch.setenv("ZFEPR_SEED", "5")
     assert main(["ramsey", "--out-dir", str(tmp_path)]) == EXIT_OK
@@ -230,24 +264,31 @@ def _config_file(path, settings):
     return str(path)
 
 
-@pytest.mark.parametrize("command, settings", [
+@pytest.mark.parametrize("command, settings, code", [
     ("ramsey", ["protocol.transition=st0", "noise.sigma_mhz=0.196", "protocol.t_points=16",
-                "target.st0_offset_doublet_mhz=-0.03,0.03", "run.monte_carlo_n=300",
-                "run.seed=7"]),
+                "target.st0_offset_doublet_mhz=-0.03,0.03", "run.seed=7"], EXIT_OK),
     ("deer", ["protocol.couplings=0.1:0.25,0.3:0.75", "decay.enabled=yes",
-              "decay.t2_nv_us=12", "protocol.tau_points=11"]),
+              "decay.t2_nv_us=12", "protocol.tau_points=11"], EXIT_OK),
     ("bsweep", ["target.orientations=0.5,0.2,0.5;1.0,2.0,0.5", "field.b_points=5",
-                "field.mode=exact", "field.direction=1,0,1"]),
-    ("bsweep", ["target.orientations=single", "field.b_points=5"]),
-], ids=["ramsey", "deer", "bsweep-triples", "bsweep-single"])
-def test_config_file_matches_overrides(command, settings, tmp_path):
+                "field.mode=exact", "field.direction=1,0,1"], EXIT_OK),
+    ("bsweep", ["target.orientations=single", "field.b_points=5"], EXIT_OK),
+    # a spaced ";" separates triples in a file too (weights sum to 1.5)
+    ("bsweep", ["target.orientations=0.5,0.2,1 ; 1.0,2.0,0.5", "field.b_points=5"],
+     EXIT_CONFIG),
+], ids=["ramsey", "deer", "bsweep-triples", "bsweep-single", "bsweep-spaced-semicolon"])
+def test_config_file_matches_overrides(command, settings, code, tmp_path, capsys):
     by_file, by_set = tmp_path / "file", tmp_path / "set"
     config = _config_file(tmp_path / "run.cfg", settings)
-    assert main([command, config, "--out-dir", str(by_file), "--plot-data"]) == EXIT_OK
+    assert main([command, config, "--out-dir", str(by_file), "--plot-data"]) == code
+    file_err = capsys.readouterr().err
     argv = [command, "--out-dir", str(by_set), "--plot-data"]
     for item in settings:
         argv += ["--set", item]
-    assert main(argv) == EXIT_OK
+    assert main(argv) == code
+    assert capsys.readouterr().err == file_err
+    if code != EXIT_OK:
+        assert "orientation weights must be >= 0 and sum to 1" in file_err
+        return
     names = sorted(p.name for p in by_file.iterdir())
     assert names == sorted(p.name for p in by_set.iterdir())
     for name in names:

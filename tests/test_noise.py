@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zfepr.hamiltonians import TargetSpec
+from zfepr.hamiltonians import TargetSpec, st0_fluctuation
 from zfepr.noise import (
     FWHM_PER_SIGMA,
     NoiseModel,
     frequency_histogram,
     linewidth_stats,
     sample_noise,
+    st0_characteristic,
 )
 
 
@@ -140,6 +141,75 @@ def test_histogram_st0_mean_matches_analytic_moments(spec):
     mean = -2 * sigma**2 * ap / (al**2 - ap**2) + sigma**2 / (2 * ap)
     se = hist.std / math.sqrt(n)
     assert abs(hist.mean - mean) < 5 * se
+
+
+#: (target, noise, times in us) for the S0<->T0 characteristic function: the
+#: paper's point out to a long record, anisotropic noise, and a_perp > a_par,
+#: where all three c_j share a sign and by 250 us the phases of the three
+#: factors 1 - 4 pi i c_j sigma_j^2 t add up past pi.
+ST0_CASES = {
+    "paper": (TargetSpec(), NoiseModel.isotropic(0.196, seed=31), (0.2, 60.0, 250.0, 1500.0)),
+    "anisotropic": (TargetSpec(), NoiseModel(0.1, 0.3, 0.2, seed=32), (0.2, 90.0, 700.0)),
+    "perp_above_par": (TargetSpec(a_perp_mhz=160.0, a_par_mhz=114.0),
+                       NoiseModel.isotropic(0.5, seed=33), (30.0, 250.0, 600.0)),
+}
+
+
+def _scaled_coefficients(spec, model):
+    """c_j sigma_j^2 per axis, each from the shift of a one-axis draw."""
+    widths = (model.sigma_x_mhz, model.sigma_y_mhz, model.sigma_z_mhz)
+    return np.array([st0_fluctuation(*(w if j == k else 0.0 for j, w in enumerate(widths)),
+                                     spec) for k in range(3)])
+
+
+@pytest.mark.parametrize("case", sorted(ST0_CASES))
+def test_st0_characteristic_matches_sampling(case):
+    # phi(t) = <exp(2 pi i dw_st0 t)> against 200,000 draws of the shift
+    spec, model, times = ST0_CASES[case]
+    t = np.array(times)
+    n = 200_000
+    draws = sample_noise(model, n)
+    dw = st0_fluctuation(draws[:, 0], draws[:, 1], draws[:, 2], spec)
+    samples = np.exp(2j * math.pi * np.multiply.outer(t, dw))
+    mean = samples.mean(axis=1)
+    se_re, se_im = samples.real.std(axis=1) / math.sqrt(n), samples.imag.std(axis=1) / math.sqrt(n)
+    phi = st0_characteristic(model, spec, t)
+    assert phi.shape == t.shape
+    assert np.all(np.abs(phi.real - mean.real) < 5 * se_re)
+    assert np.all(np.abs(phi.imag - mean.imag) < 5 * se_im)
+    if case == "perp_above_par":
+        # the root of the product takes the other branch once its phase
+        # passes pi, and the samples tell the two apart
+        factors = 1.0 - 4j * math.pi * np.multiply.outer(t, _scaled_coefficients(spec, model))
+        assert -np.angle(factors).sum(axis=1)[1] > math.pi
+        rooted_product = np.prod(factors, axis=1) ** -0.5
+        assert np.abs(rooted_product[1] - mean[1]) > 20 * max(se_re[1], se_im[1])
+
+
+@pytest.mark.parametrize("case", sorted(ST0_CASES))
+def test_st0_characteristic_cumulants(case):
+    # log phi(t) = sum_n kappa_n (2 pi i t)^n / n!; its Taylor coefficients at
+    # t = 0 come from 64 samples on a circle in the complex t plane, well
+    # inside the radius of convergence
+    spec, model, _ = ST0_CASES[case]
+    scaled = _scaled_coefficients(spec, model)
+    radius = 0.2 / (4 * math.pi * np.abs(scaled).max())
+    angles = 2 * math.pi * np.arange(64) / 64
+    log_phi = np.log(st0_characteristic(model, spec, radius * np.exp(1j * angles)))
+    a1, a2 = (np.mean(log_phi * np.exp(-1j * n * angles)) / radius**n for n in (1, 2))
+    kappa1, kappa2 = a1 / (2j * math.pi), -a2 / (2 * math.pi**2)
+    mean = st0_fluctuation(model.sigma_x_mhz, model.sigma_y_mhz, model.sigma_z_mhz, spec)
+    assert kappa1.real == pytest.approx(mean, rel=1e-12)
+    assert kappa2.real == pytest.approx(2 * (scaled**2).sum(), rel=1e-12)
+    assert abs(kappa1.imag) < 1e-12 * abs(mean) and abs(kappa2.imag) < 1e-12 * kappa2.real
+    if model.sigma_x_mhz == model.sigma_y_mhz == model.sigma_z_mhz:
+        sigma_st0 = linewidth_stats(model.sigma_x_mhz, spec).sigma_st0_mhz
+        assert math.sqrt(kappa2.real) == pytest.approx(sigma_st0, rel=1e-12)
+
+
+def test_st0_characteristic_without_noise_is_one(spec):
+    t = np.linspace(0.0, 500.0, 7)
+    assert np.array_equal(st0_characteristic(NoiseModel(), spec, t), np.ones(7))
 
 
 def test_histogram_validation(spec):

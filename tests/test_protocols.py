@@ -129,22 +129,14 @@ def test_corr_ramsey_diff_values(spec):
 
 
 def test_corr_ramsey_diff_scalar_time_with_noise(spec):
-    # the Monte Carlo average of a scalar time is a scalar, equal to the
-    # value of the one-point grid
+    # the noise average of a scalar time is a scalar, equal to the value of
+    # the one-point grid
     noise = NoiseModel.isotropic(0.1, seed=6)
     for transition in ("st0", "st1"):
-        scalar = corr_ramsey_diff(transition, 0.1, 5.0, 0.1, noise=noise, spec=spec,
-                                  n_draws=100)
-        grid = corr_ramsey_diff(transition, [0.1], 5.0, 0.1, noise=noise, spec=spec,
-                                n_draws=100)
+        scalar = corr_ramsey_diff(transition, 0.1, 5.0, 0.1, noise=noise, spec=spec)
+        grid = corr_ramsey_diff(transition, [0.1], 5.0, 0.1, noise=noise, spec=spec)
         assert isinstance(scalar, float)
         assert scalar == grid[0]
-
-
-def test_corr_ramsey_diff_rejects_zero_draws(spec):
-    with pytest.raises(ValueError):
-        corr_ramsey_diff("st0", 0.1, 5.0, 0.1, noise=NoiseModel.isotropic(0.1), spec=spec,
-                         n_draws=0)
 
 
 def test_corr_ramsey_gaussian_envelope_vs_quadrature(spec):
@@ -395,6 +387,35 @@ def test_monte_carlo_matches_gaussian_envelope(spec):
     assert z_scores.max() < 5.0
 
 
+def test_monte_carlo_matches_the_exact_st0_average(spec):
+    # S0<->T0 under isotropic noise: the simulator's Monte Carlo average
+    # against the closed form's exact average phi(t), out to 240 us, where
+    # the noise has moved the line's phase by 0.8 rad
+    sigma, n, tau, c = 0.196, 2048, 5.0, 0.1
+    noise = NoiseModel.isotropic(sigma, seed=21)
+    t_grid = 0.17 + 60.3 * np.arange(5)
+    families = [lambda t, k=k: correlation_ramsey_sequences("st0", t, tau)[k] for k in (0, 1)]
+    sig, ref = (monte_carlo_signal(f, t_grid, spec, c, noise, n).values for f in families)
+    closed = 0.5 * corr_ramsey_diff("st0", t_grid, tau, c, noise=noise, spec=spec)
+    # the per-draw spread of the simulated difference, from the first block
+    eig = zfepr.protocols._eigensystems(spec, c, sample_noise(noise, 512))
+    per_draw = np.subtract(*(zfepr.protocols._evolve([f(t) for t in t_grid], eig, None)
+                             for f in families))
+    se = per_draw.std(axis=1) / math.sqrt(n)
+    # the closed form applies the RF pulses to the noise-free states, but
+    # transverse noise mixes T0 into T+-1 at an amplitude d_perp / g,
+    # g = (a_par - a_perp)/2: each of the four RF pulses loses contrast of
+    # order <d_perp^2> / g^2 (2.4 of it in all, measured over 16,384 draws)
+    g = 0.5 * (spec.a_par_mhz - spec.a_perp_mhz)
+    amplitude = 0.5 * 0.25 * (1 - math.cos(TWO_PI * c * tau)) ** 2
+    model_error = amplitude * 4.0 * 2 * sigma**2 / g**2
+    bound = 6 * se + model_error
+    assert np.all(np.abs(sig - ref - closed) < bound)
+    # without the noise average the comparison fails past the first time
+    bare = 0.5 * corr_ramsey_diff("st0", t_grid, tau, c, spec=spec)
+    assert np.all((np.abs(sig - ref - bare) > bound)[1:])
+
+
 def test_monte_carlo_standard_error_scaling(spec):
     # the standard error of the draw mean halves when the draw count doubles
     noise = NoiseModel(0.0, 0.0, 0.196, seed=5)
@@ -535,35 +556,24 @@ def test_synthesize_uses_the_zero_field_lines_of_the_sweep():
         assert np.abs(series.values - expected).max() < 1e-12
 
 
-def test_synthesize_doublet_samples_each_draw_once(spec, monkeypatch):
+def test_synthesize_samples_no_noise(spec, monkeypatch):
+    # the S0<->T0 noise average is closed form: no draw is sampled, the seed
+    # does not matter, and the doublet's components share one envelope
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form sampled noise")
+
+    monkeypatch.setattr(zfepr.protocols, "sample_noise", refuse)
+    monkeypatch.setattr(zfepr.noise.np.random, "default_rng", refuse)
     spec2 = TargetSpec(st0_offset_doublet_mhz=(-0.03, 0.03))
-    requested = []
-
-    def counting(model, n, start=0):
-        requested.append(n)
-        return sample_noise(model, n, start)
-
-    monkeypatch.setattr(zfepr.protocols, "sample_noise", counting)
-    noise = NoiseModel.isotropic(0.196, seed=4)
-    synthesize_ramsey_series("st0", np.linspace(0, 2, 16), spec2, 0.25, 4.0,
-                             noise=noise, n_draws=1100)
-    assert sum(requested) == 1100
-
-
-def test_synthesize_builds_one_generator_per_block(spec, monkeypatch):
-    # 2000 draws are four chunks of 512 (the last one short), one generator each
-    default_rng = zfepr.noise.np.random.default_rng
-    built = []
-
-    def counting(seed):
-        built.append(seed)
-        return default_rng(seed)
-
-    monkeypatch.setattr(zfepr.noise.np.random, "default_rng", counting)
-    noise = NoiseModel.isotropic(0.196, seed=4)
-    synthesize_ramsey_series("st0", np.linspace(0, 2, 16), spec, 0.25, 4.0,
-                             noise=noise, n_draws=2000)
-    assert len(built) == 4
+    t = np.linspace(0, 2, 16)
+    series = [synthesize_ramsey_series("st0", t, spec2, 0.25, 4.0,
+                                       noise=NoiseModel.isotropic(0.196, seed=seed))
+              for seed in (4, 5)]
+    assert np.array_equal(series[0].values, series[1].values)
+    # a symmetric doublet is the single line times cos(2 pi 0.03 t)
+    single = corr_ramsey_diff("st0", t, 4.0, 0.25, noise=NoiseModel.isotropic(0.196),
+                              spec=spec2)
+    assert np.abs(series[0].values - single * np.cos(TWO_PI * 0.03 * t)).max() < 1e-12
 
 
 def test_synthesize_st0_outlives_st1(spec):
