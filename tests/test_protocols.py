@@ -556,24 +556,43 @@ def test_synthesize_uses_the_zero_field_lines_of_the_sweep():
         assert np.abs(series.values - expected).max() < 1e-12
 
 
-def test_synthesize_samples_no_noise(spec, monkeypatch):
-    # the S0<->T0 noise average is closed form: no draw is sampled, the seed
-    # does not matter, and the doublet's components share one envelope
-    def refuse(*args, **kwargs):
-        raise AssertionError("the closed form sampled noise")
+def test_synthesize_doublet_samples_each_draw_once(spec, monkeypatch):
+    # the doublet's components share one noise average, taken in closed form:
+    # no draw is sampled for either component, and the doublet is the single
+    # line times cos(2 pi 0.03 t)
+    requested = []
 
-    monkeypatch.setattr(zfepr.protocols, "sample_noise", refuse)
-    monkeypatch.setattr(zfepr.noise.np.random, "default_rng", refuse)
+    def counting(model, n, start=0):
+        requested.append(n)
+        return sample_noise(model, n, start)
+
+    monkeypatch.setattr(zfepr.protocols, "sample_noise", counting)
     spec2 = TargetSpec(st0_offset_doublet_mhz=(-0.03, 0.03))
     t = np.linspace(0, 2, 16)
-    series = [synthesize_ramsey_series("st0", t, spec2, 0.25, 4.0,
+    noise = NoiseModel.isotropic(0.196, seed=4)
+    series = synthesize_ramsey_series("st0", t, spec2, 0.25, 4.0, noise=noise)
+    assert sum(requested) == 0
+    single = corr_ramsey_diff("st0", t, 4.0, 0.25, noise=noise, spec=spec2)
+    assert np.abs(series.values - single * np.cos(TWO_PI * 0.03 * t)).max() < 1e-12
+
+
+def test_synthesize_builds_one_generator_per_block(spec, monkeypatch):
+    # the closed form samples no block of draws, so it builds no generator,
+    # and the seed changes nothing
+    default_rng = zfepr.noise.np.random.default_rng
+    built = []
+
+    def counting(seed):
+        built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(zfepr.noise.np.random, "default_rng", counting)
+    t = np.linspace(0, 2, 16)
+    series = [synthesize_ramsey_series("st0", t, spec, 0.25, 4.0,
                                        noise=NoiseModel.isotropic(0.196, seed=seed))
               for seed in (4, 5)]
+    assert len(built) == 0
     assert np.array_equal(series[0].values, series[1].values)
-    # a symmetric doublet is the single line times cos(2 pi 0.03 t)
-    single = corr_ramsey_diff("st0", t, 4.0, 0.25, noise=NoiseModel.isotropic(0.196),
-                              spec=spec2)
-    assert np.abs(series[0].values - single * np.cos(TWO_PI * 0.03 * t)).max() < 1e-12
 
 
 def test_synthesize_st0_outlives_st1(spec):
