@@ -11,7 +11,6 @@ brute-force density matrix evolution and its Monte Carlo noise average.
 
 from .constants import DIPOLAR_K_MHZ_NM3, GAMMA_E_MHZ_PER_G, NV_ZFS_MHZ
 from .fields import (
-    BsweepPoint,
     CenterFitError,
     CoilConfig,
     CompensationResult,
@@ -24,7 +23,7 @@ from .fields import (
     odmr_linewidth_model,
     simulate_odmr_scan,
 )
-from .fitting import FitError, FitResult, GaussianPeak, fit_gaussians, format_fit_report
+from .fitting import FitError, FitResult, GaussianPeak, fit_gaussians
 from .hamiltonians import (
     DegenerateCrossingError,
     DipolarGeometry,
@@ -90,9 +89,6 @@ from .spectra import (
     Spectrum,
     TimeSeries,
     dft_spectrum,
-    write_csv,
-    write_spectrum_csv,
-    write_timeseries_csv,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,10 @@
 """Config-driven experiment runner.
 
 Every protocol and analysis is a subcommand; parameters come from a flat,
-sectioned key = value file plus ``--set section.key=value`` overrides.  Each
-run writes CSV data files and a JSON summary into the output directory.
+sectioned key = value file plus ``--set section.key=value`` overrides.  A
+subcommand computes its results and returns them by file name: CSV tables, a
+JSON summary and text reports.  ``main`` writes every file a subcommand
+returns into the output directory; a failed run writes none.
 
 Units everywhere: frequencies MHz, times us, fields Gauss, angles rad,
 currents A.
@@ -21,15 +23,8 @@ import numpy as np
 
 from . import __version__
 from .constants import FWHM_PER_SIGMA
-from .fields import (
-    CoilConfig,
-    ScanPlan,
-    bsweep,
-    compensate_3axis,
-    format_compensation_report,
-    write_bsweep_csv,
-)
-from .fitting import FitError, fit_gaussians, format_fit_report
+from .fields import CoilConfig, ScanPlan, bsweep, compensate_3axis
+from .fitting import FitError, fit_gaussians
 from .hamiltonians import (
     DegenerateCrossingError,
     FieldVector,
@@ -56,13 +51,7 @@ from .protocols import (
     synthesize_ramsey_series,
 )
 from .pulses import DecayModel
-from .spectra import (
-    FoldAmbiguityError,
-    dft_spectrum,
-    write_csv,
-    write_spectrum_csv,
-    write_timeseries_csv,
-)
+from .spectra import FoldAmbiguityError, dft_spectrum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,6 +66,10 @@ class ConfigError(Exception):
 
 
 class NumericalError(Exception):
+    pass
+
+
+class SelftestFailure(Exception):
     pass
 
 
@@ -213,6 +206,13 @@ def load_config(path, overrides=()):
             raise ConfigError(f"unknown override target {target!r}")
         raw.setdefault(section, {})[key] = value
 
+    noise = raw.get("noise", {})
+    axes = [f"noise.{key}" for key in ("sigma_x_mhz", "sigma_y_mhz", "sigma_z_mhz")
+            if key in noise]
+    if "sigma_mhz" in noise and axes:
+        raise ConfigError(f"noise.sigma_mhz cannot be set together with {', '.join(axes)}; "
+                          "give the isotropic width or the per-axis widths")
+
     config = {}
     for section, keys in _SCHEMA.items():
         config[section] = {}
@@ -257,40 +257,92 @@ def _resolve_seed(args, config):
     return DEFAULT_SEED
 
 
-def _write_json(path, payload):
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write(out_dir, files, plot_data):
+    """Write ``{name: content}`` into ``out_dir``, made if there is a file.
+
+    A (header, columns) table becomes CSV with numbers as ``%.12g``, plus,
+    with ``plot_data``, a whitespace-delimited ``.dat`` twin whose header
+    line is commented with ``#``.  A dict becomes sorted JSON, a string
+    plain text.
+    """
+    def table(header, rows, sep, prefix):
+        yield prefix + sep.join(header) + "\n"
+        for row in rows:
+            yield sep.join(row) + "\n"
+
+    if files:
+        os.makedirs(out_dir, exist_ok=True)
+    for name, content in files.items():
+        path = os.path.join(out_dir, name)
+        if isinstance(content, dict):
+            content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+        if isinstance(content, str):
+            targets = {path: [content]}
+        else:
+            header, columns = content
+            rows = [[f"{x:.12g}" for x in row] for row in zip(*columns)]
+            targets = {path: table(header, rows, ",", "")}
+            if plot_data:
+                targets[os.path.splitext(path)[0] + ".dat"] = table(header, rows, " ", "# ")
+        for target, chunks in targets.items():
+            with open(target, "w", newline="\n") as fh:
+                fh.writelines(chunks)
 
 
-def _out(args, config, name):
-    out_dir = args.out_dir or config["run"]["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+def format_fit_report(result, label="spectrum"):
+    """Structured-text fit report: one line per peak with standard errors."""
+    lines = [
+        f"# gaussian fit: {label}",
+        f"peaks = {result.m}",
+        f"baseline = {result.baseline:.6g}",
+        f"residual_norm = {result.residual_norm:.6g}",
+        f"converged = {str(result.converged).lower()}",
+    ]
+    for i, p in enumerate(result.peaks, start=1):
+        lines.append(
+            f"peak{i}: center_MHz = {p.center_mhz:.6f} +- {p.center_se_mhz:.6f}"
+            f" ; fwhm_MHz = {p.fwhm_mhz:.6f} +- {p.fwhm_se_mhz:.6f}"
+            f" ; amplitude = {p.amplitude:.6g} +- {p.amplitude_se:.3g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def format_compensation_report(result):
+    """Per-axis applied current and fit error, then the residual field."""
+    lines = ["# three-axis compensation"]
+    for axis in ("Z", "Y", "X"):
+        lines.append(
+            f"axis {axis}: current_A = {result.currents_a[axis]:+.6f}"
+            f" ; fit_error_A = {result.fit_errors_a[axis]:.6f}"
+        )
+    rx, ry, rz = result.residual_g
+    lines.append(f"residual_G = ({rx:+.6f}, {ry:+.6f}, {rz:+.6f})")
+    lines.append(f"residual_abs_G = {np.abs(result.residual_g).max():.6f} (max axis)")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_deer(args, config, seed):
+def _cmd_deer(config, seed):
     p = config["protocol"]
     decay = _decay_model(config)
     taus = np.linspace(p["tau_start_us"], p["tau_stop_us"], p["tau_points"])
     signal = np.array([deer_signal(tau, p["couplings"], decay) for tau in taus])
-    write_csv(_out(args, config, "deer.csv"), ("tau_us", "signal"),
-              (taus, signal), args.plot_data)
-    _write_json(_out(args, config, "deer_summary.json"), {
-        "couplings_mhz": p["couplings"],
-        "decay_enabled": decay is not None,
-        "signal_min": float(signal.min()),
-        "signal_max": float(signal.max()),
-        "points": len(taus),
-    })
-    return EXIT_OK
+    return {
+        "deer.csv": (("tau_us", "signal"), (taus, signal)),
+        "deer_summary.json": {
+            "couplings_mhz": p["couplings"],
+            "decay_enabled": decay is not None,
+            "signal_min": float(signal.min()),
+            "signal_max": float(signal.max()),
+            "points": len(taus),
+        },
+    }
 
 
-def _cmd_rabi(args, config, seed):
+def _cmd_rabi(config, seed):
     p = config["protocol"]
     spec = _target_spec(config)
     if isinstance(p["couplings"], tuple):
@@ -305,18 +357,18 @@ def _cmd_rabi(args, config, seed):
         spec, p["couplings"])
     if abs(check - signal[len(thetas) // 2]) > 1e-8:
         raise NumericalError("closed form disagrees with simulator")
-    write_csv(_out(args, config, "rabi.csv"), ("theta_rad", "signal"),
-              (thetas, signal), args.plot_data)
-    _write_json(_out(args, config, "rabi_summary.json"), {
-        "transition": p["transition"],
-        "coupling_mhz": p["couplings"],
-        "tau_us": p["tau_us"],
-        "contrast": float(signal.max() - signal.min()),
-    })
-    return EXIT_OK
+    return {
+        "rabi.csv": (("theta_rad", "signal"), (thetas, signal)),
+        "rabi_summary.json": {
+            "transition": p["transition"],
+            "coupling_mhz": p["couplings"],
+            "tau_us": p["tau_us"],
+            "contrast": float(signal.max() - signal.min()),
+        },
+    }
 
 
-def _ramsey_series(args, config, seed):
+def _ramsey_series(config, seed):
     p = config["protocol"]
     spec = _target_spec(config)
     noise = _noise_model(config, seed)
@@ -327,24 +379,29 @@ def _ramsey_series(args, config, seed):
     t_grid = p["t_start_us"] + p["dt_us"] * np.arange(p["t_points"])
     series = synthesize_ramsey_series(p["transition"], t_grid, spec, p["couplings"],
                                       p["tau_us"], noise=noise)
-    return series, spec, noise
+    return series, noise
 
 
-def _cmd_ramsey(args, config, seed):
-    series, spec, noise = _ramsey_series(args, config, seed)
-    write_timeseries_csv(series, _out(args, config, "ramsey.csv"), args.plot_data)
-    _write_json(_out(args, config, "ramsey_summary.json"), {
-        "transition": config["protocol"]["transition"],
-        "points": len(series),
-        "dt_us": series.dt,
-        "noise": None if noise is None else
-            [noise.sigma_x_mhz, noise.sigma_y_mhz, noise.sigma_z_mhz],
-        "seed": seed,
-    })
-    return EXIT_OK
+def _ramsey_table(series):
+    return ("t_us", "signal"), (series.times, series.values)
 
 
-def _cmd_spectrum(args, config, seed):
+def _cmd_ramsey(config, seed):
+    series, noise = _ramsey_series(config, seed)
+    return {
+        "ramsey.csv": _ramsey_table(series),
+        "ramsey_summary.json": {
+            "transition": config["protocol"]["transition"],
+            "points": len(series),
+            "dt_us": series.dt,
+            "noise": None if noise is None else
+                [noise.sigma_x_mhz, noise.sigma_y_mhz, noise.sigma_z_mhz],
+            "seed": seed,
+        },
+    }
+
+
+def _cmd_spectrum(config, seed):
     p = config["protocol"]
     lo, hi = p["band_lo_mhz"], p["band_hi_mhz"]
     if (lo is None) != (hi is None):
@@ -352,39 +409,39 @@ def _cmd_spectrum(args, config, seed):
         raise ConfigError(f"protocol.band_{missing}_mhz is required when "
                           f"protocol.band_{given}_mhz is set")
     band = None if lo is None else (lo, hi)
-    series, spec, noise = _ramsey_series(args, config, seed)
+    series, _ = _ramsey_series(config, seed)
     spectrum = dft_spectrum(series, band_hint=band)
     m = p["m_gaussians"]
     fit = fit_gaussians(spectrum, m if m == "auto" else int(m))
     if not fit.converged:
         raise NumericalError("gaussian fit did not converge")
 
-    write_timeseries_csv(series, _out(args, config, "ramsey.csv"), args.plot_data)
-    write_spectrum_csv(spectrum, _out(args, config, "spectrum.csv"), args.plot_data)
-    with open(_out(args, config, "spectrum_fit.txt"), "w", newline="\n") as fh:
-        fh.write(format_fit_report(fit, label=p["transition"]))
-    _write_json(_out(args, config, "spectrum_summary.json"), {
-        "transition": p["transition"],
-        "band_origin_mhz": spectrum.band_origin,
-        "m": fit.m,
-        "residual_norm": fit.residual_norm,
-        "peaks": [
-            {
-                "center_mhz": pk.center_mhz,
-                "center_se_mhz": pk.center_se_mhz,
-                "fwhm_mhz": pk.fwhm_mhz,
-                "fwhm_se_mhz": pk.fwhm_se_mhz,
-                "amplitude": pk.amplitude,
-                "amplitude_se": pk.amplitude_se,
-            }
-            for pk in fit.peaks
-        ],
-        "seed": seed,
-    })
-    return EXIT_OK
+    return {
+        "ramsey.csv": _ramsey_table(series),
+        "spectrum.csv": (("freq_MHz", "amplitude"), (spectrum.freqs, spectrum.amps)),
+        "spectrum_fit.txt": format_fit_report(fit, label=p["transition"]),
+        "spectrum_summary.json": {
+            "transition": p["transition"],
+            "band_origin_mhz": spectrum.band_origin,
+            "m": fit.m,
+            "residual_norm": fit.residual_norm,
+            "peaks": [
+                {
+                    "center_mhz": pk.center_mhz,
+                    "center_se_mhz": pk.center_se_mhz,
+                    "fwhm_mhz": pk.fwhm_mhz,
+                    "fwhm_se_mhz": pk.fwhm_se_mhz,
+                    "amplitude": pk.amplitude,
+                    "amplitude_se": pk.amplitude_se,
+                }
+                for pk in fit.peaks
+            ],
+            "seed": seed,
+        },
+    }
 
 
-def _cmd_bsweep(args, config, seed):
+def _cmd_bsweep(config, seed):
     f = config["field"]
     spec = _target_spec(config)
     direction = np.asarray(f["direction"], dtype=float)
@@ -395,20 +452,23 @@ def _cmd_bsweep(args, config, seed):
     b_values = np.linspace(f["b_start_g"], f["b_stop_g"], f["b_points"])
     if f["mode"] not in ("perturbative", "exact"):
         raise ConfigError(f"unknown field mode {f['mode']!r}")
-    points = bsweep(spec, b_values, direction, mode=f["mode"])
-    write_bsweep_csv(points, _out(args, config, "bsweep.csv"), args.plot_data)
-    _write_json(_out(args, config, "bsweep_summary.json"), {
-        "mode": f["mode"],
-        "direction": list(direction),
-        "b_range_g": [float(b_values[0]), float(b_values[-1])],
-        "st1_split_mhz_at_max_b": points[-1].f_st1_high - points[-1].f_st1_low,
-        "st0_shift_mhz_at_max_b": 0.5 * (points[-1].f_st0_low + points[-1].f_st0_high)
-            - 0.5 * (points[0].f_st0_low + points[0].f_st0_high),
-    })
-    return EXIT_OK
+    table = bsweep(spec, b_values, direction, mode=f["mode"])
+    _, st1_low, st1_high, st0_low, st0_high = table.T
+    return {
+        "bsweep.csv": (("B_Gauss", "f_ST1_low", "f_ST1_high", "f_ST0_low", "f_ST0_high"),
+                       table.T),
+        "bsweep_summary.json": {
+            "mode": f["mode"],
+            "direction": list(direction),
+            "b_range_g": [float(b_values[0]), float(b_values[-1])],
+            "st1_split_mhz_at_max_b": st1_high[-1] - st1_low[-1],
+            "st0_shift_mhz_at_max_b": 0.5 * (st0_low[-1] + st0_high[-1])
+                - 0.5 * (st0_low[0] + st0_high[0]),
+        },
+    }
 
 
-def _cmd_compensate(args, config, seed):
+def _cmd_compensate(config, seed):
     c = config["compensation"]
     coil = CoilConfig(coefficient_g_per_a=c["coefficient_g_per_a"],
                       current_stability_a=c["current_stability_a"])
@@ -426,24 +486,22 @@ def _cmd_compensate(args, config, seed):
             first = result
         rows.append((trial, result.currents_a["X"], result.currents_a["Y"],
                      result.currents_a["Z"], *result.residual_g))
-    cols = list(zip(*rows))
-    write_csv(_out(args, config, "compensate.csv"),
-              ("trial", "I_X_A", "I_Y_A", "I_Z_A",
-               "residual_x_G", "residual_y_G", "residual_z_G"),
-              cols, args.plot_data)
-    with open(_out(args, config, "compensate_report.txt"), "w", newline="\n") as fh:
-        fh.write(format_compensation_report(first))
     residuals = np.array([row[4:] for row in rows])
-    _write_json(_out(args, config, "compensate_summary.json"), {
-        "trials": c["trials"],
-        "rms_residual_g": [float(x) for x in np.sqrt((residuals**2).mean(axis=0))],
-        "max_fit_error_a": max(first.fit_errors_a.values()),
-        "seed": seed,
-    })
-    return EXIT_OK
+    return {
+        "compensate.csv": (("trial", "I_X_A", "I_Y_A", "I_Z_A",
+                            "residual_x_G", "residual_y_G", "residual_z_G"),
+                           list(zip(*rows))),
+        "compensate_report.txt": format_compensation_report(first),
+        "compensate_summary.json": {
+            "trials": c["trials"],
+            "rms_residual_g": [float(x) for x in np.sqrt((residuals**2).mean(axis=0))],
+            "max_fit_error_a": max(first.fit_errors_a.values()),
+            "seed": seed,
+        },
+    }
 
 
-def _cmd_linewidth(args, config, seed):
+def _cmd_linewidth(config, seed):
     spec = _target_spec(config)
     n = config["noise"]
     sigma = n["sigma_mhz"]
@@ -459,13 +517,12 @@ def _cmd_linewidth(args, config, seed):
         "chi": stats.chi if math.isfinite(stats.chi) else "inf",
         "fwhm_st1_mhz": stats.sigma_st1_mhz * FWHM_PER_SIGMA,
     }
-    _write_json(_out(args, config, "linewidth_summary.json"), payload)
     for key, value in payload.items():
         print(f"{key} = {value}")
-    return EXIT_OK
+    return {"linewidth_summary.json": payload}
 
 
-def _cmd_selftest(args, config, seed):
+def _cmd_selftest(config, seed):
     spec = _target_spec(config)
     rng = np.random.default_rng(seed)
     failures = []
@@ -527,10 +584,9 @@ def _cmd_selftest(args, config, seed):
     check(f"perturbative vs exact shifts ({worst:.2e} MHz)", worst < 1e-3)
 
     if failures:
-        print(f"selftest: {len(failures)} failure(s)")
-        return EXIT_SELFTEST
+        raise SelftestFailure(f"{len(failures)} failure(s)")
     print("selftest: all checks passed")
-    return EXIT_OK
+    return {}
 
 
 _COMMANDS = {
@@ -551,7 +607,7 @@ CSV columns and units:
   ramsey.csv      t_us, signal                    (differential)
   spectrum.csv    freq_MHz, amplitude
   bsweep.csv      B_Gauss, f_ST1_low, f_ST1_high, f_ST0_low, f_ST0_high  (MHz)
-  compensate.csv  trial, I_X_A, I_Y_A, I_Z_A, residual_{x,y,z}_G
+  compensate.csv  trial, I_X_A, I_Y_A, I_Z_A, residual_x_G, residual_y_G, residual_z_G
 
 The config file is sectioned key = value text: [section] headers over
 key = value lines, with the sections and keys of --set.  Lines starting
@@ -588,11 +644,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, args.overrides)
-        if config["decay"]["enabled"] and args.command in ("rabi", "ramsey", "spectrum"):
+        if config["decay"]["enabled"] and args.command != "deer":
             raise ConfigError(f"{args.command} has no decay model; decay.enabled is for deer")
-        seed = _resolve_seed(args, config)
         handler, _ = _COMMANDS[args.command]
-        return handler(args, config, seed)
+        files = handler(config, _resolve_seed(args, config))
+    except SelftestFailure as exc:
+        print(f"selftest: {exc}")
+        return EXIT_SELFTEST
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -603,6 +661,8 @@ def main(argv=None):
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    _write(args.out_dir or config["run"]["out_dir"], files, args.plot_data)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

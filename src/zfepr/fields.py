@@ -17,7 +17,6 @@ import numpy as np
 from .constants import GAMMA_E_MHZ_PER_G
 from .fitting import FitError, levenberg_marquardt
 from .hamiltonians import FieldVector, transitions_vs_field
-from .spectra import write_csv
 
 __all__ = [
     "CoilConfig",
@@ -25,15 +24,12 @@ __all__ = [
     "OdmrScan",
     "CompensationResult",
     "CenterFitError",
-    "BsweepPoint",
     "NV_AXES",
     "bsweep",
-    "write_bsweep_csv",
     "odmr_linewidth_model",
     "find_symmetric_center",
     "simulate_odmr_scan",
     "compensate_3axis",
-    "format_compensation_report",
 ]
 
 _S6 = math.sqrt(6.0)
@@ -238,37 +234,16 @@ def compensate_3axis(true_field, coil, plan=ScanPlan(), seed=0):
     return CompensationResult(currents_a=currents, fit_errors_a=fit_errors, residual_g=b)
 
 
-def format_compensation_report(result):
-    lines = ["# three-axis compensation"]
-    for axis in ("Z", "Y", "X"):
-        lines.append(
-            f"axis {axis}: current_A = {result.currents_a[axis]:+.6f}"
-            f" ; fit_error_A = {result.fit_errors_a[axis]:.6f}"
-        )
-    rx, ry, rz = result.residual_g
-    lines.append(f"residual_G = ({rx:+.6f}, {ry:+.6f}, {rz:+.6f})")
-    lines.append(f"residual_abs_G = {np.abs(result.residual_g).max():.6f} (max axis)")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # field-dependence sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BsweepPoint:
-    """The lowest and highest S0<->T+-1 and S0<->T0 line frequencies (MHz)
-    over all orientations at one field magnitude ``b_g`` (G)."""
-
-    b_g: float
-    f_st1_low: float
-    f_st1_high: float
-    f_st0_low: float
-    f_st0_high: float
-
-
 def bsweep(spec, b_values_g, direction, mode="perturbative"):
     """Transition frequencies versus field magnitude along ``direction``.
+
+    Returns an (n, 5) array with one row per field magnitude: the magnitude
+    (G), then the lowest and highest S0<->T+-1 and the lowest and highest
+    S0<->T0 line frequencies (MHz) over all orientations.
 
     ``direction`` must be a unit vector.  Along the surface normal of a
     (001) sample all four defect orientations project equally
@@ -285,21 +260,11 @@ def bsweep(spec, b_values_g, direction, mode="perturbative"):
     direction = np.asarray(direction, dtype=float)
     if abs(np.linalg.norm(direction) - 1.0) > 1e-6:
         raise ValueError("direction must be a unit vector")
-    points = []
+    rows = []
     for b in np.asarray(b_values_g, dtype=float):
         lines = transitions_vs_field(FieldVector(*(b * direction)), spec, mode=mode)
         f1 = [f for orientation in lines for f, _ in orientation.st1]
         f0 = [f for orientation in lines for f, _ in orientation.st0]
-        points.append(BsweepPoint(
-            b_g=float(b),
-            f_st1_low=min(f1), f_st1_high=max(f1),
-            f_st0_low=min(f0), f_st0_high=max(f0),
-        ))
-    return points
+        rows.append((b, min(f1), max(f1), min(f0), max(f0)))
+    return np.array(rows)
 
-
-def write_bsweep_csv(points, path, plot_data=False):
-    """CSV columns: B_Gauss, f_ST1_low, f_ST1_high, f_ST0_low, f_ST0_high."""
-    rows = [(p.b_g, p.f_st1_low, p.f_st1_high, p.f_st0_low, p.f_st0_high) for p in points]
-    write_csv(path, ("B_Gauss", "f_ST1_low", "f_ST1_high", "f_ST0_low", "f_ST0_high"),
-              list(zip(*rows)), plot_data)

@@ -21,7 +21,6 @@ __all__ = [
     "LMResult",
     "levenberg_marquardt",
     "fit_gaussians",
-    "format_fit_report",
 ]
 
 
@@ -163,7 +162,8 @@ def _initial_guess(freqs, amps, m):
     interior = amps[1:-1]
     is_max = (interior >= amps[:-2]) & (interior > amps[2:])
     candidates = list((np.nonzero(is_max)[0] + 1)[np.argsort(amps[np.nonzero(is_max)[0] + 1])[::-1]])
-    candidates += [i for i in np.argsort(amps)[::-1] if i not in set(candidates)]
+    picked = set(candidates)
+    candidates += [i for i in np.argsort(amps)[::-1] if i not in picked]
 
     # greedy pick by height, masking out each picked peak's half-max
     # footprint so noise bumps on one line cannot seed two components
@@ -276,20 +276,3 @@ def fit_gaussians(spectrum, m="auto"):
         raise FitError("no acceptable fit found: the one-peak candidate failed")
     return best
 
-
-def format_fit_report(result, label="spectrum"):
-    """Structured-text fit report: one line per peak with standard errors."""
-    lines = [
-        f"# gaussian fit: {label}",
-        f"peaks = {result.m}",
-        f"baseline = {result.baseline:.6g}",
-        f"residual_norm = {result.residual_norm:.6g}",
-        f"converged = {str(result.converged).lower()}",
-    ]
-    for i, p in enumerate(result.peaks, start=1):
-        lines.append(
-            f"peak{i}: center_MHz = {p.center_mhz:.6f} +- {p.center_se_mhz:.6f}"
-            f" ; fwhm_MHz = {p.fwhm_mhz:.6f} +- {p.fwhm_se_mhz:.6f}"
-            f" ; amplitude = {p.amplitude:.6g} +- {p.amplitude_se:.3g}"
-        )
-    return "\n".join(lines) + "\n"

@@ -7,7 +7,6 @@ frequency, the fold index is recovered and the frequency axis relabeled; the
 hint must select exactly one fold, otherwise unfolding refuses to guess.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +16,6 @@ __all__ = [
     "Spectrum",
     "FoldAmbiguityError",
     "dft_spectrum",
-    "write_csv",
-    "write_timeseries_csv",
-    "write_spectrum_csv",
 ]
 
 
@@ -129,27 +125,3 @@ def dft_spectrum(series, band_hint=None):
         freqs = freqs + origin
     return Spectrum(freqs=freqs, amps=amps, band_origin=origin)
 
-
-def write_csv(path, header, columns, plot_data=False):
-    """CSV of equal-length ``columns`` under the ``header`` names, numbers
-    as ``%.12g``.  ``plot_data`` also writes a whitespace-delimited ``.dat``
-    twin whose header line is commented with ``#``."""
-    rows = [[f"{x:.12g}" for x in row] for row in zip(*columns)]
-    files = [(path, ",", "")]
-    if plot_data:
-        files.append((os.path.splitext(path)[0] + ".dat", " ", "# "))
-    for target, sep, prefix in files:
-        with open(target, "w", newline="\n") as fh:
-            fh.write(prefix + sep.join(header) + "\n")
-            for row in rows:
-                fh.write(sep.join(row) + "\n")
-
-
-def write_timeseries_csv(series, path, plot_data=False):
-    """CSV with columns t_us, signal."""
-    write_csv(path, ("t_us", "signal"), (series.times, series.values), plot_data)
-
-
-def write_spectrum_csv(spectrum, path, plot_data=False):
-    """CSV with columns freq_MHz, amplitude."""
-    write_csv(path, ("freq_MHz", "amplitude"), (spectrum.freqs, spectrum.amps), plot_data)

@@ -8,7 +8,7 @@ import pytest
 
 import zfepr
 import zfepr.fields
-from zfepr.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from zfepr.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 
 # subcommand -> (files written on the default config, keys of its summary JSON)
 DEFAULT_RUNS = {
@@ -36,6 +36,12 @@ def test_default_config_runs(command, tmp_path):
     files, keys = DEFAULT_RUNS[command]
     assert main([command, "--out-dir", str(tmp_path)]) == EXIT_OK
     assert sorted(p.name for p in tmp_path.iterdir()) == files
+    # the --help epilog lists every CSV's columns
+    epilog = build_parser().epilog.splitlines()
+    for name in (f for f in files if f.endswith(".csv")):
+        header = (tmp_path / name).read_text().splitlines()[0]
+        listed = [line for line in epilog if line.split()[:1] == [name]]
+        assert len(listed) == 1 and ", ".join(header.split(",")) in listed[0]
     if keys is not None:
         summary = json.loads((tmp_path / f"{command}_summary.json").read_text())
         assert sorted(summary) == keys
@@ -78,24 +84,33 @@ def test_compensate_failed_center_fit_is_numerical(tmp_path, monkeypatch, capsys
     lm = zfepr.fields.levenberg_marquardt
     monkeypatch.setattr(zfepr.fields, "levenberg_marquardt",
                         lambda fun, p0: lm(fun, p0, max_iter=0))
-    assert main(["compensate", "--out-dir", str(tmp_path)]) == EXIT_NUMERICAL
+    assert main(["compensate", "--out-dir", str(tmp_path / "out")]) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command, headers", [
-    ("ramsey", {"ramsey": "# t_us signal"}),
-    ("spectrum", {"ramsey": "# t_us signal", "spectrum": "# freq_MHz amplitude"}),
-    ("bsweep", {"bsweep": "# B_Gauss f_ST1_low f_ST1_high f_ST0_low f_ST0_high"}),
+# stem -> (CSV header, .dat header, data rows) on the default config
+RAMSEY_TABLE = ("t_us,signal", "# t_us signal", 256)
+
+
+@pytest.mark.parametrize("command, tables", [
+    ("ramsey", {"ramsey": RAMSEY_TABLE}),
+    ("spectrum", {"ramsey": RAMSEY_TABLE,
+                  "spectrum": ("freq_MHz,amplitude", "# freq_MHz amplitude", 513)}),
+    ("bsweep", {"bsweep": ("B_Gauss,f_ST1_low,f_ST1_high,f_ST0_low,f_ST0_high",
+                           "# B_Gauss f_ST1_low f_ST1_high f_ST0_low f_ST0_high", 13)}),
 ], ids=["ramsey", "spectrum", "bsweep"])
-def test_ramsey_plot_data_adds_dat_and_keeps_csv(command, headers, tmp_path):
+def test_ramsey_plot_data_adds_dat_and_keeps_csv(command, tables, tmp_path):
     plain, plot = tmp_path / "plain", tmp_path / "plot"
     assert main([command, "--out-dir", str(plain)]) == EXIT_OK
     assert main([command, "--out-dir", str(plot), "--plot-data"]) == EXIT_OK
-    for stem, header in headers.items():
+    for stem, (csv_header, dat_header, rows) in tables.items():
+        csv = (plain / f"{stem}.csv").read_text().splitlines()
+        assert csv[0] == csv_header and len(csv) == rows + 1
         assert (plot / f"{stem}.csv").read_bytes() == (plain / f"{stem}.csv").read_bytes()
         dat = (plot / f"{stem}.dat").read_text().splitlines()
-        assert dat[0] == header
-        assert len(dat) == len((plain / f"{stem}.csv").read_text().splitlines())
+        assert dat[0] == dat_header
+        assert len(dat) == len(csv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -116,13 +131,14 @@ def test_zero_count_is_a_config_error(argv, tmp_path, capsys):
 
 def test_spectrum_failed_gaussian_fit_is_numerical(tmp_path, capsys):
     # at dt = 0.25 us the 114 MHz line folds onto the Nyquist edge, where no
-    # peak count gives an acceptable fit
-    argv = ["spectrum", "--out-dir", str(tmp_path),
+    # peak count gives an acceptable fit; a failed run writes no file
+    argv = ["spectrum", "--out-dir", str(tmp_path / "out"),
             "--set", "protocol.transition=st0", "--set", "noise.sigma_mhz=0.196",
             "--set", "protocol.dt_us=0.25",
             "--set", "protocol.band_lo_mhz=112.5", "--set", "protocol.band_hi_mhz=115.5"]
     assert main(argv) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_adjacent_compensation_seeds_share_no_trial(tmp_path):
@@ -186,6 +202,21 @@ def test_axis_noise_width_that_is_not_finite_is_a_config_error(width, tmp_path, 
     assert "must be finite and >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width", ["sigma_x_mhz", "sigma_z_mhz"])
+def test_isotropic_and_axis_noise_widths_are_exclusive(width, tmp_path, capsys):
+    settings = ["noise.sigma_mhz=0.196", f"noise.{width}=5"]
+    message = f"noise.sigma_mhz cannot be set together with noise.{width}"
+    argv = ["ramsey", "--out-dir", str(tmp_path / "out")]
+    for item in settings:
+        argv += ["--set", item]
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    config = _config_file(tmp_path / "run.cfg", settings)
+    assert main(["ramsey", config, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_infinite_decay_times_switch_channels_off(tmp_path, capsys):
     base = ["deer", "--set", "decay.enabled=true"]
     assert main(base + ["--out-dir", str(tmp_path / "off"), "--set", "decay.t2_nv_us=inf",
@@ -198,7 +229,8 @@ def test_infinite_decay_times_switch_channels_off(tmp_path, capsys):
     assert "t2_nv_us must be positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["rabi", "ramsey", "spectrum"])
+@pytest.mark.parametrize("command", ["rabi", "ramsey", "spectrum", "bsweep", "compensate",
+                                     "linewidth", "selftest"])
 def test_decay_on_a_closed_form_without_decay_is_a_config_error(command, tmp_path, capsys):
     argv = [command, "--out-dir", str(tmp_path), "--set", "decay.enabled=true",
             "--set", "decay.t2_nv_us=1"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import zfepr.fields
+from zfepr.cli import format_compensation_report
 from zfepr.constants import GAMMA_E_MHZ_PER_G
 from zfepr.fields import (
     NV_AXES,
@@ -14,10 +15,8 @@ from zfepr.fields import (
     bsweep,
     compensate_3axis,
     find_symmetric_center,
-    format_compensation_report,
     odmr_linewidth_model,
     simulate_odmr_scan,
-    write_bsweep_csv,
 )
 from zfepr.hamiltonians import FieldVector, TargetSpec
 
@@ -193,28 +192,31 @@ def test_compensation_report_format():
     assert "axis Z" in report and "residual_G" in report
 
 
+# bsweep's table columns: B, f_ST1_low, f_ST1_high, f_ST0_low, f_ST0_high
 def test_bsweep_zero_field(spec):
-    points = bsweep(spec, [0.0], SYMMETRIC_DIRECTION)
-    assert points[0].f_st1_low == pytest.approx(137.0, abs=1e-12)
-    assert points[0].f_st1_high == pytest.approx(137.0, abs=1e-12)
-    assert points[0].f_st0_low == pytest.approx(114.0, abs=1e-12)
+    _, st1_low, st1_high, st0_low, _ = bsweep(spec, [0.0], SYMMETRIC_DIRECTION)[0]
+    assert st1_low == pytest.approx(137.0, abs=1e-12)
+    assert st1_high == pytest.approx(137.0, abs=1e-12)
+    assert st0_low == pytest.approx(114.0, abs=1e-12)
 
 
 def test_bsweep_symmetric_direction_splitting(spec):
-    points = bsweep(spec, [1.0], SYMMETRIC_DIRECTION)
-    half_split = 0.5 * (points[0].f_st1_high - points[0].f_st1_low)
+    _, st1_low, st1_high, _, _ = bsweep(spec, [1.0], SYMMETRIC_DIRECTION)[0]
+    half_split = 0.5 * (st1_high - st1_low)
     assert half_split == pytest.approx(GAMMA_E_MHZ_PER_G / (2 * math.sqrt(3.0)), rel=1e-9)
     assert half_split == pytest.approx(0.809, abs=1e-3)
 
 
 def test_bsweep_st1_linear_st0_quadratic(spec):
     b_values = np.linspace(0.0, 3.0, 13)
-    points = bsweep(spec, b_values, SYMMETRIC_DIRECTION)
-    splits = np.array([p.f_st1_high - p.f_st1_low for p in points])
+    table = bsweep(spec, b_values, SYMMETRIC_DIRECTION)
+    assert table.shape == (13, 5) and np.array_equal(table[:, 0], b_values)
+    _, st1_low, st1_high, st0_low, st0_high = table.T
+    splits = st1_high - st1_low
     slope = np.polyfit(b_values, splits, 1)[0]
     assert slope == pytest.approx(GAMMA_E_MHZ_PER_G / math.sqrt(3.0), rel=5e-3)
 
-    shifts = np.array([0.5 * (p.f_st0_low + p.f_st0_high) for p in points]) - 114.0
+    shifts = 0.5 * (st0_low + st0_high) - 114.0
     assert abs(shifts[4] - 4 * shifts[2]) < 0.01 * abs(shifts[4])  # f(2G) = 4 f(1G)
     quad = np.polyfit(b_values, shifts, 2)
     resid = shifts - np.polyval(quad, b_values)
@@ -225,11 +227,3 @@ def test_bsweep_direction_validation(spec):
     with pytest.raises(ValueError):
         bsweep(spec, [0.0], np.array([0.0, 0.0, 2.0]))
 
-
-def test_bsweep_csv(tmp_path, spec):
-    points = bsweep(spec, [0.0, 1.0], SYMMETRIC_DIRECTION)
-    path = tmp_path / "bsweep.csv"
-    write_bsweep_csv(points, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "B_Gauss,f_ST1_low,f_ST1_high,f_ST0_low,f_ST0_high"
-    assert len(lines) == 3

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 import zfepr.fitting
-from zfepr.fitting import (
-    FWHM_PER_SIGMA,
-    fit_gaussians,
-    format_fit_report,
-    levenberg_marquardt,
-)
+from zfepr.cli import format_fit_report
+from zfepr.fitting import FWHM_PER_SIGMA, fit_gaussians, levenberg_marquardt
 from zfepr.hamiltonians import TargetSpec
 from zfepr.noise import NoiseModel
 from zfepr.protocols import synthesize_ramsey_series

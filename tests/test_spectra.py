@@ -8,8 +8,6 @@ from zfepr.spectra import (
     Spectrum,
     TimeSeries,
     dft_spectrum,
-    write_spectrum_csv,
-    write_timeseries_csv,
 )
 
 
@@ -101,18 +99,3 @@ def test_too_short_series_rejected():
     with pytest.raises(ValueError):
         dft_spectrum(TimeSeries(np.arange(4.0), np.ones(4)))
 
-
-def test_csv_writers(tmp_path):
-    series = _cosine_series(0.1, 1.0, 16)
-    spath = tmp_path / "series.csv"
-    write_timeseries_csv(series, spath)
-    lines = spath.read_text().splitlines()
-    assert lines[0] == "t_us,signal"
-    assert len(lines) == 17
-
-    spec = dft_spectrum(series)
-    cpath = tmp_path / "spec.csv"
-    write_spectrum_csv(spec, cpath)
-    lines = cpath.read_text().splitlines()
-    assert lines[0] == "freq_MHz,amplitude"
-    assert len(lines) == len(spec.freqs) + 1
