@@ -47,6 +47,7 @@ from .protocols import (
     deer_sequence,
     deer_signal,
     deer_signal_general,
+    monte_carlo_signal,
     simulate_sequence,
     synthesize_ramsey_series,
 )
@@ -178,8 +179,15 @@ _SCHEMA = {
 }
 
 
-def load_config(path, overrides=()):
-    """Parse the sectioned key = value file, apply overrides, reject unknowns."""
+#: The subcommands that read the noise settings; every other one has no
+#: noise model, and only deer has a decay model.
+_NOISE_COMMANDS = ("ramsey", "spectrum", "linewidth")
+
+
+def load_config(command, path, overrides=()):
+    """Parse the sectioned key = value file, apply overrides, reject unknowns,
+    and reject noise and decay settings that the subcommand ``command`` has
+    no model for, rather than ignore them."""
     raw = {}
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -212,6 +220,10 @@ def load_config(path, overrides=()):
     if "sigma_mhz" in noise and axes:
         raise ConfigError(f"noise.sigma_mhz cannot be set together with {', '.join(axes)}; "
                           "give the isotropic width or the per-axis widths")
+    if noise and command not in _NOISE_COMMANDS:
+        keys = ", ".join(f"noise.{key}" for key in noise)
+        raise ConfigError(f"{command} has no noise model, so it cannot use {keys}; "
+                          f"noise settings are for {', '.join(_NOISE_COMMANDS)}")
 
     config = {}
     for section, keys in _SCHEMA.items():
@@ -224,6 +236,8 @@ def load_config(path, overrides=()):
                     raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
             else:
                 config[section][key] = default
+    if config["decay"]["enabled"] and command != "deer":
+        raise ConfigError(f"{command} has no decay model; decay.enabled is for deer")
     return config
 
 
@@ -574,6 +588,27 @@ def _cmd_selftest(config, seed):
             worst = max(worst, abs(diff - closed))
     check(f"correlation ramsey vs simulator ({worst:.2e})", worst < 1e-9)
 
+    # whole Ramsey records, which the simulator reads out in the target
+    # eigenbasis: one draw of zero-width noise, at full contrast (C tau = 1/2).
+    # Their difference is checked against the closed form, and each record,
+    # whose background cancels in the difference, at every 8th time against
+    # a simulation of that time's sequence alone.
+    t_grid = np.linspace(0.0, 50.0, 64)
+    tau, c = 5.0, 0.1
+    noise = NoiseModel(0.0, 0.0, 0.0)
+    worst = 0.0
+    for transition in ("st1", "st0"):
+        families = [lambda t, k=k, tr=transition: correlation_ramsey_sequences(tr, t, tau)[k]
+                    for k in (0, 1)]
+        records = [monte_carlo_signal(family, t_grid, spec, c, noise, 1).values
+                   for family in families]
+        closed = 0.5 * corr_ramsey_diff(transition, t_grid, tau, c, spec=spec)
+        worst = max(worst, float(np.abs(records[0] - records[1] - closed).max()))
+        for family, record in zip(families, records):
+            single = [simulate_sequence(family(t), spec, c) for t in t_grid[::8]]
+            worst = max(worst, float(np.abs(record[::8] - single).max()))
+    check(f"ramsey grid vs closed form and single runs ({worst:.2e})", worst < 1e-9)
+
     worst = 0.0
     for _ in range(10):
         delta = rng.standard_normal(3)
@@ -643,9 +678,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config, args.overrides)
-        if config["decay"]["enabled"] and args.command != "deer":
-            raise ConfigError(f"{args.command} has no decay model; decay.enabled is for deer")
+        config = load_config(args.command, args.config, args.overrides)
         handler, _ = _COMMANDS[args.command]
         files = handler(config, _resolve_seed(args, config))
     except SelftestFailure as exc:

@@ -12,14 +12,18 @@ checks it and yields its steps: the elements before the readout, with the
 echo decay of each interrogation window inserted as a step where the window
 closes.  A grid of sequences, such as the times of a Ramsey record, is
 evolved together: the prefix of steps every sequence shares is applied once,
-the tail they share is folded backwards into the readout observable
-(Heisenberg picture), and each sequence then runs only its own middle from
-the prefix state, streamed one at a time and read out against that
+and the tail they share is folded backwards into the readout observable
+(Heisenberg picture).  On a Ramsey grid each sequence's own middle is one
+target-frame free step, which is diagonal in each draw's target eigenbasis,
+so every time is read out there from the prefix state and the observable at
+the cost of six phases per draw.  Any other grid runs each middle from the
+prefix state, one sequence at a time, and reads it out against the
 observable.  Free gaps that fall inside a spin-locking window evolve the
 target factor alone: the locked sensor averages the secular coupling away,
 which is exactly how the closed-form treatment handles that interval.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -363,13 +367,16 @@ def _evolve(sequences, eig, decay):
     The prefix of steps every sequence shares is applied once to the
     (n, 12, 12) stack of density matrices; the tail they share is folded,
     walking backwards, into the readout observable P0 = |0><0| (x) I4
-    (Heisenberg picture).  Each sequence then runs only its own middle from
-    the prefix state and is read out at once as Re Tr(O rho), so one middle
-    stack is alive at a time.
+    (Heisenberg picture).  When every sequence's own middle is a single
+    target-frame free step, as on a Ramsey grid, all of them are read out at
+    once in the target eigenbasis (:func:`_target_free_readout`).  Otherwise
+    each sequence runs its middle from the prefix state and is read out at
+    once as Re Tr(O rho), so one middle stack is alive at a time.
     """
     bodies = [_steps(seq, decay) for seq in sequences]
     n_prefix, n_tail = _split(bodies)
     first = bodies[0]
+    middles = [body[n_prefix : len(body) - n_tail] for body in bodies]
 
     rho = np.zeros((len(eig[0]), 12, 12), dtype=complex)
     rho[:, 4:8, 4:8] = _EYE4 / 4.0
@@ -379,14 +386,45 @@ def _evolve(sequences, eig, decay):
     obs = _READOUT
     for step in reversed(first[len(first) - n_tail :]):
         obs = _apply(obs, step, eig, decay, adjoint=True)
-    obs = obs.conj()  # Tr(O rho) = sum(conj(O) * rho) for a Hermitian O
 
+    if all(len(m) == 1 and isinstance(m[0], Pulse) and m[0].kind == "free"
+           and m[0].frame == "target" for m in middles):
+        return _target_free_readout(rho, obs, [m[0].value for m in middles], eig)
+
+    obs = obs.conj()  # Tr(O rho) = sum(conj(O) * rho) for a Hermitian O
     out = np.empty((len(bodies), len(rho)))
-    for k, body in enumerate(bodies):
+    for k, middle in enumerate(middles):
         x = rho
-        for step in body[n_prefix : len(body) - n_tail]:
+        for step in middle:
             x = _apply(x, step, eig, decay)
         out[k] = np.einsum("...ij,...ij->...", obs, x).real
+    return out
+
+
+def _target_free_readout(rho, obs, times, eig):
+    """Re Tr(O U(t) rho U(t)^dagger), shape (len(times), n_draws), for the
+    target-frame free evolution U(t) = I3 (x) V exp(-i w t) V^dagger of each
+    draw (``w, v`` index 0 of ``eig``).
+
+    In the basis V of each sensor block the evolution is diagonal, so with
+    rho' = V^dagger rho V and O' = V^dagger O V the readout is
+    sum_jk c_jk exp(-i (w_j - w_k) t), c_jk = sum_ab rho'_(aj),(bk) O'_(bk),(aj)
+    over the sensor blocks a, b: the populations j = k, plus one phase per
+    pair j < k, added pair by pair so that one (times, draws) array is alive.
+    """
+    w, v = eig[0][:, 0], eig[1][:, 0]
+    rot = _block_diag(v[:, None])
+    rot_h = rot.conj().swapaxes(-1, -2)
+    rho, obs = rot_h @ rho @ rot, rot_h @ obs @ rot
+    blocks = (len(w), 3, 4, 3, 4)
+    c = np.einsum("najbk,nbkaj->njk", rho.reshape(blocks), obs.reshape(blocks))
+    t = np.asarray(times, dtype=float)
+    out = np.tile(np.trace(c, axis1=1, axis2=2).real, (len(t), 1))
+    for j, k in itertools.combinations(range(4), 2):
+        # Re[a exp(-i phase)], a = c_jk + conj(c_kj)
+        phase = np.outer(t, w[:, j] - w[:, k])
+        a = c[:, j, k] + c[:, k, j].conj()
+        out += a.real * np.cos(phase) + a.imag * np.sin(phase)
     return out
 
 
@@ -443,8 +481,10 @@ def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
     each chunk builds one generator and the average is reproducible bit for
     bit.  All times of a chunk share one batched eigendecomposition, one pass
     through the sequence prefix they have in common, and one readout
-    observable into which their common tail is folded; only the middle of
-    each time's sequence is run on its own, one time after another.
+    observable into which their common tail is folded.  A Ramsey family's
+    times are then all read out at once in the target eigenbasis; any other
+    family runs the middle of each time's sequence on its own, one time
+    after another (see :func:`_evolve`).
     """
     if n_draws < 1:
         raise ValueError("need at least one draw")

@@ -217,6 +217,19 @@ def test_isotropic_and_axis_noise_widths_are_exclusive(width, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["deer", "rabi", "bsweep", "compensate", "selftest"])
+def test_noise_setting_without_a_noise_model_is_a_config_error(command, tmp_path, capsys):
+    settings = ["noise.sigma_x_mhz=0.196"]
+    message = f"{command} has no noise model, so it cannot use noise.sigma_x_mhz"
+    assert main([command, "--out-dir", str(tmp_path / "out"), "--set", settings[0]]) \
+        == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    config = _config_file(tmp_path / "run.cfg", settings)
+    assert main([command, config, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_infinite_decay_times_switch_channels_off(tmp_path, capsys):
     base = ["deer", "--set", "decay.enabled=true"]
     assert main(base + ["--out-dir", str(tmp_path / "off"), "--set", "decay.t2_nv_us=inf",

@@ -1,7 +1,8 @@
 """Property tests of the density-matrix engine: every step keeps a stack of
 density matrices physical, and evolving a whole grid of sequences (shared
-prefix once, each middle from it, shared tail folded into the readout
-observable) must equal one forward simulation per sequence."""
+prefix once, shared tail folded into the readout observable, each middle run
+from the prefix state or, on a Ramsey grid, read out in the target
+eigenbasis) must equal one forward simulation per sequence."""
 
 import math
 

@@ -522,6 +522,47 @@ def test_ramsey_grid_runs_shared_prefix_once(spec, monkeypatch):
     assert len(calls) == 1
 
 
+def test_ramsey_grid_reads_out_in_the_target_eigenbasis_at_long_times(spec):
+    # the eigenbasis readout against one forward simulation per draw and
+    # time, out to 1,500 us, where the phases reach 1e6 rad
+    noise = NoiseModel.isotropic(0.5, seed=23)
+    decay = DecayModel(t2_nv_us=16.0, stretch_p=1.7, t1rho_us=150.0)
+    draws = sample_noise(noise, 3)
+    eig = zfepr.protocols._eigensystems(spec, 0.3, draws)
+    t_grid = np.array([0.0, 0.37, 12.9, 240.0, 777.7, 1500.0])
+    for transition in ("st1", "st0"):
+        for k in (0, 1):
+            sequences = [correlation_ramsey_sequences(transition, t, 4.0)[k] for t in t_grid]
+            grid = zfepr.protocols._evolve(sequences, eig, decay)
+            single = [[simulate_sequence(seq, spec, 0.3, noise=NoiseDraw(*d), decay=decay)
+                       for d in draws] for seq in sequences]
+            assert np.abs(grid - single).max() < 1e-9
+
+
+@pytest.mark.parametrize("transition", ["st1", "st0"])
+def test_ramsey_grid_applies_only_its_shared_steps(transition, spec, monkeypatch):
+    # a Ramsey grid's middles are read out in the target eigenbasis, so it
+    # applies its shared prefix and tail only, at any length; a Rabi grid
+    # runs each middle (one RF pulse), so its count grows with its points
+    calls = []
+    apply = zfepr.protocols._apply
+    monkeypatch.setattr(zfepr.protocols, "_apply",
+                        lambda *args, **kwargs: calls.append(1) or apply(*args, **kwargs))
+    noise = NoiseModel.isotropic(0.196, seed=8)
+
+    def count(family, points):
+        calls.clear()
+        monte_carlo_signal(family, points, spec, 0.1, noise, 50)
+        return len(calls)
+
+    ramsey = lambda t: correlation_ramsey_sequences(transition, t, 5.0)[0]
+    shared = len(zfepr.protocols._steps(ramsey(1.0), None)) - 1
+    assert [count(ramsey, 0.17 * np.arange(n)) for n in (12, 48)] == [shared, shared]
+    rabi = lambda theta: correlation_rabi_sequence(transition, theta, 5.0)
+    twelve, forty_eight = (count(rabi, np.linspace(0.0, math.pi, n)) for n in (12, 48))
+    assert forty_eight - twelve == 36
+
+
 # ---------------------------------------------------------------------------
 # series synthesis
 # ---------------------------------------------------------------------------
