@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .constants import FWHM_PER_SIGMA
 from .fields import CoilConfig, ScanPlan, bsweep, compensate_3axis
-from .fitting import FitError, fit_gaussians
+from .fitting import _MAX_PEAKS, FitError, fit_gaussians
 from .hamiltonians import (
     DegenerateCrossingError,
     FieldVector,
@@ -35,6 +35,7 @@ from .hamiltonians import (
     SY_HALF,
     SZ_HALF,
     TargetSpec,
+    _line,
     level_shifts_exact,
     level_shifts_perturbative,
 )
@@ -103,6 +104,19 @@ def _parse_count(text):
     return n
 
 
+def _parse_peak_count(text):
+    """"auto" (the line count the target names) or a fixed count of Gaussians."""
+    if text == "auto":
+        return text
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if not 1 <= n <= _MAX_PEAKS:
+        raise ValueError(f"must be auto or a whole number 1..{_MAX_PEAKS}, got {text!r}")
+    return n
+
+
 def _parse_orientations(text):
     """"p1_bonds", "single", or semicolon-separated theta,phi,weight triples."""
     if text == "p1_bonds":
@@ -150,7 +164,7 @@ _SCHEMA = {
         "t_points": (_parse_count, 256),
         "band_lo_mhz": (_finite, None),
         "band_hi_mhz": (_finite, None),
-        "m_gaussians": (str, "auto"),
+        "m_gaussians": (_parse_peak_count, "auto"),
     },
     "field": {
         "b_start_g": (_finite, 0.0),
@@ -179,15 +193,10 @@ _SCHEMA = {
 }
 
 
-#: The subcommands that read the noise settings; every other one has no
-#: noise model, and only deer has a decay model.
-_NOISE_COMMANDS = ("ramsey", "spectrum", "linewidth")
-
-
 def load_config(command, path, overrides=()):
     """Parse the sectioned key = value file, apply overrides, reject unknowns,
-    and reject noise and decay settings that the subcommand ``command`` has
-    no model for, rather than ignore them."""
+    and reject settings of a section that the subcommand ``command`` never
+    reads (see ``_COMMANDS``), rather than ignore them."""
     raw = {}
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -220,10 +229,6 @@ def load_config(command, path, overrides=()):
     if "sigma_mhz" in noise and axes:
         raise ConfigError(f"noise.sigma_mhz cannot be set together with {', '.join(axes)}; "
                           "give the isotropic width or the per-axis widths")
-    if noise and command not in _NOISE_COMMANDS:
-        keys = ", ".join(f"noise.{key}" for key in noise)
-        raise ConfigError(f"{command} has no noise model, so it cannot use {keys}; "
-                          f"noise settings are for {', '.join(_NOISE_COMMANDS)}")
 
     config = {}
     for section, keys in _SCHEMA.items():
@@ -236,8 +241,15 @@ def load_config(command, path, overrides=()):
                     raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
             else:
                 config[section][key] = default
-    if config["decay"]["enabled"] and command != "deer":
-        raise ConfigError(f"{command} has no decay model; decay.enabled is for deer")
+
+    # values are parsed first, so a bad value is reported as such anywhere
+    for section, keys in raw.items():
+        if section != "run" and section not in _COMMANDS[command][2]:
+            readers = [name for name, (*_, reads) in _COMMANDS.items() if section in reads]
+            raise ConfigError(
+                f"{command} has no {section} model, so it cannot use "
+                f"{', '.join(f'{section}.{key}' for key in keys)}; "
+                f"[{section}] settings are for {', '.join(readers)}")
     return config
 
 
@@ -426,7 +438,11 @@ def _cmd_spectrum(config, seed):
     series, _ = _ramsey_series(config, seed)
     spectrum = dft_spectrum(series, band_hint=band)
     m = p["m_gaussians"]
-    fit = fit_gaussians(spectrum, m if m == "auto" else int(m))
+    if m == "auto":
+        # choose among the counts up to the lines the target puts there (the
+        # count does not depend on the line's center)
+        m = tuple(range(1, len(_line(_target_spec(config), p["transition"], 0.0)) + 1))
+    fit = fit_gaussians(spectrum, m)
     if not fit.converged:
         raise NumericalError("gaussian fit did not converge")
 
@@ -624,15 +640,20 @@ def _cmd_selftest(config, seed):
     return {}
 
 
+# subcommand -> (handler, help, the config sections it reads besides [run])
 _COMMANDS = {
-    "deer": (_cmd_deer, "interrogation signal versus evolution time"),
-    "rabi": (_cmd_rabi, "correlation signal versus RF flip angle"),
-    "ramsey": (_cmd_ramsey, "differential correlation time series"),
-    "spectrum": (_cmd_spectrum, "ramsey series -> DFT -> gaussian fit"),
-    "bsweep": (_cmd_bsweep, "transition frequencies versus field"),
-    "compensate": (_cmd_compensate, "three-axis residual-field compensation"),
-    "linewidth": (_cmd_linewidth, "noise linewidth theory report"),
-    "selftest": (_cmd_selftest, "closed form vs simulator battery"),
+    "deer": (_cmd_deer, "interrogation signal versus evolution time",
+             ("protocol", "decay")),
+    "rabi": (_cmd_rabi, "correlation signal versus RF flip angle", ("target", "protocol")),
+    "ramsey": (_cmd_ramsey, "differential correlation time series",
+               ("target", "noise", "protocol")),
+    "spectrum": (_cmd_spectrum, "ramsey series -> DFT -> gaussian fit",
+                 ("target", "noise", "protocol")),
+    "bsweep": (_cmd_bsweep, "transition frequencies versus field", ("target", "field")),
+    "compensate": (_cmd_compensate, "three-axis residual-field compensation",
+                   ("compensation",)),
+    "linewidth": (_cmd_linewidth, "noise linewidth theory report", ("target", "noise")),
+    "selftest": (_cmd_selftest, "closed form vs simulator battery", ("target",)),
 }
 
 _EPILOG = """\
@@ -647,6 +668,12 @@ CSV columns and units:
 The config file is sectioned key = value text: [section] headers over
 key = value lines, with the sections and keys of --set.  Lines starting
 with # or ; are comments, as is the rest of a line from a spaced " #".
+Every subcommand reads [run]; a setting of a section it does not read
+(say [field] for compensate) is a config error.
+protocol.m_gaussians: auto (default) fits the lines the target names:
+one Gaussian for a single line, and for a doublet (target.c13_splitting_mhz
+on st1, target.st0_offset_doublet_mhz on st0) one or two, whichever the
+information criterion prefers.  A whole number 1..4 fixes the count.
 Seed resolution order: --seed, [run] seed, builtin default.
 Different seeds give independent random streams.
 """
@@ -661,7 +688,7 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"zfepr {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("config", nargs="?", default=None,
                          help="sectioned key = value config file (defaults apply if omitted)")
@@ -679,7 +706,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = load_config(args.command, args.config, args.overrides)
-        handler, _ = _COMMANDS[args.command]
+        handler = _COMMANDS[args.command][0]
         files = handler(config, _resolve_seed(args, config))
     except SelftestFailure as exc:
         print(f"selftest: {exc}")

@@ -26,7 +26,7 @@ __all__ = [
 
 #: Convergence threshold on a step's norm relative to the parameter vector's.
 _STEP_TOL = 1e-10
-#: Largest number of Gaussians ``fit_gaussians`` fits or tries in "auto".
+#: Largest number of Gaussians ``fit_gaussians`` fits.
 _MAX_PEAKS = 4
 
 
@@ -228,28 +228,28 @@ def _aicc(rss, n, k):
     return n * math.log(max(rss, 1e-300) / n) + 2 * kk + 2 * kk * (kk + 1) / (n - kk - 1)
 
 
-def fit_gaussians(spectrum, m="auto"):
-    """Fit ``m`` Gaussians plus a constant baseline to a magnitude spectrum.
+def fit_gaussians(spectrum, m):
+    """Fit Gaussians plus a constant baseline to a magnitude spectrum.
 
-    ``m`` is a fixed count (1..4) or "auto", which raises the count from 1
-    while the small-sample-corrected information criterion keeps falling and
-    stops at the first count that ties, scores worse or is degenerate (peaks
-    walking out of the frequency range, sub-bin or negative components).
-    Initialization takes the ``m`` highest local maxima.  Raises
-    :class:`FitError` when "auto" finds no acceptable candidate.
+    ``m`` is one peak count, fitted as given, or an ascending tuple of counts
+    to choose among; each count is in 1..4.  A choice rises through the
+    tuple while the small-sample-corrected information criterion keeps
+    falling, and stops at the first count that ties, scores worse or is
+    degenerate (not converged, peaks walking out of the frequency range,
+    sub-bin or negative components).  ``zfepr spectrum`` passes the counts up
+    to the lines its target names.  Initialization takes the highest local
+    maxima.  Raises :class:`FitError` when a choice finds no acceptable
+    candidate.
     """
     freqs = np.asarray(spectrum.freqs, dtype=float)
     amps = np.asarray(spectrum.amps, dtype=float)
     if amps.max() - amps.min() <= 1e-30:
         raise ValueError("flat spectrum cannot be fitted")
 
-    if m == "auto":
-        candidates = range(1, _MAX_PEAKS + 1)
-    else:
-        m = int(m)
-        if not 1 <= m <= _MAX_PEAKS:
-            raise ValueError(f"peak count must be in 1..{_MAX_PEAKS}")
-        candidates = (m,)
+    candidates = tuple(m) if isinstance(m, tuple) else (int(m),)
+    if (not candidates or not all(1 <= mm <= _MAX_PEAKS for mm in candidates)
+            or list(candidates) != sorted(set(candidates))):
+        raise ValueError(f"peak counts must be ascending, each in 1..{_MAX_PEAKS}")
 
     bin_spacing = float(np.median(np.diff(freqs))) if len(freqs) > 1 else 0.0
     best = None
@@ -273,6 +273,5 @@ def fit_gaussians(spectrum, m="auto"):
             break
         best, best_score = result, score
     if best is None:
-        raise FitError("no acceptable fit found: the one-peak candidate failed")
+        raise FitError("no acceptable fit found: the first candidate count failed")
     return best
-

@@ -130,8 +130,8 @@ def test_zero_count_is_a_config_error(argv, tmp_path, capsys):
 
 
 def test_spectrum_failed_gaussian_fit_is_numerical(tmp_path, capsys):
-    # at dt = 0.25 us the 114 MHz line folds onto the Nyquist edge, where no
-    # peak count gives an acceptable fit; a failed run writes no file
+    # at dt = 0.25 us the 114 MHz line folds onto the Nyquist edge, where the
+    # fit of its one line does not converge; a failed run writes no file
     argv = ["spectrum", "--out-dir", str(tmp_path / "out"),
             "--set", "protocol.transition=st0", "--set", "noise.sigma_mhz=0.196",
             "--set", "protocol.dt_us=0.25",
@@ -164,8 +164,10 @@ def test_spectrum_band_needs_both_edges(given, missing, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["ramsey", "linewidth"])
 @pytest.mark.parametrize("width", ["nan", "inf"])
 def test_noise_width_that_is_not_finite_is_a_config_error(command, width, tmp_path, capsys):
-    argv = [command, "--out-dir", str(tmp_path), "--set", "protocol.transition=st0",
-            "--set", f"noise.sigma_mhz={width}"]
+    # linewidth reads no [protocol], so only ramsey is given the transition
+    argv = [command, "--out-dir", str(tmp_path), "--set", f"noise.sigma_mhz={width}"]
+    if command == "ramsey":
+        argv += ["--set", "protocol.transition=st0"]
     assert main(argv) == EXIT_CONFIG
     assert "must be finite and >= 0" in capsys.readouterr().err
 
@@ -227,6 +229,31 @@ def test_noise_setting_without_a_noise_model_is_a_config_error(command, tmp_path
     config = _config_file(tmp_path / "run.cfg", settings)
     assert main([command, config, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# subcommand -> a setting of a section it never reads
+UNREAD_SECTION = [
+    ("compensate", "field.b_points=3"),
+    ("bsweep", "protocol.tau_us=3"),
+    ("deer", "target.a_perp_mhz=100"),
+    ("linewidth", "protocol.dt_us=0.1"),
+]
+
+
+@pytest.mark.parametrize("command, setting", UNREAD_SECTION,
+                         ids=[command for command, _ in UNREAD_SECTION])
+def test_setting_of_a_section_the_command_never_reads_is_a_config_error(
+        command, setting, tmp_path, capsys):
+    section = setting.split(".")[0]
+    message = f"{command} has no {section} model, so it cannot use {setting.split('=')[0]}"
+    assert main([command, "--out-dir", str(tmp_path / "out"), "--set", setting]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and f"[{section}] settings are for" in err
+    config = _config_file(tmp_path / "run.cfg", [setting])
+    assert main([command, config, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == err
     assert not (tmp_path / "out").exists()
 
 
@@ -373,7 +400,10 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     (["rabi", "protocol.couplings=0.1:0.5,0.2:0.5"], "rabi expects a single coupling strength"),
     (["ramsey", "protocol.couplings=0.1:0.5,0.2:0.5"],
      "ramsey expects a single coupling strength"),
-], ids=["zero-direction", "mode", "rabi-couplings", "ramsey-couplings"])
+    *[(["spectrum", f"protocol.m_gaussians={value}"], "bad value for protocol.m_gaussians")
+      for value in ("abc", "0", "5", "2.0")],
+], ids=["zero-direction", "mode", "rabi-couplings", "ramsey-couplings",
+        "peaks-abc", "peaks-0", "peaks-5", "peaks-2.0"])
 def test_bad_setting_is_a_config_error(argv, message, tmp_path, capsys):
     command, setting = argv
     assert main([command, "--out-dir", str(tmp_path), "--set", setting]) == EXIT_CONFIG
@@ -387,3 +417,26 @@ def test_selftest_checks_the_transition_frequencies(monkeypatch, capsys):
                         property(lambda self: self.a_perp_mhz + 1e-6))
     assert main(["selftest"]) == 4
     assert "selftest transition frequencies: FAIL" in capsys.readouterr().out
+
+
+ST0_BAND = ["protocol.transition=st0", "protocol.dt_us=0.15",
+            "protocol.band_lo_mhz=112.5", "protocol.band_hi_mhz=115.5"]
+
+
+@pytest.mark.parametrize("settings, centers", [
+    ([], [2.0]),
+    (ST0_BAND + ["noise.sigma_mhz=0.196"], [114.0]),
+    (ST0_BAND + ["noise.sigma_mhz=0.196", "target.st0_offset_doublet_mhz=-0.03,0.03"],
+     [113.970, 114.029]),
+    (["target.c13_splitting_mhz=0.4", "protocol.band_lo_mhz=135.5",
+      "protocol.band_hi_mhz=138.5"], [136.8, 137.2]),
+], ids=["default", "st0-noise", "st0-doublet-noise", "c13-doublet"])
+def test_auto_peak_count_is_the_line_count_the_target_names(settings, centers, tmp_path):
+    argv = ["spectrum", "--out-dir", str(tmp_path)]
+    for item in settings:
+        argv += ["--set", item]
+    assert main(argv) == EXIT_OK
+    summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
+    assert summary["m"] == len(centers)
+    assert all(p["amplitude"] > 0 for p in summary["peaks"])
+    assert [p["center_mhz"] for p in summary["peaks"]] == pytest.approx(centers, abs=1e-3)

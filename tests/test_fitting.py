@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import zfepr.fitting
-from zfepr.cli import format_fit_report
+from zfepr.cli import EXIT_OK, format_fit_report, main
 from zfepr.fitting import FWHM_PER_SIGMA, fit_gaussians, levenberg_marquardt
 from zfepr.hamiltonians import TargetSpec
 from zfepr.noise import NoiseModel
@@ -53,11 +54,11 @@ def test_auto_mode_model_selection(rng):
     freqs = np.linspace(-1.0, 1.0, 300)
     noise = 0.01 * rng.standard_normal(freqs.size)
     single = _gaussian(freqs, 1.0, 0.1, 0.3) + 0.05 + noise
-    fit = fit_gaussians(Spectrum(freqs, np.abs(single)), "auto")
+    fit = fit_gaussians(Spectrum(freqs, np.abs(single)), (1, 2))
     assert fit.m == 1
     doublet = (_gaussian(freqs, 1.0, -0.3, 0.25) + _gaussian(freqs, 0.8, 0.35, 0.25)
                + 0.05 + noise)
-    fit = fit_gaussians(Spectrum(freqs, np.abs(doublet)), "auto")
+    fit = fit_gaussians(Spectrum(freqs, np.abs(doublet)), (1, 2))
     assert fit.m == 2
 
 
@@ -81,6 +82,9 @@ def test_fit_validation():
         fit_gaussians(Spectrum(freqs[:10], _gaussian(freqs[:10], 1, 0.5, 0.2)), 1)
     with pytest.raises(ValueError):
         fit_gaussians(Spectrum(freqs, _gaussian(freqs, 1, 0.5, 0.2)), 7)
+    for counts in ((2, 1), (1, 1, 2), (1, 5), ()):
+        with pytest.raises(ValueError, match="ascending"):
+            fit_gaussians(Spectrum(freqs, _gaussian(freqs, 1, 0.5, 0.2)), counts)
 
 
 def test_lm_against_scipy_oracle():
@@ -134,14 +138,15 @@ def test_auto_mode_rejects_negative_components():
     t = 0.15 * np.arange(256)
     series = synthesize_ramsey_series("st0", t, spec, 0.1, 5.0,
                                       noise=NoiseModel.isotropic(0.196, seed=7))
-    fit = fit_gaussians(dft_spectrum(series, band_hint=(112.5, 115.5)), "auto")
-    assert fit.m >= 2
+    fit = fit_gaussians(dft_spectrum(series, band_hint=(112.5, 115.5)), (1, 2))
+    assert fit.m == 2
     assert all(p.amplitude > 0 for p in fit.peaks)
 
 
-def test_auto_mode_stops_at_the_first_count_that_does_not_improve(monkeypatch):
-    # the S0<->T+-1 line with a 0.4 MHz 13C doublet: m = 2 fits it, m = 3 runs
-    # to the iteration cap and is rejected, so m = 4 is never tried
+def test_auto_mode_stops_at_the_first_count_that_does_not_improve(monkeypatch, tmp_path):
+    # the S0<->T+-1 line with a 0.4 MHz 13C doublet: "auto" chooses between
+    # the one and two lines the target names, so no third candidate, which
+    # would run to the iteration cap and be rejected, is ever tried
     calls = []
 
     def counting(fun, p0, lm=levenberg_marquardt):
@@ -150,10 +155,12 @@ def test_auto_mode_stops_at_the_first_count_that_does_not_improve(monkeypatch):
         return res
 
     monkeypatch.setattr(zfepr.fitting, "levenberg_marquardt", counting)
-    spec = TargetSpec(c13_splitting_mhz=0.4)
-    series = synthesize_ramsey_series("st1", 0.2 * np.arange(256), spec, 0.1, 5.0,
-                                      noise=NoiseModel.isotropic(0.196))
-    fit = fit_gaussians(dft_spectrum(series, band_hint=(135.5, 138.5)), "auto")
-    assert calls == [True, True, False]
-    assert fit.m == 2
-    assert [p.center_mhz for p in fit.peaks] == pytest.approx([136.8, 137.2], abs=1e-3)
+    argv = ["spectrum", "--out-dir", str(tmp_path), "--set", "noise.sigma_mhz=0.196",
+            "--set", "target.c13_splitting_mhz=0.4",
+            "--set", "protocol.band_lo_mhz=135.5", "--set", "protocol.band_hi_mhz=138.5"]
+    assert main(argv) == EXIT_OK
+    assert calls == [True, True]
+    summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
+    assert summary["m"] == 2
+    assert [p["center_mhz"] for p in summary["peaks"]] == pytest.approx([136.8, 137.2],
+                                                                        abs=1e-3)
