@@ -443,8 +443,6 @@ def _cmd_spectrum(config, seed):
         # count does not depend on the line's center)
         m = tuple(range(1, len(_line(_target_spec(config), p["transition"], 0.0)) + 1))
     fit = fit_gaussians(spectrum, m)
-    if not fit.converged:
-        raise NumericalError("gaussian fit did not converge")
 
     return {
         "ramsey.csv": _ramsey_table(series),
@@ -673,7 +671,9 @@ Every subcommand reads [run]; a setting of a section it does not read
 protocol.m_gaussians: auto (default) fits the lines the target names:
 one Gaussian for a single line, and for a doublet (target.c13_splitting_mhz
 on st1, target.st0_offset_doublet_mhz on st0) one or two, whichever the
-information criterion prefers.  A whole number 1..4 fixes the count.
+information criterion prefers.  A whole number 1..4 fixes the count; a
+fixed count must pass the same validity tests (converged, inside the
+spectrum, no sub-bin or negative line), or the run fails with exit 3.
 Seed resolution order: --seed, [run] seed, builtin default.
 Different seeds give independent random streams.
 """

@@ -231,15 +231,15 @@ def _aicc(rss, n, k):
 def fit_gaussians(spectrum, m):
     """Fit Gaussians plus a constant baseline to a magnitude spectrum.
 
-    ``m`` is one peak count, fitted as given, or an ascending tuple of counts
-    to choose among; each count is in 1..4.  A choice rises through the
-    tuple while the small-sample-corrected information criterion keeps
-    falling, and stops at the first count that ties, scores worse or is
-    degenerate (not converged, peaks walking out of the frequency range,
-    sub-bin or negative components).  ``zfepr spectrum`` passes the counts up
-    to the lines its target names.  Initialization takes the highest local
-    maxima.  Raises :class:`FitError` when a choice finds no acceptable
-    candidate.
+    ``m`` is one peak count, or an ascending tuple of counts to choose among;
+    each count is in 1..4.  Every candidate must pass the same validity
+    tests: converged, centers inside the frequency range, no sub-bin or
+    negative components.  A choice rises through the tuple while the
+    small-sample-corrected information criterion keeps falling, and stops at
+    the first count that ties, scores worse or fails those tests.  ``zfepr
+    spectrum`` passes the counts up to the lines its target names.
+    Initialization takes the highest local maxima.  Raises :class:`FitError`
+    when the first count fails, so a fixed count is checked like a chosen one.
     """
     freqs = np.asarray(spectrum.freqs, dtype=float)
     amps = np.asarray(spectrum.amps, dtype=float)
@@ -260,8 +260,6 @@ def fit_gaussians(spectrum, m):
                 raise ValueError("too few spectrum points for requested peak count")
             break
         result, lm = _fit_fixed_m(freqs, amps, mm)
-        if len(candidates) == 1:
-            return result
         # reject degenerate candidates: runaway centers, sub-bin spikes,
         # negative components, or fits that never settled
         valid = (result.converged
@@ -273,5 +271,6 @@ def fit_gaussians(spectrum, m):
             break
         best, best_score = result, score
     if best is None:
-        raise FitError("no acceptable fit found: the first candidate count failed")
+        raise FitError(f"no acceptable fit found: {candidates[0]} Gaussian(s) failed the "
+                       "validity tests")
     return best

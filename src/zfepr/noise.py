@@ -60,7 +60,7 @@ class NoiseModel:
             raise ValueError(f"noise seed must be a non-negative integer, got {self.seed!r}")
 
     @classmethod
-    def isotropic(cls, sigma_mhz, seed=12345):
+    def isotropic(cls, sigma_mhz, seed=seed):  # the default of the field above
         return cls(sigma_mhz, sigma_mhz, sigma_mhz, seed)
 
 
@@ -99,18 +99,18 @@ class LinewidthStats:
 def linewidth_stats(sigma_mhz, spec):
     """Isotropic-noise linewidth theory.
 
-    sigma_st1 = sigma/2 exactly; sigma_st0 is quadratic in the noise,
+    sigma_st1 = sigma/2 exactly; sigma_st0 is quadratic in the noise: the
+    shift is sum_j c_j delta_j^2 (see :func:`st0_characteristic`), so its
+    width is sigma^2 * sqrt(2 * sum_j c_j^2), which is
     sigma^2 * sqrt(4*a_perp^2/(a_par^2-a_perp^2)^2 + 1/(2*a_perp^2)); chi is
     their ratio, the predicted spectral-resolution improvement (about 133 for
     the default hyperfine constants at sigma_st1 = 98 kHz).
     """
     if not (math.isfinite(sigma_mhz) and sigma_mhz >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma_mhz}")
-    ap, al = spec.a_perp_mhz, spec.a_par_mhz
     sigma_st1 = 0.5 * sigma_mhz
-    sigma_st0 = sigma_mhz**2 * math.sqrt(
-        4.0 * ap * ap / (al * al - ap * ap) ** 2 + 1.0 / (2.0 * ap * ap)
-    )
+    c = st0_fluctuation(*np.eye(3), spec)
+    sigma_st0 = sigma_mhz**2 * math.sqrt(2.0 * float(c @ c))
     chi = sigma_st1 / sigma_st0 if sigma_st0 > 0 else math.inf
     return LinewidthStats(sigma_st1, sigma_st0, chi)
 

@@ -260,13 +260,13 @@ def _eigensystems(spec, coupling, draws):
     """Eigendecompositions (rad/us) of the free Hamiltonians of each draw.
 
     ``draws`` is an (n, 3) array of noise triples in MHz.  Returns ``(w, v)``
-    of shapes (n, 4, 4) and (n, 4, 4, 4), from one batched ``eigh``: index 0
-    of the second axis is the target alone, 1..3 the sensor blocks
-    m = +1, 0, -1 of :func:`~zfepr.hamiltonians.joint_hamiltonian`.
+    of shapes (n, 3, 4) and (n, 3, 4, 4), from one batched ``eigh`` over the
+    sensor blocks m = +1, 0, -1 of :func:`~zfepr.hamiltonians.joint_hamiltonian`.
+    ``_sensor_offsets_mhz`` gives the m = 0 block (index 1) no offset, so it
+    is the target-alone Hamiltonian bit for bit: the target frame reads it.
     """
     h_target = np.diag(target_levels_mhz(spec)) + _noise_matrix_mhz(draws)
-    offsets = np.concatenate([np.zeros((1, 4, 4)), _sensor_offsets_mhz(coupling)])
-    return np.linalg.eigh(TWO_PI * (h_target[:, None] + offsets))
+    return np.linalg.eigh(TWO_PI * (h_target[:, None] + _sensor_offsets_mhz(coupling)))
 
 
 def _echo_mask(factor):
@@ -334,7 +334,7 @@ def _apply(x, step, eig, decay, adjoint=False):
         return spinlock_channel(x, step.value, decay)
     if kind == "free":
         w, v = eig
-        wb, vb = (w[:, 1:], v[:, 1:]) if step.frame == "joint" else (w[:, :1], v[:, :1])
+        wb, vb = (w, v) if step.frame == "joint" else (w[:, 1:2], v[:, 1:2])
         u = _block_diag((vb * np.exp(-1j * wb[..., None, :] * step.value))
                         @ vb.conj().swapaxes(-1, -2))
     elif kind in _MW_JOINT:
@@ -404,7 +404,7 @@ def _evolve(sequences, eig, decay):
 def _target_free_readout(rho, obs, times, eig):
     """Re Tr(O U(t) rho U(t)^dagger), shape (len(times), n_draws), for the
     target-frame free evolution U(t) = I3 (x) V exp(-i w t) V^dagger of each
-    draw (``w, v`` index 0 of ``eig``).
+    draw (``w, v`` index 1, the m = 0 block, of ``eig``).
 
     In the basis V of each sensor block the evolution is diagonal, so with
     rho' = V^dagger rho V and O' = V^dagger O V the readout is
@@ -412,7 +412,7 @@ def _target_free_readout(rho, obs, times, eig):
     over the sensor blocks a, b: the populations j = k, plus one phase per
     pair j < k, added pair by pair so that one (times, draws) array is alive.
     """
-    w, v = eig[0][:, 0], eig[1][:, 0]
+    w, v = eig[0][:, 1], eig[1][:, 1]
     rot = _block_diag(v[:, None])
     rot_h = rot.conj().swapaxes(-1, -2)
     rho, obs = rot_h @ rho @ rot, rot_h @ obs @ rot
@@ -484,11 +484,13 @@ def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
     observable into which their common tail is folded.  A Ramsey family's
     times are then all read out at once in the target eigenbasis; any other
     family runs the middle of each time's sequence on its own, one time
-    after another (see :func:`_evolve`).
+    after another (see :func:`_evolve`).  A grid that the returned
+    :class:`~zfepr.spectra.TimeSeries` cannot hold is rejected before any work.
     """
     if n_draws < 1:
         raise ValueError("need at least one draw")
     t_grid = np.asarray(t_grid, dtype=float)
+    TimeSeries(times=t_grid, values=np.zeros_like(t_grid))  # checks the grid
     sequences = [sequence_family(t) for t in t_grid]
 
     acc = np.zeros(len(t_grid))

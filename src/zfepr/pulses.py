@@ -5,7 +5,6 @@ Pulses are ideal and instantaneous; a finite-duration RF drive enters only
 through its flip angle theta = Omega_x * t_RF.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,12 +29,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-_PSI_PLUS = np.array([1.0, 0.0, 1.0], dtype=complex) / _SQRT2
-_PSI_MINUS = np.array([1.0, 0.0, -1.0], dtype=complex) / _SQRT2
-_KET0 = np.array([0.0, 1.0, 0.0], dtype=complex)
-#: Columns are the dressed states |psi+>, |0>, |psi-> in the bare NV basis.
-_DRESSED = np.column_stack((_PSI_PLUS, _KET0, _PSI_MINUS))
 
 # pi pulse: |0> <-> |psi+> (up to -i), |psi-> untouched
 _MW_PI = np.array(
@@ -202,22 +195,20 @@ def _nv_dimension(rho):
     return d if d and rho.shape[-2:] == (3 * d, 3 * d) else 0
 
 
-@functools.lru_cache(maxsize=None)
-def _dressed_change(d):
-    """kron(D, I_d): columns are the dressed NV states (x) the d-level basis."""
-    w = np.kron(_DRESSED, np.eye(d))
-    w.flags.writeable = False
-    return w
-
-
 def spinlock_channel(rho, t_us, decay=None):
-    """Spin-locking as its net effect: a dephasing channel in the dressed basis.
+    """Spin-locking as its net effect, written on the bare NV blocks
+    m = +1, 0, -1 (each a d x d block over the target).
 
-    Populations of |psi+>, |psi-> and |0> survive; every coherence between
-    them is erased, and the psi+/psi- population imbalance (which stores the
-    first interrogation phase) relaxes by exp(-T/T1rho).  Accepts a bare 3x3
-    NV density matrix, which is validated, or a 3d x 3d joint one (NV factor
-    first), each with any leading batch axes.
+    Both +-1 diagonal blocks become their mean, both +-1 cross blocks become
+    e times their mean, with e = ``decay.lock_factor(t_us)`` (1 without
+    decay); the m = 0 block is kept and every coherence with m = 0 is erased.
+    This is the dressed-basis dephasing channel: the drive keeps the
+    populations of |psi+-> = (|+1> +- |-1>)/sqrt(2) and |0> and erases every
+    coherence between them, and the psi+/psi- population imbalance, which
+    stores the first interrogation phase and is the +-1 cross block in the
+    bare basis, relaxes by e.  Accepts a bare 3x3 NV density matrix, which
+    is validated, or a 3d x 3d joint one (NV factor first), each with any
+    leading batch axes.
     """
     rho = np.asarray(rho, dtype=complex)
     d = _nv_dimension(rho)
@@ -226,15 +217,15 @@ def spinlock_channel(rho, t_us, decay=None):
     if d == 1:
         _require_density_matrix(rho)
 
-    w = _dressed_change(d)
-    dressed = (w.conj().T @ rho @ w).reshape(rho.shape[:-2] + (3, d, 3, d))
-    plus, zero, minus = (dressed[..., k, :, k, :] for k in range(3))
+    blocks = rho.reshape(rho.shape[:-2] + (3, d, 3, d))
     e = 1.0 if decay is None else decay.lock_factor(t_us)
-    out = np.zeros_like(dressed)
-    out[..., 0, :, 0, :] = 0.5 * (1 + e) * plus + 0.5 * (1 - e) * minus
-    out[..., 1, :, 1, :] = zero
-    out[..., 2, :, 2, :] = 0.5 * (1 - e) * plus + 0.5 * (1 + e) * minus
-    return w @ out.reshape(rho.shape) @ w.conj().T
+    diagonal = 0.5 * (blocks[..., 0, :, 0, :] + blocks[..., 2, :, 2, :])
+    cross = 0.5 * e * (blocks[..., 0, :, 2, :] + blocks[..., 2, :, 0, :])
+    out = np.zeros_like(blocks)
+    out[..., 0, :, 0, :] = out[..., 2, :, 2, :] = diagonal
+    out[..., 0, :, 2, :] = out[..., 2, :, 0, :] = cross
+    out[..., 1, :, 1, :] = blocks[..., 1, :, 1, :]
+    return out.reshape(rho.shape)
 
 
 def readout_pl(rho_joint):

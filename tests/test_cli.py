@@ -141,6 +141,21 @@ def test_spectrum_failed_gaussian_fit_is_numerical(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_fixed_peak_count_passes_the_validity_tests(tmp_path, capsys):
+    # three Gaussians on the default one-line spectrum leave a component of
+    # negative amplitude beside the line: a fixed count is checked like a
+    # chosen one, so the run fails and writes no file
+    argv = ["spectrum", "--out-dir", str(tmp_path / "out"), "--set", "protocol.m_gaussians=3"]
+    assert main(argv) == EXIT_NUMERICAL
+    assert "no acceptable fit found: 3 Gaussian(s)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the one line the target names still fits as a fixed count
+    argv = ["spectrum", "--out-dir", str(tmp_path / "one"), "--set", "protocol.m_gaussians=1"]
+    assert main(argv) == EXIT_OK
+    summary = json.loads((tmp_path / "one" / "spectrum_summary.json").read_text())
+    assert summary["m"] == 1
+
+
 def test_adjacent_compensation_seeds_share_no_trial(tmp_path):
     rows = []
     for seed in (5, 6):

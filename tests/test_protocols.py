@@ -449,6 +449,21 @@ def test_monte_carlo_deterministic_and_chunk_independent(spec):
         assert np.abs(series.values - np.mean(per_draw, axis=0)).max() < 1e-12
 
 
+@pytest.mark.parametrize("t_grid, message", [([0.0, 0.1, 0.5], "uniform"),
+                                             ([0.3], "at least two samples")],
+                         ids=["nonuniform", "one-time"])
+def test_monte_carlo_rejects_a_grid_before_any_work(t_grid, message, spec, monkeypatch):
+    # a grid the returned TimeSeries cannot hold fails before a sequence is
+    # built, a draw sampled or a step run
+    calls = []
+    monkeypatch.setattr(zfepr.protocols, "_evolve", lambda *args: calls.append("evolve"))
+    monkeypatch.setattr(zfepr.protocols, "sample_noise", lambda *args, **kw: calls.append("noise"))
+    family = lambda t: calls.append("build") or correlation_ramsey_sequences("st1", t, 4.0)[0]
+    with pytest.raises(ValueError, match=message):
+        monte_carlo_signal(family, t_grid, spec, 0.3, NoiseModel.isotropic(0.2), 40)
+    assert calls == []
+
+
 def _per_draw_mean(family, t_grid, spec, coupling, draws, decay):
     return np.mean([[simulate_sequence(family(t), spec, coupling, noise=d, decay=decay)
                      for t in t_grid] for d in draws], axis=0)
