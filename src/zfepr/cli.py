@@ -1,6 +1,8 @@
 """Config-driven experiment runner.
 
-Every protocol and analysis is a subcommand; parameters come from a flat,
+Every protocol and analysis is a subcommand, and every subcommand takes the
+same arguments, in any order: an optional config file, ``--set``,
+``--seed``, ``--out-dir`` and ``--plot-data``.  Parameters come from a flat,
 sectioned key = value file plus ``--set section.key=value`` overrides.  A
 subcommand computes its results and returns them by file name: CSV tables, a
 JSON summary and text reports.  ``main`` writes every file a subcommand
@@ -60,8 +62,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_SELFTEST = 4
 
-DEFAULT_SEED = NoiseModel.seed
-
 
 class ConfigError(Exception):
     pass
@@ -117,6 +117,14 @@ def _parse_peak_count(text):
     return n
 
 
+def _parse_bool(text):
+    """The booleans of a config file: 1/yes/true/on or 0/no/false/off."""
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"must be one of {', '.join(states)}, got {text!r}")
+    return states[text.lower()]
+
+
 def _parse_orientations(text):
     """"p1_bonds", "single", or semicolon-separated theta,phi,weight triples."""
     if text == "p1_bonds":
@@ -144,7 +152,7 @@ _SCHEMA = {
         "sigma_z_mhz": (float, 0.0),
     },
     "decay": {
-        "enabled": (lambda s: s.lower() in ("1", "true", "yes"), False),
+        "enabled": (_parse_bool, False),
         "t2_nv_us": (float, DecayModel.t2_nv_us),
         "stretch_p": (_finite, DecayModel.stretch_p),
         "t1rho_us": (float, DecayModel.t1rho_us),
@@ -187,7 +195,7 @@ _SCHEMA = {
         "trials": (_parse_count, 1),
     },
     "run": {
-        "seed": (int, None),
+        "seed": (int, NoiseModel.seed),
         "out_dir": (str, "out"),
     },
 }
@@ -275,26 +283,19 @@ def _decay_model(config):
     return DecayModel(**{key: value for key, value in d.items() if key != "enabled"})
 
 
-def _resolve_seed(args, config):
-    if args.seed is not None:
-        return args.seed
-    if config["run"]["seed"] is not None:
-        return config["run"]["seed"]
-    return DEFAULT_SEED
-
-
 def _write(out_dir, files, plot_data):
     """Write ``{name: content}`` into ``out_dir``, made if there is a file.
 
-    A (header, columns) table becomes CSV with numbers as ``%.12g``, plus,
-    with ``plot_data``, a whitespace-delimited ``.dat`` twin whose header
-    line is commented with ``#``.  A dict becomes sorted JSON, a string
-    plain text.
+    A (header, columns) table becomes CSV: each column is converted once to
+    Python floats, and each row is formatted by one ``%.12g`` template, the
+    text of ``format(x, ".12g")``.  With ``plot_data`` it gets a
+    space-delimited ``.dat`` twin whose header line is commented with
+    ``# ``.  A dict becomes sorted JSON, a string plain text.  Each file is
+    written in one piece.
     """
-    def table(header, rows, sep, prefix):
-        yield prefix + sep.join(header) + "\n"
-        for row in rows:
-            yield sep.join(row) + "\n"
+    def table(header, rows, sep):
+        line = sep.join(["%.12g"] * len(header)) + "\n"
+        return sep.join(header) + "\n" + "".join([line % row for row in rows])
 
     if files:
         os.makedirs(out_dir, exist_ok=True)
@@ -303,16 +304,16 @@ def _write(out_dir, files, plot_data):
         if isinstance(content, dict):
             content = json.dumps(content, indent=2, sort_keys=True) + "\n"
         if isinstance(content, str):
-            targets = {path: [content]}
+            texts = {path: content}
         else:
             header, columns = content
-            rows = [[f"{x:.12g}" for x in row] for row in zip(*columns)]
-            targets = {path: table(header, rows, ",", "")}
+            rows = list(zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))
+            texts = {path: table(header, rows, ",")}
             if plot_data:
-                targets[os.path.splitext(path)[0] + ".dat"] = table(header, rows, " ", "# ")
-        for target, chunks in targets.items():
+                texts[os.path.splitext(path)[0] + ".dat"] = "# " + table(header, rows, " ")
+        for target, text in texts.items():
             with open(target, "w", newline="\n") as fh:
-                fh.writelines(chunks)
+                fh.write(text)
 
 
 def format_fit_report(result, label="spectrum"):
@@ -680,45 +681,42 @@ Different seeds give independent random streams.
 
 
 def build_parser():
+    commands = "".join(f"  {name:<12}{help_text}\n"
+                       for name, (_, help_text, _) in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="zfepr",
-        description=__doc__,
+        description=f"{__doc__ or ''}\ncommands:\n{commands}",
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"zfepr {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("config", nargs="?", default=None,
-                         help="sectioned key = value config file (defaults apply if omitted)")
-        cmd.add_argument("--set", dest="overrides", action="append", default=[],
-                         metavar="SECTION.KEY=VALUE", help="override one config value")
-        cmd.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-        cmd.add_argument("--out-dir", default=None, help="output directory")
-        cmd.add_argument("--plot-data", action="store_true",
-                         help="also write whitespace-delimited .dat files")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands listed above")
+    parser.add_argument("config", nargs="?", default=None,
+                        help="sectioned key = value config file (defaults apply if omitted)")
+    parser.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="SECTION.KEY=VALUE", help="override one config value")
+    parser.add_argument("--seed", type=int, default=None, help="override the RNG seed")
+    parser.add_argument("--out-dir", default=None, help="output directory")
+    parser.add_argument("--plot-data", action="store_true",
+                        help="also write whitespace-delimited .dat files")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_intermixed_args(argv)
     try:
         config = load_config(args.command, args.config, args.overrides)
         handler = _COMMANDS[args.command][0]
-        files = handler(config, _resolve_seed(args, config))
+        files = handler(config, config["run"]["seed"] if args.seed is None else args.seed)
     except SelftestFailure as exc:
         print(f"selftest: {exc}")
         return EXIT_SELFTEST
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (NumericalError, FitError, FoldAmbiguityError,
             DegenerateCrossingError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     _write(args.out_dir or config["run"]["out_dir"], files, args.plot_data)

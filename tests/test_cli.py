@@ -4,9 +4,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import zfepr
+import zfepr.cli as cli
 import zfepr.fields
 from zfepr.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 
@@ -455,3 +457,77 @@ def test_auto_peak_count_is_the_line_count_the_target_names(settings, centers, t
     assert summary["m"] == len(centers)
     assert all(p["amplitude"] > 0 for p in summary["peaks"])
     assert [p["center_mhz"] for p in summary["peaks"]] == pytest.approx(centers, abs=1e-3)
+
+
+@pytest.mark.parametrize("argv, seed, sigma", [
+    (["linewidth", "CONFIG", "--seed", "1"], 1, 0.3),
+    (["linewidth", "--seed", "1", "CONFIG"], 1, 0.3),
+    (["linewidth", "--set", "noise.sigma_mhz=0.2", "CONFIG"], 7, 0.2),
+    (["--seed", "1", "linewidth", "CONFIG"], 1, 0.3),
+], ids=["seed-last", "seed-first", "set-first", "seed-before-command"])
+def test_arguments_in_any_order(argv, seed, sigma, tmp_path, monkeypatch):
+    config = _config_file(tmp_path / "c.ini", ["run.seed=7", "noise.sigma_mhz=0.3"])
+    handler, help_text, reads = cli._COMMANDS["linewidth"]
+    seeds = []
+    monkeypatch.setitem(cli._COMMANDS, "linewidth",
+                        (lambda c, s: seeds.append(s) or handler(c, s), help_text, reads))
+    out = tmp_path / "out"
+    argv = [config if arg == "CONFIG" else arg for arg in argv] + ["--out-dir", str(out)]
+    assert main(argv) == EXIT_OK
+    assert seeds == [seed]
+    assert json.loads((out / "linewidth_summary.json").read_text())["sigma_mhz"] == sigma
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+    (["linewidth", "a.ini", "b.ini"], "unrecognized arguments: b.ini"),
+], ids=["no-command", "unknown-command", "extra-positional"])
+def test_bad_command_line_exits_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    for name, (_, help_text, _) in cli._COMMANDS.items():
+        assert [line.split() for line in lines if line.split()[:1] == [name]] \
+            == [[name, *help_text.split()]]
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out == f"zfepr {zfepr.__version__}\n"
+
+
+@pytest.mark.parametrize("value, code, enabled", [
+    ("ture", EXIT_CONFIG, None),
+    ("on", EXIT_OK, True),
+    ("OFF", EXIT_OK, False),
+])
+def test_decay_switch_takes_the_config_file_booleans(value, code, enabled, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["deer", "--set", f"decay.enabled={value}", "--out-dir", str(out)]) == code
+    if enabled is None:
+        assert "bad value for decay.enabled" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert json.loads((out / "deer_summary.json").read_text())["decay_enabled"] is enabled
+
+
+def test_tables_are_written_with_format_12g(tmp_path):
+    edges = np.array([-0.0, 1e-300, 5e-324, np.inf, -np.inf, np.nan, 1 / 3, 1e16, 2.5])
+    columns = (edges, list(edges[::-1].tolist()), tuple(range(len(edges))))
+    cli._write(str(tmp_path), {"t.csv": (("a", "b", "n"), columns)}, plot_data=True)
+    rows = [[f"{x:.12g}" for x in row] for row in zip(*columns)]
+    csv = (tmp_path / "t.csv").read_text().splitlines()
+    assert csv == ["a,b,n"] + [",".join(row) for row in rows]
+    assert csv[1:3] == ["-0,2.5,0", "1e-300,1e+16,1"]
+    dat = (tmp_path / "t.dat").read_text().splitlines()
+    assert dat == ["# a b n"] + [" ".join(row) for row in rows]
