@@ -207,7 +207,7 @@ def load_config(command, path, overrides=()):
     reads (see ``_COMMANDS``), rather than ignore them."""
     raw = {}
     if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
         if not os.path.isfile(path):
             raise ConfigError(f"config file not found: {path}")
         try:
@@ -225,11 +225,13 @@ def load_config(command, path, overrides=()):
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
+        # key and value read as a file's are: stripped, the key lower-cased
         target, value = item.split("=", 1)
         section, key = target.split(".", 1)
+        section, key = section.strip(), key.strip().lower()
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ConfigError(f"unknown override target {target!r}")
-        raw.setdefault(section, {})[key] = value
+        raw.setdefault(section, {})[key] = value.strip()
 
     noise = raw.get("noise", {})
     axes = [f"noise.{key}" for key in ("sigma_x_mhz", "sigma_y_mhz", "sigma_z_mhz")
@@ -258,6 +260,9 @@ def load_config(command, path, overrides=()):
                 f"{command} has no {section} model, so it cannot use "
                 f"{', '.join(f'{section}.{key}' for key in keys)}; "
                 f"[{section}] settings are for {', '.join(readers)}")
+    # deer alone sums over several couplings
+    if command != "deer" and isinstance(config["protocol"]["couplings"], tuple):
+        raise ConfigError(f"{command} expects a single coupling strength")
     return config
 
 
@@ -372,8 +377,6 @@ def _cmd_deer(config, seed):
 def _cmd_rabi(config, seed):
     p = config["protocol"]
     spec = _target_spec(config)
-    if isinstance(p["couplings"], tuple):
-        raise ConfigError("rabi expects a single coupling strength")
     thetas = np.linspace(p["theta_start_rad"], p["theta_stop_rad"], p["theta_points"])
     corr = corr_rabi(p["transition"], thetas, p["tau_us"], p["couplings"])
     signal = 0.5 * (1.0 + corr)
@@ -399,8 +402,6 @@ def _ramsey_series(config, seed):
     p = config["protocol"]
     spec = _target_spec(config)
     noise = _noise_model(config, seed)
-    if isinstance(p["couplings"], tuple):
-        raise ConfigError("ramsey expects a single coupling strength")
     # the grid includes t = 0: the spectrum is built from the even extension
     # of the record, which needs the zero-time sample
     t_grid = p["t_start_us"] + p["dt_us"] * np.arange(p["t_points"])
@@ -666,7 +667,10 @@ CSV columns and units:
 
 The config file is sectioned key = value text: [section] headers over
 key = value lines, with the sections and keys of --set.  Lines starting
-with # or ; are comments, as is the rest of a line from a spaced " #".
+with # or ; are comments, as is the rest of a line from a spaced " #",
+and % is a literal character.  A --set key and value are read as a file's
+are: stripped of spaces, and the key is case-insensitive; section names
+are case-sensitive.
 Every subcommand reads [run]; a setting of a section it does not read
 (say [field] for compensate) is a config error.
 protocol.m_gaussians: auto (default) fits the lines the target names:

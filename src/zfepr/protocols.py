@@ -64,6 +64,10 @@ _MW_JOINT = {kind: np.kron(nv_pulse(kind), _EYE4) for kind in ("mw_pi", "mw_2pi"
 _SENSOR_DIAGONAL = np.kron(np.eye(3), np.ones((4, 4)))
 #: Readout observable P0 = |0><0| (x) I4: the NV |0> population.
 _READOUT = np.kron(np.diag([0.0, 1.0, 0.0]), _EYE4)
+#: The sectors an interrogation window's echo factor scales: the T+-1 rows or
+#: columns (target indices 0 and 3) of the |+1><-1| and |-1><+1| sensor blocks.
+_ECHO_SECTORS = np.kron([[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+                        1 - np.outer([0, 1, 1, 0], [0, 1, 1, 0])) > 0
 #: Elements that close an interrogation window and so apply its echo decay.
 _WINDOW_CLOSING = ("mw_pi", "spinlock")
 #: Manipulation elements the alternative protocol allows during its wait.
@@ -197,59 +201,53 @@ def corr_signal(phi1, phi2, variant="main"):
 # sequence builders
 # ---------------------------------------------------------------------------
 
+def _rf(transition):
+    """The RF pulse of ``transition``: rf_st1 for st1, rf_st0 for st0."""
+    _check_transition(transition)
+    return rf_st1 if transition == "st1" else rf_st0
+
+
+def _interrogation_block(tau_us, drive):
+    """tau/2 - (2pi MW + the RF ``drive``) - tau/2, without the MW pi pulses."""
+    return [free(tau_us / 2.0), mw_2pi(), drive, free(tau_us / 2.0)]
+
+
 def deer_sequence(theta, tau_us, transition="st1"):
     """One interrogation block: pi - tau/2 - (2pi MW + theta RF) - tau/2 - pi."""
-    _check_transition(transition)
-    rf = rf_st1 if transition == "st1" else rf_st0
-    return [
-        mw_pi(), free(tau_us / 2.0), mw_2pi(), rf(theta), free(tau_us / 2.0),
-        mw_pi(), readout(),
-    ]
+    return [mw_pi()] + _interrogation_block(tau_us, _rf(transition)(theta)) + [mw_pi(), readout()]
 
 
-def _interrogation_block(tau_us):
-    return [free(tau_us / 2.0), mw_2pi(), rf_st1(2.0 * math.pi), free(tau_us / 2.0)]
-
-
-def _correlation_sequence(manipulation, tau_us, lock_us):
-    block = _interrogation_block(tau_us)
-    return ([mw_pi()] + block + [spinlock(lock_us)] + list(manipulation)
-            + block + [mw_pi(), readout()])
+def _correlation_sequences(transition, tau_us, lock_us, opening, closings):
+    """One correlation sequence per element of ``closings``: an interrogation
+    block, a locked window holding ``opening`` then the closing element, a
+    second block, readout.  On S0<->T0 the window's drive is sandwiched
+    between S0<->T+-1 pi pulses, which shuttle population through the
+    auxiliary states.  Every element but the closing one is built once and
+    shared by all the sequences.
+    """
+    block = _interrogation_block(tau_us, rf_st1(2.0 * math.pi))
+    shuttle = [rf_st1(math.pi)] if transition == "st0" else []
+    head = [mw_pi()] + block + [spinlock(lock_us)] + shuttle + opening
+    tail = shuttle + block + [mw_pi(), readout()]
+    return [head + [closing] + tail for closing in closings]
 
 
 def correlation_rabi_sequence(transition, theta, tau_us, lock_us=10.0):
-    """Two interrogation blocks around a locked window holding one RF drive.
-
-    The S0<->T0 drive is sandwiched between pi pulses on the S0<->T+-1
-    transition, which shuttle population through the auxiliary states.
-    """
-    _check_transition(transition)
-    if transition == "st1":
-        manip = [rf_st1(theta)]
-    else:
-        manip = [rf_st1(math.pi), rf_st0(theta), rf_st1(math.pi)]
-    return _correlation_sequence(manip, tau_us, lock_us)
+    """Two interrogation blocks around a locked window holding one RF drive."""
+    return _correlation_sequences(transition, tau_us, lock_us, [], [_rf(transition)(theta)])[0]
 
 
 def correlation_ramsey_sequences(transition, t_us, tau_us, lock_us=10.0):
     """(signal, reference) sequences for the differential Ramsey measurement.
 
-    Signal closes the target superposition with -pi/2, reference with +pi/2;
-    their difference cancels every background term.
+    Signal closes the target superposition with -pi/2, reference with +pi/2,
+    and the two share every other element; their difference cancels every
+    background term.
     """
-    _check_transition(transition)
-
-    def build(sign):
-        if transition == "st1":
-            manip = [rf_st1(math.pi / 2.0), free(t_us, frame="target"),
-                     rf_st1(sign * math.pi / 2.0)]
-        else:
-            manip = [rf_st1(math.pi), rf_st0(math.pi / 2.0),
-                     free(t_us, frame="target"), rf_st0(sign * math.pi / 2.0),
-                     rf_st1(math.pi)]
-        return _correlation_sequence(manip, tau_us, lock_us)
-
-    return build(-1.0), build(+1.0)
+    rf = _rf(transition)
+    return tuple(_correlation_sequences(transition, tau_us, lock_us,
+                                        [rf(math.pi / 2.0), free(t_us, frame="target")],
+                                        [rf(-math.pi / 2.0), rf(math.pi / 2.0)]))
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +265,6 @@ def _eigensystems(spec, coupling, draws):
     """
     h_target = np.diag(target_levels_mhz(spec)) + _noise_matrix_mhz(draws)
     return np.linalg.eigh(TWO_PI * (h_target[:, None] + _sensor_offsets_mhz(coupling)))
-
-
-def _echo_mask(factor):
-    """12x12 mask scaling the target-modulated sectors of the |+1><-1|
-    sensor coherence by ``factor``, ones elsewhere."""
-    block = np.ones((4, 4))
-    block[[0, 3], :] = factor
-    block[:, [0, 3]] = factor
-    mask = np.ones((12, 12))
-    mask[0:4, 8:12] = block
-    mask[8:12, 0:4] = block
-    return mask
 
 
 def _steps(sequence, decay):
@@ -326,7 +312,7 @@ def _apply(x, step, eig, decay, adjoint=False):
     unitary u acts as u x u^dagger forward and u^dagger x u backward.
     """
     if isinstance(step, float):
-        return x * _echo_mask(step)
+        return x * np.where(_ECHO_SECTORS, step, 1.0)
     kind = step.kind
     if kind == "dephase":
         return x * _SENSOR_DIAGONAL
@@ -455,7 +441,7 @@ def simulate_alternative_correlation(manipulation, tau_us, spec, coupling, noise
     for el in manipulation:
         if not (isinstance(el, Pulse) and el.kind in _ALTERNATIVE_KINDS):
             raise SequenceError(f"element {el!r} not allowed here")
-    block = [mw_pi()] + _interrogation_block(tau_us) + [mw_pi()]
+    block = [mw_pi()] + _interrogation_block(tau_us, rf_st1(2.0 * math.pi)) + [mw_pi()]
     return simulate_sequence(block + [dephase()] + manipulation + block + [readout()],
                              spec, coupling, noise=noise)
 

@@ -361,10 +361,13 @@ def _config_file(path, settings):
     ("bsweep", ["target.orientations=0.5,0.2,0.5;1.0,2.0,0.5", "field.b_points=5",
                 "field.mode=exact", "field.direction=1,0,1"], EXIT_OK),
     ("bsweep", ["target.orientations=single", "field.b_points=5"], EXIT_OK),
+    # a value is stripped and a key is case-insensitive on either route
+    ("bsweep", ["field.mode= exact ", "target.A_PERP_MHZ=114", "field.b_points=5"], EXIT_OK),
     # a spaced ";" separates triples in a file too (weights sum to 1.5)
     ("bsweep", ["target.orientations=0.5,0.2,1 ; 1.0,2.0,0.5", "field.b_points=5"],
      EXIT_CONFIG),
-], ids=["ramsey", "deer", "bsweep-triples", "bsweep-single", "bsweep-spaced-semicolon"])
+], ids=["ramsey", "deer", "bsweep-triples", "bsweep-single", "bsweep-spaces-and-case",
+        "bsweep-spaced-semicolon"])
 def test_config_file_matches_overrides(command, settings, code, tmp_path, capsys):
     by_file, by_set = tmp_path / "file", tmp_path / "set"
     config = _config_file(tmp_path / "run.cfg", settings)
@@ -405,6 +408,14 @@ def test_bad_config_file_is_a_config_error(text, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_percent_in_a_config_file_is_literal(tmp_path):
+    out = tmp_path / "res_50%"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[run]\nout_dir = {out}\n[field]\nb_points = 5\n")
+    assert main(["bsweep", str(path)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["bsweep.csv", "bsweep_summary.json"]
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     missing = tmp_path / "absent.cfg"
     assert main(["bsweep", str(missing), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
@@ -417,14 +428,24 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     (["rabi", "protocol.couplings=0.1:0.5,0.2:0.5"], "rabi expects a single coupling strength"),
     (["ramsey", "protocol.couplings=0.1:0.5,0.2:0.5"],
      "ramsey expects a single coupling strength"),
+    (["spectrum", "protocol.couplings=0.1:0.5,0.2:0.5"],
+     "spectrum expects a single coupling strength"),
     *[(["spectrum", f"protocol.m_gaussians={value}"], "bad value for protocol.m_gaussians")
       for value in ("abc", "0", "5", "2.0")],
+    (["bsweep", "field.b_points"], "override must look like section.key=value: 'field.b_points'"),
+    (["bsweep", "b_points=5"], "override must look like section.key=value: 'b_points=5'"),
+    (["linewidth", "noise.sigma_x_mhz=0.1", "noise.sigma_z_mhz=0.2"],
+     "linewidth theory needs isotropic noise; set noise.sigma_mhz"),
 ], ids=["zero-direction", "mode", "rabi-couplings", "ramsey-couplings",
-        "peaks-abc", "peaks-0", "peaks-5", "peaks-2.0"])
+        "spectrum-couplings", "peaks-abc", "peaks-0", "peaks-5", "peaks-2.0",
+        "override-without-equals", "override-without-dot", "linewidth-anisotropic"])
 def test_bad_setting_is_a_config_error(argv, message, tmp_path, capsys):
-    command, setting = argv
-    assert main([command, "--out-dir", str(tmp_path), "--set", setting]) == EXIT_CONFIG
+    command, *settings = argv
+    out = tmp_path / "out"
+    assert main([command, "--out-dir", str(out)]
+                + [arg for setting in settings for arg in ("--set", setting)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_selftest_checks_the_transition_frequencies(monkeypatch, capsys):

@@ -286,6 +286,49 @@ def test_simulator_with_noise_draw_shifts_carrier(spec):
     assert diff == pytest.approx(0.5 * expected, abs=2e-4)
 
 
+#: The interrogation block at tau = 4 us: tau/2, 2pi MW with the 2pi RF
+#: decoupling pulse, tau/2.
+_BLOCK = [("free", 2.0, "joint"), ("mw_2pi", 0.0, "joint"), ("rf_st1", TWO_PI, "joint"),
+          ("free", 2.0, "joint")]
+_OPEN, _CLOSE = [("mw_pi", 0.0, "joint")], [("mw_pi", 0.0, "joint"), ("readout", 0.0, "joint")]
+_LOCK, _SHUTTLE = [("spinlock", 10.0, "joint")], [("rf_st1", math.pi, "joint")]
+
+
+@pytest.mark.parametrize("family, transition, listing", [
+    ("ramsey", "st1", _OPEN + _BLOCK + _LOCK + [
+        ("rf_st1", math.pi / 2, "joint"), ("free", 0.7, "target"),
+        ("rf_st1", -math.pi / 2, "joint")] + _BLOCK + _CLOSE),
+    ("ramsey", "st0", _OPEN + _BLOCK + _LOCK + _SHUTTLE + [
+        ("rf_st0", math.pi / 2, "joint"), ("free", 0.7, "target"),
+        ("rf_st0", -math.pi / 2, "joint")] + _SHUTTLE + _BLOCK + _CLOSE),
+    ("rabi", "st1", _OPEN + _BLOCK + _LOCK + [("rf_st1", 0.7, "joint")] + _BLOCK + _CLOSE),
+    ("rabi", "st0", _OPEN + _BLOCK + _LOCK + _SHUTTLE + [("rf_st0", 0.7, "joint")]
+     + _SHUTTLE + _BLOCK + _CLOSE),
+    ("deer", "st1", _OPEN + [("free", 2.0, "joint"), ("mw_2pi", 0.0, "joint"),
+                             ("rf_st1", 0.7, "joint"), ("free", 2.0, "joint")] + _CLOSE),
+    ("deer", "st0", _OPEN + [("free", 2.0, "joint"), ("mw_2pi", 0.0, "joint"),
+                             ("rf_st0", 0.7, "joint"), ("free", 2.0, "joint")] + _CLOSE),
+])
+def test_sequences_are_the_written_out_protocol(family, transition, listing):
+    # x = 0.7 is the Ramsey time, the Rabi flip angle or the DEER flip angle
+    seq = {"ramsey": lambda: correlation_ramsey_sequences(transition, 0.7, 4.0)[0],
+           "rabi": lambda: correlation_rabi_sequence(transition, 0.7, 4.0),
+           "deer": lambda: deer_sequence(0.7, 4.0, transition)}[family]()
+    assert [(el.kind, el.value, el.frame) for el in seq] == listing
+
+
+@pytest.mark.parametrize("transition", ["st1", "st0"])
+def test_ramsey_pair_differs_only_in_the_closing_pulse(transition):
+    sig, ref = correlation_ramsey_sequences(transition, 0.7, 4.0)
+    assert len(sig) == len(ref)
+    differ = [i for i, (a, b) in enumerate(zip(sig, ref)) if a != b]
+    assert len(differ) == 1
+    i = differ[0]
+    assert sig[i - 1] == free(0.7, frame="target")
+    assert (sig[i].kind, ref[i].kind) == (f"rf_{transition}",) * 2
+    assert (sig[i].value, ref[i].value) == (-math.pi / 2, math.pi / 2)
+
+
 def test_sequence_validation_errors(spec):
     with pytest.raises(SequenceError):
         simulate_sequence([mw_pi(), free(1.0)], spec, 0.1)  # no readout
