@@ -16,6 +16,7 @@ Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 selftest failure.
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import os
@@ -125,6 +126,14 @@ def _parse_bool(text):
     return states[text.lower()]
 
 
+def _parse_widths(text):
+    """One noise width (MHz) for every axis, or three: x, y, z."""
+    widths = tuple(float(w) for w in text.split(","))
+    if len(widths) not in (1, 3):
+        raise ValueError(f"expected 1 or 3 widths separated by ',', got {text!r}")
+    return widths * (3 // len(widths))
+
+
 def _parse_orientations(text):
     """"p1_bonds", "single", or semicolon-separated theta,phi,weight triples."""
     if text == "p1_bonds":
@@ -134,22 +143,23 @@ def _parse_orientations(text):
     return tuple(_floats(item, 3) for item in text.split(";"))
 
 
-# section -> key -> (parser, default).  Unknown sections or keys are errors.
-# Floats must be finite, but for the decay times (inf switches a channel off)
-# and the noise widths (NoiseModel and linewidth_stats check them by name).
+# section -> key -> (parser, default[, the subcommands that read the key]).
+# A key without a reader list is read by every subcommand that reads its
+# section (see _COMMANDS).  Unknown sections or keys are errors.  Floats must
+# be finite, but for the decay times (inf switches a channel off) and the
+# noise widths (NoiseModel and linewidth_stats check them by name).
 _SCHEMA = {
     "target": {
         "a_perp_mhz": (_finite, TargetSpec.a_perp_mhz),
         "a_par_mhz": (_finite, TargetSpec.a_par_mhz),
-        "c13_splitting_mhz": (_finite, TargetSpec.c13_splitting_mhz),
-        "st0_offset_doublet_mhz": (lambda s: _floats(s, 2), TargetSpec.st0_offset_doublet_mhz),
-        "orientations": (_parse_orientations, TargetSpec.orientations),
+        "c13_splitting_mhz": (_finite, TargetSpec.c13_splitting_mhz,
+                              ("ramsey", "spectrum", "bsweep")),
+        "st0_offset_doublet_mhz": (lambda s: _floats(s, 2), TargetSpec.st0_offset_doublet_mhz,
+                                   ("ramsey", "spectrum", "bsweep")),
+        "orientations": (_parse_orientations, TargetSpec.orientations, ("bsweep",)),
     },
     "noise": {
-        "sigma_mhz": (float, None),
-        "sigma_x_mhz": (float, 0.0),
-        "sigma_y_mhz": (float, 0.0),
-        "sigma_z_mhz": (float, 0.0),
+        "sigma_mhz": (_parse_widths, (0.0, 0.0, 0.0)),
     },
     "decay": {
         "enabled": (_parse_bool, False),
@@ -158,21 +168,21 @@ _SCHEMA = {
         "t1rho_us": (float, DecayModel.t1rho_us),
     },
     "protocol": {
-        "transition": (str, "st1"),
+        "transition": (str, "st1", ("rabi", "ramsey", "spectrum")),
         "couplings": (_parse_couplings, 0.1),
-        "tau_us": (_finite, 5.0),
-        "tau_start_us": (_finite, 0.0),
-        "tau_stop_us": (_finite, 20.0),
-        "tau_points": (_parse_count, 201),
-        "theta_start_rad": (_finite, 0.0),
-        "theta_stop_rad": (_finite, 4.0 * math.pi),
-        "theta_points": (_parse_count, 201),
-        "t_start_us": (_finite, 0.0),
-        "dt_us": (_finite, 0.2),
-        "t_points": (_parse_count, 256),
-        "band_lo_mhz": (_finite, None),
-        "band_hi_mhz": (_finite, None),
-        "m_gaussians": (_parse_peak_count, "auto"),
+        "tau_us": (_finite, 5.0, ("rabi", "ramsey", "spectrum")),
+        "tau_start_us": (_finite, 0.0, ("deer",)),
+        "tau_stop_us": (_finite, 20.0, ("deer",)),
+        "tau_points": (_parse_count, 201, ("deer",)),
+        "theta_start_rad": (_finite, 0.0, ("rabi",)),
+        "theta_stop_rad": (_finite, 4.0 * math.pi, ("rabi",)),
+        "theta_points": (_parse_count, 201, ("rabi",)),
+        "t_start_us": (_finite, 0.0, ("ramsey", "spectrum")),
+        "dt_us": (_finite, 0.2, ("ramsey", "spectrum")),
+        "t_points": (_parse_count, 256, ("ramsey", "spectrum")),
+        "band_lo_mhz": (_finite, None, ("spectrum",)),
+        "band_hi_mhz": (_finite, None, ("spectrum",)),
+        "m_gaussians": (_parse_peak_count, "auto", ("spectrum",)),
     },
     "field": {
         "b_start_g": (_finite, 0.0),
@@ -203,8 +213,9 @@ _SCHEMA = {
 
 def load_config(command, path, overrides=()):
     """Parse the sectioned key = value file, apply overrides, reject unknowns,
-    and reject settings of a section that the subcommand ``command`` never
-    reads (see ``_COMMANDS``), rather than ignore them."""
+    and reject every setting that the subcommand ``command`` never reads (of
+    a section it has no model for, of a key only other subcommands read, or
+    of a decay parameter while decay is off), rather than ignore it."""
     raw = {}
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
@@ -233,22 +244,17 @@ def load_config(command, path, overrides=()):
             raise ConfigError(f"unknown override target {target!r}")
         raw.setdefault(section, {})[key] = value.strip()
 
-    noise = raw.get("noise", {})
-    axes = [f"noise.{key}" for key in ("sigma_x_mhz", "sigma_y_mhz", "sigma_z_mhz")
-            if key in noise]
-    if "sigma_mhz" in noise and axes:
-        raise ConfigError(f"noise.sigma_mhz cannot be set together with {', '.join(axes)}; "
-                          "give the isotropic width or the per-axis widths")
-
-    config = {}
+    config, unread = {}, []
     for section, keys in _SCHEMA.items():
         config[section] = {}
-        for key, (parse, default) in keys.items():
+        for key, (parse, default, *readers) in keys.items():
             if section in raw and key in raw[section]:
                 try:
                     config[section][key] = parse(raw[section][key])
                 except (ValueError, ConfigError) as exc:
                     raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
+                if readers and command not in readers[0]:
+                    unread.append(f"{section}.{key} (read by {', '.join(readers[0])})")
             else:
                 config[section][key] = default
 
@@ -260,6 +266,12 @@ def load_config(command, path, overrides=()):
                 f"{command} has no {section} model, so it cannot use "
                 f"{', '.join(f'{section}.{key}' for key in keys)}; "
                 f"[{section}] settings are for {', '.join(readers)}")
+    if unread:
+        raise ConfigError(f"{command} does not read {', '.join(unread)}")
+    params = [f"decay.{key}" for key in raw.get("decay", {}) if key != "enabled"]
+    if params and not config["decay"]["enabled"]:
+        raise ConfigError(f"decay is off, so {command} cannot use {', '.join(params)}; "
+                          "set decay.enabled = true")
     # deer alone sums over several couplings
     if command != "deer" and isinstance(config["protocol"]["couplings"], tuple):
         raise ConfigError(f"{command} expects a single coupling strength")
@@ -271,14 +283,9 @@ def _target_spec(config):
 
 
 def _noise_model(config, seed):
-    n = config["noise"]
-    if n["sigma_mhz"] is not None:
-        model = NoiseModel.isotropic(n["sigma_mhz"], seed=seed)
-    else:
-        model = NoiseModel(n["sigma_x_mhz"], n["sigma_y_mhz"], n["sigma_z_mhz"], seed=seed)
-    if max(model.sigma_x_mhz, model.sigma_y_mhz, model.sigma_z_mhz) == 0:
-        return None
-    return model
+    widths = config["noise"]["sigma_mhz"]
+    model = NoiseModel(*widths, seed=seed)
+    return model if any(widths) else None
 
 
 def _decay_model(config):
@@ -455,17 +462,7 @@ def _cmd_spectrum(config, seed):
             "band_origin_mhz": spectrum.band_origin,
             "m": fit.m,
             "residual_norm": fit.residual_norm,
-            "peaks": [
-                {
-                    "center_mhz": pk.center_mhz,
-                    "center_se_mhz": pk.center_se_mhz,
-                    "fwhm_mhz": pk.fwhm_mhz,
-                    "fwhm_se_mhz": pk.fwhm_se_mhz,
-                    "amplitude": pk.amplitude,
-                    "amplitude_se": pk.amplitude_se,
-                }
-                for pk in fit.peaks
-            ],
+            "peaks": [dataclasses.asdict(pk) for pk in fit.peaks],
             "seed": seed,
         },
     }
@@ -532,14 +529,12 @@ def _cmd_compensate(config, seed):
 
 
 def _cmd_linewidth(config, seed):
-    spec = _target_spec(config)
-    n = config["noise"]
-    sigma = n["sigma_mhz"]
-    if sigma is None:
-        if not (n["sigma_x_mhz"] == n["sigma_y_mhz"] == n["sigma_z_mhz"]):
-            raise ConfigError("linewidth theory needs isotropic noise; set noise.sigma_mhz")
-        sigma = n["sigma_x_mhz"]
-    stats = linewidth_stats(sigma, spec)
+    sigma, sigma_y, sigma_z = config["noise"]["sigma_mhz"]
+    # a width that is not finite is named as such before the axes are compared
+    stats = linewidth_stats(sigma, _target_spec(config))
+    if not sigma == sigma_y == sigma_z:
+        raise ConfigError("linewidth theory needs isotropic noise; "
+                          "set noise.sigma_mhz to one width")
     payload = {
         "sigma_mhz": sigma,
         "sigma_st1_mhz": stats.sigma_st1_mhz,
@@ -671,8 +666,11 @@ with # or ; are comments, as is the rest of a line from a spaced " #",
 and % is a literal character.  A --set key and value are read as a file's
 are: stripped of spaces, and the key is case-insensitive; section names
 are case-sensitive.
-Every subcommand reads [run]; a setting of a section it does not read
-(say [field] for compensate) is a config error.
+Every subcommand reads [run]; a setting of a section or key it does not
+read (say [field] for compensate, protocol.dt_us for rabi) is a config
+error, and so is a decay parameter while decay.enabled is off.
+noise.sigma_mhz: one width in MHz, the same on every axis, or three
+comma-separated widths for x, y and z (linewidth needs them equal).
 protocol.m_gaussians: auto (default) fits the lines the target names:
 one Gaussian for a single line, and for a doublet (target.c13_splitting_mhz
 on st1, target.st0_offset_doublet_mhz on st0) one or two, whichever the

@@ -291,7 +291,7 @@ def _steps(sequence, decay):
             if not seen_mw:
                 raise SequenceError("spin locking before any MW pulse")
             in_window = True
-        elif el.kind == "free" and el.frame == "target" and not in_window:
+        elif el.frame == "target" and not in_window:
             raise SequenceError("target-frame free evolution outside a locked window")
         if el.kind in _WINDOW_CLOSING:
             factor = 1.0 if decay is None else decay.echo_factor(t_coherent)
@@ -373,8 +373,8 @@ def _evolve(sequences, eig, decay):
     for step in reversed(first[len(first) - n_tail :]):
         obs = _apply(obs, step, eig, decay, adjoint=True)
 
-    if all(len(m) == 1 and isinstance(m[0], Pulse) and m[0].kind == "free"
-           and m[0].frame == "target" for m in middles):
+    if all(len(m) == 1 and isinstance(m[0], Pulse) and m[0].frame == "target"
+           for m in middles):
         return _target_free_readout(rho, obs, [m[0].value for m in middles], eig)
 
     obs = obs.conj()  # Tr(O rho) = sum(conj(O) * rho) for a Hermitian O

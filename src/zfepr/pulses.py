@@ -101,6 +101,8 @@ class Pulse:
             raise ValueError("pulse parameter must be finite")
         if self.frame not in ("joint", "target"):
             raise ValueError(f"unknown frame {self.frame!r}")
+        if self.frame == "target" and self.kind != "free":
+            raise ValueError(f"frame applies to free evolution only, not to {self.kind}")
 
 
 def mw_pi():

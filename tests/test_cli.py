@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ def test_python_m_zfepr_from_checkout():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == f"zfepr {zfepr.__version__}"
+
+
+def test_rabi_closed_form_that_disagrees_with_the_simulator_is_numerical(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "corr_rabi", lambda *args: zfepr.corr_rabi(*args) + 1e-6)
+    assert main(["rabi", "--out-dir", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    assert "closed form disagrees with simulator" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_compensate_default_config(tmp_path):
@@ -214,32 +223,65 @@ def test_float_that_is_not_finite_is_a_config_error(setting, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("width", ["sigma_x_mhz", "sigma_y_mhz", "sigma_z_mhz"])
-def test_axis_noise_width_that_is_not_finite_is_a_config_error(width, tmp_path, capsys):
-    argv = ["ramsey", "--out-dir", str(tmp_path), "--set", f"noise.{width}=nan"]
+# the id names the NoiseModel field that is not finite
+@pytest.mark.parametrize("widths", ["nan,0.1,0.1", "0.1,nan,0.1", "0.1,0.1,nan"],
+                         ids=["sigma_x_mhz", "sigma_y_mhz", "sigma_z_mhz"])
+def test_axis_noise_width_that_is_not_finite_is_a_config_error(widths, tmp_path, capsys):
+    argv = ["ramsey", "--out-dir", str(tmp_path), "--set", f"noise.sigma_mhz={widths}"]
     assert main(argv) == EXIT_CONFIG
     assert "must be finite and >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("width", ["sigma_x_mhz", "sigma_z_mhz"])
-def test_isotropic_and_axis_noise_widths_are_exclusive(width, tmp_path, capsys):
-    settings = ["noise.sigma_mhz=0.196", f"noise.{width}=5"]
-    message = f"noise.sigma_mhz cannot be set together with noise.{width}"
-    argv = ["ramsey", "--out-dir", str(tmp_path / "out")]
-    for item in settings:
-        argv += ["--set", item]
-    assert main(argv) == EXIT_CONFIG
-    assert message in capsys.readouterr().err
-    config = _config_file(tmp_path / "run.cfg", settings)
+# setting -> (the --set route's error, the file route's error)
+NOISE_SYNTAX = {
+    "noise.sigma_x_mhz=5": ("unknown override target 'noise.sigma_x_mhz'",
+                            "unknown key 'sigma_x_mhz' in section [noise]"),
+    "noise.sigma_z_mhz=5": ("unknown override target 'noise.sigma_z_mhz'",
+                            "unknown key 'sigma_z_mhz' in section [noise]"),
+    "noise.sigma_mhz=0.1,0.2": ("bad value for noise.sigma_mhz: expected 1 or 3 widths",) * 2,
+}
+
+
+@pytest.mark.parametrize("setting", NOISE_SYNTAX,
+                         ids=["sigma_x_mhz", "sigma_z_mhz", "two-widths"])
+def test_noise_width_is_one_key_of_one_or_three_widths(setting, tmp_path, capsys):
+    by_set, by_file = NOISE_SYNTAX[setting]
+    assert main(["ramsey", "--out-dir", str(tmp_path / "out"), "--set", setting]) \
+        == EXIT_CONFIG
+    assert by_set in capsys.readouterr().err
+    config = _config_file(tmp_path / "run.cfg", [setting])
     assert main(["ramsey", config, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert message in capsys.readouterr().err
+    assert by_file in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_one_noise_width_is_the_same_on_every_axis(tmp_path):
+    written = []
+    for widths in ("0.196", "0.196,0.196,0.196"):
+        out = tmp_path / widths
+        argv = ["ramsey", "--out-dir", str(out), "--set", f"noise.sigma_mhz={widths}"]
+        assert main(argv) == EXIT_OK
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1]
+
+
+def test_three_noise_widths_are_the_x_y_z_widths(tmp_path):
+    argv = ["ramsey", "--out-dir", str(tmp_path), "--seed", "9",
+            "--set", "noise.sigma_mhz=0.1,0.2,0.3", "--set", "protocol.t_points=32"]
+    assert main(argv) == EXIT_OK
+    series = zfepr.synthesize_ramsey_series(
+        "st1", 0.2 * np.arange(32), zfepr.TargetSpec(), 0.1, 5.0,
+        noise=zfepr.NoiseModel(0.1, 0.2, 0.3, seed=9))
+    assert (tmp_path / "ramsey.csv").read_text() == "t_us,signal\n" + "".join(
+        f"{t:.12g},{v:.12g}\n" for t, v in zip(series.times, series.values))
+    summary = json.loads((tmp_path / "ramsey_summary.json").read_text())
+    assert summary["noise"] == [0.1, 0.2, 0.3]
 
 
 @pytest.mark.parametrize("command", ["deer", "rabi", "bsweep", "compensate", "selftest"])
 def test_noise_setting_without_a_noise_model_is_a_config_error(command, tmp_path, capsys):
-    settings = ["noise.sigma_x_mhz=0.196"]
-    message = f"{command} has no noise model, so it cannot use noise.sigma_x_mhz"
+    settings = ["noise.sigma_mhz=0.196"]
+    message = f"{command} has no noise model, so it cannot use noise.sigma_mhz"
     assert main([command, "--out-dir", str(tmp_path / "out"), "--set", settings[0]]) \
         == EXIT_CONFIG
     assert message in capsys.readouterr().err
@@ -272,6 +314,84 @@ def test_setting_of_a_section_the_command_never_reads_is_a_config_error(
     assert main([command, config, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err == err
     assert not (tmp_path / "out").exists()
+
+
+# a subcommand and settings it never reads -> the words of the error
+UNREAD_KEY = [
+    (["deer", "protocol.transition=st0"],
+     "deer does not read protocol.transition (read by rabi, ramsey, spectrum)"),
+    (["deer", "decay.t2_nv_us=3"],
+     "decay is off, so deer cannot use decay.t2_nv_us; set decay.enabled = true"),
+    (["rabi", "protocol.dt_us=0.1"],
+     "rabi does not read protocol.dt_us (read by ramsey, spectrum)"),
+    (["ramsey", "protocol.band_lo_mhz=1", "protocol.band_hi_mhz=2"],
+     "ramsey does not read protocol.band_lo_mhz (read by spectrum), "
+     "protocol.band_hi_mhz (read by spectrum)"),
+    (["ramsey", "protocol.m_gaussians=3"],
+     "ramsey does not read protocol.m_gaussians (read by spectrum)"),
+    (["spectrum", "target.orientations=single"],
+     "spectrum does not read target.orientations (read by bsweep)"),
+    (["selftest", "target.c13_splitting_mhz=0.4"],
+     "selftest does not read target.c13_splitting_mhz (read by ramsey, spectrum, bsweep)"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNREAD_KEY,
+                         ids=["deer-transition", "deer-decay-off", "rabi-dt", "ramsey-band",
+                              "ramsey-peaks", "spectrum-orientations", "selftest-c13"])
+def test_setting_of_a_key_the_command_never_reads_is_a_config_error(
+        argv, message, tmp_path, capsys):
+    command, *settings = argv
+    out = tmp_path / "out"
+    assert main([command, "--out-dir", str(out)]
+                + [arg for setting in settings for arg in ("--set", setting)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err
+    config = _config_file(tmp_path / "run.cfg", settings)
+    assert main([command, config, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+# subcommand -> how many of the schema's keys it reads
+KEYS_READ = {"deer": 10, "rabi": 10, "ramsey": 13, "spectrum": 16, "bsweep": 12,
+             "compensate": 13, "linewidth": 5, "selftest": 4}
+# a value the key's parser accepts, where the default's text is not one
+SAMPLE_VALUES = {"target.orientations": "single", "protocol.band_lo_mhz": "1",
+                 "protocol.band_hi_mhz": "2", "target.st0_offset_doublet_mhz": "-0.03,0.03"}
+
+
+def test_each_command_accepts_exactly_the_keys_it_reads():
+    accepted = {}
+    for command, (_, _, sections) in cli._COMMANDS.items():
+        for section, keys in cli._SCHEMA.items():
+            for key, (_, default, *readers) in keys.items():
+                name = f"{section}.{key}"
+                value = SAMPLE_VALUES.get(name) or (
+                    ",".join(map(str, default)) if isinstance(default, tuple) else str(default))
+                settings = [f"{name}={value}"]
+                if section == "decay" and key != "enabled":  # read while decay is on
+                    settings.append("decay.enabled=true")
+                reads = ((section == "run" or section in sections)
+                         and (not readers or command in readers[0]))
+                try:
+                    cli.load_config(command, None, settings)
+                    accepted[command, name] = True
+                except cli.ConfigError as exc:
+                    accepted[command, name] = False
+                    assert f"cannot use {name}" in str(exc) or f"{name} (read by" in str(exc)
+                assert accepted[command, name] == reads, (command, name)
+    assert Counter(command for (command, _), ok in accepted.items() if ok) == KEYS_READ
+    assert sum(KEYS_READ.values()) == 83 and len(accepted) == 8 * 43
+    # a key's readers read its section, and every key has a reader
+    for section, keys in cli._SCHEMA.items():
+        section_readers = {c for c, (*_, sections) in cli._COMMANDS.items()
+                           if section in sections}
+        for key, (_, _, *readers) in keys.items():
+            if readers:
+                assert set(readers[0]) <= section_readers, (section, key)
+            if section != "run":
+                assert any(accepted[c, f"{section}.{key}"] for c in cli._COMMANDS)
 
 
 def test_infinite_decay_times_switch_channels_off(tmp_path, capsys):
@@ -319,8 +439,9 @@ def test_noisy_st0_closed_form_does_not_depend_on_the_seed(command, tmp_path):
         out = tmp_path / str(seed)
         argv = [command, "--seed", str(seed), "--out-dir", str(out),
                 "--set", "protocol.transition=st0", "--set", "noise.sigma_mhz=0.196",
-                "--set", "protocol.dt_us=0.15",
-                "--set", "protocol.band_lo_mhz=112.5", "--set", "protocol.band_hi_mhz=115.5"]
+                "--set", "protocol.dt_us=0.15"]
+        if command == "spectrum":
+            argv += ["--set", "protocol.band_lo_mhz=112.5", "--set", "protocol.band_hi_mhz=115.5"]
         assert main(argv) == EXIT_OK
         written.append({p.name: p.read_bytes() for p in out.iterdir() if p.suffix == ".csv"})
     assert written[0] == written[1]
@@ -434,7 +555,7 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
       for value in ("abc", "0", "5", "2.0")],
     (["bsweep", "field.b_points"], "override must look like section.key=value: 'field.b_points'"),
     (["bsweep", "b_points=5"], "override must look like section.key=value: 'b_points=5'"),
-    (["linewidth", "noise.sigma_x_mhz=0.1", "noise.sigma_z_mhz=0.2"],
+    (["linewidth", "noise.sigma_mhz=0.1,0.1,0.2"],
      "linewidth theory needs isotropic noise; set noise.sigma_mhz"),
 ], ids=["zero-direction", "mode", "rabi-couplings", "ramsey-couplings",
         "spectrum-couplings", "peaks-abc", "peaks-0", "peaks-5", "peaks-2.0",

@@ -87,6 +87,19 @@ def test_fit_validation():
             fit_gaussians(Spectrum(freqs, _gaussian(freqs, 1, 0.5, 0.2)), counts)
 
 
+def test_second_component_falls_back_to_a_masked_candidate():
+    # a flat top filling the window: the half-max footprint of the first pick
+    # masks every bin, so the second component starts on a masked top bin
+    freqs = np.linspace(0, 1, 50)
+    amps = np.ones(50)
+    amps[[0, -1]] = 0.2
+    params = zfepr.fitting._initial_guess(freqs, amps, 2)
+    assert len(params) == 1 + 3 * 2
+    centers = params[2::3]
+    assert centers[0] != centers[1] and np.all((freqs[1] <= centers) & (centers <= freqs[-2]))
+    assert np.allclose(params[1::3], 0.8)
+
+
 def test_lm_against_scipy_oracle():
     scipy_optimize = pytest.importorskip("scipy.optimize")
     freqs = np.linspace(-2, 2, 400)

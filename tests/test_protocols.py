@@ -12,7 +12,14 @@ from conftest import (
 
 import zfepr.noise
 import zfepr.protocols
-from zfepr.hamiltonians import FieldVector, NoiseDraw, TargetSpec, transitions_vs_field
+from zfepr.hamiltonians import (
+    DipolarGeometry,
+    FieldVector,
+    NoiseDraw,
+    TargetSpec,
+    dipolar_constant,
+    transitions_vs_field,
+)
 from zfepr.noise import NoiseModel, sample_noise
 from zfepr.protocols import (
     SequenceError,
@@ -264,6 +271,14 @@ def test_simulator_alternative_protocol(spec, rng):
         table = alternative_table_signal(rabi_manipulation("st1", theta), tau, c)
         worst = max(worst, abs(sim - table))
     assert worst < 1e-9
+
+
+def test_simulator_takes_a_dipolar_geometry_as_its_coupling(spec):
+    geometry = DipolarGeometry(r_nm=5.0, theta_r=0.7, phi_r=0.3, theta_e=1.1, phi_e=2.0)
+    seq = deer_sequence(1.3, 3.0)
+    by_geometry = simulate_sequence(seq, spec, geometry)
+    assert by_geometry == simulate_sequence(seq, spec, dipolar_constant(geometry))
+    assert abs(by_geometry - simulate_sequence(seq, spec, 0.0)) > 1e-3
 
 
 def test_simulator_free_only_sequence(spec):

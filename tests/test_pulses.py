@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zfepr.pulses import (
+    _KINDS,
     DecayModel,
     Pulse,
     free,
@@ -186,6 +187,13 @@ def test_decay_model_validation():
     assert (d.t2_nv_us, d.stretch_p, d.t1rho_us) == (16.0, 2.0, 150.0)
     assert d.echo_factor(16.0) == pytest.approx(math.exp(-1.0))
     assert DecayModel(t2_nv_us=math.inf).echo_factor(10.0) == 1.0
+
+
+@pytest.mark.parametrize("kind", [k for k in _KINDS if k != "free"])
+def test_target_frame_is_for_free_evolution_only(kind):
+    with pytest.raises(ValueError, match="frame applies to free evolution only"):
+        Pulse(kind, 1.0, frame="target")
+    assert Pulse(kind, 1.0).frame == "joint"
 
 
 def test_pulse_element_validation():
