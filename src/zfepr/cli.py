@@ -177,7 +177,6 @@ _SCHEMA = {
         "theta_start_rad": (_finite, 0.0, ("rabi",)),
         "theta_stop_rad": (_finite, 4.0 * math.pi, ("rabi",)),
         "theta_points": (_parse_count, 201, ("rabi",)),
-        "t_start_us": (_finite, 0.0, ("ramsey", "spectrum")),
         "dt_us": (_finite, 0.2, ("ramsey", "spectrum")),
         "t_points": (_parse_count, 256, ("ramsey", "spectrum")),
         "band_lo_mhz": (_finite, None, ("spectrum",)),
@@ -282,9 +281,9 @@ def _target_spec(config):
     return TargetSpec(**config["target"])
 
 
-def _noise_model(config, seed):
+def _noise_model(config):
     widths = config["noise"]["sigma_mhz"]
-    model = NoiseModel(*widths, seed=seed)
+    model = NoiseModel(*widths, seed=config["run"]["seed"])
     return model if any(widths) else None
 
 
@@ -364,7 +363,7 @@ def format_compensation_report(result):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_deer(config, seed):
+def _cmd_deer(config):
     p = config["protocol"]
     decay = _decay_model(config)
     taus = np.linspace(p["tau_start_us"], p["tau_stop_us"], p["tau_points"])
@@ -381,17 +380,17 @@ def _cmd_deer(config, seed):
     }
 
 
-def _cmd_rabi(config, seed):
+def _cmd_rabi(config):
     p = config["protocol"]
-    spec = _target_spec(config)
     thetas = np.linspace(p["theta_start_rad"], p["theta_stop_rad"], p["theta_points"])
     corr = corr_rabi(p["transition"], thetas, p["tau_us"], p["couplings"])
     signal = 0.5 * (1.0 + corr)
-    # spot-check the closed form against the density-matrix simulator
+    # spot-check the closed form against the density-matrix simulator; the
+    # correlation Rabi signal does not depend on the hyperfine constants
     check = simulate_sequence(
         correlation_rabi_sequence(p["transition"], float(thetas[len(thetas) // 2]),
                                   p["tau_us"]),
-        spec, p["couplings"])
+        TargetSpec(), p["couplings"])
     if abs(check - signal[len(thetas) // 2]) > 1e-8:
         raise NumericalError("closed form disagrees with simulator")
     return {
@@ -405,13 +404,13 @@ def _cmd_rabi(config, seed):
     }
 
 
-def _ramsey_series(config, seed):
+def _ramsey_series(config):
     p = config["protocol"]
     spec = _target_spec(config)
-    noise = _noise_model(config, seed)
-    # the grid includes t = 0: the spectrum is built from the even extension
+    noise = _noise_model(config)
+    # the grid starts at t = 0: the spectrum is built from the even extension
     # of the record, which needs the zero-time sample
-    t_grid = p["t_start_us"] + p["dt_us"] * np.arange(p["t_points"])
+    t_grid = p["dt_us"] * np.arange(p["t_points"])
     series = synthesize_ramsey_series(p["transition"], t_grid, spec, p["couplings"],
                                       p["tau_us"], noise=noise)
     return series, noise
@@ -421,8 +420,8 @@ def _ramsey_table(series):
     return ("t_us", "signal"), (series.times, series.values)
 
 
-def _cmd_ramsey(config, seed):
-    series, noise = _ramsey_series(config, seed)
+def _cmd_ramsey(config):
+    series, noise = _ramsey_series(config)
     return {
         "ramsey.csv": _ramsey_table(series),
         "ramsey_summary.json": {
@@ -431,12 +430,12 @@ def _cmd_ramsey(config, seed):
             "dt_us": series.dt,
             "noise": None if noise is None else
                 [noise.sigma_x_mhz, noise.sigma_y_mhz, noise.sigma_z_mhz],
-            "seed": seed,
+            "seed": config["run"]["seed"],
         },
     }
 
 
-def _cmd_spectrum(config, seed):
+def _cmd_spectrum(config):
     p = config["protocol"]
     lo, hi = p["band_lo_mhz"], p["band_hi_mhz"]
     if (lo is None) != (hi is None):
@@ -444,7 +443,7 @@ def _cmd_spectrum(config, seed):
         raise ConfigError(f"protocol.band_{missing}_mhz is required when "
                           f"protocol.band_{given}_mhz is set")
     band = None if lo is None else (lo, hi)
-    series, _ = _ramsey_series(config, seed)
+    series, _ = _ramsey_series(config)
     spectrum = dft_spectrum(series, band_hint=band)
     m = p["m_gaussians"]
     if m == "auto":
@@ -463,12 +462,12 @@ def _cmd_spectrum(config, seed):
             "m": fit.m,
             "residual_norm": fit.residual_norm,
             "peaks": [dataclasses.asdict(pk) for pk in fit.peaks],
-            "seed": seed,
+            "seed": config["run"]["seed"],
         },
     }
 
 
-def _cmd_bsweep(config, seed):
+def _cmd_bsweep(config):
     f = config["field"]
     spec = _target_spec(config)
     direction = np.asarray(f["direction"], dtype=float)
@@ -495,7 +494,7 @@ def _cmd_bsweep(config, seed):
     }
 
 
-def _cmd_compensate(config, seed):
+def _cmd_compensate(config):
     c = config["compensation"]
     coil = CoilConfig(coefficient_g_per_a=c["coefficient_g_per_a"],
                       current_stability_a=c["current_stability_a"])
@@ -507,7 +506,7 @@ def _cmd_compensate(config, seed):
     rows = []
     first = None
     for trial in range(c["trials"]):
-        trial_seed = np.random.SeedSequence(seed, spawn_key=(trial,))
+        trial_seed = np.random.SeedSequence(config["run"]["seed"], spawn_key=(trial,))
         result = compensate_3axis(true_field, coil, plan, seed=trial_seed)
         if first is None:
             first = result
@@ -523,12 +522,12 @@ def _cmd_compensate(config, seed):
             "trials": c["trials"],
             "rms_residual_g": [float(x) for x in np.sqrt((residuals**2).mean(axis=0))],
             "max_fit_error_a": max(first.fit_errors_a.values()),
-            "seed": seed,
+            "seed": config["run"]["seed"],
         },
     }
 
 
-def _cmd_linewidth(config, seed):
+def _cmd_linewidth(config):
     sigma, sigma_y, sigma_z = config["noise"]["sigma_mhz"]
     # a width that is not finite is named as such before the axes are compared
     stats = linewidth_stats(sigma, _target_spec(config))
@@ -547,9 +546,9 @@ def _cmd_linewidth(config, seed):
     return {"linewidth_summary.json": payload}
 
 
-def _cmd_selftest(config, seed):
+def _cmd_selftest(config):
     spec = _target_spec(config)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config["run"]["seed"])
     failures = []
 
     def check(name, ok):
@@ -567,34 +566,28 @@ def _cmd_selftest(config, seed):
           max(abs(t0 - s0 - spec.f_st0_mhz), abs(t_plus - s0 - spec.f_st1_mhz),
               abs(t_minus - s0 - spec.f_st1_mhz)) < 1e-9)
 
+    def draws(n, hi):  # n draws of (x < hi, tau in [0.5, 10) us, C in [0.05, 1) MHz)
+        return [(rng.uniform(0, hi), rng.uniform(0.5, 10.0), rng.uniform(0.05, 1.0))
+                for _ in range(n)]
+
     worst = 0.0
-    for _ in range(10):
-        theta = rng.uniform(0, 2 * math.pi)
-        tau = rng.uniform(0.5, 10.0)
-        c = rng.uniform(0.05, 1.0)
+    for theta, tau, c in draws(10, 2 * math.pi):
         sim = simulate_sequence(deer_sequence(theta, tau), spec, c)
         worst = max(worst, abs(sim - deer_signal_general(theta, tau, c)))
     check(f"deer closed form vs simulator ({worst:.2e})", worst < 1e-9)
 
     worst = 0.0
     for transition in ("st1", "st0"):
-        for _ in range(5):
-            theta = rng.uniform(0, 2 * math.pi)
-            tau = rng.uniform(0.5, 10.0)
-            c = rng.uniform(0.05, 1.0)
-            sim = simulate_sequence(
-                correlation_rabi_sequence(transition, theta, tau), spec, c)
+        for theta, tau, c in draws(5, 2 * math.pi):
+            sim = simulate_sequence(correlation_rabi_sequence(transition, theta, tau), spec, c)
             worst = max(worst, abs(sim - 0.5 * (1 + corr_rabi(transition, theta, tau, c))))
     check(f"correlation rabi vs simulator ({worst:.2e})", worst < 1e-9)
 
     worst = 0.0
     for transition in ("st1", "st0"):
-        for _ in range(3):
-            t = rng.uniform(0.0, 0.1)
-            tau = rng.uniform(0.5, 10.0)
-            c = rng.uniform(0.05, 1.0)
+        for t, tau, c in draws(3, 0.1):
             sig, ref = correlation_ramsey_sequences(transition, t, tau)
-            diff = (simulate_sequence(sig, spec, c) - simulate_sequence(ref, spec, c))
+            diff = simulate_sequence(sig, spec, c) - simulate_sequence(ref, spec, c)
             closed = 0.5 * corr_ramsey_diff(transition, t, tau, c, spec=spec)
             worst = max(worst, abs(diff - closed))
     check(f"correlation ramsey vs simulator ({worst:.2e})", worst < 1e-9)
@@ -639,7 +632,7 @@ def _cmd_selftest(config, seed):
 _COMMANDS = {
     "deer": (_cmd_deer, "interrogation signal versus evolution time",
              ("protocol", "decay")),
-    "rabi": (_cmd_rabi, "correlation signal versus RF flip angle", ("target", "protocol")),
+    "rabi": (_cmd_rabi, "correlation signal versus RF flip angle", ("protocol",)),
     "ramsey": (_cmd_ramsey, "differential correlation time series",
                ("target", "noise", "protocol")),
     "spectrum": (_cmd_spectrum, "ramsey series -> DFT -> gaussian fit",
@@ -677,8 +670,11 @@ on st1, target.st0_offset_doublet_mhz on st0) one or two, whichever the
 information criterion prefers.  A whole number 1..4 fixes the count; a
 fixed count must pass the same validity tests (converged, inside the
 spectrum, no sub-bin or negative line), or the run fails with exit 3.
+Ramsey records (ramsey, spectrum) start at t = 0 and step by protocol.dt_us.
 Seed resolution order: --seed, [run] seed, builtin default.
-Different seeds give independent random streams.
+Different seeds give independent random streams.  Only compensate
+and selftest draw random numbers, so the seed changes no other output;
+the summaries of ramsey and spectrum only record it.
 """
 
 
@@ -709,8 +705,9 @@ def main(argv=None):
     args = build_parser().parse_intermixed_args(argv)
     try:
         config = load_config(args.command, args.config, args.overrides)
-        handler = _COMMANDS[args.command][0]
-        files = handler(config, config["run"]["seed"] if args.seed is None else args.seed)
+        if args.seed is not None:
+            config["run"]["seed"] = args.seed
+        files = _COMMANDS[args.command][0](config)
     except SelftestFailure as exc:
         print(f"selftest: {exc}")
         return EXIT_SELFTEST

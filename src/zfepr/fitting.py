@@ -239,12 +239,13 @@ def fit_gaussians(spectrum, m):
     the first count that ties, scores worse or fails those tests.  ``zfepr
     spectrum`` passes the counts up to the lines its target names.
     Initialization takes the highest local maxima.  Raises :class:`FitError`
-    when the first count fails, so a fixed count is checked like a chosen one.
+    for a flat spectrum, and when the first count fails, so a fixed count is
+    checked like a chosen one.
     """
     freqs = np.asarray(spectrum.freqs, dtype=float)
     amps = np.asarray(spectrum.amps, dtype=float)
     if amps.max() - amps.min() <= 1e-30:
-        raise ValueError("flat spectrum cannot be fitted")
+        raise FitError("flat spectrum cannot be fitted")
 
     candidates = tuple(m) if isinstance(m, tuple) else (int(m),)
     if (not candidates or not all(1 <= mm <= _MAX_PEAKS for mm in candidates)

@@ -5,6 +5,9 @@ recorded with a step of, say, 0.2 us and shows up folded below the 2.5 MHz
 Nyquist edge.  With a hint band from prior knowledge of the rough resonance
 frequency, the fold index is recovered and the frequency axis relabeled; the
 hint must select exactly one fold, otherwise unfolding refuses to guess.
+Only direct folds k/dt + f_a are tried, so a line with f*dt mod 1 > 1/2
+(which lands on a mirror fold) is labelled wrongly or not found.  A record
+to transform must start at t = 0.
 """
 
 from dataclasses import dataclass
@@ -76,32 +79,30 @@ class Spectrum:
 def dft_spectrum(series, band_hint=None):
     """Magnitude spectrum of a mean-subtracted series, zero-padded 4x.
 
-    The record only covers t >= 0 but the model signal is even in t (every
-    contribution is a cosine), so the series is even-extended about t = 0
-    before transforming; the magnitude of that transform is the clean
-    absorption-mode line, free of the dispersive wings a one-sided record
-    would produce.
+    The record must start at t = 0 (else ``ValueError``): the model signal
+    is even in t (every contribution is a cosine), so the series is
+    even-extended about its t = 0 sample before transforming; the magnitude
+    of that transform is the clean absorption-mode line, free of the
+    dispersive wings a one-sided record would produce.
 
     ``band_hint=(lo, hi)`` in MHz unaliases the axis: the dominant peak at
     folded frequency f_a is assigned the unique true frequency k/dt + f_a
     inside the band, and the whole axis is shifted by that fold offset.
-    Bands wider than the sampling rate 1/dt cannot be unfolded and are
-    rejected; so is a hint admitting zero or several fold candidates.
+    Only these direct folds are tried, not the mirror folds k/dt - f_a, so
+    a line with f*dt mod 1 > 1/2 is labelled wrongly or not found.  Bands
+    wider than the sampling rate 1/dt cannot be unfolded and are rejected;
+    so is a hint admitting zero or several fold candidates.
     """
     if len(series) < 8:
         raise ValueError("need at least 8 samples for a spectrum")
     dt = series.dt
+    if abs(series.times[0]) >= 1e-12 * dt:
+        raise ValueError(f"record must start at t = 0, got {series.times[0]:g} us")
     values = series.values - series.values.mean()
     nfft = 4 * len(series)
     freqs = np.fft.rfftfreq(nfft, dt)
-    # rfft phases are referenced to the first sample; rotate to absolute time,
-    # then the even extension doubles the real part (a t = 0 sample, if any,
-    # must not be counted twice)
-    t0 = series.times[0]
-    transform = np.fft.rfft(values, nfft) * np.exp(-2j * np.pi * freqs * t0)
-    two_sided = 2.0 * transform.real
-    if abs(t0) < 1e-12 * dt:
-        two_sided -= values[0]
+    # the even extension doubles the real part, and counts the t = 0 sample once
+    two_sided = 2.0 * np.fft.rfft(values, nfft).real - values[0]
     amps = np.abs(two_sided) / len(series)
 
     origin = 0.0

@@ -205,7 +205,7 @@ NON_FINITE = [
     "decay.stretch_p=nan",
     "protocol.couplings=nan", "protocol.couplings=0.1:0.5,inf:0.5", "protocol.tau_us=nan",
     "protocol.tau_start_us=-inf", "protocol.tau_stop_us=inf", "protocol.theta_start_rad=nan",
-    "protocol.theta_stop_rad=inf", "protocol.t_start_us=inf", "protocol.dt_us=nan",
+    "protocol.theta_stop_rad=inf", "protocol.dt_us=nan",
     "protocol.band_lo_mhz=nan", "protocol.band_hi_mhz=inf",
     "field.b_start_g=nan", "field.b_stop_g=inf", "field.direction=0,0,nan",
     "compensation.true_bx_g=nan", "compensation.true_by_g=inf", "compensation.true_bz_g=-inf",
@@ -296,6 +296,8 @@ UNREAD_SECTION = [
     ("compensate", "field.b_points=3"),
     ("bsweep", "protocol.tau_us=3"),
     ("deer", "target.a_perp_mhz=100"),
+    # the correlation Rabi signal does not depend on the hyperfine constants
+    ("rabi", "target.a_perp_mhz=100"),
     ("linewidth", "protocol.dt_us=0.1"),
 ]
 
@@ -354,7 +356,7 @@ def test_setting_of_a_key_the_command_never_reads_is_a_config_error(
 
 
 # subcommand -> how many of the schema's keys it reads
-KEYS_READ = {"deer": 10, "rabi": 10, "ramsey": 13, "spectrum": 16, "bsweep": 12,
+KEYS_READ = {"deer": 10, "rabi": 8, "ramsey": 12, "spectrum": 15, "bsweep": 12,
              "compensate": 13, "linewidth": 5, "selftest": 4}
 # a value the key's parser accepts, where the default's text is not one
 SAMPLE_VALUES = {"target.orientations": "single", "protocol.band_lo_mhz": "1",
@@ -382,7 +384,7 @@ def test_each_command_accepts_exactly_the_keys_it_reads():
                     assert f"cannot use {name}" in str(exc) or f"{name} (read by" in str(exc)
                 assert accepted[command, name] == reads, (command, name)
     assert Counter(command for (command, _), ok in accepted.items() if ok) == KEYS_READ
-    assert sum(KEYS_READ.values()) == 83 and len(accepted) == 8 * 43
+    assert sum(KEYS_READ.values()) == 79 and len(accepted) == 8 * 42
     # a key's readers read its section, and every key has a reader
     for section, keys in cli._SCHEMA.items():
         section_readers = {c for c, (*_, sections) in cli._COMMANDS.items()
@@ -430,6 +432,53 @@ def test_draw_count_is_not_a_setting(command, tmp_path, capsys):
     config = _config_file(tmp_path / "run.cfg", ["run.monte_carlo_n=300"])
     assert main([command, config, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     assert "unknown key 'monte_carlo_n' in section [run]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ramsey", "spectrum"])
+def test_record_start_is_not_a_setting(command, tmp_path, capsys):
+    # the spectrum is built from the record's even extension about t = 0
+    assert main([command, "--out-dir", str(tmp_path), "--set", "protocol.t_start_us=5"]) \
+        == EXIT_CONFIG
+    assert "unknown override target 'protocol.t_start_us'" in capsys.readouterr().err
+    config = _config_file(tmp_path / "run.cfg", ["protocol.t_start_us=5"])
+    assert main([command, config, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "unknown key 't_start_us' in section [protocol]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+
+def test_flat_spectrum_is_numerical(tmp_path, capsys):
+    # C tau = 1 leaves no correlation contrast, so the record is flat
+    out = tmp_path / "out"
+    assert main(["spectrum", "--out-dir", str(out), "--set", "protocol.couplings=0.2"]) \
+        == EXIT_NUMERICAL
+    assert "numerical failure: flat spectrum cannot be fitted" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# subcommands that draw no random number, with settings that give a noisy record
+SEED_FREE = {
+    "deer": [], "rabi": [], "bsweep": [], "linewidth": ["noise.sigma_mhz=0.196"],
+    "ramsey": ["protocol.transition=st0", "noise.sigma_mhz=0.196"],
+    "spectrum": ["protocol.transition=st0", "noise.sigma_mhz=0.196", "protocol.dt_us=0.15",
+                 "protocol.band_lo_mhz=112.5", "protocol.band_hi_mhz=115.5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_FREE))
+def test_seed_changes_only_the_summary_seed_where_nothing_is_drawn(command, tmp_path):
+    written = []
+    for seed in (3, 4):
+        out = tmp_path / str(seed)
+        argv = [command, "--seed", str(seed), "--out-dir", str(out)]
+        assert main(argv + [a for item in SEED_FREE[command] for a in ("--set", item)]) \
+            == EXIT_OK
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        for name in [n for n in files if n.endswith("_summary.json")]:
+            summary = json.loads(files.pop(name))
+            assert summary.pop("seed", seed) == seed
+            files[name] = summary
+        written.append(files)
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("command", ["ramsey", "spectrum"])
@@ -612,7 +661,8 @@ def test_arguments_in_any_order(argv, seed, sigma, tmp_path, monkeypatch):
     handler, help_text, reads = cli._COMMANDS["linewidth"]
     seeds = []
     monkeypatch.setitem(cli._COMMANDS, "linewidth",
-                        (lambda c, s: seeds.append(s) or handler(c, s), help_text, reads))
+                        (lambda c: seeds.append(c["run"]["seed"]) or handler(c), help_text,
+                         reads))
     out = tmp_path / "out"
     argv = [config if arg == "CONFIG" else arg for arg in argv] + ["--out-dir", str(out)]
     assert main(argv) == EXIT_OK

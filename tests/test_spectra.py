@@ -95,6 +95,14 @@ def test_gaussian_envelope_gives_gaussian_line():
     assert np.abs(spec.amps[mask] - ideal).max() / spec.amps[peak] < 0.002
 
 
+@pytest.mark.parametrize("start", [0.1, 5.0], ids=["half-step", "5us"])
+def test_record_that_does_not_start_at_zero_rejected(start):
+    # the even extension needs the t = 0 sample
+    series = TimeSeries(start + 0.2 * np.arange(64), np.cos(2 * np.pi * 2.0 * np.arange(64)))
+    with pytest.raises(ValueError, match="record must start at t = 0"):
+        dft_spectrum(series)
+
+
 def test_too_short_series_rejected():
     with pytest.raises(ValueError):
         dft_spectrum(TimeSeries(np.arange(4.0), np.ones(4)))
