@@ -105,6 +105,14 @@ def _parse_count(text):
     return n
 
 
+def _parse_seed(text):
+    """The random seed of ``--seed`` and ``run.seed``: a whole number >= 0."""
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _parse_peak_count(text):
     """"auto" (the line count the target names) or a fixed count of Gaussians."""
     if text == "auto":
@@ -204,7 +212,7 @@ _SCHEMA = {
         "trials": (_parse_count, 1),
     },
     "run": {
-        "seed": (int, NoiseModel.seed),
+        "seed": (_parse_seed, NoiseModel.seed),
         "out_dir": (str, "out"),
     },
 }
@@ -671,7 +679,8 @@ information criterion prefers.  A whole number 1..4 fixes the count; a
 fixed count must pass the same validity tests (converged, inside the
 spectrum, no sub-bin or negative line), or the run fails with exit 3.
 Ramsey records (ramsey, spectrum) start at t = 0 and step by protocol.dt_us.
-Seed resolution order: --seed, [run] seed, builtin default.
+Seed resolution order: --seed, [run] seed, builtin default.  A seed is
+a whole number >= 0.
 Different seeds give independent random streams.  Only compensate
 and selftest draw random numbers, so the seed changes no other output;
 the summaries of ramsey and spectrum only record it.
@@ -694,7 +703,8 @@ def build_parser():
                         help="sectioned key = value config file (defaults apply if omitted)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="SECTION.KEY=VALUE", help="override one config value")
-    parser.add_argument("--seed", type=int, default=None, help="override the RNG seed")
+    parser.add_argument("--seed", default=None,
+                        help="override the RNG seed (run.seed), a whole number >= 0")
     parser.add_argument("--out-dir", default=None, help="output directory")
     parser.add_argument("--plot-data", action="store_true",
                         help="also write whitespace-delimited .dat files")
@@ -704,9 +714,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_intermixed_args(argv)
     try:
-        config = load_config(args.command, args.config, args.overrides)
-        if args.seed is not None:
-            config["run"]["seed"] = args.seed
+        # --seed is the last override, so it wins over [run] seed and --set
+        seed = [] if args.seed is None else [f"run.seed={args.seed}"]
+        config = load_config(args.command, args.config, args.overrides + seed)
         files = _COMMANDS[args.command][0](config)
     except SelftestFailure as exc:
         print(f"selftest: {exc}")

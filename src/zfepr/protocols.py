@@ -6,23 +6,31 @@ phase ``2*pi * C_MHz * tau_us``.  ``tau`` is the total free evolution of one
 interrogation block (two halves of tau/2 around the decoupling pulse).
 
 The simulator holds one 12x12 sensor+target density matrix per noise draw
-in a single stack and applies each step to the whole stack at once; a lone
-simulation is a stack of one.  Each sequence is compiled in one pass that
+in a single stack and applies each run of steps to the whole stack at once;
+a lone simulation is a stack of one.  Each sequence is compiled in one pass that
 checks it and yields its steps: the elements before the readout, with the
 echo decay of each interrogation window inserted as a step where the window
-closes.  A grid of sequences, such as the times of a Ramsey record, is
-evolved together: the prefix of steps every sequence shares is applied once,
-and the tail they share is folded backwards into the readout observable
-(Heisenberg picture).  On a Ramsey grid each sequence's own middle is one
-target-frame free step, which is diagonal in each draw's target eigenbasis,
-so every time is read out there from the prefix state and the observable at
-the cost of six phases per draw.  Any other grid runs each middle from the
-prefix state, one sequence at a time, and reads it out against the
-observable.  Free gaps that fall inside a spin-locking window evolve the
-target factor alone: the locked sensor averages the secular coupling away,
-which is exactly how the closed-form treatment handles that interval.
+closes.  The steps are then grouped into runs: each maximal run of unitary
+steps (free evolution, MW and RF pulses) is multiplied into one propagator,
+built once per noise chunk and applied as U rho U^dagger, and each channel
+step (an echo factor, the spin lock, dephasing) breaks a run.  The state
+and the readout observable stay single 12x12 matrices until the first run
+that depends on the draws.  A grid of sequences, such as the times of a
+Ramsey record, is evolved together: the prefix of steps every sequence
+shares is applied once, and the tail they share is folded backwards into
+the readout observable (Heisenberg picture).  On a Ramsey grid each
+sequence's own middle is one target-frame free step, which is diagonal in
+each draw's target eigenbasis; the rotation into that basis is one more
+factor of the last prefix run and of the first tail run, and every time is
+read out there at the cost of six phases per draw.  Any other grid runs
+each middle from the prefix state, one sequence at a time, and reads it out
+against the observable.  Free gaps that fall inside a spin-locking window
+evolve the target factor alone: the locked sensor averages the secular
+coupling away, which is exactly how the closed-form treatment handles that
+interval.
 """
 
+import functools
 import itertools
 import math
 
@@ -64,14 +72,17 @@ _MW_JOINT = {kind: np.kron(nv_pulse(kind), _EYE4) for kind in ("mw_pi", "mw_2pi"
 _SENSOR_DIAGONAL = np.kron(np.eye(3), np.ones((4, 4)))
 #: Readout observable P0 = |0><0| (x) I4: the NV |0> population.
 _READOUT = np.kron(np.diag([0.0, 1.0, 0.0]), _EYE4)
+#: Start state |0><0| (x) I/4 of every sequence.
+_START = _READOUT / 4.0
 #: The sectors an interrogation window's echo factor scales: the T+-1 rows or
 #: columns (target indices 0 and 3) of the |+1><-1| and |-1><+1| sensor blocks.
 _ECHO_SECTORS = np.kron([[0, 0, 1], [0, 0, 0], [1, 0, 0]],
                         1 - np.outer([0, 1, 1, 0], [0, 1, 1, 0])) > 0
 #: Elements that close an interrogation window and so apply its echo decay.
 _WINDOW_CLOSING = ("mw_pi", "spinlock")
-#: Manipulation elements the alternative protocol allows during its wait.
-_ALTERNATIVE_KINDS = ("free", "mw_pi", "mw_2pi", "rf_st1", "rf_st0")
+#: Elements that act as a unitary: the engine multiplies each run of them into
+#: one propagator, and the alternative protocol allows them during its wait.
+_UNITARY_KINDS = ("free", "mw_pi", "mw_2pi", "rf_st1", "rf_st0")
 
 
 class SequenceError(ValueError):
@@ -304,32 +315,85 @@ def _steps(sequence, decay):
     raise SequenceError("sequence must end with a readout")
 
 
-def _apply(x, step, eig, decay, adjoint=False):
-    """One step of :func:`_steps` applied to a stack ``x`` of 12x12 matrices:
-    rho -> Phi(rho), or with ``adjoint`` an observable O -> Phi^dagger(O).
-
-    Echo masks, dephasing and the locking channel are their own adjoints; a
-    unitary u acts as u x u^dagger forward and u^dagger x u backward.
-    """
-    if isinstance(step, float):
-        return x * np.where(_ECHO_SECTORS, step, 1.0)
+def _unitary(step, eig):
+    """The propagator of one unitary step: the (n, 12, 12) stack of a free
+    evolution, one matrix per draw of ``eig``, or the 12x12 matrix of a MW or
+    RF pulse, which no draw changes."""
     kind = step.kind
-    if kind == "dephase":
-        return x * _SENSOR_DIAGONAL
-    if kind == "spinlock":
-        return spinlock_channel(x, step.value, decay)
     if kind == "free":
         w, v = eig
         wb, vb = (w, v) if step.frame == "joint" else (w[:, 1:2], v[:, 1:2])
-        u = _block_diag((vb * np.exp(-1j * wb[..., None, :] * step.value))
-                        @ vb.conj().swapaxes(-1, -2))
-    elif kind in _MW_JOINT:
-        u = _MW_JOINT[kind]
-    else:
-        u = _block_diag((u_st1 if kind == "rf_st1" else u_st0)(step.value)[None])
-    if adjoint:
-        u = u.conj().swapaxes(-1, -2)
-    return u @ x @ u.conj().swapaxes(-1, -2)
+        return _block_diag((vb * np.exp(-1j * wb[..., None, :] * step.value))
+                           @ vb.conj().swapaxes(-1, -2))
+    if kind in _MW_JOINT:
+        return _MW_JOINT[kind]
+    return _block_diag((u_st1 if kind == "rf_st1" else u_st0)(step.value)[None])
+
+
+def _is_unitary(step):
+    return isinstance(step, np.ndarray) or (isinstance(step, Pulse)
+                                            and step.kind in _UNITARY_KINDS)
+
+
+def _compose(factors):
+    """U_k ... U_1 of propagators given in time order."""
+    return functools.reduce(lambda u, m: m @ u, factors)
+
+
+def _runs(steps, eig, built):
+    """The runs of compiled ``steps``, in time order.  Each maximal run of
+    unitary steps (free, MW and RF pulses, or a matrix given as a step) is
+    multiplied into one propagator; each channel step (an echo factor,
+    ``spinlock``, ``dephase``) breaks a run and is kept as it is.
+
+    A step's propagator is taken from the dict ``built``, or built into it,
+    so each distinct step is built once for all the runs that share
+    ``built``.  Within a run, each stretch of draw-independent pulses is
+    multiplied first into one 12x12 matrix.
+    """
+    runs = []
+    for unitary, group in itertools.groupby(steps, key=_is_unitary):
+        if not unitary:
+            runs += group
+            continue
+        factors = []
+        for step in group:
+            if isinstance(step, Pulse):
+                if step not in built:
+                    built[step] = _unitary(step, eig)
+                step = built[step]
+            factors.append(step)
+        runs.append(_compose(_compose(stretch)
+                             for _, stretch in itertools.groupby(factors, key=np.ndim)))
+    return runs
+
+
+def _apply_run(x, run, decay, adjoint=False):
+    """One run of :func:`_runs` applied to ``x``, a 12x12 matrix or a stack
+    of them: rho -> Phi(rho), or with ``adjoint`` an observable
+    O -> Phi^dagger(O).
+
+    A propagator U acts as U x U^dagger forward and U^dagger x U backward;
+    echo masks, dephasing and the locking channel are their own adjoints.  A
+    single 12x12 ``x`` stays one matrix until a run that depends on the draws
+    broadcasts it to a stack.
+    """
+    if isinstance(run, np.ndarray):
+        u_h = run.conj().swapaxes(-1, -2)
+        return u_h @ x @ run if adjoint else run @ x @ u_h
+    if isinstance(run, float):
+        return x * np.where(_ECHO_SECTORS, run, 1.0)
+    if run.kind == "dephase":
+        return x * _SENSOR_DIAGONAL
+    return spinlock_channel(x, run.value, decay)
+
+
+def _apply_runs(x, runs, decay, adjoint=False):
+    """``runs`` applied to ``x`` in time order or, with ``adjoint``, their
+    adjoints in reverse order (Heisenberg picture)."""
+    for run in reversed(runs) if adjoint else runs:
+        x = _apply_run(x, run, decay, adjoint)
+    return x
 
 
 def _split(bodies):
@@ -350,58 +414,58 @@ def _evolve(sequences, eig, decay):
 
     ``eig`` comes from :func:`_eigensystems`.  Each sequence is compiled once
     by :func:`_steps`, which also rejects a malformed one before any work.
-    The prefix of steps every sequence shares is applied once to the
-    (n, 12, 12) stack of density matrices; the tail they share is folded,
-    walking backwards, into the readout observable P0 = |0><0| (x) I4
-    (Heisenberg picture).  When every sequence's own middle is a single
-    target-frame free step, as on a Ramsey grid, all of them are read out at
-    once in the target eigenbasis (:func:`_target_free_readout`).  Otherwise
-    each sequence runs its middle from the prefix state and is read out at
-    once as Re Tr(O rho), so one middle stack is alive at a time.
+    The prefix of steps every sequence shares and the tail they share are
+    each grouped into runs (:func:`_runs`), with one propagator per run of
+    unitary steps; every distinct step is built once per call.  The prefix
+    runs evolve the state forward, and the tail runs are folded, walking
+    backwards, into the readout observable P0 = |0><0| (x) I4 (Heisenberg
+    picture).  Both start as single 12x12 matrices and become a stack over
+    the draws at the first run that depends on them.
+
+    When every sequence's own middle is a single target-frame free step, as
+    on a Ramsey grid, the rotation into each draw's target eigenbasis is one
+    more factor of the last prefix run (V^dagger) and of the first tail run
+    (V), and all the sequences are read out at once in that basis
+    (:func:`_eigenbasis_readout`).  Otherwise each sequence runs the runs of
+    its middle from the prefix state and is read out at once as
+    Re Tr(O rho), so one middle stack is alive at a time.
     """
     bodies = [_steps(seq, decay) for seq in sequences]
     n_prefix, n_tail = _split(bodies)
     first = bodies[0]
+    prefix, tail = first[:n_prefix], first[len(first) - n_tail :]
     middles = [body[n_prefix : len(body) - n_tail] for body in bodies]
+    eigenbasis = all(len(m) == 1 and isinstance(m[0], Pulse) and m[0].frame == "target"
+                     for m in middles)
+    if eigenbasis:
+        rot = _block_diag(eig[1][:, 1:2])
+        prefix, tail = prefix + [rot.conj().swapaxes(-1, -2)], [rot] + tail
 
-    rho = np.zeros((len(eig[0]), 12, 12), dtype=complex)
-    rho[:, 4:8, 4:8] = _EYE4 / 4.0
-    for step in first[:n_prefix]:
-        rho = _apply(rho, step, eig, decay)
-
-    obs = _READOUT
-    for step in reversed(first[len(first) - n_tail :]):
-        obs = _apply(obs, step, eig, decay, adjoint=True)
-
-    if all(len(m) == 1 and isinstance(m[0], Pulse) and m[0].frame == "target"
-           for m in middles):
-        return _target_free_readout(rho, obs, [m[0].value for m in middles], eig)
+    built = {}
+    rho = _apply_runs(_START, _runs(prefix, eig, built), decay)
+    obs = _apply_runs(_READOUT, _runs(tail, eig, built), decay, adjoint=True)
+    if eigenbasis:
+        return _eigenbasis_readout(rho, obs, [m[0].value for m in middles], eig[0][:, 1])
 
     obs = obs.conj()  # Tr(O rho) = sum(conj(O) * rho) for a Hermitian O
-    out = np.empty((len(bodies), len(rho)))
+    out = np.empty((len(bodies), len(eig[0])))
     for k, middle in enumerate(middles):
-        x = rho
-        for step in middle:
-            x = _apply(x, step, eig, decay)
+        x = _apply_runs(rho, _runs(middle, eig, built), decay)
         out[k] = np.einsum("...ij,...ij->...", obs, x).real
     return out
 
 
-def _target_free_readout(rho, obs, times, eig):
+def _eigenbasis_readout(rho, obs, times, w):
     """Re Tr(O U(t) rho U(t)^dagger), shape (len(times), n_draws), for the
-    target-frame free evolution U(t) = I3 (x) V exp(-i w t) V^dagger of each
-    draw (``w, v`` index 1, the m = 0 block, of ``eig``).
+    target-frame free evolution U(t) = I3 (x) exp(-i w t) of each draw, with
+    ``w`` the (n, 4) target eigenvalues and the (n, 12, 12) stacks ``rho``
+    and ``obs`` already rotated into each draw's target eigenbasis.
 
-    In the basis V of each sensor block the evolution is diagonal, so with
-    rho' = V^dagger rho V and O' = V^dagger O V the readout is
-    sum_jk c_jk exp(-i (w_j - w_k) t), c_jk = sum_ab rho'_(aj),(bk) O'_(bk),(aj)
+    There the evolution is diagonal, so the readout is
+    sum_jk c_jk exp(-i (w_j - w_k) t), c_jk = sum_ab rho_(aj),(bk) O_(bk),(aj)
     over the sensor blocks a, b: the populations j = k, plus one phase per
     pair j < k, added pair by pair so that one (times, draws) array is alive.
     """
-    w, v = eig[0][:, 1], eig[1][:, 1]
-    rot = _block_diag(v[:, None])
-    rot_h = rot.conj().swapaxes(-1, -2)
-    rho, obs = rot_h @ rho @ rot, rot_h @ obs @ rot
     blocks = (len(w), 3, 4, 3, 4)
     c = np.einsum("najbk,nbkaj->njk", rho.reshape(blocks), obs.reshape(blocks))
     t = np.asarray(times, dtype=float)
@@ -439,7 +503,7 @@ def simulate_alternative_correlation(manipulation, tau_us, spec, coupling, noise
     """
     manipulation = list(manipulation)
     for el in manipulation:
-        if not (isinstance(el, Pulse) and el.kind in _ALTERNATIVE_KINDS):
+        if not (isinstance(el, Pulse) and el.kind in _UNITARY_KINDS):
             raise SequenceError(f"element {el!r} not allowed here")
     block = [mw_pi()] + _interrogation_block(tau_us, rf_st1(2.0 * math.pi)) + [mw_pi()]
     return simulate_sequence(block + [dephase()] + manipulation + block + [readout()],
@@ -465,12 +529,14 @@ def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
     Draws ``0`` to ``n_draws - 1`` of the noise model's seeded stream are
     simulated one block of :data:`zfepr.noise.DRAWS_PER_BLOCK` at a time, so
     each chunk builds one generator and the average is reproducible bit for
-    bit.  All times of a chunk share one batched eigendecomposition, one pass
-    through the sequence prefix they have in common, and one readout
-    observable into which their common tail is folded.  A Ramsey family's
-    times are then all read out at once in the target eigenbasis; any other
-    family runs the middle of each time's sequence on its own, one time
-    after another (see :func:`_evolve`).  A grid that the returned
+    bit.  All times of a chunk share one batched eigendecomposition, one
+    propagator per distinct step, one pass through the runs of the sequence
+    prefix they have in common, and one readout observable into which the
+    runs of their common tail are folded.  A Ramsey family's times are then
+    all read out at once in the target eigenbasis, whose rotation is folded
+    into the last prefix run and the first tail run; any other family runs
+    the middle of each time's sequence on its own, one time after another
+    (see :func:`_evolve`).  A grid that the returned
     :class:`~zfepr.spectra.TimeSeries` cannot hold is rejected before any work.
     """
     if n_draws < 1:

@@ -481,6 +481,19 @@ def test_seed_changes_only_the_summary_seed_where_nothing_is_drawn(command, tmp_
     assert written[0] == written[1]
 
 
+@pytest.mark.parametrize("route", [["--seed", "-1"], ["--set", "run.seed=-1"]],
+                         ids=["--seed", "--set"])
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_negative_seed_is_a_config_error(command, route, tmp_path, capsys):
+    # one seed parser for both routes, so every subcommand refuses a negative
+    # seed by name, including those that draw nothing
+    out = tmp_path / "out"
+    assert main([command, *route, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "bad value for run.seed: seed must be a non-negative integer, got -1" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["ramsey", "spectrum"])
 def test_noisy_st0_closed_form_does_not_depend_on_the_seed(command, tmp_path):
     written = []

@@ -1,54 +1,202 @@
-"""Property tests of the density-matrix engine: every step keeps a stack of
-density matrices physical, and evolving a whole grid of sequences (shared
-prefix once, shared tail folded into the readout observable, each middle run
-from the prefix state or, on a Ramsey grid, read out in the target
-eigenbasis) must equal one forward simulation per sequence."""
+"""Property tests of the density-matrix engine.
+
+The engine groups a sequence's compiled steps into runs: each maximal run
+of unitary steps (free evolution, MW and RF pulses) is multiplied into one
+propagator, and each channel step (an echo factor, the spin lock,
+dephasing) stands alone.  Any list of steps, applied as runs forward to a
+state or backward to an observable, must equal an independent per-step
+oracle, and must keep a stack of density matrices physical.  Evolving a
+whole grid of sequences (shared prefix runs once, shared tail runs folded
+into the readout observable, each middle run from the prefix state or, on
+a Ramsey grid, read out in the target eigenbasis whose rotation is folded
+into the last prefix run and the first tail run) must equal one forward
+simulation per sequence.
+"""
 
 import math
 
 import numpy as np
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zfepr import protocols
-from zfepr.hamiltonians import NoiseDraw, TargetSpec
-from zfepr.pulses import DecayModel, dephase, free, mw_2pi, mw_pi, rf_st0, rf_st1, spinlock
+from zfepr.hamiltonians import (
+    NoiseDraw,
+    TargetSpec,
+    joint_hamiltonian,
+    noise_hamiltonian,
+    target_hamiltonian,
+)
+from zfepr.pulses import (
+    DecayModel,
+    dephase,
+    free,
+    mw_2pi,
+    mw_pi,
+    nv_pulse,
+    rf_st0,
+    rf_st1,
+    spinlock,
+    u_st0,
+    u_st1,
+)
 
 SPEC = TargetSpec()
 DECAY = DecayModel(t2_nv_us=16.0, stretch_p=1.7, t1rho_us=150.0)
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi)
-DURATIONS = st.floats(0.0, 10.0)
-#: One step of every kind the engine applies; an echo step is its float factor.
-STEPS = st.one_of(
-    st.floats(0.0, 1.0),
-    st.just(dephase()),
-    st.floats(0.0, 200.0).map(spinlock),
-    st.just(mw_pi()),
-    st.just(mw_2pi()),
-    DURATIONS.map(free),
-    DURATIONS.map(lambda t: free(t, frame="target")),
-    ANGLES.map(rf_st1),
-    ANGLES.map(rf_st0),
-)
+
+
+def _steps(durations):
+    """One step of every kind the engine applies; an echo step is its float
+    factor."""
+    return st.one_of(
+        st.floats(0.0, 1.0),
+        st.just(dephase()),
+        st.floats(0.0, 200.0).map(spinlock),
+        st.just(mw_pi()),
+        st.just(mw_2pi()),
+        durations.map(free),
+        durations.map(lambda t: free(t, frame="target")),
+        ANGLES.map(rf_st1),
+        ANGLES.map(rf_st0),
+    )
+
+
+STEPS = _steps(st.floats(0.0, 10.0))
+
+
+def _states(rng, n, rank):
+    a = rng.normal(size=(n, 12, rank)) + 1j * rng.normal(size=(n, 12, rank))
+    rho = a @ a.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def _run_steps(x, steps, eig, decay, adjoint=False):
+    """The engine's run applier on a list of compiled steps."""
+    return protocols._apply_runs(x, protocols._runs(steps, eig, {}), decay, adjoint)
 
 
 @settings(deadline=None)
-@given(step=STEPS, adjoint=st.booleans(), decayed=st.booleans(), rank=st.integers(1, 12),
-       coupling=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_every_step_keeps_a_stack_physical(step, adjoint, decayed, rank, coupling, seed):
+@given(steps=st.lists(STEPS, min_size=1, max_size=6), adjoint=st.booleans(),
+       decayed=st.booleans(), rank=st.integers(1, 12), coupling=st.floats(0.05, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_step_keeps_a_stack_physical(steps, adjoint, decayed, rank, coupling, seed):
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(3, 12, rank)) + 1j * rng.normal(size=(3, 12, rank))
-    rho = a @ a.conj().swapaxes(-1, -2)
-    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    rho = _states(rng, 3, rank)
     eig = protocols._eigensystems(SPEC, coupling, rng.normal(0.0, 0.3, (3, 3)))
-    out = protocols._apply(rho, step, eig, DECAY if decayed else None, adjoint=adjoint)
+    out = _run_steps(rho, steps, eig, DECAY if decayed else None, adjoint=adjoint)
     assert np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0).max() < 1e-12
     assert np.abs(out - out.conj().swapaxes(-1, -2)).max() < 1e-12
     # an echo step scales coherences by a mask that is not positive
     # semidefinite (smallest eigenvalue -0.81 at factor 0.37), so it need not
-    # keep a state positive on its own; every other kind is a CPTP map
-    if not isinstance(step, float):
+    # keep a state positive; every other kind is a CPTP map
+    if not any(isinstance(step, float) for step in steps):
         assert np.linalg.eigvalsh(out).min() > -1e-12
+
+
+# ---------------------------------------------------------------------------
+# per-step oracle: each step's map on one 12x12 matrix, built from the
+# Hamiltonians and pulse matrices, never from the engine
+# ---------------------------------------------------------------------------
+
+_EYE3, _EYE4 = np.eye(3), np.eye(4)
+_R2 = 1.0 / math.sqrt(2.0)
+#: Rows are the locked dressed states |psi+>, |0>, |psi-> in the bare basis.
+_DRESSED = np.kron(np.array([[_R2, 0.0, _R2], [0.0, 1.0, 0.0], [_R2, 0.0, -_R2]]), _EYE4)
+
+
+def _sensor_block(i):
+    return i // 4, i % 4  # (sensor m = +1, 0, -1 index, target index)
+
+
+def _echo_mask(factor):
+    """Scales the T+-1 rows and columns of the |+1><-1| and |-1><+1| blocks."""
+    mask = np.ones((12, 12))
+    for i in range(12):
+        for j in range(12):
+            (a, p), (b, q) = _sensor_block(i), _sensor_block(j)
+            if {a, b} == {0, 2} and (p in (0, 3) or q in (0, 3)):
+                mask[i, j] = factor
+    return mask
+
+
+def _lock(x, e):
+    """The locking channel in the dressed basis: populations of |psi+>, |0>,
+    |psi-> kept, every coherence between them erased, and the psi+/psi-
+    imbalance relaxed by ``e``."""
+    d = _DRESSED @ x @ _DRESSED.T
+    plus, minus = d[0:4, 0:4], d[8:12, 8:12]
+    out = np.zeros_like(d)
+    out[0:4, 0:4] = 0.5 * (plus + minus) + 0.5 * e * (plus - minus)
+    out[8:12, 8:12] = 0.5 * (plus + minus) - 0.5 * e * (plus - minus)
+    out[4:8, 4:8] = d[4:8, 4:8]
+    return _DRESSED.T @ out @ _DRESSED
+
+
+def _step_map(step, coupling, draw, decay):
+    """The map x -> Phi(x) of one step for one noise draw (MHz triple)."""
+    if isinstance(step, float):
+        mask = _echo_mask(step)
+        return lambda x: mask * x
+    if step.kind == "dephase":
+        keep = np.kron(_EYE3, np.ones((4, 4)))
+        return lambda x: keep * x
+    if step.kind == "spinlock":
+        e = 1.0 if decay is None else math.exp(-step.value / decay.t1rho_us)
+        return lambda x: _lock(x, e)
+    if step.kind == "free" and step.frame == "joint":
+        h = joint_hamiltonian(SPEC, coupling) + np.kron(_EYE3, noise_hamiltonian(draw))
+        u = scipy.linalg.expm(-1j * step.value * h)
+    elif step.kind == "free":
+        h = target_hamiltonian(SPEC) + noise_hamiltonian(draw)
+        u = np.kron(_EYE3, scipy.linalg.expm(-1j * step.value * h))
+    elif step.kind in ("mw_pi", "mw_2pi"):
+        u = np.kron(nv_pulse(step.kind), _EYE4)
+    else:
+        u = np.kron(_EYE3, (u_st1 if step.kind == "rf_st1" else u_st0)(step.value))
+    return lambda x: u @ x @ u.conj().T
+
+
+def _superoperator(phi):
+    """The 144x144 matrix of a linear map on 12x12 matrices (row-major
+    vectorization); its conjugate transpose is the adjoint map."""
+    basis = np.eye(144).reshape(144, 12, 12)
+    return np.stack([phi(e).ravel() for e in basis], axis=1)
+
+
+def _oracle(x, steps, coupling, draws, decay, adjoint):
+    out = []
+    for xn, draw in zip(x, draws):
+        v = xn.ravel()
+        sops = [_superoperator(_step_map(s, coupling, draw, decay)) for s in steps]
+        for s in (reversed(sops) if adjoint else sops):
+            v = (s.conj().T if adjoint else s) @ v
+        out.append(v.reshape(12, 12))
+    return np.array(out)
+
+
+# Free durations up to 0.05 us: the engine's phases carry the 2.87 GHz
+# zero-field splitting, 1.8e4 rad/us, whose double-precision eigenvalues are
+# good to a few 1e-12 rad/us, so over microseconds engine and oracle differ
+# by about 1e-11 and could not be held to 1e-12.  The physicality and grid
+# tests run the durations of real sequences.
+@settings(deadline=None, max_examples=60)
+@given(steps=st.lists(_steps(st.floats(0.0, 0.05)), min_size=1, max_size=6),
+       adjoint=st.booleans(), decayed=st.booleans(), coupling=st.floats(0.05, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_run_applier_matches_a_per_step_oracle(steps, adjoint, decayed, coupling, seed):
+    rng = np.random.default_rng(seed)
+    draws = rng.normal(0.0, 0.3, (2, 3))
+    x = _states(rng, 2, 12)
+    if adjoint:  # an observable: any Hermitian matrix
+        x = x + 0.3 * rng.normal(size=x.shape)
+        x = x + x.conj().swapaxes(-1, -2)
+    decay = DECAY if decayed else None
+    eig = protocols._eigensystems(SPEC, coupling, draws)
+    engine = _run_steps(x, steps, eig, decay, adjoint=adjoint)
+    expected = _oracle(x, steps, coupling, draws, decay, adjoint)
+    assert np.abs(engine - expected).max() < 1e-12
 
 
 def _grid(family, transition, k, theta, tau, points):

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -40,8 +41,10 @@ from zfepr.pulses import (
     DecayModel,
     dephase,
     free,
+    mw_2pi,
     mw_pi,
     readout,
+    rf_st0,
     rf_st1,
     spinlock,
     spinlock_channel,
@@ -557,7 +560,8 @@ def test_monte_carlo_grid_of_changing_length_matches_per_draw(spec):
 
 def test_engine_steps_adjoint_identity(spec, rng):
     # the engine folds a sequence's shared tail into the readout observable:
-    # Tr(O Phi(rho)) must equal Tr(Phi^dagger(O) rho) for every step kind
+    # Tr(O Phi(rho)) must equal Tr(Phi^dagger(O) rho) for every step kind,
+    # for runs of several unitary steps, and for runs broken by channels
     decay = DecayModel(t2_nv_us=16.0, stretch_p=1.7, t1rho_us=150.0)
     n = 5
     a = rng.normal(size=(n, 12, 12)) + 1j * rng.normal(size=(n, 12, 12))
@@ -566,14 +570,18 @@ def test_engine_steps_adjoint_identity(spec, rng):
     b = rng.normal(size=(n, 12, 12)) + 1j * rng.normal(size=(n, 12, 12))
     obs = b + b.conj().swapaxes(-1, -2)
     eig = zfepr.protocols._eigensystems(spec, 0.3, rng.normal(0, 0.2, (n, 3)))
-    steps = [0.37, dephase(), spinlock(40.0), mw_pi(),
-             free(0.8), free(0.8, frame="target"), rf_st1(1.1)]
-    for step in steps:
-        forward = zfepr.protocols._apply(rho, step, eig, decay)
-        backward = zfepr.protocols._apply(obs, step, eig, decay, adjoint=True)
+    step_lists = [[step] for step in (0.37, dephase(), spinlock(40.0), mw_pi(), free(0.8),
+                                      free(0.8, frame="target"), rf_st1(1.1))]
+    step_lists += [[mw_pi(), free(0.8), mw_2pi(), rf_st1(1.1), free(0.8)],
+                   [rf_st0(0.4), free(0.3, frame="target"), 0.37, mw_pi(), spinlock(40.0),
+                    free(0.8), rf_st1(2.0), dephase(), mw_2pi()]]
+    for steps in step_lists:
+        runs = zfepr.protocols._runs(steps, eig, {})
+        forward = zfepr.protocols._apply_runs(rho, runs, decay)
+        backward = zfepr.protocols._apply_runs(obs, runs, decay, adjoint=True)
         lhs = np.einsum("nij,nji->n", obs, forward)
         rhs = np.einsum("nij,nji->n", backward, rho)
-        assert np.abs(lhs - rhs).max() < 1e-12, step
+        assert np.abs(lhs - rhs).max() < 1e-12, steps
     # the locking channel on its own, as the public function
     lhs = np.einsum("nij,nji->n", obs, spinlock_channel(rho, 40.0, decay))
     rhs = np.einsum("nij,nji->n", spinlock_channel(obs, 40.0, decay), rho)
@@ -615,12 +623,14 @@ def test_ramsey_grid_reads_out_in_the_target_eigenbasis_at_long_times(spec):
 @pytest.mark.parametrize("transition", ["st1", "st0"])
 def test_ramsey_grid_applies_only_its_shared_steps(transition, spec, monkeypatch):
     # a Ramsey grid's middles are read out in the target eigenbasis, so it
-    # applies its shared prefix and tail only, at any length; a Rabi grid
-    # runs each middle (one RF pulse), so its count grows with its points
+    # applies the runs of its shared prefix and tail only, at any length:
+    # two propagators and the spin lock on the state, one propagator on the
+    # observable.  A Rabi grid runs each middle (one RF pulse) as one more
+    # run, so its count grows by one per point.
     calls = []
-    apply = zfepr.protocols._apply
-    monkeypatch.setattr(zfepr.protocols, "_apply",
-                        lambda *args, **kwargs: calls.append(1) or apply(*args, **kwargs))
+    apply_run = zfepr.protocols._apply_run
+    monkeypatch.setattr(zfepr.protocols, "_apply_run",
+                        lambda *args, **kwargs: calls.append(1) or apply_run(*args, **kwargs))
     noise = NoiseModel.isotropic(0.196, seed=8)
 
     def count(family, points):
@@ -629,11 +639,33 @@ def test_ramsey_grid_applies_only_its_shared_steps(transition, spec, monkeypatch
         return len(calls)
 
     ramsey = lambda t: correlation_ramsey_sequences(transition, t, 5.0)[0]
-    shared = len(zfepr.protocols._steps(ramsey(1.0), None)) - 1
-    assert [count(ramsey, 0.17 * np.arange(n)) for n in (12, 48)] == [shared, shared]
+    assert [count(ramsey, 0.17 * np.arange(n)) for n in (12, 48)] == [4, 4]
     rabi = lambda theta: correlation_rabi_sequence(transition, theta, 5.0)
     twelve, forty_eight = (count(rabi, np.linspace(0.0, math.pi, n)) for n in (12, 48))
     assert forty_eight - twelve == 36
+
+
+@pytest.mark.parametrize("transition", ["st1", "st0"])
+@pytest.mark.parametrize("n_draws, chunks", [(50, 1), (1100, 3)])
+def test_nothing_is_rebuilt_within_a_chunk(transition, n_draws, chunks, monkeypatch):
+    # one monte_carlo_signal call on a Ramsey grid (the benchmark's inputs at
+    # 50 draws) builds each distinct unitary step once per chunk, the shared
+    # free gap tau/2 among them, and runs one batched eigh per chunk
+    built, eighs = [], []
+    unitary, eigh = zfepr.protocols._unitary, np.linalg.eigh
+    monkeypatch.setattr(zfepr.protocols, "_unitary",
+                        lambda step, eig: built.append(step) or unitary(step, eig))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    family = lambda t: correlation_ramsey_sequences(transition, t, 5.0)[0]
+    monte_carlo_signal(family, 0.17 * np.arange(12), TargetSpec(a_perp_mhz=114.0,
+                       a_par_mhz=160.0), 0.1, NoiseModel.isotropic(0.196, seed=8), n_draws)
+    assert [shape[1:] for shape in eighs] == [(3, 4, 4)] * chunks
+    assert sum(shape[0] for shape in eighs) == n_draws
+    # every step but the spin lock and the middle (the target-frame free step)
+    steps = {step for step in zfepr.protocols._steps(family(1.0), None)
+             if step.kind != "spinlock" and step.frame == "joint"}
+    assert free(2.5) in steps
+    assert collections.Counter(built) == {step: chunks for step in steps}
 
 
 # ---------------------------------------------------------------------------
