@@ -511,16 +511,13 @@ def _cmd_compensate(config):
                     jitter_frac=c["jitter_frac"])
     true_field = FieldVector(c["true_bx_g"], c["true_by_g"], c["true_bz_g"])
 
-    rows = []
-    first = None
-    for trial in range(c["trials"]):
-        trial_seed = np.random.SeedSequence(config["run"]["seed"], spawn_key=(trial,))
-        result = compensate_3axis(true_field, coil, plan, seed=trial_seed)
-        if first is None:
-            first = result
-        rows.append((trial, result.currents_a["X"], result.currents_a["Y"],
-                     result.currents_a["Z"], *result.residual_g))
-    residuals = np.array([row[4:] for row in rows])
+    seeds = [np.random.SeedSequence(config["run"]["seed"], spawn_key=(trial,))
+             for trial in range(c["trials"])]
+    results = compensate_3axis(true_field, coil, plan, seeds)
+    first = results[0]
+    rows = [(trial, r.currents_a["X"], r.currents_a["Y"], r.currents_a["Z"], *r.residual_g)
+            for trial, r in enumerate(results)]
+    residuals = np.array([r.residual_g for r in results])
     return {
         "compensate.csv": (("trial", "I_X_A", "I_Y_A", "I_Z_A",
                             "residual_x_G", "residual_y_G", "residual_z_G"),

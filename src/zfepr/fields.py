@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E_MHZ_PER_G
-from .fitting import FitError, levenberg_marquardt
-from .hamiltonians import FieldVector, transitions_vs_field
+from .fitting import FitError, levenberg_marquardt_stack
+from .hamiltonians import _field_levels, _line_offsets
 
 __all__ = [
     "CoilConfig",
@@ -134,56 +134,81 @@ def find_symmetric_center(scan):
     (I0, standard error) in Amperes.  The scan must bracket the minimum with
     at least 7 points; a minimum on the scan edge is rejected.  Raises
     :class:`CenterFitError` when the fit does not converge or its center
-    leaves the scan range.
+    leaves the scan range.  This is the one-scan case of the stacked fit
+    that :func:`compensate_3axis` runs on every trial's scans at once.
     """
-    currents = scan.currents_a
-    widths = scan.linewidths_mhz
-    if len(currents) < 7:
+    i0, se = _symmetric_centers(scan.currents_a[None], scan.linewidths_mhz[None])
+    return float(i0[0]), float(se[0])
+
+
+def _symmetric_centers(currents, widths):
+    """:func:`find_symmetric_center` for a stack of scans (s, n) of equal
+    length; returns the centers and their standard errors, each (s,)."""
+    if currents.shape[-1] < 7:
         raise ValueError("need at least 7 scan points")
     # the squared model is a parabola in I: its least-squares vertex brackets
     # the minimum and seeds the fit, using every point rather than the
-    # noisiest one
-    a2, a1, a0 = np.polyfit(currents, widths**2, 2)
-    i0 = -a1 / (2.0 * a2) if a2 > 0 else math.nan
-    if not currents[0] < i0 < currents[-1]:
+    # noisiest one; currents centred and scaled onto [-1, 1] keep the normal
+    # equations well conditioned
+    mid = 0.5 * (currents[:, -1] + currents[:, 0])
+    half = 0.5 * (currents[:, -1] - currents[:, 0])
+    x = (currents - mid[:, None]) / half[:, None]
+    basis = np.stack([x * x, x, np.ones_like(x)], axis=-1)
+    basis_t = np.swapaxes(basis, -1, -2)
+    c2, c1, c0 = np.linalg.solve(basis_t @ basis, basis_t @ (widths**2)[..., None])[..., 0].T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.where(c2 > 0, -c1 / (2.0 * c2), np.nan)
+    i0 = mid + half * vertex
+    if not np.all((currents[:, 0] < i0) & (i0 < currents[:, -1])):
         raise ValueError("linewidth minimum not bracketed by the scan")
-    base2 = a0 - a2 * i0 * i0
-    base = math.sqrt(base2) if base2 > 0 else float(widths.min())
-    p0 = np.array([base, math.sqrt(a2), i0])
+    base2 = c0 - c2 * vertex * vertex
+    base = np.where(base2 > 0, np.sqrt(np.maximum(base2, 0.0)), widths.min(axis=-1))
+    p0 = np.stack([base, np.sqrt(c2) / half, i0], axis=-1)
 
-    def fun(params):
-        b, k, c = params
-        x = currents - c
+    def fun(params, rows):
+        b, k, c = params.T[..., None]
+        x = currents[rows] - c
         w = np.sqrt(b * b + (k * x) ** 2)
-        jac = np.column_stack([b / w, k * x * x / w, -k * k * x / w])
-        return w - widths, jac
+        jac = np.stack([b / w, k * x * x / w, -k * k * x / w], axis=-1)
+        return w - widths[rows], jac
 
-    res = levenberg_marquardt(fun, p0)
-    if not res.converged:
-        raise CenterFitError(
-            f"linewidth fit did not converge in {res.iterations} iterations")
-    i0 = float(res.params[2])
-    se = float(np.sqrt(max(res.covariance[2, 2], 0.0)))
-    if not currents[0] <= i0 <= currents[-1]:
+    res = levenberg_marquardt_stack(fun, p0)
+    if not res.converged.all():
+        raise CenterFitError("linewidth fit did not converge in "
+                             f"{res.iterations[~res.converged][0]} iterations")
+    i0 = res.params[:, 2]
+    if not np.all((currents[:, 0] <= i0) & (i0 <= currents[:, -1])):
         raise CenterFitError("fitted center outside the scan range")
-    return i0, se
+    return i0, np.sqrt(np.maximum(res.covariance[:, 2, 2], 0.0))
+
+
+def _scan_widths(nv_axis, coil_axis, total_field, coil, plan, currents, jitter):
+    """Jittered linewidths (MHz) of scans at ``currents`` (..., n).
+
+    The sensor axes and the fields present before the coil is energized,
+    each (..., 3), broadcast against the scans' leading axes; ``jitter``
+    holds the scans' standard normal draws (..., n).
+    """
+    proj = (nv_axis @ _AXIS_VECTORS[coil_axis])[..., None]
+    # one 1-d dot product per scan, as ``n @ b`` rounds it
+    axial0 = (total_field[..., None, :] @ nv_axis[..., :, None])[..., 0]
+    axial = axial0 + proj * coil.coefficient_g_per_a * currents
+    widths = np.sqrt(plan.base_width_mhz**2 + (2.0 * GAMMA_E_MHZ_PER_G * axial) ** 2)
+    return widths + plan.jitter_frac * plan.base_width_mhz * jitter
 
 
 def simulate_odmr_scan(nv_axis, coil_axis, total_field, coil, plan, rng, center_a=0.0):
     """Synthesize one linewidth-vs-current scan for a sensor axis.
 
     ``total_field`` is the field present before this coil is energized; the
-    extracted linewidths carry Gaussian jitter of ``jitter_frac * base``.
-    ``center_a`` recenters the scan window (used for the refinement pass).
+    extracted linewidths carry Gaussian jitter of ``jitter_frac * base``,
+    drawn from ``rng``.  ``center_a`` recenters the scan window (used for
+    the refinement pass).
     """
     n = np.asarray(nv_axis, dtype=float)
-    axis_vec = _AXIS_VECTORS[coil_axis]
-    proj = float(n @ axis_vec)
-    axial0 = float(n @ np.asarray(total_field, dtype=float))
     currents = plan.currents(center_a)
-    axial = axial0 + proj * coil.coefficient_g_per_a * currents
-    widths = np.sqrt(plan.base_width_mhz**2 + (2.0 * GAMMA_E_MHZ_PER_G * axial) ** 2)
-    widths = widths + plan.jitter_frac * plan.base_width_mhz * rng.standard_normal(len(currents))
+    widths = _scan_widths(n, coil_axis, np.asarray(total_field, dtype=float), coil, plan,
+                          currents, rng.standard_normal(len(currents)))
     return OdmrScan(currents_a=currents, linewidths_mhz=widths, nv_orientation=n)
 
 
@@ -198,40 +223,53 @@ class CompensationResult:
     residual_g: np.ndarray
 
 
-def compensate_3axis(true_field, coil, plan=ScanPlan(), seed=0):
-    """Simulate the full Bz -> By -> Bx compensation of a :class:`FieldVector`.
+def compensate_3axis(true_field, coil, plan=ScanPlan(), seeds=(0,)):
+    """Simulate the full Bz -> By -> Bx compensation of a :class:`FieldVector`,
+    once per trial; returns one :class:`CompensationResult` per seed.
 
     Step (i) sweeps the Z coil with sensors A and B and averages the two
     symmetric centers, which cancels their equal-and-opposite Y projections.
     Steps (ii)/(iii) sweep Y with sensor A (insensitive to Bx) and X with
     sensor C.  Each applied current is the fitted center plus a
     supply-stability error, so the per-axis residual is of order
-    stability * coefficient.  ``seed`` is anything
-    :func:`numpy.random.default_rng` accepts, such as an integer or a
-    :class:`numpy.random.SeedSequence`.
-    """
-    rng = np.random.default_rng(seed)
-    b = true_field.as_array()
-    currents, fit_errors = {}, {}
+    stability * coefficient.
 
-    def measure(nv_name, axis):
+    Each seed is anything :func:`numpy.random.default_rng` accepts, such as
+    an integer or a :class:`numpy.random.SeedSequence`, and gives its trial
+    its own generator.  The trials run in lockstep: at each axis step every
+    trial's coarse scans are fitted as one stack, then every fine scan.  A
+    trial still draws in the order it would alone: for each sensor in turn
+    the jitter of its coarse scan, then of its fine scan, and after the last
+    sensor the supply error.  So a trial's result does not depend on the
+    other trials, nor on how many there are.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    b = np.tile(true_field.as_array(), (len(rngs), 1))
+    currents, fit_errors = {}, {}
+    for axis, sensors in (("Z", "AB"), ("Y", "A"), ("X", "C")):
+        nv_axes = np.array([NV_AXES[name] for name in sensors])
+        jitter = np.array([rng.standard_normal((len(sensors), 2, plan.n_points))
+                           for rng in rngs])
+        supply = np.array([rng.standard_normal() for rng in rngs])
         # two passes: the fit is unbiased at any window position, but a
         # null near the window edge leaves one arm short and the center
         # poorly pinned; a window centered on the first estimate restores
         # the precision
-        scan = simulate_odmr_scan(NV_AXES[nv_name], axis, b, coil, plan, rng)
-        coarse, _ = find_symmetric_center(scan)
-        scan = simulate_odmr_scan(NV_AXES[nv_name], axis, b, coil, plan, rng,
-                                  center_a=coarse)
-        return find_symmetric_center(scan)
-
-    for axis, sensors in (("Z", "AB"), ("Y", "A"), ("X", "C")):
-        centers, errors = zip(*(measure(name, axis) for name in sensors))
-        fit_errors[axis] = math.hypot(*errors) / len(sensors)
-        currents[axis] = (sum(centers) / len(sensors)
-                          + coil.current_stability_a * rng.standard_normal())
-        b = b + coil.coefficient_g_per_a * currents[axis] * _AXIS_VECTORS[axis]
-    return CompensationResult(currents_a=currents, fit_errors_a=fit_errors, residual_g=b)
+        centers = np.zeros((len(rngs), len(sensors)))
+        for fine in (0, 1):
+            scan_currents = plan.currents(centers[..., None])
+            widths = _scan_widths(nv_axes, axis, b[:, None, :], coil, plan, scan_currents,
+                                  jitter[:, :, fine])
+            centers, errors = (a.reshape(centers.shape) for a in _symmetric_centers(
+                scan_currents.reshape(-1, plan.n_points), widths.reshape(-1, plan.n_points)))
+        fit_errors[axis] = [math.hypot(*e) / len(sensors) for e in errors]
+        currents[axis] = (centers.sum(axis=-1) / len(sensors)
+                          + coil.current_stability_a * supply)
+        b = b + coil.coefficient_g_per_a * currents[axis][:, None] * _AXIS_VECTORS[axis]
+    return [CompensationResult(currents_a={axis: float(i[t]) for axis, i in currents.items()},
+                               fit_errors_a={axis: e[t] for axis, e in fit_errors.items()},
+                               residual_g=b[t])
+            for t in range(len(rngs))]
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +281,16 @@ def bsweep(spec, b_values_g, direction, mode="perturbative"):
 
     Returns an (n, 5) array with one row per field magnitude: the magnitude
     (G), then the lowest and highest S0<->T+-1 and the lowest and highest
-    S0<->T0 line frequencies (MHz) over all orientations.
+    S0<->T0 line frequencies (MHz) over all orientations, the c13 and static
+    offset doublets included.  Every magnitude and orientation takes the
+    level shifts of :func:`transitions_vs_field` in one evaluation (one
+    batched diagonalization in exact mode).
 
     ``direction`` must be a unit vector.  Along the surface normal of a
     (001) sample all four defect orientations project equally
     (cos theta = 1/sqrt(3)), so their lines coincide.
 
-    ``mode`` is passed to :func:`transitions_vs_field`.  The perturbative
+    ``mode`` is that of :func:`transitions_vs_field`.  The perturbative
     mode expands each line through second order in B: the S0<->T+-1 pair
     splits linearly by +-delta_z/2 about a quadratic common shift, and
     S0<->T0 moves only quadratically.  For an orientation perpendicular to
@@ -260,11 +301,11 @@ def bsweep(spec, b_values_g, direction, mode="perturbative"):
     direction = np.asarray(direction, dtype=float)
     if abs(np.linalg.norm(direction) - 1.0) > 1e-6:
         raise ValueError("direction must be a unit vector")
-    rows = []
-    for b in np.asarray(b_values_g, dtype=float):
-        lines = transitions_vs_field(FieldVector(*(b * direction)), spec, mode=mode)
-        f1 = [f for orientation in lines for f, _ in orientation.st1]
-        f0 = [f for orientation in lines for f, _ in orientation.st0]
-        rows.append((b, min(f1), max(f1), min(f0), max(f0)))
-    return np.array(rows)
-
+    b_values = np.asarray(b_values_g, dtype=float)
+    t_plus, s0, t0, t_minus = np.moveaxis(
+        _field_levels(b_values[:, None] * direction, spec, mode), -1, 0)
+    st1 = np.stack([t_plus - s0, t_minus - s0], axis=-1)[..., None] + _line_offsets(spec, "st1")
+    st0 = (t0 - s0)[..., None] + _line_offsets(spec, "st0")
+    st1, st0 = st1.reshape(len(b_values), -1), st0.reshape(len(b_values), -1)
+    return np.column_stack([b_values, st1.min(axis=-1), st1.max(axis=-1),
+                            st0.min(axis=-1), st0.max(axis=-1)])

@@ -4,6 +4,8 @@ The solver is a plain Levenberg-Marquardt loop: damping starts at 1e-3 and
 adapts by factors of 10 up / 0.1 down, the step tolerance is 1e-10 of the
 parameter vector's norm, and the iteration cap is 200.  Non-convergence is
 reported through a flag with the best parameters so far, never by raising.
+A stacked form runs many independent problems of one size under the same
+policy, each step as one batched solve.
 """
 
 import math
@@ -20,6 +22,7 @@ __all__ = [
     "FitResult",
     "LMResult",
     "levenberg_marquardt",
+    "levenberg_marquardt_stack",
     "fit_gaussians",
 ]
 
@@ -96,6 +99,97 @@ def levenberg_marquardt(residual_jacobian, p0, max_iter=200):
         cov = s2 * np.linalg.pinv(jac.T @ jac)
     return LMResult(params=p, covariance=cov, rss=cost,
                     iterations=iterations, converged=converged)
+
+
+def _dot(x, y):
+    """Row-wise dot products of (..., n) stacks, each rounded as ``x[i] @ y[i]``."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def levenberg_marquardt_stack(residual_jacobian, p0, max_iter=200):
+    """:func:`levenberg_marquardt` on a stack of independent problems at once.
+
+    ``p0`` is (s, k), one start per problem.  ``residual_jacobian(params,
+    rows)`` returns the residuals (m, n) and Jacobians (m, n, k) of the
+    problems ``rows`` (indices into the stack) at ``params`` (m, k).  Every
+    problem keeps its own damping, step acceptance, convergence flag and
+    iteration count under the scalar loop's policy, and is no longer
+    evaluated once it has converged or given up, so its result does not
+    depend on the rest of the stack.  A damped system that is singular
+    raises the damping of its own problem only.  Returns an
+    :class:`LMResult` whose fields carry the stack axis first.
+
+    The scalar loop stays separate: run as a stack of one, the single
+    spectrum fits are slower.
+    """
+    p = np.array(p0, dtype=float)
+    stack, k = p.shape
+    r, jac = residual_jacobian(p, np.arange(stack))
+    cost = _dot(r, r)
+    lam = np.full(stack, 1e-3)
+    converged = np.zeros(stack, dtype=bool)
+    iterations = np.zeros(stack, dtype=int)
+    running = np.ones(stack, dtype=bool)
+    eye = np.eye(k)
+
+    for it in range(1, max_iter + 1):
+        live = np.flatnonzero(running)
+        if not len(live):
+            break
+        iterations[live] = it
+        jac_live = jac[live]
+        jac_t = np.swapaxes(jac_live, -1, -2)
+        jtj = jac_t @ jac_live
+        jtr = (jac_t @ r[live][..., None])[..., 0]
+        scale = np.maximum(np.diagonal(jtj, axis1=-2, axis2=-1), 1e-12)
+        damped = jtj + lam[live, None, None] * (scale[:, None, :] * eye)
+        try:
+            step = np.linalg.solve(damped, -jtr[..., None])[..., 0]
+            solved = np.ones(len(live), dtype=bool)
+        except np.linalg.LinAlgError:
+            step = np.zeros_like(jtr)
+            solved = np.zeros(len(live), dtype=bool)
+            for i in range(len(live)):
+                try:
+                    step[i] = np.linalg.solve(damped[i], -jtr[i])
+                    solved[i] = True
+                except np.linalg.LinAlgError:
+                    pass
+        lam[live[~solved]] *= 10.0
+        rows, step = live[solved], step[solved]
+        if not len(rows):
+            continue
+        p_new = p[rows] + step
+        r_new, jac_new = residual_jacobian(p_new, rows)
+        cost_new = _dot(r_new, r_new)
+        # the scalar loop's norm test, each norm rounded as np.linalg.norm
+        rel = np.sqrt(_dot(step, step)) / np.maximum(np.sqrt(_dot(p_new, p_new)), 1e-12)
+        better = cost_new <= cost[rows]
+        accepted = rows[better]
+        p[accepted], r[accepted], jac[accepted] = p_new[better], r_new[better], jac_new[better]
+        cost[accepted] = cost_new[better]
+        lam[accepted] = np.maximum(lam[accepted] * 0.1, 1e-12)
+        done = rel < _STEP_TOL
+        converged[rows[done]] = True
+        lam[rows[~better & ~done]] *= 10.0
+        running[rows[done | (~better & (lam[rows] > 1e12))]] = False
+
+    n = r.shape[-1]
+    s2 = cost / max(n - k, 1)
+    jtj = np.swapaxes(jac, -1, -2) @ jac
+    try:
+        inv = np.linalg.inv(jtj)
+    except np.linalg.LinAlgError:
+        inv = np.array([_inverse(m) for m in jtj])
+    return LMResult(params=p, covariance=s2[:, None, None] * inv, rss=cost,
+                    iterations=iterations, converged=converged)
+
+
+def _inverse(matrix):
+    try:
+        return np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(matrix)
 
 
 @dataclass(frozen=True)

@@ -202,7 +202,7 @@ class FieldVector:
             raise ValueError("field components must be finite")
 
     def as_array(self):
-        return np.array([self.b_x, self.b_y, self.b_z])
+        return np.array([self.b_x, self.b_y, self.b_z], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -366,18 +366,47 @@ def joint_hamiltonian(spec, coupling):
     return TWO_PI * _block_diag(blocks)
 
 
-def _line(spec, transition, center):
-    """(frequency, weight) pairs of one ``transition`` line at ``center`` MHz:
-    the c13 doublet splits an S0<->T+-1 line, the static offset doublet the
-    S0<->T0 line; the weights sum to one."""
+def _line_offsets(spec, transition):
+    """Offsets (MHz) of the equal-weight lines that one ``transition`` line
+    splits into: the c13 doublet on S0<->T+-1, the static offset doublet on
+    S0<->T0, or the line itself."""
     if transition == "st1":
         half = 0.5 * spec.c13_splitting_mhz
-        offsets = (-half, half) if spec.c13_splitting_mhz else None
+        return (-half, half) if spec.c13_splitting_mhz else (0.0,)
+    return spec.st0_offset_doublet_mhz or (0.0,)
+
+
+def _line(spec, transition, center):
+    """(frequency, weight) pairs of one ``transition`` line at ``center`` MHz
+    (see :func:`_line_offsets`); the weights sum to one."""
+    offsets = _line_offsets(spec, transition)
+    return tuple((center + o, 1.0 / len(offsets)) for o in offsets)
+
+
+def _field_levels(b, spec, mode):
+    """Levels (T+1, S0, T0, T-1) in MHz of every orientation under static
+    fields ``b`` (..., 3) in Gauss; returns (..., orientations, 4).
+
+    Every field and orientation goes through one shift evaluation, so exact
+    mode diagonalizes them all in one batched ``eigh``.  See
+    :func:`transitions_vs_field` for the modes.
+    """
+    if mode not in ("perturbative", "exact"):
+        raise ValueError(f"unknown mode {mode!r}")
+    axes = np.array([_direction(theta_e, phi_e) for theta_e, phi_e, _ in spec.orientations])
+    b = np.asarray(b, dtype=float)[..., None, :]
+    b_axial = (b @ axes.T)[..., 0, :]
+    b_norm2 = (b @ np.swapaxes(b, -1, -2))[..., 0, :]
+    b_across = np.sqrt(np.maximum(b_norm2 - b_axial * b_axial, 0.0))
+    delta = GAMMA_E_MHZ_PER_G * np.stack([b_across, np.zeros_like(b_axial), b_axial], axis=-1)
+    if mode == "perturbative":
+        shifts = level_shifts_perturbative(delta, spec)
+        common = 0.5 * (shifts[..., 0] + shifts[..., 3])
+        shifts[..., 0] = common + 0.5 * delta[..., 2]
+        shifts[..., 3] = common - 0.5 * delta[..., 2]
     else:
-        offsets = spec.st0_offset_doublet_mhz
-    if offsets is None:
-        return ((center, 1.0),)
-    return tuple((center + o, 0.5) for o in offsets)
+        shifts = level_shifts_exact(delta, spec)
+    return target_levels_mhz(spec) + shifts
 
 
 def transitions_vs_field(field, spec, mode="perturbative"):
@@ -400,20 +429,7 @@ def transitions_vs_field(field, spec, mode="perturbative"):
     while second-order theory splits them by 2|v|; use ``mode="exact"``
     there, which resolves that pair at any field direction.
     """
-    if mode not in ("perturbative", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
-    b = field.as_array()
-    axes = np.array([_direction(theta_e, phi_e) for theta_e, phi_e, _ in spec.orientations])
-    b_axial = axes @ b
-    b_across = np.sqrt(np.maximum(b @ b - b_axial * b_axial, 0.0))
-    delta = GAMMA_E_MHZ_PER_G * np.stack([b_across, np.zeros_like(b_axial), b_axial], axis=-1)
-    if mode == "perturbative":
-        shifts = level_shifts_perturbative(delta, spec)
-        common = 0.5 * (shifts[:, 0] + shifts[:, 3])
-        shifts[:, 0], shifts[:, 3] = common + 0.5 * delta[:, 2], common - 0.5 * delta[:, 2]
-    else:
-        shifts = level_shifts_exact(delta, spec)
-    levels = target_levels_mhz(spec) + shifts
+    levels = _field_levels(field.as_array(), spec, mode)
     out = []
     for (theta_e, phi_e, weight), (t_plus, s0, t0, t_minus) in zip(spec.orientations, levels):
         st1 = tuple((f, 0.5 * w) for center in (t_plus - s0, t_minus - s0)

@@ -92,8 +92,8 @@ def test_compensate_default_config(tmp_path):
 
 
 def test_compensate_failed_center_fit_is_numerical(tmp_path, monkeypatch, capsys):
-    lm = zfepr.fields.levenberg_marquardt
-    monkeypatch.setattr(zfepr.fields, "levenberg_marquardt",
+    lm = zfepr.fields.levenberg_marquardt_stack
+    monkeypatch.setattr(zfepr.fields, "levenberg_marquardt_stack",
                         lambda fun, p0: lm(fun, p0, max_iter=0))
     assert main(["compensate", "--out-dir", str(tmp_path / "out")]) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
@@ -177,6 +177,20 @@ def test_adjacent_compensation_seeds_share_no_trial(tmp_path):
         lines = (out / "compensate.csv").read_text().splitlines()[1:]
         rows.append({line.split(",", 1)[1] for line in lines})  # drop the trial index
     assert len(rows[0]) == 3 and not rows[0] & rows[1]
+
+
+def test_compensation_trials_do_not_depend_on_the_trial_count(tmp_path):
+    # the trials run in lockstep, yet each keeps its own generator
+    rows = {}
+    for trials in (3, 4):
+        out = tmp_path / str(trials)
+        argv = ["compensate", "--out-dir", str(out), "--seed", "8",
+                "--set", f"compensation.trials={trials}"]
+        assert main(argv) == EXIT_OK
+        rows[trials] = (out / "compensate.csv").read_text().splitlines()
+        assert (out / "compensate_report.txt").read_text() == (
+            tmp_path / "3" / "compensate_report.txt").read_text()
+    assert len(rows[4]) == 5 and rows[3] == rows[4][:4]
 
 
 @pytest.mark.parametrize("given, missing", [("band_lo_mhz", "band_hi_mhz"),

@@ -18,7 +18,8 @@ from zfepr.fields import (
     odmr_linewidth_model,
     simulate_odmr_scan,
 )
-from zfepr.hamiltonians import FieldVector, TargetSpec
+from zfepr.hamiltonians import (DegenerateCrossingError, FieldVector, TargetSpec,
+                                transitions_vs_field)
 
 COIL = CoilConfig()
 SYMMETRIC_DIRECTION = np.array([0.0, 0.0, 1.0])
@@ -84,16 +85,16 @@ def test_zero_field_compensation_fits_converge_quickly(monkeypatch):
     # with no field to cancel every null current is 0 A; a center at zero
     # must pass the convergence test as quickly as any other
     fits = []
-    lm = zfepr.fields.levenberg_marquardt
+    lm = zfepr.fields.levenberg_marquardt_stack
 
     def recording(*args, **kwargs):
         fits.append(lm(*args, **kwargs))
         return fits[-1]
 
-    monkeypatch.setattr(zfepr.fields, "levenberg_marquardt", recording)
+    monkeypatch.setattr(zfepr.fields, "levenberg_marquardt_stack", recording)
     compensate_3axis(FieldVector(0, 0, 0), CoilConfig(), ScanPlan(jitter_frac=0))
     assert fits
-    assert all(fit.converged and fit.iterations <= 10 for fit in fits)
+    assert all(fit.converged.all() and fit.iterations.max() <= 10 for fit in fits)
 
 
 def test_find_center_unbiased():
@@ -137,8 +138,8 @@ def test_find_center_lowest_sample_on_window_edge():
 
 
 def test_find_center_unconverged_fit_raises(monkeypatch):
-    lm = zfepr.fields.levenberg_marquardt
-    monkeypatch.setattr(zfepr.fields, "levenberg_marquardt",
+    lm = zfepr.fields.levenberg_marquardt_stack
+    monkeypatch.setattr(zfepr.fields, "levenberg_marquardt_stack",
                         lambda fun, p0: lm(fun, p0, max_iter=0))
     with pytest.raises(CenterFitError, match="did not converge"):
         find_symmetric_center(_noiseless_scan(0.123))
@@ -148,15 +149,15 @@ def test_find_center_unconverged_fit_raises(monkeypatch):
 def test_compensation_perfect_hardware():
     coil = CoilConfig(current_stability_a=0.0)
     plan = ScanPlan(jitter_frac=0.0)
-    result = compensate_3axis(FieldVector(0.35, -0.52, 0.47), coil, plan, seed=1)
+    [result] = compensate_3axis(FieldVector(0.35, -0.52, 0.47), coil, plan, seeds=[1])
     assert np.abs(result.residual_g).max() < 1e-6
 
 
 def test_compensation_residual_set_by_current_stability():
     plan = ScanPlan()
     residuals = []
-    for trial in range(30):
-        result = compensate_3axis(FieldVector(0.35, -0.52, 0.47), COIL, plan, seed=trial)
+    for result in compensate_3axis(FieldVector(0.35, -0.52, 0.47), COIL, plan,
+                                   seeds=range(30)):
         residuals.append(result.residual_g)
         assert max(result.fit_errors_a.values()) <= 1e-3
     rms = np.sqrt((np.array(residuals) ** 2).mean(axis=0))
@@ -169,8 +170,8 @@ def test_compensation_scales_with_stability():
     rms = {}
     for stability in (0.004, 0.002):
         coil = CoilConfig(current_stability_a=stability)
-        res = [compensate_3axis(FieldVector(0.3, -0.4, 0.5), coil, plan, seed=t).residual_g
-               for t in range(100)]
+        res = [r.residual_g for r in compensate_3axis(FieldVector(0.3, -0.4, 0.5), coil, plan,
+                                                      seeds=range(100))]
         rms[stability] = float(np.sqrt((np.array(res) ** 2).mean()))
     assert rms[0.004] / rms[0.002] == pytest.approx(2.0, rel=0.25)
 
@@ -180,14 +181,61 @@ def test_compensation_z_step_averaging_cancels_by():
     # centers disagree, but the average still nulls Bz
     coil = CoilConfig(current_stability_a=0.0)
     plan = ScanPlan(jitter_frac=0.0)
-    with_bx = compensate_3axis(FieldVector(0.8, 0.0, 0.5), coil, plan, seed=3)
+    [with_bx] = compensate_3axis(FieldVector(0.8, 0.0, 0.5), coil, plan, seeds=[3])
     assert abs(with_bx.currents_a["Z"] - (-0.5 / 2.8)) < 1e-6
-    with_by = compensate_3axis(FieldVector(0.0, 0.6, 0.5), coil, plan, seed=3)
+    [with_by] = compensate_3axis(FieldVector(0.0, 0.6, 0.5), coil, plan, seeds=[3])
     assert abs(with_by.currents_a["Z"] - (-0.5 / 2.8)) < 1e-6
 
 
+PLANS = [ScanPlan(), ScanPlan(i_min_a=-0.6, i_max_a=0.5, n_points=61, jitter_frac=0.05)]
+
+
+@pytest.mark.parametrize("plan", PLANS, ids=["default", "shifted"])
+def test_compensation_trial_does_not_depend_on_the_batch(plan):
+    seeds = [np.random.SeedSequence(11, spawn_key=(t,)) for t in range(4)]
+    together = compensate_3axis(FieldVector(0.35, -0.52, 0.47), COIL, plan, seeds)
+    for seed, result in zip(seeds, together):
+        [alone] = compensate_3axis(FieldVector(0.35, -0.52, 0.47), COIL, plan, [seed])
+        assert result.currents_a == alone.currents_a
+        assert result.fit_errors_a == alone.fit_errors_a
+        assert np.array_equal(result.residual_g, alone.residual_g)
+
+
+def _one_trial_in_sequence(field, coil, plan, seed):
+    """The procedure for one trial, scan by scan from the public functions:
+    per axis step and sensor a coarse, then a fine scan, then the supply
+    error, all drawn from the trial's own generator."""
+    rng = np.random.default_rng(seed)
+    b = field.as_array()
+    currents, errors = {}, {}
+    for axis, sensors in (("Z", "AB"), ("Y", "A"), ("X", "C")):
+        fits = []
+        for name in sensors:
+            coarse, _ = find_symmetric_center(
+                simulate_odmr_scan(NV_AXES[name], axis, b, coil, plan, rng))
+            fits.append(find_symmetric_center(
+                simulate_odmr_scan(NV_AXES[name], axis, b, coil, plan, rng, center_a=coarse)))
+        centers, errs = zip(*fits)
+        errors[axis] = math.hypot(*errs) / len(sensors)
+        currents[axis] = (sum(centers) / len(sensors)
+                          + coil.current_stability_a * rng.standard_normal())
+        axis_vec = np.eye(3)["XYZ".index(axis)]
+        b = b + coil.coefficient_g_per_a * currents[axis] * axis_vec
+    return currents, errors, b
+
+
+@pytest.mark.parametrize("plan", PLANS, ids=["default", "shifted"])
+def test_compensation_draws_each_trial_in_scan_order(plan):
+    field = FieldVector(0.2, 0.3, -0.4)
+    for result, seed in zip(compensate_3axis(field, COIL, plan, seeds=range(3)), range(3)):
+        currents, errors, residual = _one_trial_in_sequence(field, COIL, plan, seed)
+        assert result.currents_a == currents
+        assert result.fit_errors_a == errors
+        assert np.array_equal(result.residual_g, residual)
+
+
 def test_compensation_report_format():
-    result = compensate_3axis(FieldVector(0.1, 0.2, 0.3), COIL, ScanPlan(), seed=9)
+    [result] = compensate_3axis(FieldVector(0.1, 0.2, 0.3), COIL, ScanPlan(), seeds=[9])
     report = format_compensation_report(result)
     assert "axis Z" in report and "residual_G" in report
 
@@ -227,3 +275,28 @@ def test_bsweep_direction_validation(spec):
     with pytest.raises(ValueError):
         bsweep(spec, [0.0], np.array([0.0, 0.0, 2.0]))
 
+
+
+@pytest.mark.parametrize("mode", ["perturbative", "exact"])
+@pytest.mark.parametrize("doublets", [False, True], ids=["lines", "doublets"])
+def test_bsweep_matches_the_per_field_lines(mode, doublets):
+    spec = TargetSpec(c13_splitting_mhz=0.4 if doublets else 0.0,
+                      st0_offset_doublet_mhz=(-0.03, 0.05) if doublets else None)
+    direction = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    b_values = np.linspace(0.0, 3.0, 13)
+    table = bsweep(spec, b_values, direction, mode=mode)
+    for row, b in zip(table, b_values):
+        lines = transitions_vs_field(FieldVector(*(b * direction)), spec, mode=mode)
+        f1 = [f for orientation in lines for f, _ in orientation.st1]
+        f0 = [f for orientation in lines for f, _ in orientation.st0]
+        assert row[0] == b
+        assert np.abs(row[1:] - [min(f1), max(f1), min(f0), max(f0)]).max() <= 1e-12
+
+
+def test_bsweep_keeps_the_validity_errors(spec):
+    with pytest.warns(UserWarning, match="a_perp/10"):
+        bsweep(spec, [0.0, 1.0, 500.0], SYMMETRIC_DIRECTION)
+    # at 100 G the Zeeman energy (280 MHz) exceeds the hyperfine constants
+    # and carries a level across S0 or T0, which exact mode cannot label
+    with pytest.raises(DegenerateCrossingError):
+        bsweep(spec, [0.0, 1.0, 100.0], SYMMETRIC_DIRECTION, mode="exact")

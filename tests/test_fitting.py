@@ -6,7 +6,8 @@ import pytest
 
 import zfepr.fitting
 from zfepr.cli import EXIT_OK, format_fit_report, main
-from zfepr.fitting import FWHM_PER_SIGMA, fit_gaussians, levenberg_marquardt
+from zfepr.fitting import (FWHM_PER_SIGMA, fit_gaussians, levenberg_marquardt,
+                           levenberg_marquardt_stack)
 from zfepr.hamiltonians import TargetSpec
 from zfepr.noise import NoiseModel
 from zfepr.protocols import synthesize_ramsey_series
@@ -142,6 +143,116 @@ def test_lm_reports_non_convergence():
     res = levenberg_marquardt(fun, np.array([5.0]), max_iter=1)
     assert not res.converged
     assert res.iterations == 1
+
+
+# stacked problems: y = a exp(-b x) + c on one grid, each with its own data
+X_DECAY = np.linspace(0.0, 4.0, 40)
+
+
+def _decay_data(seed):
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.uniform(0.5, 3.0), rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0)
+    y = a * np.exp(-b * X_DECAY) + c + 0.02 * rng.standard_normal(len(X_DECAY))
+    return y, np.array([a, b, c]) * rng.uniform(0.3, 3.0, 3)
+
+
+def _decay(params, y):
+    a, b, c = params[..., 0, None], params[..., 1, None], params[..., 2, None]
+    e = np.exp(-b * X_DECAY)
+    jac = np.stack([e, -a * X_DECAY * e, np.ones_like(e)], axis=-1)
+    return a * e + c - y, jac
+
+
+def _decay_stack(ys, seen=None):
+    def fun(params, rows):
+        if seen is not None:
+            seen.append(rows.copy())
+        return _decay(params, ys[rows])
+    return fun
+
+
+@pytest.mark.parametrize("max_iter", [3, 8, 200])
+def test_lm_stack_matches_the_scalar_loop_problem_by_problem(max_iter):
+    data = [_decay_data(seed) for seed in range(12)]
+    ys, p0 = np.array([y for y, _ in data]), np.array([p for _, p in data])
+    stacked = levenberg_marquardt_stack(_decay_stack(ys), p0, max_iter=max_iter)
+    flags = set()
+    for i, (y, start) in enumerate(data):
+        alone = levenberg_marquardt(lambda p, y=y: _decay(p, y), start, max_iter=max_iter)
+        assert np.abs(stacked.params[i] - alone.params).max() <= 1e-9 * np.abs(alone.params).max()
+        assert bool(stacked.converged[i]) == alone.converged
+        assert abs(int(stacked.iterations[i]) - alone.iterations) <= 1
+        assert stacked.rss[i] == pytest.approx(alone.rss, rel=1e-9)
+        assert np.allclose(stacked.covariance[i], alone.covariance, rtol=1e-9, atol=0.0)
+        flags.add(alone.converged)
+    if max_iter == 200:
+        assert flags == {True}
+    if max_iter == 3:
+        assert False in flags
+
+
+def test_lm_stack_freezes_a_converged_problem():
+    # problem 0 starts at its own exact optimum and converges at once; the
+    # other keeps iterating without moving it or evaluating it again
+    y_slow, p_slow = _decay_data(3)
+    p_fast = np.array([1.5, 0.7, 0.2])
+    y_fast = _decay(p_fast, 0.0)[0]
+    seen = []
+    res = levenberg_marquardt_stack(_decay_stack(np.array([y_fast, y_slow]), seen),
+                                    np.array([p_fast, p_slow]))
+    alone = levenberg_marquardt_stack(_decay_stack(y_fast[None]), p_fast[None])
+    assert res.converged.all()
+    assert res.iterations[0] < res.iterations[1]
+    assert np.array_equal(res.params[0], alone.params[0])
+    assert res.iterations[0] == alone.iterations[0]
+    # the first call evaluates the starts; each iteration after evaluates
+    # the trial steps of the problems still running
+    assert [0 in rows for rows in seen[1:]] == [True] * int(res.iterations[0]) + [False] * (
+        len(seen) - 1 - int(res.iterations[0]))
+
+
+def test_lm_stack_without_iterations_converges_nothing():
+    data = [_decay_data(seed) for seed in range(3)]
+    ys, p0 = np.array([y for y, _ in data]), np.array([p for _, p in data])
+    res = levenberg_marquardt_stack(_decay_stack(ys), p0, max_iter=0)
+    assert not res.converged.any()
+    assert not res.iterations.any()
+    assert np.array_equal(res.params, p0)
+
+
+def test_lm_stack_singular_system_raises_only_its_own_damping(monkeypatch):
+    # problem 1's Jacobian is scaled up so that its damped systems can be
+    # told apart, and every one of them is reported singular, as LAPACK
+    # reports an exactly singular matrix
+    data = [_decay_data(seed) for seed in range(4)]
+    ys, p0 = np.array([y for y, _ in data]), np.array([p for _, p in data])
+
+    def scaled(params, y, poisoned):
+        r, jac = _decay(params, y)
+        return r, jac * np.where(poisoned, 1e6, 1.0)[..., None, None]
+
+    solve = np.linalg.solve
+
+    def singular_solve(a, b):
+        if np.any(np.asarray(a)[..., 0, 0] > 1e9):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_solve)
+    res = levenberg_marquardt_stack(lambda p, rows: scaled(p, ys[rows], rows == 1), p0,
+                                    max_iter=50)
+    rest = [0, 2, 3]
+    without = levenberg_marquardt_stack(_decay_stack(ys[rest]), p0[rest], max_iter=50)
+    alone = levenberg_marquardt(lambda p: scaled(p, ys[1], np.array(True)), p0[1], max_iter=50)
+    # the singular problem damps on without a step, as the scalar loop does
+    assert not alone.converged and alone.iterations == 50
+    assert np.array_equal(alone.params, p0[1])
+    assert not res.converged[1] and res.iterations[1] == 50
+    assert np.array_equal(res.params[1], alone.params)
+    # and the rest of the stack runs as if it were not there
+    assert res.converged[rest].all()
+    assert np.array_equal(res.params[rest], without.params)
+    assert np.array_equal(res.iterations[rest], without.iterations)
 
 
 def test_auto_mode_rejects_negative_components():

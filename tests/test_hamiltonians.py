@@ -343,3 +343,13 @@ def test_transitions_line_structure_doublets():
     assert st0_freqs == pytest.approx([114.0 - 0.0125, 114.0 + 0.0125])
     with pytest.raises(ValueError):
         transitions_vs_field(FieldVector(), spec, mode="bogus")
+
+
+def test_field_vector_array_is_float():
+    for field in (FieldVector(), FieldVector(0, 0, 0), FieldVector(1, 2, 3)):
+        b = field.as_array()
+        assert b.dtype == np.float64
+    # so an in-place update keeps a fractional correction
+    b = FieldVector(1, 2, 3).as_array()
+    b += 0.25
+    assert np.array_equal(b, [1.25, 2.25, 3.25])
