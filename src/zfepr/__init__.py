@@ -2,10 +2,10 @@
 
 A sensor spin (NV-style S=1, optically read) interrogates a hyperfine-coupled
 S=1/2, I=1/2 target at zero magnetic field.  The package reproduces the
-interrogation protocols (DEER, correlation Rabi/Ramsey), the quasi-static
-noise linewidth theory around the magnetically quiet singlet-triplet
-transition, lineshape synthesis with the noise averaged in closed form, and
-the spectral fitting pipeline, with every closed form cross-checked against
+interrogation protocols (DEER, correlation Rabi/Ramsey), the exact noise
+average and moments of each transition's quasi-static noise shift (quadratic
+only on the magnetically quiet S0<->T0), lineshape synthesis, and the
+spectral fitting pipeline, with every closed form cross-checked against
 brute-force density matrix evolution and its Monte Carlo noise average.
 """
 
@@ -38,19 +38,19 @@ from .hamiltonians import (
     level_shifts_perturbative,
     noise_hamiltonian,
     resolve_coupling,
-    st0_fluctuation,
+    shift_coefficients,
     target_hamiltonian,
     target_levels_mhz,
     transitions_vs_field,
 )
 from .noise import (
-    HistogramResult,
     LinewidthStats,
     NoiseModel,
-    frequency_histogram,
+    ShiftMoments,
     linewidth_stats,
     sample_noise,
-    st0_characteristic,
+    shift_characteristic,
+    shift_moments,
 )
 from .protocols import (
     SequenceError,

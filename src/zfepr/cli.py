@@ -83,6 +83,13 @@ def _finite(text):
     return value
 
 
+def _non_negative(text):
+    value = _finite(text)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {text.strip()!r}")
+    return value
+
+
 def _floats(text, n, sep=","):
     """Exactly ``n`` finite numbers separated by ``sep``, as a tuple."""
     parts = text.split(sep)
@@ -154,8 +161,8 @@ def _parse_orientations(text):
 # section -> key -> (parser, default[, the subcommands that read the key]).
 # A key without a reader list is read by every subcommand that reads its
 # section (see _COMMANDS).  Unknown sections or keys are errors.  Floats must
-# be finite, but for the decay times (inf switches a channel off) and the
-# noise widths (NoiseModel and linewidth_stats check them by name).
+# be finite (interrogation times also >= 0), but for the decay times (inf
+# switches a channel off) and the noise widths (NoiseModel checks them by name).
 _SCHEMA = {
     "target": {
         "a_perp_mhz": (_finite, TargetSpec.a_perp_mhz),
@@ -178,9 +185,9 @@ _SCHEMA = {
     "protocol": {
         "transition": (str, "st1", ("rabi", "ramsey", "spectrum")),
         "couplings": (_parse_couplings, 0.1),
-        "tau_us": (_finite, 5.0, ("rabi", "ramsey", "spectrum")),
-        "tau_start_us": (_finite, 0.0, ("deer",)),
-        "tau_stop_us": (_finite, 20.0, ("deer",)),
+        "tau_us": (_non_negative, 5.0, ("rabi", "ramsey", "spectrum")),
+        "tau_start_us": (_non_negative, 0.0, ("deer",)),
+        "tau_stop_us": (_non_negative, 20.0, ("deer",)),
         "tau_points": (_parse_count, 201, ("deer",)),
         "theta_start_rad": (_finite, 0.0, ("rabi",)),
         "theta_stop_rad": (_finite, 4.0 * math.pi, ("rabi",)),

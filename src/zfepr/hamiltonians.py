@@ -53,7 +53,7 @@ __all__ = [
     "noise_hamiltonian",
     "level_shifts_perturbative",
     "level_shifts_exact",
-    "st0_fluctuation",
+    "shift_coefficients",
     "dipolar_constant",
     "resolve_coupling",
     "joint_hamiltonian",
@@ -313,10 +313,22 @@ def level_shifts_exact(draw, spec):
     return np.stack([t_plus, s0_t0[..., 0], s0_t0[..., 1], t_minus], axis=-1) - levels0
 
 
-def st0_fluctuation(dx, dy, dz, spec):
-    """Vectorized S0<->T0 shift; accepts scalars or equal-shape arrays."""
-    ap, al = spec.a_perp_mhz, spec.a_par_mhz
-    return -ap * (dx * dx + dy * dy) / (al * al - ap * ap) + dz * dz / (2.0 * ap)
+def shift_coefficients(spec, transition):
+    """``(b, c)``, each of shape (3,): a noise draw delta shifts the
+    frequency of ``transition`` by sum_j b_j delta_j + c_j delta_j^2 MHz.
+
+    S0<->T+-1 takes T+-1's first-order +-delta_z/2 (no noise statistic sees
+    the sign): b = (0, 0, 1/2), c = 0.  S0<->T0 shifts at second order only
+    (:func:`level_shifts_perturbative`): b = 0,
+    c_x = c_y = -a_perp/(a_par^2 - a_perp^2), c_z = 1/(2 a_perp).
+    """
+    if transition == "st1":
+        return np.array([0.0, 0.0, 0.5]), np.zeros(3)
+    if transition == "st0":
+        ap, al = spec.a_perp_mhz, spec.a_par_mhz
+        c_perp = -ap / (al * al - ap * ap)
+        return np.zeros(3), np.array([c_perp, c_perp, 1.0 / (2.0 * ap)])
+    raise ValueError(f"unknown transition {transition!r}")
 
 
 def dipolar_constant(geometry):
@@ -346,12 +358,16 @@ def _block_diag(blocks):
     return out
 
 
-def _sensor_offsets_mhz(coupling):
-    """The sensor's part of the joint Hamiltonian in each of its blocks
-    m = +1, 0, -1: ``zfs*m^2 + C*m*szz``, shape (3, 4, 4), MHz."""
+#: The sensor's zero-field splitting zfs*m^2 in its blocks m = +1, 0, -1, MHz.
+_SENSOR_ZFS_MHZ = NV_ZFS_MHZ * np.array([1.0, 0.0, 1.0])
+
+
+def _coupling_offsets_mhz(coupling):
+    """The secular coupling's part of the joint Hamiltonian in each sensor
+    block m = +1, 0, -1: ``C*m*szz``, shape (3, 4, 4), MHz."""
     c_mhz = resolve_coupling(coupling)
     szz = SZZ_T.diagonal().real
-    return np.array([np.diag(NV_ZFS_MHZ * m * m + c_mhz * m * szz) for m in (1.0, 0.0, -1.0)])
+    return np.array([np.diag(c_mhz * m * szz) for m in (1.0, 0.0, -1.0)])
 
 
 def joint_hamiltonian(spec, coupling):
@@ -362,8 +378,8 @@ def joint_hamiltonian(spec, coupling):
     ``zfs*(Sz_NV)^2 (x) I4 + I3 (x) H_target + C * Sz_NV (x) Szz``, block
     diagonal in the sensor's m = +1, 0, -1.
     """
-    blocks = np.diag(target_levels_mhz(spec)) + _sensor_offsets_mhz(coupling)
-    return TWO_PI * _block_diag(blocks)
+    sensor = _SENSOR_ZFS_MHZ[:, None, None] * np.eye(4) + _coupling_offsets_mhz(coupling)
+    return TWO_PI * _block_diag(np.diag(target_levels_mhz(spec)) + sensor)
 
 
 def _line_offsets(spec, transition):

@@ -1,6 +1,6 @@
-"""Quasi-static Gaussian noise: sampling, linewidth theory, the exact
-S0<->T0 noise average, and the Monte Carlo distribution of transition
-frequencies.
+"""Quasi-static Gaussian noise: sampling, and the exact noise average,
+moments and linewidths of each transition's shift, all from the one
+quadratic noise model of :func:`~zfepr.hamiltonians.shift_coefficients`.
 
 Reproducibility contract: the draws of a model with seed ``s`` form one
 stream cut into blocks of :data:`DRAWS_PER_BLOCK`.  Block ``b`` is
@@ -17,23 +17,24 @@ seed ``s + b * 2**32`` would repeat block ``b`` of seed ``s`` as its block 0.)
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import FWHM_PER_SIGMA
-from .hamiltonians import st0_fluctuation
+from .constants import FWHM_PER_SIGMA, TWO_PI
+from .hamiltonians import shift_coefficients
 
 __all__ = [
     "DRAWS_PER_BLOCK",
     "FWHM_PER_SIGMA",
     "NoiseModel",
     "LinewidthStats",
-    "HistogramResult",
+    "ShiftMoments",
     "sample_noise",
+    "shift_characteristic",
+    "shift_moments",
     "linewidth_stats",
-    "st0_characteristic",
-    "frequency_histogram",
 ]
 
 
@@ -63,6 +64,11 @@ class NoiseModel:
     def isotropic(cls, sigma_mhz, seed=seed):  # the default of the field above
         return cls(sigma_mhz, sigma_mhz, sigma_mhz, seed)
 
+    @property
+    def widths(self):
+        """(sigma_x, sigma_y, sigma_z) as an array, MHz."""
+        return np.array([self.sigma_x_mhz, self.sigma_y_mhz, self.sigma_z_mhz])
+
 
 def sample_noise(model, n, start=0):
     """Draws ``start`` to ``start + n - 1`` of the model's stream as an (n, 3)
@@ -83,100 +89,68 @@ def sample_noise(model, n, start=0):
         for b in range(first, stop)
     ]
     offset = start - first * DRAWS_PER_BLOCK
-    sigmas = np.array([model.sigma_x_mhz, model.sigma_y_mhz, model.sigma_z_mhz])
-    return np.concatenate(blocks)[offset:offset + n] * sigmas
+    return np.concatenate(blocks)[offset:offset + n] * model.widths
 
 
-@dataclass(frozen=True)
-class LinewidthStats:
-    """Transition-frequency fluctuation widths and their ratio chi."""
+def shift_characteristic(model, spec, transition, t_us):
+    """Exact noise average <exp(2 pi i dw t)> of the shift
+    dw = sum_j b_j delta_j + c_j delta_j^2 of ``transition``
+    (:func:`~zfepr.hamiltonians.shift_coefficients`): the product over axes of
+    f_j^(-1/2) exp(-(2 pi b_j sigma_j t)^2 / (2 f_j)), f_j = 1 - 4 pi i c_j sigma_j^2 t.
+    It is the Gaussian exp(-(pi sigma_z t)^2 / 2) on S0<->T+-1 and complex on
+    S0<->T0, whose shift has a nonzero mean and a skewed distribution.  Each
+    f_j lies in the right half-plane, so its principal root is continuous in
+    t; the product is taken of those roots, not rooted itself, because the
+    product's phase passes pi at long times when all c_j share a sign
+    (a_perp > a_par).  ``t_us`` may be complex: the function is analytic for
+    |t| below 1 / max_j |4 pi c_j sigma_j^2|.
+    """
+    b, c = shift_coefficients(spec, transition)
+    factors = 1.0 - 4j * math.pi * np.multiply.outer(t_us, c * model.widths**2)
+    linear = np.multiply.outer(t_us, TWO_PI * b * model.widths) ** 2
+    envelope = np.exp(-np.sum(linear / (2.0 * factors), axis=-1))
+    return envelope / np.prod(np.sqrt(factors), axis=-1)
 
-    sigma_st1_mhz: float
-    sigma_st0_mhz: float
-    chi: float
+
+#: Exact moments of a transition's noise shift: mean and standard deviation
+#: in MHz, skewness and excess kurtosis.
+ShiftMoments = namedtuple("ShiftMoments", "mean std skewness excess_kurtosis")
+
+
+def shift_moments(model, spec, transition):
+    """Exact :class:`ShiftMoments` of the noise shift of ``transition``, from
+    the cumulants kappa_n = sum_j (n-1)! 2^(n-1) (c_j sigma_j^2)^n
+    + n! b_j^2 sigma_j^2 (2 c_j sigma_j^2)^(n-2) / 2 (the second term for
+    n >= 2) of sum_j b_j delta_j + c_j delta_j^2.  S0<->T0's shift is skewed
+    and sharper than a matched Gaussian; S0<->T+-1's is Gaussian.  Without
+    noise every moment is 0.
+    """
+    b, c = shift_coefficients(spec, transition)
+    a, linear = c * model.widths**2, (b * model.widths) ** 2
+
+    def kappa(n):
+        cross = math.factorial(n) * linear * (2.0 * a) ** (n - 2) / 2.0 if n > 1 else 0.0
+        return float(np.sum(math.factorial(n - 1) * (2.0 * a) ** n / 2.0 + cross))
+
+    mean, var, k3, k4 = map(kappa, (1, 2, 3, 4))
+    std = math.sqrt(var)
+    return ShiftMoments(mean, std, k3 / std**3 if std else 0.0, k4 / var**2 if std else 0.0)
+
+
+#: Transition-frequency fluctuation widths and their ratio chi.
+LinewidthStats = namedtuple("LinewidthStats", "sigma_st1_mhz sigma_st0_mhz chi")
 
 
 def linewidth_stats(sigma_mhz, spec):
-    """Isotropic-noise linewidth theory.
+    """Isotropic-noise linewidth theory: the widths of the S0<->T+-1 and
+    S0<->T0 noise shifts (:func:`shift_moments`) and their ratio chi.
 
-    sigma_st1 = sigma/2 exactly; sigma_st0 is quadratic in the noise: the
-    shift is sum_j c_j delta_j^2 (see :func:`st0_characteristic`), so its
-    width is sigma^2 * sqrt(2 * sum_j c_j^2), which is
+    sigma_st1 = sigma/2; sigma_st0 = sigma^2 * sqrt(2 * sum_j c_j^2), which is
     sigma^2 * sqrt(4*a_perp^2/(a_par^2-a_perp^2)^2 + 1/(2*a_perp^2)); chi is
-    their ratio, the predicted spectral-resolution improvement (about 133 for
-    the default hyperfine constants at sigma_st1 = 98 kHz).
+    the predicted spectral-resolution improvement (about 133 for the default
+    hyperfine constants at sigma_st1 = 98 kHz).
     """
-    if not (math.isfinite(sigma_mhz) and sigma_mhz >= 0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma_mhz}")
-    sigma_st1 = 0.5 * sigma_mhz
-    c = st0_fluctuation(*np.eye(3), spec)
-    sigma_st0 = sigma_mhz**2 * math.sqrt(2.0 * float(c @ c))
+    model = NoiseModel.isotropic(sigma_mhz)
+    sigma_st1, sigma_st0 = (shift_moments(model, spec, tr).std for tr in ("st1", "st0"))
     chi = sigma_st1 / sigma_st0 if sigma_st0 > 0 else math.inf
     return LinewidthStats(sigma_st1, sigma_st0, chi)
-
-
-def st0_characteristic(model, spec, t_us):
-    """Exact noise average <exp(2 pi i dw_st0 t)> of the S0<->T0 shift.
-
-    dw_st0 = sum_j c_j delta_j^2 (:func:`~zfepr.hamiltonians.st0_fluctuation`,
-    c_x = c_y = -a_perp/(a_par^2 - a_perp^2), c_z = 1/(2 a_perp)) is a sum of
-    scaled chi^2_1 variables, whose characteristic function is
-    prod_j (1 - 4 pi i c_j sigma_j^2 t)^(-1/2).  Each factor lies in the
-    right half-plane, so its principal root is continuous in t; the product
-    is taken of those roots, not rooted itself, because the product's phase
-    passes pi at long times when all c_j share a sign (a_perp > a_par).
-    ``t_us`` may be complex: the function is analytic for |t| below
-    1 / max_j |4 pi c_j sigma_j^2|.
-    """
-    scaled = st0_fluctuation(*np.eye(3), spec) * np.array(
-        [model.sigma_x_mhz, model.sigma_y_mhz, model.sigma_z_mhz]) ** 2
-    factors = 1.0 - 4j * math.pi * np.multiply.outer(t_us, scaled)
-    return 1.0 / np.prod(np.sqrt(factors), axis=-1)
-
-
-@dataclass(frozen=True)
-class HistogramResult:
-    """Monte Carlo transition-frequency distribution with its moments."""
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    mean: float
-    std: float
-    skewness: float
-    excess_kurtosis: float
-    values: np.ndarray
-
-
-def frequency_histogram(model, spec, transition, n):
-    """Distribution of the transition-frequency shift over ``n`` noise draws,
-    in 128 bins.
-
-    The S0<->T0 shift is a quadratic form in three Gaussians, so its
-    distribution is asymmetric and sharper than a matched Gaussian; S0<->T+-1
-    stays Gaussian (it is linear in delta_z).  Moments are population moments
-    of the sampled shifts.
-    """
-    if n < 1000:
-        raise ValueError("histogram needs at least 1000 draws")
-    if transition not in ("st1", "st0"):
-        raise ValueError(f"unknown transition {transition!r}")
-    draws = sample_noise(model, n)
-    if transition == "st1":
-        values = 0.5 * draws[:, 2]
-    else:
-        values = st0_fluctuation(draws[:, 0], draws[:, 1], draws[:, 2], spec)
-
-    counts, edges = np.histogram(values, bins=128)
-    mean = float(values.mean())
-    centered = values - mean
-    var = float(np.mean(centered**2))
-    std = math.sqrt(var)
-    if std > 0:
-        skew = float(np.mean(centered**3)) / std**3
-        exkurt = float(np.mean(centered**4)) / std**4 - 3.0
-    else:
-        skew, exkurt = 0.0, 0.0
-    return HistogramResult(
-        bin_edges=edges, counts=counts, mean=mean, std=std,
-        skewness=skew, excess_kurtosis=exkurt, values=values,
-    )

@@ -39,13 +39,14 @@ import numpy as np
 from .constants import TWO_PI
 from .hamiltonians import (
     TargetSpec,
+    _SENSOR_ZFS_MHZ,
     _block_diag,
+    _coupling_offsets_mhz,
     _line,
     _noise_matrix_mhz,
-    _sensor_offsets_mhz,
     target_levels_mhz,
 )
-from .noise import DRAWS_PER_BLOCK, sample_noise, st0_characteristic
+from .noise import DRAWS_PER_BLOCK, sample_noise, shift_characteristic
 from .pulses import Pulse, dephase, free, mw_2pi, mw_pi, nv_pulse, readout, rf_st0, rf_st1
 from .pulses import spinlock, spinlock_channel, u_st0, u_st1
 from .spectra import TimeSeries
@@ -139,8 +140,8 @@ def _coupling_pairs(couplings):
     if np.isscalar(couplings):
         return ((float(couplings), 1.0),)
     pairs = tuple((float(c), float(w)) for c, w in couplings)
-    if abs(sum(w for _, w in pairs) - 1.0) > 1e-9:
-        raise ValueError("coupling weights must sum to 1")
+    if any(w < 0 for _, w in pairs) or abs(sum(w for _, w in pairs) - 1.0) > 1e-9:
+        raise ValueError("coupling weights must be >= 0 and sum to 1")
     return pairs
 
 
@@ -158,14 +159,11 @@ def corr_rabi(transition, theta, tau_us, coupling_mhz):
 def corr_ramsey_diff(transition, t_us, tau_us, coupling_mhz, noise=None, spec=None):
     """Differential correlation Ramsey signal (sig minus ref correlated term).
 
-    (1/4)(1-cos Ct)^2 <cos(2 pi (w + dw) t)>, with the noise average in
-    closed form from the shift's characteristic function:
-
-    st1:  dw = delta_z/2 is Gaussian -> envelope exp(-(pi sigma_z t)^2 / 2).
-
-    st0:  dw_st0 is a quadratic form of the noise -> the exact
-    :func:`~zfepr.noise.st0_characteristic` phi(t), complex because the
-    shift has a nonzero mean and a skewed distribution.
+    (1/4)(1-cos Ct)^2 Re[exp(2 pi i w t) phi(t)], with the noise average
+    phi(t) = <exp(2 pi i dw t)> in closed form: the characteristic function
+    of the transition's noise shift dw,
+    :func:`~zfepr.noise.shift_characteristic`.  It is the Gaussian
+    exp(-(pi sigma_z t)^2 / 2) on S0<->T+-1 and complex on S0<->T0.
 
     The measured photoluminescence difference is half this value.
     """
@@ -183,10 +181,7 @@ def _ramsey_diff(transition, lines, t, tau_us, coupling_mhz, spec, noise):
     the noise average <exp(2 pi i dw t)> of the transition's shift (1 without
     noise), shared by all components."""
     amp = 0.25 * (1.0 - np.cos(_phase(coupling_mhz, tau_us))) ** 2
-    env = 1.0
-    if noise is not None:
-        env = (np.exp(-0.5 * (math.pi * noise.sigma_z_mhz * t) ** 2) if transition == "st1"
-               else st0_characteristic(noise, spec, t))
+    env = 1.0 if noise is None else shift_characteristic(noise, spec, transition, t)
     return (amp * env * sum(w * np.exp(1j * (TWO_PI * f * t)) for f, w in lines)).real
 
 
@@ -271,11 +266,17 @@ def _eigensystems(spec, coupling, draws):
     ``draws`` is an (n, 3) array of noise triples in MHz.  Returns ``(w, v)``
     of shapes (n, 3, 4) and (n, 3, 4, 4), from one batched ``eigh`` over the
     sensor blocks m = +1, 0, -1 of :func:`~zfepr.hamiltonians.joint_hamiltonian`.
-    ``_sensor_offsets_mhz`` gives the m = 0 block (index 1) no offset, so it
-    is the target-alone Hamiltonian bit for bit: the target frame reads it.
+    The zero-field splitting, 1.8e4 rad/us times the identity in a block, is
+    added to the eigenvalues after ``eigh``, which would lose digits to it.
+    The m = 0 block (index 1) is the target-alone Hamiltonian bit for bit:
+    the target frame reads it.
     """
     h_target = np.diag(target_levels_mhz(spec)) + _noise_matrix_mhz(draws)
-    return np.linalg.eigh(TWO_PI * (h_target[:, None] + _sensor_offsets_mhz(coupling)))
+    h = h_target[:, None] + _coupling_offsets_mhz(coupling)
+    h *= TWO_PI
+    w, v = np.linalg.eigh(h)
+    w += TWO_PI * _SENSOR_ZFS_MHZ[:, None]
+    return w, v
 
 
 def _steps(sequence, decay):

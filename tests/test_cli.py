@@ -633,9 +633,18 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     (["bsweep", "b_points=5"], "override must look like section.key=value: 'b_points=5'"),
     (["linewidth", "noise.sigma_mhz=0.1,0.1,0.2"],
      "linewidth theory needs isotropic noise; set noise.sigma_mhz"),
+    (["deer", "protocol.couplings=0.1:1.5,0.2:-0.5"],
+     "coupling weights must be >= 0 and sum to 1"),
+    *[([command, setting], f"bad value for {setting.split('=')[0]}: must be >= 0")
+      for command, setting in [("rabi", "protocol.tau_us=-5"), ("ramsey", "protocol.tau_us=-5"),
+                               ("spectrum", "protocol.tau_us=-5"),
+                               ("deer", "protocol.tau_start_us=-3"),
+                               ("deer", "protocol.tau_stop_us=-1")]],
 ], ids=["zero-direction", "mode", "rabi-couplings", "ramsey-couplings",
         "spectrum-couplings", "peaks-abc", "peaks-0", "peaks-5", "peaks-2.0",
-        "override-without-equals", "override-without-dot", "linewidth-anisotropic"])
+        "override-without-equals", "override-without-dot", "linewidth-anisotropic",
+        "deer-negative-weight", "rabi-negative-tau", "ramsey-negative-tau",
+        "spectrum-negative-tau", "deer-negative-tau-start", "deer-negative-tau-stop"])
 def test_bad_setting_is_a_config_error(argv, message, tmp_path, capsys):
     command, *settings = argv
     out = tmp_path / "out"

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zfepr import protocols
@@ -176,15 +176,18 @@ def _oracle(x, steps, coupling, draws, decay, adjoint):
     return np.array(out)
 
 
-# Free durations up to 0.05 us: the engine's phases carry the 2.87 GHz
-# zero-field splitting, 1.8e4 rad/us, whose double-precision eigenvalues are
-# good to a few 1e-12 rad/us, so over microseconds engine and oracle differ
-# by about 1e-11 and could not be held to 1e-12.  The physicality and grid
-# tests run the durations of real sequences.
+# Free durations up to 0.05 us: the phases carry the 2.87 GHz zero-field
+# splitting, 1.8e4 rad/us, which double precision holds to a few 1e-12
+# rad/us, so over microseconds engine and oracle differ by about 1e-11 and
+# could not be held to 1e-12.  The physicality and grid tests run the
+# durations of real sequences.  The example misses the bound (1.08e-12) if
+# the engine diagonalizes the splitting within each sensor block.
 @settings(deadline=None, max_examples=60)
 @given(steps=st.lists(_steps(st.floats(0.0, 0.05)), min_size=1, max_size=6),
        adjoint=st.booleans(), decayed=st.booleans(), coupling=st.floats(0.05, 1.0),
        seed=st.integers(0, 2**32 - 1))
+@example(steps=[free(0.03125)] * 2, adjoint=True, decayed=False, coupling=0.5,
+         seed=4294967295)
 def test_run_applier_matches_a_per_step_oracle(steps, adjoint, decayed, coupling, seed):
     rng = np.random.default_rng(seed)
     draws = rng.normal(0.0, 0.3, (2, 3))

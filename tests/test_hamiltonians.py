@@ -15,7 +15,7 @@ from zfepr.hamiltonians import (
     level_shifts_exact,
     level_shifts_perturbative,
     noise_hamiltonian,
-    st0_fluctuation,
+    shift_coefficients,
     target_hamiltonian,
     target_levels_mhz,
     transitions_vs_field,
@@ -172,9 +172,34 @@ def test_perturbative_vs_exact_cubic_scaling(spec):
 
 
 def test_transition_fluctuation_examples(spec):
-    assert st0_fluctuation(0.0, 0.0, 1.0, spec) == pytest.approx(1.0 / 228.0, rel=1e-12)
-    assert st0_fluctuation(0.0, 0.0, 0.0, spec) == 0.0
-    assert st0_fluctuation(1.0, 0.0, 0.0, spec) == pytest.approx(-114.0 / 12604.0, rel=1e-12)
+    b, c = shift_coefficients(spec, "st0")
+    assert np.array_equal(b, np.zeros(3))
+    assert c[2] == pytest.approx(1.0 / 228.0, rel=1e-12)
+    assert c[0] == c[1] == pytest.approx(-114.0 / 12604.0, rel=1e-12)
+    b, c = shift_coefficients(spec, "st1")
+    assert np.array_equal(b, [0.0, 0.0, 0.5]) and np.array_equal(c, np.zeros(3))
+    with pytest.raises(ValueError, match="unknown transition 'st7'"):
+        shift_coefficients(spec, "st7")
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2])
+def test_shift_coefficients_are_derivatives_of_the_exact_shifts(spec, eps):
+    # central differences of the exactly diagonalized line shifts along each
+    # noise axis: the slopes b of both transitions and the curvatures c of
+    # S0<->T0 (S0<->T+-1's curvature is the second order its model leaves
+    # out).  0.0 - axes keeps delta_z = +0 on the transverse axes, where the
+    # sign of delta_z labels T+1.
+    axes = eps * np.eye(3)
+    plus, minus, zero = (level_shifts_exact(d, spec) for d in (axes, 0.0 - axes, np.zeros(3)))
+    for transition, upper in (("st1", 0), ("st0", 2)):
+        def line(shifts):
+            return shifts[..., upper] - shifts[..., 1]
+
+        b, c = shift_coefficients(spec, transition)
+        assert np.abs((line(plus) - line(minus)) / (2 * eps) - b).max() < 1e-10
+        if transition == "st0":
+            curvature = (line(plus) + line(minus) - 2 * line(zero)) / (2 * eps**2)
+            assert curvature == pytest.approx(c, rel=1e-4)
 
 
 def test_dipolar_prefactor_from_physical_constants():

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zfepr.hamiltonians import TargetSpec, st0_fluctuation
+from zfepr.hamiltonians import TargetSpec, level_shifts_perturbative, shift_coefficients
 from zfepr.noise import (
     FWHM_PER_SIGMA,
     NoiseModel,
-    frequency_histogram,
+    ShiftMoments,
     linewidth_stats,
     sample_noise,
-    st0_characteristic,
+    shift_characteristic,
+    shift_moments,
 )
 
 
@@ -108,116 +109,154 @@ def test_chi_scale_covariance(spec):
     assert np.abs(products / products[0] - 1.0).max() < 1e-12
 
 
-def test_histogram_degenerate(spec):
-    model = NoiseModel(0.0, 0.0, 0.0, seed=1)
-    hist = frequency_histogram(model, spec, "st0", 2000)
-    assert hist.std == 0.0
-    assert hist.mean == 0.0
-    assert hist.skewness == 0.0 and hist.excess_kurtosis == 0.0
+def test_shift_statistics_without_noise(spec):
+    t = np.linspace(0.0, 500.0, 7)
+    for transition in ("st1", "st0"):
+        assert shift_moments(NoiseModel(), spec, transition) == ShiftMoments(0.0, 0.0, 0.0, 0.0)
+        assert np.array_equal(shift_characteristic(NoiseModel(), spec, transition, t),
+                              np.ones(7))
 
 
-def test_histogram_st0_asymmetric_sharp(spec):
-    model = NoiseModel.isotropic(2.3, seed=6)
-    hist = frequency_histogram(model, spec, "st0", 100000)
-    assert abs(hist.skewness) > 0.1
-    assert hist.excess_kurtosis > 0.0
+def test_st0_shift_is_skewed_and_sharp(spec):
+    moments = shift_moments(NoiseModel.isotropic(2.3), spec, "st0")
+    assert moments.skewness < -0.1
+    assert moments.excess_kurtosis > 0.0
 
 
-def test_histogram_st1_gaussian(spec):
-    sigma = 1.0
-    model = NoiseModel.isotropic(sigma, seed=7)
-    hist = frequency_histogram(model, spec, "st1", 100000)
-    assert abs(hist.skewness) < 0.05
-    assert hist.std == pytest.approx(sigma / 2, rel=0.02)
+def test_st1_shift_is_gaussian_and_reads_sigma_z_alone(spec):
+    moments = shift_moments(NoiseModel(0.7, 0.3, 1.0), spec, "st1")
+    assert moments == ShiftMoments(0.0, 0.5, 0.0, 0.0)
 
 
-def test_histogram_st0_mean_matches_analytic_moments(spec):
+def test_st0_mean_matches_analytic_moments(spec):
     # analytic first moment of the quadratic form
     sigma = 0.5
-    model = NoiseModel.isotropic(sigma, seed=8)
-    n = 200000
-    hist = frequency_histogram(model, spec, "st0", n)
+    moments = shift_moments(NoiseModel.isotropic(sigma), spec, "st0")
     ap, al = spec.a_perp_mhz, spec.a_par_mhz
     mean = -2 * sigma**2 * ap / (al**2 - ap**2) + sigma**2 / (2 * ap)
-    se = hist.std / math.sqrt(n)
-    assert abs(hist.mean - mean) < 5 * se
+    assert moments.mean == pytest.approx(mean, rel=1e-12)
 
 
-#: (target, noise, times in us) for the S0<->T0 characteristic function: the
-#: paper's point out to a long record, anisotropic noise, and a_perp > a_par,
-#: where all three c_j share a sign and by 250 us the phases of the three
-#: factors 1 - 4 pi i c_j sigma_j^2 t add up past pi.
-ST0_CASES = {
-    "paper": (TargetSpec(), NoiseModel.isotropic(0.196, seed=31), (0.2, 60.0, 250.0, 1500.0)),
-    "anisotropic": (TargetSpec(), NoiseModel(0.1, 0.3, 0.2, seed=32), (0.2, 90.0, 700.0)),
+def test_unknown_transition_raises(spec):
+    model = NoiseModel.isotropic(1.0)
+    with pytest.raises(ValueError, match="unknown transition 'st7'"):
+        shift_moments(model, spec, "st7")
+    with pytest.raises(ValueError, match="unknown transition 'st7'"):
+        shift_characteristic(model, spec, "st7", 1.0)
+
+
+#: (target, noise) for the characteristic functions: the paper's point,
+#: anisotropic noise, and a_perp > a_par, where all three S0<->T0 c_j share a
+#: sign.  S0<->T+-1 is sampled over its microsecond decay, S0<->T0 out to a
+#: long record; with a_perp > a_par, by 250 us the phases of the three
+#: S0<->T0 factors 1 - 4 pi i c_j sigma_j^2 t add up past pi.
+NOISE_CASES = {
+    "paper": (TargetSpec(), NoiseModel.isotropic(0.196, seed=31)),
+    "anisotropic": (TargetSpec(), NoiseModel(0.1, 0.3, 0.2, seed=32)),
     "perp_above_par": (TargetSpec(a_perp_mhz=160.0, a_par_mhz=114.0),
-                       NoiseModel.isotropic(0.5, seed=33), (30.0, 250.0, 600.0)),
+                       NoiseModel.isotropic(0.5, seed=33)),
+}
+TIMES = {
+    ("paper", "st1"): (0.5, 2.0, 4.0),
+    ("paper", "st0"): (0.2, 60.0, 250.0, 1500.0),
+    ("anisotropic", "st1"): (0.5, 2.0, 4.0),
+    ("anisotropic", "st0"): (0.2, 90.0, 700.0),
+    ("perp_above_par", "st1"): (0.2, 0.8, 1.6),
+    ("perp_above_par", "st0"): (30.0, 250.0, 600.0),
 }
 
 
-def _scaled_coefficients(spec, model):
-    """c_j sigma_j^2 per axis, each from the shift of a one-axis draw."""
-    widths = (model.sigma_x_mhz, model.sigma_y_mhz, model.sigma_z_mhz)
-    return np.array([st0_fluctuation(*(w if j == k else 0.0 for j, w in enumerate(widths)),
-                                     spec) for k in range(3)])
+def _sampled_shifts(draws, spec, transition):
+    """Each draw's line shift from the level shifts: S0<->T+-1 follows T+1's
+    +delta_z/2, and S0<->T0 the second-order shifts of T0 and S0."""
+    if transition == "st1":
+        return 0.5 * draws[:, 2]
+    levels = level_shifts_perturbative(draws, spec)
+    return levels[:, 2] - levels[:, 1]
 
 
-@pytest.mark.parametrize("case", sorted(ST0_CASES))
-def test_st0_characteristic_matches_sampling(case):
-    # phi(t) = <exp(2 pi i dw_st0 t)> against 200,000 draws of the shift
-    spec, model, times = ST0_CASES[case]
-    t = np.array(times)
+def _check_characteristic_against_sampling(case, transition):
+    """phi(t) = <exp(2 pi i dw t)> against 200,000 draws of the shift."""
+    spec, model = NOISE_CASES[case]
+    t = np.array(TIMES[case, transition])
     n = 200_000
-    draws = sample_noise(model, n)
-    dw = st0_fluctuation(draws[:, 0], draws[:, 1], draws[:, 2], spec)
+    dw = _sampled_shifts(sample_noise(model, n), spec, transition)
     samples = np.exp(2j * math.pi * np.multiply.outer(t, dw))
     mean = samples.mean(axis=1)
     se_re, se_im = samples.real.std(axis=1) / math.sqrt(n), samples.imag.std(axis=1) / math.sqrt(n)
-    phi = st0_characteristic(model, spec, t)
+    phi = shift_characteristic(model, spec, transition, t)
     assert phi.shape == t.shape
     assert np.all(np.abs(phi.real - mean.real) < 5 * se_re)
     assert np.all(np.abs(phi.imag - mean.imag) < 5 * se_im)
-    if case == "perp_above_par":
+    if (case, transition) == ("perp_above_par", "st0"):
         # the root of the product takes the other branch once its phase
         # passes pi, and the samples tell the two apart
-        factors = 1.0 - 4j * math.pi * np.multiply.outer(t, _scaled_coefficients(spec, model))
+        scaled = shift_coefficients(spec, "st0")[1] * model.widths**2
+        factors = 1.0 - 4j * math.pi * np.multiply.outer(t, scaled)
         assert -np.angle(factors).sum(axis=1)[1] > math.pi
         rooted_product = np.prod(factors, axis=1) ** -0.5
         assert np.abs(rooted_product[1] - mean[1]) > 20 * max(se_re[1], se_im[1])
 
 
-@pytest.mark.parametrize("case", sorted(ST0_CASES))
-def test_st0_characteristic_cumulants(case):
-    # log phi(t) = sum_n kappa_n (2 pi i t)^n / n!; its Taylor coefficients at
-    # t = 0 come from 64 samples on a circle in the complex t plane, well
-    # inside the radius of convergence
-    spec, model, _ = ST0_CASES[case]
-    scaled = _scaled_coefficients(spec, model)
-    radius = 0.2 / (4 * math.pi * np.abs(scaled).max())
+@pytest.mark.parametrize("case", sorted(NOISE_CASES))
+def test_st0_characteristic_matches_sampling(case):
+    _check_characteristic_against_sampling(case, "st0")
+
+
+@pytest.mark.parametrize("case", sorted(NOISE_CASES))
+def test_st1_characteristic_matches_sampling(case):
+    # the anisotropic case shows that S0<->T+-1 reads sigma_z alone
+    _check_characteristic_against_sampling(case, "st1")
+
+
+def _check_cumulants(case, transition):
+    """The cumulants of log phi are the exact moments, through the fourth.
+
+    log phi(t) = sum_n kappa_n (2 pi i t)^n / n!; its Taylor coefficients at
+    t = 0 come from 64 samples on a circle in the complex t plane, well
+    inside the radius of convergence.
+    """
+    spec, model = NOISE_CASES[case]
+    b, c = shift_coefficients(spec, transition)
+    rate = max(np.abs(c * model.widths**2).max(), np.abs(b * model.widths).max())
+    radius = 0.2 / (4 * math.pi * rate)
     angles = 2 * math.pi * np.arange(64) / 64
-    log_phi = np.log(st0_characteristic(model, spec, radius * np.exp(1j * angles)))
-    a1, a2 = (np.mean(log_phi * np.exp(-1j * n * angles)) / radius**n for n in (1, 2))
-    kappa1, kappa2 = a1 / (2j * math.pi), -a2 / (2 * math.pi**2)
-    mean = st0_fluctuation(model.sigma_x_mhz, model.sigma_y_mhz, model.sigma_z_mhz, spec)
-    assert kappa1.real == pytest.approx(mean, rel=1e-12)
-    assert kappa2.real == pytest.approx(2 * (scaled**2).sum(), rel=1e-12)
-    assert abs(kappa1.imag) < 1e-12 * abs(mean) and abs(kappa2.imag) < 1e-12 * kappa2.real
+    log_phi = np.log(shift_characteristic(model, spec, transition, radius * np.exp(1j * angles)))
+    kappa1, kappa2, kappa3, kappa4 = (
+        np.mean(log_phi * np.exp(-1j * n * angles)) / radius**n * math.factorial(n)
+        / (2j * math.pi) ** n for n in (1, 2, 3, 4))
+    moments = shift_moments(model, spec, transition)
+    # the mean and variance of sum_j b_j delta_j + c_j delta_j^2, written out
+    scaled = c * model.widths**2
+    assert moments.mean == pytest.approx(scaled.sum(), rel=1e-12, abs=0.0)
+    assert moments.std**2 == pytest.approx(2 * (scaled**2).sum() + ((b * model.widths)**2).sum(),
+                                           rel=1e-12)
+    # S0<->T+-1 has no mean, so its first cumulant is held to the width's scale
+    scale1 = abs(moments.mean) or moments.std
+    assert abs(kappa1.real - moments.mean) < 1e-12 * scale1
+    assert kappa2.real == pytest.approx(moments.std**2, rel=1e-12)
+    assert abs(kappa1.imag) < 1e-12 * scale1 and abs(kappa2.imag) < 1e-12 * kappa2.real
+    assert kappa3.real / moments.std**3 == pytest.approx(moments.skewness, abs=1e-10)
+    assert kappa4.real / moments.std**4 == pytest.approx(moments.excess_kurtosis, abs=1e-10)
     if model.sigma_x_mhz == model.sigma_y_mhz == model.sigma_z_mhz:
-        sigma_st0 = linewidth_stats(model.sigma_x_mhz, spec).sigma_st0_mhz
-        assert math.sqrt(kappa2.real) == pytest.approx(sigma_st0, rel=1e-12)
+        stats = linewidth_stats(model.sigma_x_mhz, spec)
+        width = stats.sigma_st1_mhz if transition == "st1" else stats.sigma_st0_mhz
+        assert math.sqrt(kappa2.real) == pytest.approx(width, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(NOISE_CASES))
+def test_st0_characteristic_cumulants(case):
+    _check_cumulants(case, "st0")
+
+
+@pytest.mark.parametrize("case", sorted(NOISE_CASES))
+def test_st1_characteristic_cumulants(case):
+    _check_cumulants(case, "st1")
 
 
 def test_st0_characteristic_without_noise_is_one(spec):
     t = np.linspace(0.0, 500.0, 7)
-    assert np.array_equal(st0_characteristic(NoiseModel(), spec, t), np.ones(7))
-
-
-def test_histogram_validation(spec):
-    model = NoiseModel.isotropic(1.0, seed=1)
-    with pytest.raises(ValueError):
-        frequency_histogram(model, spec, "st0", 100)
-    with pytest.raises(ValueError):
-        frequency_histogram(model, spec, "st7", 2000)
+    assert np.array_equal(shift_characteristic(NoiseModel(), spec, "st0", t), np.ones(7))
 
 
 def test_fwhm_constant():

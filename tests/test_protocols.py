@@ -747,10 +747,10 @@ def test_synthesize_st0_outlives_st1(spec):
     noise = NoiseModel.isotropic(sigma, seed=11)
     t1e_st1 = math.sqrt(2.0) / (math.pi * sigma)
 
-    from zfepr.hamiltonians import st0_fluctuation
+    from zfepr.hamiltonians import level_shifts_perturbative
 
-    draws = sample_noise(noise, 2000)
-    dw = st0_fluctuation(draws[:, 0], draws[:, 1], draws[:, 2], spec)
+    levels = level_shifts_perturbative(sample_noise(noise, 2000), spec)
+    dw = levels[:, 2] - levels[:, 1]  # the S0<->T0 shift, T0 minus S0
     t_grid = np.linspace(0, 400.0, 200)
     envelope = np.abs(np.exp(1j * TWO_PI * np.outer(t_grid, dw)).mean(axis=1))
     below = np.nonzero(envelope < 1.0 / math.e)[0]
