@@ -4,9 +4,10 @@ A sensor spin (NV-style S=1, optically read) interrogates a hyperfine-coupled
 S=1/2, I=1/2 target at zero magnetic field.  The package reproduces the
 interrogation protocols (DEER, correlation Rabi/Ramsey), the exact noise
 average and moments of each transition's quasi-static noise shift (quadratic
-only on the magnetically quiet S0<->T0), lineshape synthesis, and the
-spectral fitting pipeline, with every closed form cross-checked against
-brute-force density matrix evolution and its Monte Carlo noise average.
+only on the magnetically quiet S0<->T0), the closed-form Ramsey record of a
+transition's lines (doublets included), and the spectral fitting pipeline,
+with every closed form cross-checked against brute-force density matrix
+evolution and its Monte Carlo noise average.
 """
 
 from .constants import DIPOLAR_K_MHZ_NM3, GAMMA_E_MHZ_PER_G, NV_ZFS_MHZ
@@ -65,7 +66,6 @@ from .protocols import (
     monte_carlo_signal,
     simulate_alternative_correlation,
     simulate_sequence,
-    synthesize_ramsey_series,
 )
 from .pulses import (
     DecayModel,
@@ -76,7 +76,6 @@ from .pulses import (
     mw_pi,
     nv_pulse,
     readout,
-    readout_pl,
     rf_st0,
     rf_st1,
     spinlock,

@@ -53,10 +53,9 @@ from .protocols import (
     deer_signal_general,
     monte_carlo_signal,
     simulate_sequence,
-    synthesize_ramsey_series,
 )
 from .pulses import DecayModel
-from .spectra import FoldAmbiguityError, dft_spectrum
+from .spectra import FoldAmbiguityError, TimeSeries, dft_spectrum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -133,6 +132,16 @@ def _parse_peak_count(text):
     return n
 
 
+def _choice(what, *choices):
+    """A parser that takes one of ``choices`` and names anything else as an
+    unknown ``what``."""
+    def parse(text):
+        if text not in choices:
+            raise ValueError(f"unknown {what} {text!r}, must be one of {', '.join(choices)}")
+        return text
+    return parse
+
+
 def _parse_bool(text):
     """The booleans of a config file: 1/yes/true/on or 0/no/false/off."""
     states = configparser.ConfigParser.BOOLEAN_STATES
@@ -183,7 +192,8 @@ _SCHEMA = {
         "t1rho_us": (float, DecayModel.t1rho_us),
     },
     "protocol": {
-        "transition": (str, "st1", ("rabi", "ramsey", "spectrum")),
+        "transition": (_choice("transition", "st1", "st0"), "st1",
+                       ("rabi", "ramsey", "spectrum")),
         "couplings": (_parse_couplings, 0.1),
         "tau_us": (_non_negative, 5.0, ("rabi", "ramsey", "spectrum")),
         "tau_start_us": (_non_negative, 0.0, ("deer",)),
@@ -203,7 +213,7 @@ _SCHEMA = {
         "b_stop_g": (_finite, 3.0),
         "b_points": (_parse_count, 13),
         "direction": (lambda s: _floats(s, 3), (0.0, 0.0, 1.0)),
-        "mode": (str, "perturbative"),
+        "mode": (_choice("field mode", "perturbative", "exact"), "perturbative"),
     },
     "compensation": {
         "true_bx_g": (_finite, 0.35),
@@ -426,9 +436,8 @@ def _ramsey_series(config):
     # the grid starts at t = 0: the spectrum is built from the even extension
     # of the record, which needs the zero-time sample
     t_grid = p["dt_us"] * np.arange(p["t_points"])
-    series = synthesize_ramsey_series(p["transition"], t_grid, spec, p["couplings"],
-                                      p["tau_us"], noise=noise)
-    return series, noise
+    values = corr_ramsey_diff(p["transition"], t_grid, p["tau_us"], p["couplings"], noise, spec)
+    return TimeSeries(t_grid, values), noise
 
 
 def _ramsey_table(series):
@@ -491,8 +500,6 @@ def _cmd_bsweep(config):
         raise ConfigError("field direction must be nonzero")
     direction = direction / norm
     b_values = np.linspace(f["b_start_g"], f["b_stop_g"], f["b_points"])
-    if f["mode"] not in ("perturbative", "exact"):
-        raise ConfigError(f"unknown field mode {f['mode']!r}")
     table = bsweep(spec, b_values, direction, mode=f["mode"])
     _, st1_low, st1_high, st0_low, st0_high = table.T
     return {
@@ -683,6 +690,10 @@ information criterion prefers.  A whole number 1..4 fixes the count; a
 fixed count must pass the same validity tests (converged, inside the
 spectrum, no sub-bin or negative line), or the run fails with exit 3.
 Ramsey records (ramsey, spectrum) start at t = 0 and step by protocol.dt_us.
+ramsey.csv's signal is the closed-form difference of the correlated terms of
+the signal and reference sequences (corr_ramsey_diff), which is twice the
+photoluminescence difference a simulation of the two reads out (selftest
+compares that simulation with half of it).
 Seed resolution order: --seed, [run] seed, builtin default.  A seed is
 a whole number >= 0.
 Different seeds give independent random streams.  Only compensate

@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import GAMMA_E_MHZ_PER_G
 from .fitting import FitError, levenberg_marquardt_stack
-from .hamiltonians import _field_levels, _line_offsets
+from .hamiltonians import _field_levels, _line
 
 __all__ = [
     "CoilConfig",
@@ -304,8 +304,9 @@ def bsweep(spec, b_values_g, direction, mode="perturbative"):
     b_values = np.asarray(b_values_g, dtype=float)
     t_plus, s0, t0, t_minus = np.moveaxis(
         _field_levels(b_values[:, None] * direction, spec, mode), -1, 0)
-    st1 = np.stack([t_plus - s0, t_minus - s0], axis=-1)[..., None] + _line_offsets(spec, "st1")
-    st0 = (t0 - s0)[..., None] + _line_offsets(spec, "st0")
+    st1_offsets, st0_offsets = ([f for f, _ in _line(spec, tr, 0.0)] for tr in ("st1", "st0"))
+    st1 = np.stack([t_plus - s0, t_minus - s0], axis=-1)[..., None] + st1_offsets
+    st0 = (t0 - s0)[..., None] + st0_offsets
     st1, st0 = st1.reshape(len(b_values), -1), st0.reshape(len(b_values), -1)
     return np.column_stack([b_values, st1.min(axis=-1), st1.max(axis=-1),
                             st0.min(axis=-1), st0.max(axis=-1)])

@@ -227,12 +227,19 @@ def target_levels_mhz(spec):
 
 
 def target_hamiltonian(spec):
-    """Zero-field target Hamiltonian, diagonal in the ST basis, rad/us."""
+    """Zero-field target Hamiltonian, diagonal in the ST basis, rad/us.
+
+    The engine builds its free Hamiltonians from :func:`target_levels_mhz`
+    directly; this dense form is the independent oracle its tests evolve
+    against."""
     return TWO_PI * np.diag(target_levels_mhz(spec)).astype(complex)
 
 
 def noise_hamiltonian(draw):
-    """Magnetic-noise perturbation sum_j delta_j S_j in the ST basis, rad/us."""
+    """Magnetic-noise perturbation sum_j delta_j S_j in the ST basis, rad/us.
+
+    Like :func:`target_hamiltonian`, the dense oracle of the engine's tests,
+    which add it to the Hamiltonians they evolve noisy states with."""
     return TWO_PI * _noise_matrix_mhz(draw)
 
 
@@ -254,9 +261,11 @@ def level_shifts_perturbative(draw, spec):
     +-delta_z/2, the T+-1 pair picks up a common transverse shift and, being
     degenerate, an effective second-order coupling v through the S0/T0
     intermediate states; the pair splitting is the resummed
-    sqrt((delta_z/2)^2 + v^2), signed to follow the delta_z branch.  Against
-    exact diagonalization the residual is third order in the noise.  Warns
-    when the noise is too large for perturbation theory to be trustworthy.
+    sqrt((delta_z/2)^2 + v^2), signed to follow the delta_z branch: T+1 is
+    the upper level for delta_z >= 0 (-0.0 included), as in
+    :func:`level_shifts_exact`.  Against exact diagonalization the residual
+    is third order in the noise.  Warns when the noise is too large for
+    perturbation theory to be trustworthy.
 
     ``draw`` is a :class:`NoiseDraw` or a (..., 3) array; returns (..., 4).
     """
@@ -269,7 +278,7 @@ def level_shifts_perturbative(draw, spec):
     dperp2 = dx * dx + dy * dy
     t_common = dperp2 * al / (2.0 * (al * al - ap * ap))
     v_pair = dperp2 * ap / (2.0 * (al * al - ap * ap))
-    root = np.copysign(np.sqrt(0.25 * dz * dz + v_pair * v_pair), dz)
+    root = np.where(dz < 0, -1.0, 1.0) * np.sqrt(0.25 * dz * dz + v_pair * v_pair)
     return np.stack(
         [
             root + t_common,
@@ -288,11 +297,12 @@ def level_shifts_exact(draw, spec):
     (..., 3) array; returns (..., 4) from one batched ``eigh``.  S0 and T0
     are non-degenerate and take the eigenvector they overlap most.  The two
     remaining eigenvalues belong to the T+-1 pair, which noise can mix 50/50:
-    T+1 takes the upper one for delta_z >= 0 and the lower one for
-    delta_z < 0, following its +delta_z/2 shift (at delta_z = 0 both labels
-    give the same lines).  Raises :class:`DegenerateCrossingError` when S0 or
-    T0 overlaps its best eigenvector by less than 0.5 in probability, or both
-    pick the same one, i.e. the noise carries a level across S0 or T0.
+    T+1 takes the upper one for delta_z >= 0 (-0.0 included) and the lower
+    one for delta_z < 0, following its +delta_z/2 shift (at delta_z = 0 both
+    labels give the same lines).  Raises :class:`DegenerateCrossingError`
+    when S0 or T0 overlaps its best eigenvector by less than 0.5 in
+    probability, or both pick the same one, i.e. the noise carries a level
+    across S0 or T0.
     """
     delta = _deltas(draw)
     levels0 = target_levels_mhz(spec)
@@ -308,7 +318,7 @@ def level_shifts_exact(draw, spec):
     rest = np.ones(vals.shape, bool)
     np.put_along_axis(rest, cols, False, -1)
     lo, hi = np.moveaxis(vals[rest].reshape(vals.shape[:-1] + (2,)), -1, 0)
-    plus_low = np.signbit(delta[..., 2])
+    plus_low = delta[..., 2] < 0
     t_plus, t_minus = np.where(plus_low, lo, hi), np.where(plus_low, hi, lo)
     return np.stack([t_plus, s0_t0[..., 0], s0_t0[..., 1], t_minus], axis=-1) - levels0
 
@@ -382,20 +392,17 @@ def joint_hamiltonian(spec, coupling):
     return TWO_PI * _block_diag(np.diag(target_levels_mhz(spec)) + sensor)
 
 
-def _line_offsets(spec, transition):
-    """Offsets (MHz) of the equal-weight lines that one ``transition`` line
-    splits into: the c13 doublet on S0<->T+-1, the static offset doublet on
-    S0<->T0, or the line itself."""
+def _line(spec, transition, center):
+    """(frequency, weight) pairs of one ``transition`` line at ``center`` MHz:
+    the equal-weight c13 doublet on S0<->T+-1, the static offset doublet on
+    S0<->T0, or the line itself; the weights sum to one."""
     if transition == "st1":
         half = 0.5 * spec.c13_splitting_mhz
-        return (-half, half) if spec.c13_splitting_mhz else (0.0,)
-    return spec.st0_offset_doublet_mhz or (0.0,)
-
-
-def _line(spec, transition, center):
-    """(frequency, weight) pairs of one ``transition`` line at ``center`` MHz
-    (see :func:`_line_offsets`); the weights sum to one."""
-    offsets = _line_offsets(spec, transition)
+        offsets = (-half, half) if spec.c13_splitting_mhz else (0.0,)
+    elif transition == "st0":
+        offsets = spec.st0_offset_doublet_mhz or (0.0,)
+    else:
+        raise ValueError(f"unknown transition {transition!r}")
     return tuple((center + o, 1.0 / len(offsets)) for o in offsets)
 
 

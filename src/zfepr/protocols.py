@@ -64,7 +64,6 @@ __all__ = [
     "simulate_sequence",
     "simulate_alternative_correlation",
     "monte_carlo_signal",
-    "synthesize_ramsey_series",
 ]
 
 _EYE4 = np.eye(4, dtype=complex)
@@ -159,30 +158,25 @@ def corr_rabi(transition, theta, tau_us, coupling_mhz):
 def corr_ramsey_diff(transition, t_us, tau_us, coupling_mhz, noise=None, spec=None):
     """Differential correlation Ramsey signal (sig minus ref correlated term).
 
-    (1/4)(1-cos Ct)^2 Re[exp(2 pi i w t) phi(t)], with the noise average
-    phi(t) = <exp(2 pi i dw t)> in closed form: the characteristic function
-    of the transition's noise shift dw,
-    :func:`~zfepr.noise.shift_characteristic`.  It is the Gaussian
-    exp(-(pi sigma_z t)^2 / 2) on S0<->T+-1 and complex on S0<->T0.
+    (1/4)(1-cos Ct)^2 Re[phi(t) sum_k w_k exp(2 pi i f_k t)] over the
+    (frequency, weight) lines f_k, w_k of the transition's zero-field line
+    (:func:`~zfepr.hamiltonians._line`: the c13 doublet on S0<->T+-1, the
+    static offset doublet on S0<->T0, or the line alone), all under one noise
+    average phi(t) = <exp(2 pi i dw t)> in closed form: the characteristic
+    function of the transition's noise shift dw,
+    :func:`~zfepr.noise.shift_characteristic`, which is 1 without noise.  It
+    is the Gaussian exp(-(pi sigma_z t)^2 / 2) on S0<->T+-1 and complex on
+    S0<->T0.  No noise is sampled, so the record is deterministic.
 
     The measured photoluminescence difference is half this value.
     """
-    _check_transition(transition)
     spec = spec or TargetSpec()
-    center = spec.f_st1_mhz if transition == "st1" else spec.f_st0_mhz
-    out = _ramsey_diff(transition, ((center, 1.0),), np.asarray(t_us, dtype=float),
-                       tau_us, coupling_mhz, spec, noise)
-    return float(out) if np.isscalar(t_us) else out
-
-
-def _ramsey_diff(transition, lines, t, tau_us, coupling_mhz, spec, noise):
-    """Differential Ramsey signal of a line given as (frequency, weight)
-    components: amp * Re[sum_k w_k exp(2 pi i f_k t) env(t)], where env is
-    the noise average <exp(2 pi i dw t)> of the transition's shift (1 without
-    noise), shared by all components."""
+    lines = _line(spec, transition, spec.f_st1_mhz if transition == "st1" else spec.f_st0_mhz)
+    t = np.asarray(t_us, dtype=float)
     amp = 0.25 * (1.0 - np.cos(_phase(coupling_mhz, tau_us))) ** 2
     env = 1.0 if noise is None else shift_characteristic(noise, spec, transition, t)
-    return (amp * env * sum(w * np.exp(1j * (TWO_PI * f * t)) for f, w in lines)).real
+    out = (amp * env * sum(w * np.exp(1j * (TWO_PI * f * t)) for f, w in lines)).real
+    return float(out) if np.isscalar(t_us) else out
 
 
 def corr_signal(phi1, phi2, variant="main"):
@@ -193,7 +187,9 @@ def corr_signal(phi1, phi2, variant="main"):
 
     The alternative protocol trades the locking drive for a plain wait, at
     the cost of a quarter of the correlated-term contrast.  Statistical
-    averaging over phase realizations is the caller's business.
+    averaging over phase realizations is the caller's business: the tests'
+    oracle for :func:`simulate_alternative_correlation` averages this form
+    over the target's thermal states and RF branches.
     """
     c1, c2 = np.cos(2.0 * phi1), np.cos(2.0 * phi2)
     if variant == "main":
@@ -512,7 +508,7 @@ def simulate_alternative_correlation(manipulation, tau_us, spec, coupling, noise
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo averaging and series synthesis
+# Monte Carlo averaging
 # ---------------------------------------------------------------------------
 
 def _mc_chunks(n_draws):
@@ -551,19 +547,3 @@ def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
         eig = _eigensystems(spec, coupling, sample_noise(noise, i1 - i0, start=i0))
         acc = acc + _evolve(sequences, eig, decay).sum(axis=1)
     return TimeSeries(times=t_grid, values=acc / n_draws)
-
-
-def synthesize_ramsey_series(transition, t_grid, spec, coupling_mhz, tau_us, noise=None):
-    """Differential Ramsey time series from the closed forms, line structure
-    included.
-
-    The c13 doublet (st1) and the static offset doublet (st0) enter as
-    equal-weight sums of components that share the transition's exact noise
-    envelope (see :func:`corr_ramsey_diff`); no noise is sampled, so the
-    series is deterministic.
-    """
-    _check_transition(transition)
-    t = np.asarray(t_grid, dtype=float)
-    lines = _line(spec, transition, spec.f_st1_mhz if transition == "st1" else spec.f_st0_mhz)
-    values = _ramsey_diff(transition, lines, t, tau_us, coupling_mhz, spec, noise)
-    return TimeSeries(times=t, values=values)

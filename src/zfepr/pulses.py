@@ -25,7 +25,6 @@ __all__ = [
     "u_st0",
     "nv_pulse",
     "spinlock_channel",
-    "readout_pl",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -228,14 +227,3 @@ def spinlock_channel(rho, t_us, decay=None):
     out[..., 0, :, 2, :] = out[..., 2, :, 0, :] = cross
     out[..., 1, :, 1, :] = blocks[..., 1, :, 1, :]
     return out.reshape(rho.shape)
-
-
-def readout_pl(rho_joint):
-    """Photoluminescence observable: population of NV |0>, traced over the
-    target.  Dimensionless in [0, 1]; an array over any leading batch axes."""
-    rho = np.asarray(rho_joint)
-    d = _nv_dimension(rho)
-    if not d:
-        raise ValueError("expected an NV (x) target density matrix")
-    pl = np.trace(rho[..., d : 2 * d, d : 2 * d], axis1=-2, axis2=-1).real
-    return float(pl) if pl.ndim == 0 else pl

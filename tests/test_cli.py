@@ -283,11 +283,11 @@ def test_three_noise_widths_are_the_x_y_z_widths(tmp_path):
     argv = ["ramsey", "--out-dir", str(tmp_path), "--seed", "9",
             "--set", "noise.sigma_mhz=0.1,0.2,0.3", "--set", "protocol.t_points=32"]
     assert main(argv) == EXIT_OK
-    series = zfepr.synthesize_ramsey_series(
-        "st1", 0.2 * np.arange(32), zfepr.TargetSpec(), 0.1, 5.0,
-        noise=zfepr.NoiseModel(0.1, 0.2, 0.3, seed=9))
+    times = 0.2 * np.arange(32)
+    values = zfepr.corr_ramsey_diff("st1", times, 5.0, 0.1, spec=zfepr.TargetSpec(),
+                                    noise=zfepr.NoiseModel(0.1, 0.2, 0.3, seed=9))
     assert (tmp_path / "ramsey.csv").read_text() == "t_us,signal\n" + "".join(
-        f"{t:.12g},{v:.12g}\n" for t, v in zip(series.times, series.values))
+        f"{t:.12g},{v:.12g}\n" for t, v in zip(times, values))
     summary = json.loads((tmp_path / "ramsey_summary.json").read_text())
     assert summary["noise"] == [0.1, 0.2, 0.3]
 
@@ -622,6 +622,9 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["bsweep", "field.direction=0,0,0"], "field direction must be nonzero"),
     (["bsweep", "field.mode=bogus"], "unknown field mode 'bogus'"),
+    *[([command, "protocol.transition=bogus"],
+       "bad value for protocol.transition: unknown transition 'bogus'")
+      for command in ("rabi", "ramsey", "spectrum")],
     (["rabi", "protocol.couplings=0.1:0.5,0.2:0.5"], "rabi expects a single coupling strength"),
     (["ramsey", "protocol.couplings=0.1:0.5,0.2:0.5"],
      "ramsey expects a single coupling strength"),
@@ -640,7 +643,8 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
                                ("spectrum", "protocol.tau_us=-5"),
                                ("deer", "protocol.tau_start_us=-3"),
                                ("deer", "protocol.tau_stop_us=-1")]],
-], ids=["zero-direction", "mode", "rabi-couplings", "ramsey-couplings",
+], ids=["zero-direction", "mode", "rabi-transition", "ramsey-transition",
+        "spectrum-transition", "rabi-couplings", "ramsey-couplings",
         "spectrum-couplings", "peaks-abc", "peaks-0", "peaks-5", "peaks-2.0",
         "override-without-equals", "override-without-dot", "linewidth-anisotropic",
         "deer-negative-weight", "rabi-negative-tau", "ramsey-negative-tau",

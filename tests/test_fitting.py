@@ -10,8 +10,8 @@ from zfepr.fitting import (FWHM_PER_SIGMA, fit_gaussians, levenberg_marquardt,
                            levenberg_marquardt_stack)
 from zfepr.hamiltonians import TargetSpec
 from zfepr.noise import NoiseModel
-from zfepr.protocols import synthesize_ramsey_series
-from zfepr.spectra import Spectrum, dft_spectrum
+from zfepr.protocols import corr_ramsey_diff
+from zfepr.spectra import Spectrum, TimeSeries, dft_spectrum
 
 
 def _gaussian(freqs, amp, center, fwhm):
@@ -260,8 +260,8 @@ def test_auto_mode_rejects_negative_components():
     # dip beside the lines lowers the information criterion, but is no line
     spec = TargetSpec(st0_offset_doublet_mhz=(-0.03, 0.03))
     t = 0.15 * np.arange(256)
-    series = synthesize_ramsey_series("st0", t, spec, 0.1, 5.0,
-                                      noise=NoiseModel.isotropic(0.196, seed=7))
+    series = TimeSeries(t, corr_ramsey_diff("st0", t, 5.0, 0.1, spec=spec,
+                                            noise=NoiseModel.isotropic(0.196, seed=7)))
     fit = fit_gaussians(dft_spectrum(series, band_hint=(112.5, 115.5)), (1, 2))
     assert fit.m == 2
     assert all(p.amplitude > 0 for p in fit.peaks)

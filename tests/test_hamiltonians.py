@@ -182,15 +182,25 @@ def test_transition_fluctuation_examples(spec):
         shift_coefficients(spec, "st7")
 
 
+@pytest.mark.parametrize("shifts", [level_shifts_exact, level_shifts_perturbative])
+def test_negative_zero_delta_z_labels_t_plus_as_positive_zero_does(spec, shifts):
+    # -axes has delta_z = -0.0 on the transverse draws and 0.0 - axes has +0.0;
+    # both must give T+1 the upper pair level
+    axes = 1e-3 * np.eye(3)
+    negated, subtracted = shifts(-axes, spec), shifts(0.0 - axes, spec)
+    assert np.signbit((-axes)[:2, 2]).all()
+    assert np.array_equal(negated, subtracted)
+    assert (negated[:2, 0] >= negated[:2, 3]).all()
+
+
 @pytest.mark.parametrize("eps", [1e-3, 1e-2])
 def test_shift_coefficients_are_derivatives_of_the_exact_shifts(spec, eps):
     # central differences of the exactly diagonalized line shifts along each
     # noise axis: the slopes b of both transitions and the curvatures c of
     # S0<->T0 (S0<->T+-1's curvature is the second order its model leaves
-    # out).  0.0 - axes keeps delta_z = +0 on the transverse axes, where the
-    # sign of delta_z labels T+1.
+    # out)
     axes = eps * np.eye(3)
-    plus, minus, zero = (level_shifts_exact(d, spec) for d in (axes, 0.0 - axes, np.zeros(3)))
+    plus, minus, zero = (level_shifts_exact(d, spec) for d in (axes, -axes, np.zeros(3)))
     for transition, upper in (("st1", 0), ("st0", 2)):
         def line(shifts):
             return shifts[..., upper] - shifts[..., 1]

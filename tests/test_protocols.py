@@ -11,6 +11,7 @@ from conftest import (
     rabi_manipulation,
 )
 
+import zfepr.hamiltonians
 import zfepr.noise
 import zfepr.protocols
 from zfepr.hamiltonians import (
@@ -35,7 +36,6 @@ from zfepr.protocols import (
     monte_carlo_signal,
     simulate_alternative_correlation,
     simulate_sequence,
-    synthesize_ramsey_series,
 )
 from zfepr.pulses import (
     DecayModel,
@@ -669,37 +669,37 @@ def test_nothing_is_rebuilt_within_a_chunk(transition, n_draws, chunks, monkeypa
 
 
 # ---------------------------------------------------------------------------
-# series synthesis
+# the closed-form Ramsey record of a transition's lines
 # ---------------------------------------------------------------------------
 
 def test_synthesize_pure_cosine_without_noise(spec):
     t = np.linspace(0, 2, 101)
-    series = synthesize_ramsey_series("st1", t, spec, 0.25, 4.0)
+    values = corr_ramsey_diff("st1", t, 4.0, 0.25, spec=spec)
     amp = 0.25 * (1 - math.cos(TWO_PI * 0.25 * 4.0)) ** 2
-    assert np.abs(series.values - amp * np.cos(TWO_PI * 137.0 * t)).max() < 1e-12
+    assert np.abs(values - amp * np.cos(TWO_PI * 137.0 * t)).max() < 1e-12
 
 
 def test_synthesize_c13_beat(spec):
     spec2 = TargetSpec(c13_splitting_mhz=0.37)
     t = np.linspace(0, 20, 512)
-    series = synthesize_ramsey_series("st1", t, spec2, 0.25, 4.0)
+    values = corr_ramsey_diff("st1", t, 4.0, 0.25, spec=spec2)
     amp = 0.25 * (1 - math.cos(TWO_PI * 0.25 * 4.0)) ** 2
     expected = amp * 0.5 * (np.cos(TWO_PI * (137.0 - 0.185) * t)
                             + np.cos(TWO_PI * (137.0 + 0.185) * t))
-    assert np.abs(series.values - expected).max() < 1e-12
+    assert np.abs(values - expected).max() < 1e-12
 
 
 def test_synthesize_uses_the_zero_field_lines_of_the_sweep():
-    # the series and the field sweep share one line model
+    # the record and the field sweep share one line model
     spec2 = TargetSpec(orientations=((0.0, 0.0, 1.0),), c13_splitting_mhz=0.37,
                        st0_offset_doublet_mhz=(-0.0125, 0.0125))
     lines = transitions_vs_field(FieldVector(), spec2)[0]
     t = np.linspace(0, 20, 512)
     amp = 0.25 * (1 - math.cos(TWO_PI * 0.25 * 4.0)) ** 2
     for transition, pairs in (("st1", lines.st1), ("st0", lines.st0)):
-        series = synthesize_ramsey_series(transition, t, spec2, 0.25, 4.0)
+        values = corr_ramsey_diff(transition, t, 4.0, 0.25, spec=spec2)
         expected = amp * sum(w * np.cos(TWO_PI * f * t) for f, w in pairs)
-        assert np.abs(series.values - expected).max() < 1e-12
+        assert np.abs(values - expected).max() < 1e-12
 
 
 def test_synthesize_doublet_samples_each_draw_once(spec, monkeypatch):
@@ -716,10 +716,17 @@ def test_synthesize_doublet_samples_each_draw_once(spec, monkeypatch):
     spec2 = TargetSpec(st0_offset_doublet_mhz=(-0.03, 0.03))
     t = np.linspace(0, 2, 16)
     noise = NoiseModel.isotropic(0.196, seed=4)
-    series = synthesize_ramsey_series("st0", t, spec2, 0.25, 4.0, noise=noise)
+    doublet = corr_ramsey_diff("st0", t, 4.0, 0.25, noise=noise, spec=spec2)
     assert sum(requested) == 0
-    single = corr_ramsey_diff("st0", t, 4.0, 0.25, noise=noise, spec=spec2)
-    assert np.abs(series.values - single * np.cos(TWO_PI * 0.03 * t)).max() < 1e-12
+    single = corr_ramsey_diff("st0", t, 4.0, 0.25, noise=noise, spec=spec)
+    assert np.abs(doublet - single * np.cos(TWO_PI * 0.03 * t)).max() < 1e-12
+
+
+def test_unknown_transition_has_no_line(spec):
+    with pytest.raises(ValueError, match="unknown transition 'st2'"):
+        zfepr.hamiltonians._line(spec, "st2", 137.0)
+    with pytest.raises(ValueError, match="unknown transition 'st2'"):
+        corr_ramsey_diff("st2", np.linspace(0, 2, 16), 4.0, 0.25, spec=spec)
 
 
 def test_synthesize_builds_one_generator_per_block(spec, monkeypatch):
@@ -734,11 +741,11 @@ def test_synthesize_builds_one_generator_per_block(spec, monkeypatch):
 
     monkeypatch.setattr(zfepr.noise.np.random, "default_rng", counting)
     t = np.linspace(0, 2, 16)
-    series = [synthesize_ramsey_series("st0", t, spec, 0.25, 4.0,
-                                       noise=NoiseModel.isotropic(0.196, seed=seed))
-              for seed in (4, 5)]
+    records = [corr_ramsey_diff("st0", t, 4.0, 0.25, spec=spec,
+                                noise=NoiseModel.isotropic(0.196, seed=seed))
+               for seed in (4, 5)]
     assert len(built) == 0
-    assert np.array_equal(series[0].values, series[1].values)
+    assert np.array_equal(records[0], records[1])
 
 
 def test_synthesize_st0_outlives_st1(spec):

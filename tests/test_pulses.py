@@ -9,7 +9,6 @@ from zfepr.pulses import (
     Pulse,
     free,
     nv_pulse,
-    readout_pl,
     spinlock_channel,
     u_st0,
     u_st1,
@@ -159,21 +158,6 @@ def test_spinlock_rejects_invalid_density_matrix():
     bad = np.diag([1.5, 0.0, -0.5]).astype(complex)
     with pytest.raises(ValueError):
         spinlock_channel(bad, 1.0, None)
-
-
-def test_readout_pl_examples():
-    eye4 = np.eye(4) / 4.0
-    ket0 = np.array([0, 1, 0], dtype=complex)
-    rho = np.kron(np.outer(ket0, ket0.conj()), eye4)
-    assert readout_pl(rho) == pytest.approx(1.0, abs=1e-14)
-    minus = np.array([1, 0, -1], dtype=complex) / SQRT2
-    rho = np.kron(np.outer(minus, minus.conj()), eye4)
-    assert readout_pl(rho) == pytest.approx(0.0, abs=1e-14)
-    # analytic end state of one interrogation: cos(phi)|0> + i sin(phi)|psi->
-    phi = math.pi / 3
-    state = math.cos(phi) * ket0 + 1j * math.sin(phi) * minus
-    rho = np.kron(np.outer(state, state.conj()), eye4)
-    assert readout_pl(rho) == pytest.approx(0.25, abs=1e-14)
 
 
 def test_decay_model_validation():
