@@ -17,6 +17,7 @@ Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 selftest failure.
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -37,6 +38,7 @@ from .hamiltonians import (
     SX_HALF,
     SY_HALF,
     SZ_HALF,
+    TRANSITIONS,
     TargetSpec,
     _line,
     level_shifts_exact,
@@ -192,7 +194,7 @@ _SCHEMA = {
         "t1rho_us": (float, DecayModel.t1rho_us),
     },
     "protocol": {
-        "transition": (_choice("transition", "st1", "st0"), "st1",
+        "transition": (_choice("transition", *TRANSITIONS), "st1",
                        ("rabi", "ramsey", "spectrum")),
         "couplings": (_parse_couplings, 0.1),
         "tau_us": (_non_negative, 5.0, ("rabi", "ramsey", "spectrum")),
@@ -596,14 +598,14 @@ def _cmd_selftest(config):
     check(f"deer closed form vs simulator ({worst:.2e})", worst < 1e-9)
 
     worst = 0.0
-    for transition in ("st1", "st0"):
+    for transition in TRANSITIONS:
         for theta, tau, c in draws(5, 2 * math.pi):
             sim = simulate_sequence(correlation_rabi_sequence(transition, theta, tau), spec, c)
             worst = max(worst, abs(sim - 0.5 * (1 + corr_rabi(transition, theta, tau, c))))
     check(f"correlation rabi vs simulator ({worst:.2e})", worst < 1e-9)
 
     worst = 0.0
-    for transition in ("st1", "st0"):
+    for transition in TRANSITIONS:
         for t, tau, c in draws(3, 0.1):
             sig, ref = correlation_ramsey_sequences(transition, t, tau)
             diff = simulate_sequence(sig, spec, c) - simulate_sequence(ref, spec, c)
@@ -620,7 +622,7 @@ def _cmd_selftest(config):
     tau, c = 5.0, 0.1
     noise = NoiseModel(0.0, 0.0, 0.0)
     worst = 0.0
-    for transition in ("st1", "st0"):
+    for transition in TRANSITIONS:
         families = [lambda t, k=k, tr=transition: correlation_ramsey_sequences(tr, t, tau)[k]
                     for k in (0, 1)]
         records = [monte_carlo_signal(family, t_grid, spec, c, noise, 1).values
@@ -726,8 +728,24 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The process's one argument parser, built on first use.  Its usage line
+    is formatted here, once: ``parse_intermixed_args`` formats it on every
+    call while it is unset, and prints the same text."""
+    parser = build_parser()
+    parser.usage = parser.format_usage()[len("usage: "):]
+    return parser
+
+
 def main(argv=None):
-    args = build_parser().parse_intermixed_args(argv)
+    """Run one subcommand from ``argv`` and return its exit code.
+
+    Every call parses with the one parser of the process, built on the first
+    call, so repeated in-process runs skip rebuilding it; a parse leaves no
+    state in it.
+    """
+    args = _parser().parse_intermixed_args(argv)
     try:
         # --seed is the last override, so it wins over [run] seed and --set
         seed = [] if args.seed is None else [f"run.seed={args.seed}"]

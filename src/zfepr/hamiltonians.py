@@ -40,6 +40,7 @@ __all__ = [
     "TransitionLines",
     "DegenerateCrossingError",
     "P1_BOND_ORIENTATIONS",
+    "TRANSITIONS",
     "SX_HALF",
     "SY_HALF",
     "SZ_HALF",
@@ -94,6 +95,16 @@ P1_BOND_ORIENTATIONS = (
     (math.pi - _ACOS_INV_SQRT3, 0.75 * math.pi, 0.25),
     (math.pi - _ACOS_INV_SQRT3, 1.75 * math.pi, 0.25),
 )
+
+
+#: The target transitions a protocol can drive and read: S0<->T+-1 ("st1")
+#: and S0<->T0 ("st0").
+TRANSITIONS = ("st1", "st0")
+
+
+def _check_transition(transition):
+    if transition not in TRANSITIONS:
+        raise ValueError(f"unknown transition {transition!r}")
 
 
 class DegenerateCrossingError(RuntimeError):
@@ -332,13 +343,12 @@ def shift_coefficients(spec, transition):
     (:func:`level_shifts_perturbative`): b = 0,
     c_x = c_y = -a_perp/(a_par^2 - a_perp^2), c_z = 1/(2 a_perp).
     """
+    _check_transition(transition)
     if transition == "st1":
         return np.array([0.0, 0.0, 0.5]), np.zeros(3)
-    if transition == "st0":
-        ap, al = spec.a_perp_mhz, spec.a_par_mhz
-        c_perp = -ap / (al * al - ap * ap)
-        return np.zeros(3), np.array([c_perp, c_perp, 1.0 / (2.0 * ap)])
-    raise ValueError(f"unknown transition {transition!r}")
+    ap, al = spec.a_perp_mhz, spec.a_par_mhz
+    c_perp = -ap / (al * al - ap * ap)
+    return np.zeros(3), np.array([c_perp, c_perp, 1.0 / (2.0 * ap)])
 
 
 def dipolar_constant(geometry):
@@ -396,13 +406,12 @@ def _line(spec, transition, center):
     """(frequency, weight) pairs of one ``transition`` line at ``center`` MHz:
     the equal-weight c13 doublet on S0<->T+-1, the static offset doublet on
     S0<->T0, or the line itself; the weights sum to one."""
+    _check_transition(transition)
     if transition == "st1":
         half = 0.5 * spec.c13_splitting_mhz
         offsets = (-half, half) if spec.c13_splitting_mhz else (0.0,)
-    elif transition == "st0":
-        offsets = spec.st0_offset_doublet_mhz or (0.0,)
     else:
-        raise ValueError(f"unknown transition {transition!r}")
+        offsets = spec.st0_offset_doublet_mhz or (0.0,)
     return tuple((center + o, 1.0 / len(offsets)) for o in offsets)
 
 

@@ -41,6 +41,7 @@ from .hamiltonians import (
     TargetSpec,
     _SENSOR_ZFS_MHZ,
     _block_diag,
+    _check_transition,
     _coupling_offsets_mhz,
     _line,
     _noise_matrix_mhz,
@@ -91,11 +92,6 @@ class SequenceError(ValueError):
 
 def _phase(coupling_mhz, tau_us):
     return TWO_PI * coupling_mhz * tau_us
-
-
-def _check_transition(transition):
-    if transition not in ("st1", "st0"):
-        raise ValueError(f"unknown transition {transition!r}")
 
 
 # ---------------------------------------------------------------------------

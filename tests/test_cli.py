@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -736,6 +737,36 @@ def test_help_lists_every_command(capsys):
         main(["--version"])
     assert exc.value.code == EXIT_OK
     assert capsys.readouterr().out == f"zfepr {zfepr.__version__}\n"
+
+
+def test_the_shared_parser_carries_no_options_to_the_next_run(tmp_path):
+    # every call parses with the one parser of the process
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["compensate", "--set", "compensation.trials=3", "--seed", "7",
+                 "--out-dir", str(first)]) == EXIT_OK
+    assert main(["compensate", "--out-dir", str(second)]) == EXIT_OK
+    summaries = [json.loads((out / "compensate_summary.json").read_text())
+                 for out in (first, second)]
+    assert [(s["seed"], s["trials"]) for s in summaries] == [
+        (7, 3), (cli._SCHEMA["run"]["seed"][1], cli._SCHEMA["compensation"]["trials"][1])]
+    assert len((second / "compensate.csv").read_text().splitlines()) == 2
+
+
+def test_a_parse_after_the_first_formats_no_usage(tmp_path, monkeypatch):
+    argv = ["bsweep", "--set", "field.b_points=2", "--out-dir"]
+    assert main(argv + [str(tmp_path / "first")]) == EXIT_OK
+
+    def format_usage(self):
+        raise AssertionError("usage line formatted again")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "format_usage", format_usage)
+    assert main(argv + [str(tmp_path / "second")]) == EXIT_OK
+
+
+def test_the_shared_parser_has_the_help_of_a_fresh_one():
+    # its usage line is formatted once, when it is built
+    assert cli._parser().format_help() == build_parser().format_help()
+    assert cli._parser().format_usage() == build_parser().format_usage()
 
 
 @pytest.mark.parametrize("value, code, enabled", [

@@ -221,26 +221,42 @@ def test_lm_stack_without_iterations_converges_nothing():
 
 
 def test_lm_stack_singular_system_raises_only_its_own_damping(monkeypatch):
-    # problem 1's Jacobian is scaled up so that its damped systems can be
-    # told apart, and every one of them is reported singular, as LAPACK
-    # reports an exactly singular matrix
-    data = [_decay_data(seed) for seed in range(4)]
-    ys, p0 = np.array([y for y, _ in data]), np.array([p for _, p in data])
+    # a poisoned problem's Jacobian is scaled up so that its damped systems
+    # can be told apart, and each of them below ``singular_below`` is
+    # reported singular, as LAPACK reports an exactly singular matrix
+    singular_below = np.inf
 
     def scaled(params, y, poisoned):
         r, jac = _decay(params, y)
         return r, jac * np.where(poisoned, 1e6, 1.0)[..., None, None]
 
+    def fun(ys, poisoned):
+        return lambda p, rows: scaled(p, ys[rows], poisoned[rows])
+
     solve = np.linalg.solve
 
     def singular_solve(a, b):
-        if np.any(np.asarray(a)[..., 0, 0] > 1e9):
+        diagonal = np.asarray(a)[..., 0, 0]
+        if np.any((diagonal > 1e9) & (diagonal < singular_below)):
             raise np.linalg.LinAlgError("Singular matrix")
         return solve(a, b)
 
+    def fit_each_alone_too(ys, p0, poisoned):
+        # each problem's result is bit for bit that of the problem run as a
+        # stack of one, wherever the others stop
+        res = levenberg_marquardt_stack(fun(ys, poisoned), p0, max_iter=50)
+        for i in range(len(ys)):
+            one = levenberg_marquardt_stack(fun(ys[i:i + 1], poisoned[i:i + 1]), p0[i:i + 1],
+                                            max_iter=50)
+            for field in ("params", "rss", "iterations", "covariance", "converged"):
+                assert np.array_equal(getattr(res, field)[i], getattr(one, field)[0]), (i, field)
+        return res
+
     monkeypatch.setattr(np.linalg, "solve", singular_solve)
-    res = levenberg_marquardt_stack(lambda p, rows: scaled(p, ys[rows], rows == 1), p0,
-                                    max_iter=50)
+    # problem 1 is singular at any damping
+    data = [_decay_data(seed) for seed in range(4)]
+    ys, p0 = np.array([y for y, _ in data]), np.array([p for _, p in data])
+    res = fit_each_alone_too(ys, p0, np.arange(4) == 1)
     rest = [0, 2, 3]
     without = levenberg_marquardt_stack(_decay_stack(ys[rest]), p0[rest], max_iter=50)
     alone = levenberg_marquardt(lambda p: scaled(p, ys[1], np.array(True)), p0[1], max_iter=50)
@@ -253,6 +269,20 @@ def test_lm_stack_singular_system_raises_only_its_own_damping(monkeypatch):
     assert res.converged[rest].all()
     assert np.array_equal(res.params[rest], without.params)
     assert np.array_equal(res.iterations[rest], without.iterations)
+
+    # problems that stop at different iterations: 0 starts at its own
+    # optimum; 1, 3 and 4 converge; 2 is singular until its damping has
+    # risen far enough, and again as it falls; 5 is a straight line, which
+    # the decay reaches only as b -> 0 and a -> inf, so it runs out of
+    # iterations
+    singular_below = 1e14
+    p_fast = np.array([1.5, 0.7, 0.2])
+    ys = np.array([_decay(p_fast, 0.0)[0], *ys, 1.0 - 0.5 * X_DECAY])
+    p0 = np.array([p_fast, *p0, [1.0, 1.0, 0.0]])
+    res = fit_each_alone_too(ys, p0, np.arange(6) == 2)
+    assert res.iterations.tolist() == [1, 6, 50, 8, 7, 50]
+    assert res.converged.tolist() == [True, True, False, True, True, False]
+    assert not np.array_equal(res.params[2], p0[2])
 
 
 def test_auto_mode_rejects_negative_components():
