@@ -32,7 +32,6 @@ from .hamiltonians import (
     NoiseDraw,
     P1_BOND_ORIENTATIONS,
     TargetSpec,
-    TransitionLines,
     dipolar_constant,
     joint_hamiltonian,
     level_shifts_exact,

@@ -222,12 +222,12 @@ _SCHEMA = {
         "true_by_g": (_finite, -0.52),
         "true_bz_g": (_finite, 0.47),
         "coefficient_g_per_a": (_finite, CoilConfig.coefficient_g_per_a),
-        "current_stability_a": (_finite, CoilConfig.current_stability_a),
+        "current_stability_a": (_non_negative, CoilConfig.current_stability_a),
         "scan_i_min_a": (_finite, ScanPlan.i_min_a),
         "scan_i_max_a": (_finite, ScanPlan.i_max_a),
         "scan_points": (_parse_count, ScanPlan.n_points),
         "base_width_mhz": (_finite, ScanPlan.base_width_mhz),
-        "jitter_frac": (_finite, ScanPlan.jitter_frac),
+        "jitter_frac": (_non_negative, ScanPlan.jitter_frac),
         "trials": (_parse_count, 1),
     },
     "run": {
@@ -473,9 +473,8 @@ def _cmd_spectrum(config):
     spectrum = dft_spectrum(series, band_hint=band)
     m = p["m_gaussians"]
     if m == "auto":
-        # choose among the counts up to the lines the target puts there (the
-        # count does not depend on the line's center)
-        m = tuple(range(1, len(_line(_target_spec(config), p["transition"], 0.0)) + 1))
+        # choose among the counts up to the lines the target puts there
+        m = tuple(range(1, len(_line(_target_spec(config), p["transition"])[0]) + 1))
     fit = fit_gaussians(spectrum, m)
 
     return {
@@ -688,9 +687,10 @@ comma-separated widths for x, y and z (linewidth needs them equal).
 protocol.m_gaussians: auto (default) fits the lines the target names:
 one Gaussian for a single line, and for a doublet (target.c13_splitting_mhz
 on st1, target.st0_offset_doublet_mhz on st0) one or two, whichever the
-information criterion prefers.  A whole number 1..4 fixes the count; a
-fixed count must pass the same validity tests (converged, inside the
-spectrum, no sub-bin or negative line), or the run fails with exit 3.
+information criterion prefers; a doublet whose two components coincide is
+one line.  A whole number 1..4 fixes the count; a fixed count must pass the
+same validity tests (converged, inside the spectrum, no sub-bin or negative
+line), or the run fails with exit 3.
 Ramsey records (ramsey, spectrum) start at t = 0 and step by protocol.dt_us.
 ramsey.csv's signal is the closed-form difference of the correlated terms of
 the signal and reference sequences (corr_ramsey_diff), which is twice the

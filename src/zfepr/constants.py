@@ -9,6 +9,8 @@ MHz matrices by ``TWO_PI``.
 
 import math
 
+__all__ = ["TWO_PI", "FWHM_PER_SIGMA", "GAMMA_E_MHZ_PER_G", "NV_ZFS_MHZ", "DIPOLAR_K_MHZ_NM3"]
+
 TWO_PI = 2.0 * math.pi
 
 #: FWHM of a Gaussian in units of its standard deviation.

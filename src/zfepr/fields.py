@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import GAMMA_E_MHZ_PER_G
 from .fitting import FitError, levenberg_marquardt_stack
-from .hamiltonians import _field_levels, _line
+from .hamiltonians import _require_finite, transitions_vs_field
 
 __all__ = [
     "CoilConfig",
@@ -59,8 +59,11 @@ class CoilConfig:
     current_stability_a: float = 0.004
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.coefficient_g_per_a > 0:
             raise ValueError("coil coefficient must be positive")
+        if self.current_stability_a < 0:
+            raise ValueError("current_stability_a must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -79,12 +82,15 @@ class ScanPlan:
     jitter_frac: float = 0.03
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.i_min_a < self.i_max_a:
             raise ValueError("scan range must be increasing")
         if self.n_points < 7:
             raise ValueError("need at least 7 scan points")
         if not self.base_width_mhz > 0:
             raise ValueError("base width must be positive")
+        if self.jitter_frac < 0:
+            raise ValueError("jitter_frac must be >= 0")
 
     def currents(self, center_a=0.0):
         return center_a + np.linspace(self.i_min_a, self.i_max_a, self.n_points)
@@ -284,32 +290,19 @@ def bsweep(spec, b_values_g, direction, mode="perturbative"):
 
     Returns an (n, 5) array with one row per field magnitude: the magnitude
     (G), then the lowest and highest S0<->T+-1 and the lowest and highest
-    S0<->T0 line frequencies (MHz) over all orientations, the c13 and static
-    offset doublets included.  Every magnitude and orientation takes the
-    level shifts of :func:`transitions_vs_field` in one evaluation (one
-    batched diagonalization in exact mode).
+    S0<->T0 line frequencies (MHz) over all lines of
+    :func:`transitions_vs_field`, whose ``mode`` this is, the c13 and static
+    offset doublets included.
 
     ``direction`` must be a unit vector.  Along the surface normal of a
     (001) sample all four defect orientations project equally
     (cos theta = 1/sqrt(3)), so their lines coincide.
-
-    ``mode`` is that of :func:`transitions_vs_field`.  The perturbative
-    mode expands each line through second order in B: the S0<->T+-1 pair
-    splits linearly by +-delta_z/2 about a quadratic common shift, and
-    S0<->T0 moves only quadratically.  For an orientation perpendicular to
-    the field (delta_z = 0) the perturbative T+-1 lines stay degenerate
-    where second-order theory splits them by 2|v|; use ``mode="exact"`` for
-    such directions, which resolves that pair at any field direction.
     """
     direction = np.asarray(direction, dtype=float)
     if abs(np.linalg.norm(direction) - 1.0) > 1e-6:
         raise ValueError("direction must be a unit vector")
     b_values = np.asarray(b_values_g, dtype=float)
-    t_plus, s0, t0, t_minus = np.moveaxis(
-        _field_levels(b_values[:, None] * direction, spec, mode), -1, 0)
-    st1_offsets, st0_offsets = ([f for f, _ in _line(spec, tr, 0.0)] for tr in ("st1", "st0"))
-    st1 = np.stack([t_plus - s0, t_minus - s0], axis=-1)[..., None] + st1_offsets
-    st0 = (t0 - s0)[..., None] + st0_offsets
-    st1, st0 = st1.reshape(len(b_values), -1), st0.reshape(len(b_values), -1)
+    lines = transitions_vs_field(b_values[:, None] * direction, spec, mode)
+    st1, st0 = (lines[tr][0].reshape(len(b_values), -1) for tr in ("st1", "st0"))
     return np.column_stack([b_values, st1.min(axis=-1), st1.max(axis=-1),
                             st0.min(axis=-1), st0.max(axis=-1)])

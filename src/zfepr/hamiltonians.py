@@ -37,7 +37,6 @@ __all__ = [
     "NoiseDraw",
     "DipolarGeometry",
     "FieldVector",
-    "TransitionLines",
     "DegenerateCrossingError",
     "P1_BOND_ORIENTATIONS",
     "TRANSITIONS",
@@ -102,6 +101,14 @@ P1_BOND_ORIENTATIONS = (
 TRANSITIONS = ("st1", "st0")
 
 
+def _require_finite(obj):
+    """Raise naming the first field of the dataclass ``obj`` that holds a
+    value (a number or a nest of them; None is unset) that is not finite."""
+    for name, value in vars(obj).items():
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
+
+
 def _check_transition(transition):
     if transition not in TRANSITIONS:
         raise ValueError(f"unknown transition {transition!r}")
@@ -130,6 +137,7 @@ class TargetSpec:
     c13_splitting_mhz: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.a_perp_mhz > 0 and self.a_par_mhz > 0):
             raise ValueError("hyperfine constants must be positive")
         if self.a_par_mhz == self.a_perp_mhz:
@@ -161,8 +169,7 @@ class NoiseDraw:
     delta_z: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.delta_x, self.delta_y, self.delta_z))):
-            raise ValueError("noise components must be finite")
+        _require_finite(self)
 
     def as_array(self):
         return np.array([self.delta_x, self.delta_y, self.delta_z])
@@ -209,26 +216,10 @@ class FieldVector:
     b_z: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.b_x, self.b_y, self.b_z))):
-            raise ValueError("field components must be finite")
+        _require_finite(self)
 
     def as_array(self):
         return np.array([self.b_x, self.b_y, self.b_z], dtype=float)
-
-
-@dataclass(frozen=True)
-class TransitionLines:
-    """Spectral lines of one principal-axis orientation.
-
-    ``st1``/``st0`` are tuples of (frequency_mhz, weight); weights sum to one
-    within each transition family.  ``weight`` is the orientation occupation.
-    """
-
-    theta_e: float
-    phi_e: float
-    weight: float
-    st1: tuple
-    st0: tuple
 
 
 def target_levels_mhz(spec):
@@ -402,17 +393,19 @@ def joint_hamiltonian(spec, coupling):
     return TWO_PI * _block_diag(np.diag(target_levels_mhz(spec)) + sensor)
 
 
-def _line(spec, transition, center):
-    """(frequency, weight) pairs of one ``transition`` line at ``center`` MHz:
-    the equal-weight c13 doublet on S0<->T+-1, the static offset doublet on
-    S0<->T0, or the line itself; the weights sum to one."""
+def _line(spec, transition):
+    """``(offsets, weights)`` arrays of one ``transition``'s line about its
+    center, MHz: the equal-weight c13 doublet on S0<->T+-1, the static offset
+    doublet on S0<->T0, or the line itself.  Coincident components are one
+    line; the weights sum to one."""
     _check_transition(transition)
     if transition == "st1":
         half = 0.5 * spec.c13_splitting_mhz
         offsets = (-half, half) if spec.c13_splitting_mhz else (0.0,)
     else:
         offsets = spec.st0_offset_doublet_mhz or (0.0,)
-    return tuple((center + o, 1.0 / len(offsets)) for o in offsets)
+    offsets = np.array(tuple(dict.fromkeys(offsets)))
+    return offsets, np.full(len(offsets), 1.0 / len(offsets))
 
 
 def _field_levels(b, spec, mode):
@@ -441,15 +434,21 @@ def _field_levels(b, spec, mode):
     return target_levels_mhz(spec) + shifts
 
 
-def transitions_vs_field(field, spec, mode="perturbative"):
-    """Per-orientation transition lines under a static field.
+def transitions_vs_field(b_g, spec, mode="perturbative"):
+    """Every line of both transitions under static fields ``b_g`` (..., 3)
+    in Gauss (a :class:`FieldVector` passes ``.as_array()``), from one level
+    evaluation over all fields and orientations.
+
+    Returns ``{transition: (frequencies, weights)}``: frequencies (MHz) of
+    shape (..., orientations, L) and weights (orientations, L), which carry
+    the orientation occupation and sum to one.  An orientation's lines are
+    :func:`_line`'s about S0<->T+1 then about S0<->T-1, or about S0<->T0.
 
     The field enters each orientation only through its component along the
     bond axis n and its size across it, delta = gamma_e * (|B x n|, 0, n.B)
     (exact for the axial hyperfine tensor; see the module docstring), and the
     level shifts are evaluated either perturbatively or by exact
-    diagonalization.  The c13 doublet (ST+-1) and the static ST0 offset
-    doublet are folded into the returned line lists.
+    diagonalization.
 
     ``mode="perturbative"`` expands each transition frequency through second
     order in the field.  The effective T+-1 coupling v enters the pair
@@ -461,11 +460,13 @@ def transitions_vs_field(field, spec, mode="perturbative"):
     while second-order theory splits them by 2|v|; use ``mode="exact"``
     there, which resolves that pair at any field direction.
     """
-    levels = _field_levels(field.as_array(), spec, mode)
-    out = []
-    for (theta_e, phi_e, weight), (t_plus, s0, t0, t_minus) in zip(spec.orientations, levels):
-        st1 = tuple((f, 0.5 * w) for center in (t_plus - s0, t_minus - s0)
-                    for f, w in _line(spec, "st1", center))
-        out.append(TransitionLines(theta_e=theta_e, phi_e=phi_e, weight=weight,
-                                   st1=st1, st0=_line(spec, "st0", t0 - s0)))
+    t_plus, s0, t0, t_minus = np.moveaxis(_field_levels(b_g, spec, mode), -1, 0)
+    occupation = np.array([w for _, _, w in spec.orientations])
+    out = {}
+    for transition, centers in (("st1", (t_plus - s0, t_minus - s0)), ("st0", (t0 - s0,))):
+        offsets, weights = _line(spec, transition)
+        freqs = np.stack(centers, axis=-1)[..., None] + offsets
+        out[transition] = (freqs.reshape(freqs.shape[:-2] + (-1,)),
+                           np.outer(occupation, np.concatenate((weights,) * len(centers)))
+                           / len(centers))
     return out

@@ -154,10 +154,11 @@ def corr_rabi(transition, theta, tau_us, coupling_mhz):
 def corr_ramsey_diff(transition, t_us, tau_us, coupling_mhz, noise=None, spec=None):
     """Differential correlation Ramsey signal (sig minus ref correlated term).
 
-    (1/4)(1-cos Ct)^2 Re[phi(t) sum_k w_k exp(2 pi i f_k t)] over the
-    (frequency, weight) lines f_k, w_k of the transition's zero-field line
-    (:func:`~zfepr.hamiltonians._line`: the c13 doublet on S0<->T+-1, the
-    static offset doublet on S0<->T0, or the line alone), all under one noise
+    (1/4)(1-cos Ct)^2 Re[phi(t) sum_k w_k exp(2 pi i f_k t)] over the lines
+    f_k = f0 + o_k, weights w_k, of the transition: its zero-field center f0
+    plus the offsets o_k of :func:`~zfepr.hamiltonians._line` (the c13
+    doublet on S0<->T+-1, the static offset doublet on S0<->T0, or the line
+    alone; coincident components are one line), all under one noise
     average phi(t) = <exp(2 pi i dw t)> in closed form: the characteristic
     function of the transition's noise shift dw,
     :func:`~zfepr.noise.shift_characteristic`, which is 1 without noise.  It
@@ -167,11 +168,13 @@ def corr_ramsey_diff(transition, t_us, tau_us, coupling_mhz, noise=None, spec=No
     The measured photoluminescence difference is half this value.
     """
     spec = spec or TargetSpec()
-    lines = _line(spec, transition, spec.f_st1_mhz if transition == "st1" else spec.f_st0_mhz)
+    offsets, weights = _line(spec, transition)
+    center = spec.f_st1_mhz if transition == "st1" else spec.f_st0_mhz
     t = np.asarray(t_us, dtype=float)
     amp = 0.25 * (1.0 - np.cos(_phase(coupling_mhz, tau_us))) ** 2
     env = 1.0 if noise is None else shift_characteristic(noise, spec, transition, t)
-    out = (amp * env * sum(w * np.exp(1j * (TWO_PI * f * t)) for f, w in lines)).real
+    out = (amp * env * sum(w * np.exp(1j * (TWO_PI * f * t))
+                           for f, w in zip(center + offsets, weights))).real
     return float(out) if np.isscalar(t_us) else out
 
 

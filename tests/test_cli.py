@@ -643,13 +643,16 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
       for command, setting in [("rabi", "protocol.tau_us=-5"), ("ramsey", "protocol.tau_us=-5"),
                                ("spectrum", "protocol.tau_us=-5"),
                                ("deer", "protocol.tau_start_us=-3"),
-                               ("deer", "protocol.tau_stop_us=-1")]],
+                               ("deer", "protocol.tau_stop_us=-1"),
+                               ("compensate", "compensation.current_stability_a=-0.004"),
+                               ("compensate", "compensation.jitter_frac=-0.1")]],
 ], ids=["zero-direction", "mode", "rabi-transition", "ramsey-transition",
         "spectrum-transition", "rabi-couplings", "ramsey-couplings",
         "spectrum-couplings", "peaks-abc", "peaks-0", "peaks-5", "peaks-2.0",
         "override-without-equals", "override-without-dot", "linewidth-anisotropic",
         "deer-negative-weight", "rabi-negative-tau", "ramsey-negative-tau",
-        "spectrum-negative-tau", "deer-negative-tau-start", "deer-negative-tau-stop"])
+        "spectrum-negative-tau", "deer-negative-tau-start", "deer-negative-tau-stop",
+        "compensate-negative-stability", "compensate-negative-jitter"])
 def test_bad_setting_is_a_config_error(argv, message, tmp_path, capsys):
     command, *settings = argv
     out = tmp_path / "out"
@@ -679,7 +682,10 @@ ST0_BAND = ["protocol.transition=st0", "protocol.dt_us=0.15",
      [113.970, 114.029]),
     (["target.c13_splitting_mhz=0.4", "protocol.band_lo_mhz=135.5",
       "protocol.band_hi_mhz=138.5"], [136.8, 137.2]),
-], ids=["default", "st0-noise", "st0-doublet-noise", "c13-doublet"])
+    # coincident components are one line, so no phantom second peak is fitted
+    (ST0_BAND + ["noise.sigma_mhz=0.196", "target.st0_offset_doublet_mhz=0.03,0.03"],
+     [114.0295]),
+], ids=["default", "st0-noise", "st0-doublet-noise", "c13-doublet", "st0-coincident-doublet"])
 def test_auto_peak_count_is_the_line_count_the_target_names(settings, centers, tmp_path):
     argv = ["spectrum", "--out-dir", str(tmp_path)]
     for item in settings:

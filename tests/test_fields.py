@@ -110,6 +110,26 @@ def test_find_center_unbiased():
     assert abs(np.mean(centers) - truth) < 1e-4
 
 
+@pytest.mark.parametrize("make, field, value, message", [
+    (CoilConfig, "coefficient_g_per_a", math.inf, "must be finite"),
+    (CoilConfig, "current_stability_a", math.nan, "must be finite"),
+    (CoilConfig, "current_stability_a", -0.004, "must be >= 0"),
+    (ScanPlan, "i_min_a", -math.inf, "must be finite"),
+    (ScanPlan, "i_max_a", math.inf, "must be finite"),
+    (ScanPlan, "base_width_mhz", math.inf, "must be finite"),
+    (ScanPlan, "jitter_frac", math.nan, "must be finite"),
+    (ScanPlan, "jitter_frac", -0.1, "must be >= 0"),
+])
+def test_coil_and_scan_reject_what_the_physics_does_not_cover(make, field, value, message):
+    with pytest.raises(ValueError, match=f"{field} {message}"):
+        make(**{field: value})
+
+
+def test_a_stable_supply_and_a_noiseless_scan_are_valid():
+    assert CoilConfig(current_stability_a=0.0).current_stability_a == 0.0
+    assert ScanPlan(jitter_frac=0.0).jitter_frac == 0.0
+
+
 def test_find_center_validation():
     scan = _noiseless_scan(0.0)
     with pytest.raises(ValueError):
@@ -286,11 +306,10 @@ def test_bsweep_matches_the_per_field_lines(mode, doublets):
     b_values = np.linspace(0.0, 3.0, 13)
     table = bsweep(spec, b_values, direction, mode=mode)
     for row, b in zip(table, b_values):
-        lines = transitions_vs_field(FieldVector(*(b * direction)), spec, mode=mode)
-        f1 = [f for orientation in lines for f, _ in orientation.st1]
-        f0 = [f for orientation in lines for f, _ in orientation.st0]
+        lines = transitions_vs_field(FieldVector(*(b * direction)).as_array(), spec, mode=mode)
+        f1, f0 = lines["st1"][0], lines["st0"][0]
         assert row[0] == b
-        assert np.abs(row[1:] - [min(f1), max(f1), min(f0), max(f0)]).max() <= 1e-12
+        assert np.abs(row[1:] - [f1.min(), f1.max(), f0.min(), f0.max()]).max() <= 1e-12
 
 
 def test_bsweep_keeps_the_validity_errors(spec):

@@ -278,50 +278,48 @@ def _single_axis_spec():
 
 
 def test_transitions_zero_field(spec):
-    lines = transitions_vs_field(FieldVector(), spec)
-    assert len(lines) == 4
-    for orient in lines:
-        for f, _ in orient.st1:
-            assert f == pytest.approx(137.0, abs=1e-12)
-        for f, _ in orient.st0:
-            assert f == pytest.approx(114.0, abs=1e-12)
+    lines = transitions_vs_field(FieldVector().as_array(), spec)
+    for transition, center in (("st1", 137.0), ("st0", 114.0)):
+        freqs, weights = lines[transition]
+        assert freqs.shape == weights.shape and len(freqs) == 4
+        assert freqs == pytest.approx(center, abs=1e-12)
 
 
 def test_transitions_axial_field_splitting():
     spec = _single_axis_spec()
-    lines = transitions_vs_field(FieldVector(0, 0, 1.0), spec)[0]
-    freqs = sorted(f for f, _ in lines.st1)
+    lines = transitions_vs_field(FieldVector(0, 0, 1.0).as_array(), spec)
+    freqs = sorted(lines["st1"][0][0])
     half_split = 0.5 * (freqs[1] - freqs[0])
     assert half_split == pytest.approx(GAMMA_E_MHZ_PER_G / 2, abs=1e-9)
     assert half_split == pytest.approx(1.401, abs=1e-3)
-    st0_shift = lines.st0[0][0] - 114.0
+    st0_shift = lines["st0"][0][0, 0] - 114.0
     assert st0_shift == pytest.approx(GAMMA_E_MHZ_PER_G**2 / (2 * 114.0), abs=1e-6)
     assert st0_shift == pytest.approx(0.0344, abs=2e-4)
 
 
 def test_transitions_exact_vs_perturbative():
     spec = _single_axis_spec()
-    field = FieldVector(0.3, 0.2, 1.0)
-    pert = transitions_vs_field(field, spec, mode="perturbative")[0]
-    exact = transitions_vs_field(field, spec, mode="exact")[0]
-    for (fp, _), (fe, _) in zip(pert.st1 + pert.st0, exact.st1 + exact.st0):
-        assert abs(fp - fe) < 1e-3
+    field = FieldVector(0.3, 0.2, 1.0).as_array()
+    pert = transitions_vs_field(field, spec, mode="perturbative")
+    exact = transitions_vs_field(field, spec, mode="exact")
+    for transition in ("st1", "st0"):
+        assert np.abs(pert[transition][0] - exact[transition][0]).max() < 1e-3
 
 
 def test_transitions_field_perpendicular_to_bond_axes(spec):
     # [110] is perpendicular to bonds 3 and 4: no axial field there, so the
     # T+-1 pair splits only at second order, by 2|v|
     b_g = 0.3
-    field = FieldVector(*(b_g * np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)))
-    exact = transitions_vs_field(field, spec, mode="exact")
-    pert = transitions_vs_field(field, spec, mode="perturbative")
+    field = b_g * np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    exact = transitions_vs_field(field, spec, mode="exact")["st1"][0]
+    pert = transitions_vs_field(field, spec, mode="perturbative")["st1"][0]
     ap, al = spec.a_perp_mhz, spec.a_par_mhz
     v = (GAMMA_E_MHZ_PER_G * b_g) ** 2 * ap / (2.0 * (al * al - ap * ap))
     for k in (2, 3):
-        (f_plus, _), (f_minus, _) = exact[k].st1
+        f_plus, f_minus = exact[k]
         # the residual is fourth order in the field, 4e-4 of the split here
         assert abs(f_plus - f_minus) == pytest.approx(2.0 * v, rel=1e-3)
-        (f_plus, _), (f_minus, _) = pert[k].st1
+        f_plus, f_minus = pert[k]
         assert abs(f_plus - f_minus) < 1e-12
 
 
@@ -336,26 +334,29 @@ def test_transitions_need_only_the_bond_axis(rng):
         rot = np.array([[ct * cp, -sp, st * cp], [ct * sp, cp, st * sp], [-st, 0.0, ct]])
         t_plus, s0, t0, t_minus = (target_levels_mhz(spec)
                                    + level_shifts_exact(GAMMA_E_MHZ_PER_G * rot.T @ b, spec))
-        lines = transitions_vs_field(FieldVector(*b), spec, mode="exact")[0]
-        assert [f for f, _ in lines.st1] == pytest.approx([t_plus - s0, t_minus - s0], abs=1e-11)
-        assert lines.st0[0][0] == pytest.approx(t0 - s0, abs=1e-11)
+        lines = transitions_vs_field(b, spec, mode="exact")
+        assert list(lines["st1"][0][0]) == pytest.approx([t_plus - s0, t_minus - s0],
+                                                         abs=1e-11)
+        assert lines["st0"][0][0, 0] == pytest.approx(t0 - s0, abs=1e-11)
 
 
 def test_transitions_perturbative_warns_beyond_validity(spec):
     # 10 G along z puts about 16 MHz on each bond axis, above a_perp/10
     with pytest.warns(UserWarning, match="a_perp/10"):
-        transitions_vs_field(FieldVector(0, 0, 10.0), spec)
+        transitions_vs_field(FieldVector(0, 0, 10.0).as_array(), spec)
 
 
 def test_transitions_parity_in_field():
     spec = _single_axis_spec()
+
+    def lines(b):
+        return transitions_vs_field(FieldVector(0.2, 0.1, b).as_array(), spec)
+
     def st0_shift(b):
-        lines = transitions_vs_field(FieldVector(0.2, 0.1, b), spec)[0]
-        return lines.st0[0][0] - 114.0
+        return lines(b)["st0"][0][0, 0] - 114.0
 
     def st1_split(b):
-        lines = transitions_vs_field(FieldVector(0.2, 0.1, b), spec)[0]
-        freqs = sorted(f for f, _ in lines.st1)
+        freqs = sorted(lines(b)["st1"][0][0])
         return freqs[1] - freqs[0]
 
     assert st0_shift(0.8) == pytest.approx(st0_shift(-0.8), abs=1e-12)
@@ -366,18 +367,55 @@ def test_transitions_line_structure_doublets():
     spec = TargetSpec(orientations=((0.0, 0.0, 1.0),),
                       c13_splitting_mhz=0.37,
                       st0_offset_doublet_mhz=(-0.0125, 0.0125))
-    lines = transitions_vs_field(FieldVector(), spec)[0]
-    st1_freqs = sorted(f for f, _ in lines.st1)
+    lines = transitions_vs_field(FieldVector().as_array(), spec)
+    st1_freqs = sorted(lines["st1"][0][0])
     assert len(st1_freqs) == 4
     # at zero field the +- transitions coincide, leaving the c13 doublet
     distinct = sorted(set(round(f, 9) for f in st1_freqs))
     assert len(distinct) == 2
     assert distinct[1] - distinct[0] == pytest.approx(0.37, abs=1e-12)
-    assert sum(w for _, w in lines.st1) == pytest.approx(1.0)
-    st0_freqs = sorted(f for f, _ in lines.st0)
+    assert lines["st1"][1].sum() == pytest.approx(1.0)
+    st0_freqs = sorted(lines["st0"][0][0])
     assert st0_freqs == pytest.approx([114.0 - 0.0125, 114.0 + 0.0125])
     with pytest.raises(ValueError):
-        transitions_vs_field(FieldVector(), spec, mode="bogus")
+        transitions_vs_field(FieldVector().as_array(), spec, mode="bogus")
+
+
+def test_transitions_of_many_fields_are_each_fields_lines():
+    # one call over a (2, 3, 3) grid of fields gives each field's own lines,
+    # and the orientation occupation is folded into the weights
+    spec = TargetSpec(orientations=((0.3, 0.1, 0.75), (2.0, 4.0, 0.25)),
+                      c13_splitting_mhz=0.4, st0_offset_doublet_mhz=(-0.03, 0.05))
+    fields = np.linspace(-1.0, 1.5, 18).reshape(2, 3, 3)
+    grid = transitions_vs_field(fields, spec, mode="exact")
+    for transition, n_lines in (("st1", 4), ("st0", 2)):
+        freqs, weights = grid[transition]
+        assert freqs.shape == (2, 3, 2, n_lines) and weights.shape == (2, n_lines)
+        assert weights.sum(axis=-1) == pytest.approx([0.75, 0.25], abs=1e-15)
+        for index in np.ndindex(2, 3):
+            one = transitions_vs_field(fields[index], spec, mode="exact")[transition]
+            assert np.array_equal(freqs[index], one[0])
+            assert np.array_equal(weights, one[1])
+
+
+def test_coincident_doublet_components_are_one_line():
+    for doublet in ((0.03, 0.03), (-0.0, 0.0)):
+        spec = TargetSpec(st0_offset_doublet_mhz=doublet)
+        freqs, weights = transitions_vs_field(np.zeros(3), spec)["st0"]
+        assert freqs.shape == weights.shape == (4, 1)
+        assert freqs == pytest.approx(114.0 + doublet[0], abs=1e-12)
+        assert weights.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("a_perp_mhz", math.inf), ("a_par_mhz", math.nan), ("c13_splitting_mhz", math.nan),
+    ("c13_splitting_mhz", -math.inf), ("st0_offset_doublet_mhz", (0.0, math.nan)),
+    ("st0_offset_doublet_mhz", (math.inf, 0.0)), ("orientations", ((math.nan, 0.0, 1.0),)),
+    ("orientations", ((0.0, math.inf, 1.0),)), ("orientations", ((0.0, 0.0, math.nan),)),
+])
+def test_target_rejects_values_that_are_not_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TargetSpec(**{field: value})
 
 
 def test_field_vector_array_is_float():
