@@ -3,11 +3,11 @@
 A sensor spin (NV-style S=1, optically read) interrogates a hyperfine-coupled
 S=1/2, I=1/2 target at zero magnetic field.  The package reproduces the
 interrogation protocols (DEER, correlation Rabi/Ramsey), the exact noise
-average and moments of each transition's quasi-static noise shift (quadratic
-only on the magnetically quiet S0<->T0), the closed-form Ramsey record of a
-transition's lines (doublets included), and the spectral fitting pipeline,
-with every closed form cross-checked against brute-force density matrix
-evolution and its Monte Carlo noise average.
+average and moments of each transition's second-order quasi-static noise
+shift (with no linear part on the magnetically quiet S0<->T0), the
+closed-form Ramsey record of a transition's lines (doublets included), and
+the spectral fitting pipeline, with every closed form cross-checked against
+brute-force density matrix evolution and its Monte Carlo noise average.
 """
 
 from .constants import DIPOLAR_K_MHZ_NM3, GAMMA_E_MHZ_PER_G, NV_ZFS_MHZ

@@ -96,10 +96,7 @@ def levenberg_marquardt(residual_jacobian, p0, max_iter=200):
     n = len(r)
     dof = max(n - k, 1)
     s2 = cost / dof
-    try:
-        cov = s2 * np.linalg.inv(jac.T @ jac)
-    except np.linalg.LinAlgError:
-        cov = s2 * np.linalg.pinv(jac.T @ jac)
+    cov = s2 * _inverse(jac.T @ jac)
     return LMResult(params=p, covariance=cov, rss=cost,
                     iterations=iterations, converged=converged)
 

@@ -2,10 +2,10 @@
 
 The target is a spin-1/2 electron hyperfine-coupled to a spin-1/2 nucleus.  At
 zero field its spectrum is fixed by the two hyperfine constants; quasi-static
-magnetic noise shifts the singlet-triplet levels linearly (T+-1) or
-quadratically (S0, T0), which is the whole point of probing the S0<->T0
-transition.  Level shifts are available both from second-order perturbation
-theory and from exact diagonalization so one can always cross-check the other.
+magnetic noise shifts the T+-1 levels linearly but S0 and T0 only
+quadratically, which is the whole point of probing the S0<->T0 transition.
+Level shifts are available both from one table of second-order coefficients
+and from exact diagonalization so one can always cross-check the other.
 
 Basis orders are fixed globally: target (electron x nucleus) states are
 ``{|T+1>, |S0>, |T0>, |T-1>}``, its product basis is ``{up-up, up-dn, dn-up,
@@ -197,6 +197,7 @@ class DipolarGeometry:
     phi_e: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.r_nm > 0:
             raise ValueError("separation must be positive")
 
@@ -256,40 +257,54 @@ def _noise_matrix_mhz(draw):
     return d[..., 0, :, :] * SX_T + d[..., 1, :, :] * SY_T + d[..., 2, :, :] * SZ_T
 
 
+def _second_order(spec):
+    """``(b, c)``, each of shape (4, 3): a noise draw delta shifts level l
+    (rows T+1, S0, T0, T-1) by sum_j b[l, j] delta_j + c[l, j] delta_j^2 MHz.
+
+    T+-1 shift by +-delta_z/2; at second order the transverse noise couples
+    T+-1 to S0 and T0 across the gaps (a_par +- a_perp)/2, and delta_z couples
+    S0 to T0 across a_perp.  Left out is the degenerate T+-1 pair's
+    second-order coupling v to itself, which is not of this form (see
+    :func:`level_shifts_perturbative`).
+    """
+    ap, al = spec.a_perp_mhz, spec.a_par_mhz
+    t, s0, t0, z = al / (2.0 * (al * al - ap * ap)), -0.5 / (al + ap), -0.5 / (al - ap), 0.25 / ap
+    c = np.array([[t, t, 0.0], [s0, s0, -z], [t0, t0, z], [t, t, 0.0]])
+    return np.outer([0.5, 0.0, 0.0, -0.5], [0.0, 0.0, 1.0]), c
+
+
+def _second_order_shifts(delta, spec):
+    """The rows of :func:`_second_order` at noise triples ``delta`` (..., 3):
+    level shifts (..., 4) in MHz.  Warns above a_perp/10, where they degrade."""
+    if np.max(np.abs(delta)) > spec.a_perp_mhz / 10.0:
+        warnings.warn("noise amplitude above a_perp/10; perturbative shifts degrade",
+                      stacklevel=3)
+    b, c = _second_order(spec)
+    d = delta[..., None, :]
+    return np.sum(b * d + c * (d * d), axis=-1)
+
+
 def level_shifts_perturbative(draw, spec):
     """Second-order level shifts (T+1, S0, T0, T-1) in MHz.
 
-    Complete through second order for every level.  Beyond the leading
-    +-delta_z/2, the T+-1 pair picks up a common transverse shift and, being
-    degenerate, an effective second-order coupling v through the S0/T0
-    intermediate states; the pair splitting is the resummed
-    sqrt((delta_z/2)^2 + v^2), signed to follow the delta_z branch: T+1 is
-    the upper level for delta_z >= 0 (-0.0 included), as in
-    :func:`level_shifts_exact`.  Against exact diagonalization the residual
-    is third order in the noise.  Warns when the noise is too large for
-    perturbation theory to be trustworthy.
+    Complete through second order for every level: the rows of
+    :func:`_second_order`, with the T+-1 pair's +-delta_z/2 resummed with the
+    pair's coupling v through S0 and T0 into sqrt((delta_z/2)^2 + v^2),
+    signed to follow the delta_z branch: T+1 is the upper level for
+    delta_z >= 0 (-0.0 included), as in :func:`level_shifts_exact`.  Against
+    exact diagonalization the residual is third order in the noise.  Warns
+    when the noise is too large for perturbation theory to be trustworthy.
 
     ``draw`` is a :class:`NoiseDraw` or a (..., 3) array; returns (..., 4).
     """
     delta = _deltas(draw)
-    if np.max(np.abs(delta)) > spec.a_perp_mhz / 10.0:
-        warnings.warn("noise amplitude above a_perp/10; perturbative shifts degrade",
-                      stacklevel=2)
-    dx, dy, dz = np.moveaxis(delta, -1, 0)
-    ap, al = spec.a_perp_mhz, spec.a_par_mhz
-    dperp2 = dx * dx + dy * dy
-    t_common = dperp2 * al / (2.0 * (al * al - ap * ap))
-    v_pair = dperp2 * ap / (2.0 * (al * al - ap * ap))
-    root = np.where(dz < 0, -1.0, 1.0) * np.sqrt(0.25 * dz * dz + v_pair * v_pair)
-    return np.stack(
-        [
-            root + t_common,
-            -dperp2 / (2.0 * (al + ap)) - dz * dz / (4.0 * ap),
-            -dperp2 / (2.0 * (al - ap)) + dz * dz / (4.0 * ap),
-            -root + t_common,
-        ],
-        axis=-1,
-    )
+    shifts = _second_order_shifts(delta, spec)
+    ap, al, dz = spec.a_perp_mhz, spec.a_par_mhz, delta[..., 2]
+    v = np.sum(delta[..., :2] ** 2, axis=-1) * ap / (2.0 * (al * al - ap * ap))
+    split = np.where(dz < 0, -1.0, 1.0) * np.sqrt(0.25 * dz * dz + v * v) - 0.5 * dz
+    shifts[..., 0] += split
+    shifts[..., 3] -= split
+    return shifts
 
 
 def level_shifts_exact(draw, spec):
@@ -327,19 +342,15 @@ def level_shifts_exact(draw, spec):
 
 def shift_coefficients(spec, transition):
     """``(b, c)``, each of shape (3,): a noise draw delta shifts the
-    frequency of ``transition`` by sum_j b_j delta_j + c_j delta_j^2 MHz.
-
-    S0<->T+-1 takes T+-1's first-order +-delta_z/2 (no noise statistic sees
-    the sign): b = (0, 0, 1/2), c = 0.  S0<->T0 shifts at second order only
-    (:func:`level_shifts_perturbative`): b = 0,
-    c_x = c_y = -a_perp/(a_par^2 - a_perp^2), c_z = 1/(2 a_perp).
+    frequency of ``transition`` by sum_j b_j delta_j + c_j delta_j^2 MHz:
+    the row of its upper level in :func:`_second_order` less S0's.  S0<->T+-1
+    takes T+1's row (no noise statistic sees the sign of +-delta_z/2), and
+    S0<->T0 shifts at second order only (b = 0).
     """
     _check_transition(transition)
-    if transition == "st1":
-        return np.array([0.0, 0.0, 0.5]), np.zeros(3)
-    ap, al = spec.a_perp_mhz, spec.a_par_mhz
-    c_perp = -ap / (al * al - ap * ap)
-    return np.zeros(3), np.array([c_perp, c_perp, 1.0 / (2.0 * ap)])
+    b, c = _second_order(spec)
+    upper = 0 if transition == "st1" else 2
+    return b[upper] - b[1], c[upper] - c[1]
 
 
 def dipolar_constant(geometry):
@@ -424,13 +435,7 @@ def _field_levels(b, spec, mode):
     b_norm2 = (b @ np.swapaxes(b, -1, -2))[..., 0, :]
     b_across = np.sqrt(np.maximum(b_norm2 - b_axial * b_axial, 0.0))
     delta = GAMMA_E_MHZ_PER_G * np.stack([b_across, np.zeros_like(b_axial), b_axial], axis=-1)
-    if mode == "perturbative":
-        shifts = level_shifts_perturbative(delta, spec)
-        common = 0.5 * (shifts[..., 0] + shifts[..., 3])
-        shifts[..., 0] = common + 0.5 * delta[..., 2]
-        shifts[..., 3] = common - 0.5 * delta[..., 2]
-    else:
-        shifts = level_shifts_exact(delta, spec)
+    shifts = (_second_order_shifts if mode == "perturbative" else level_shifts_exact)(delta, spec)
     return target_levels_mhz(spec) + shifts
 
 
@@ -450,15 +455,13 @@ def transitions_vs_field(b_g, spec, mode="perturbative"):
     level shifts are evaluated either perturbatively or by exact
     diagonalization.
 
-    ``mode="perturbative"`` expands each transition frequency through second
-    order in the field.  The effective T+-1 coupling v enters the pair
-    splitting only at order v^2/delta_z, so the S0<->T+-1 lines sit at
-    +-delta_z/2 about their common second-order shift; S0<->T0 takes the
-    second-order shift of :func:`level_shifts_perturbative`, which warns when
-    some orientation sees more than a_perp/10.  Limit: for an orientation
-    perpendicular to the field (delta_z = 0) the T+-1 lines stay degenerate,
-    while second-order theory splits them by 2|v|; use ``mode="exact"``
-    there, which resolves that pair at any field direction.
+    ``mode="perturbative"`` takes the levels from the rows of
+    :func:`_second_order`, warning when some orientation sees more than
+    a_perp/10.  The T+-1 pair's coupling v, which those rows leave out,
+    enters the pair splitting only at order v^2/delta_z.  Limit: for an
+    orientation perpendicular to the field (delta_z = 0) the T+-1 lines stay
+    degenerate, while second-order theory splits them by 2|v|; use
+    ``mode="exact"`` there, which resolves that pair at any field direction.
     """
     t_plus, s0, t0, t_minus = np.moveaxis(_field_levels(b_g, spec, mode), -1, 0)
     occupation = np.array([w for _, _, w in spec.orientations])

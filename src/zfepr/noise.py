@@ -97,13 +97,13 @@ def shift_characteristic(model, spec, transition, t_us):
     dw = sum_j b_j delta_j + c_j delta_j^2 of ``transition``
     (:func:`~zfepr.hamiltonians.shift_coefficients`): the product over axes of
     f_j^(-1/2) exp(-(2 pi b_j sigma_j t)^2 / (2 f_j)), f_j = 1 - 4 pi i c_j sigma_j^2 t.
-    It is the Gaussian exp(-(pi sigma_z t)^2 / 2) on S0<->T+-1 and complex on
-    S0<->T0, whose shift has a nonzero mean and a skewed distribution.  Each
-    f_j lies in the right half-plane, so its principal root is continuous in
-    t; the product is taken of those roots, not rooted itself, because the
-    product's phase passes pi at long times when all c_j share a sign
-    (a_perp > a_par).  ``t_us`` may be complex: the function is analytic for
-    |t| below 1 / max_j |4 pi c_j sigma_j^2|.
+    It is complex on both transitions, whose shifts have a nonzero mean and a
+    skewed distribution.  Each f_j lies in the right half-plane, so its
+    principal root is continuous in t; the product is taken of those roots,
+    not rooted itself, because the product's phase passes pi at long times
+    when all c_j share a sign (on S0<->T+-1 always, on S0<->T0 when a_perp >
+    a_par).  ``t_us`` may be complex: the function is analytic for |t| below
+    1 / max_j |4 pi c_j sigma_j^2|.
     """
     b, c = shift_coefficients(spec, transition)
     factors = 1.0 - 4j * math.pi * np.multiply.outer(t_us, c * model.widths**2)
@@ -122,8 +122,8 @@ def shift_moments(model, spec, transition):
     the cumulants kappa_n = sum_j (n-1)! 2^(n-1) (c_j sigma_j^2)^n
     + n! b_j^2 sigma_j^2 (2 c_j sigma_j^2)^(n-2) / 2 (the second term for
     n >= 2) of sum_j b_j delta_j + c_j delta_j^2.  S0<->T0's shift is skewed
-    and sharper than a matched Gaussian; S0<->T+-1's is Gaussian.  Without
-    noise every moment is 0.
+    and sharper than a matched Gaussian; S0<->T+-1's is near one, its
+    second-order part a small mean and skew.  Without noise every moment is 0.
     """
     b, c = shift_coefficients(spec, transition)
     a, linear = c * model.widths**2, (b * model.widths) ** 2
@@ -145,10 +145,11 @@ def linewidth_stats(sigma_mhz, spec):
     """Isotropic-noise linewidth theory: the widths of the S0<->T+-1 and
     S0<->T0 noise shifts (:func:`shift_moments`) and their ratio chi.
 
-    sigma_st1 = sigma/2; sigma_st0 = sigma^2 * sqrt(2 * sum_j c_j^2), which is
-    sigma^2 * sqrt(4*a_perp^2/(a_par^2-a_perp^2)^2 + 1/(2*a_perp^2)); chi is
-    the predicted spectral-resolution improvement (about 133 for the default
-    hyperfine constants at sigma_st1 = 98 kHz).
+    sigma_st1 = sqrt(sigma^2/4 + 2 sigma^4 sum_j c_j^2) (sigma/2 within 2e-5 at
+    sigma = 0.196 MHz) and sigma_st0 = sigma^2 sqrt(2 sum_j c_j^2), each with
+    its transition's c_j; chi is the predicted spectral-resolution
+    improvement (about 133 for the default hyperfine constants at sigma_st1 =
+    98 kHz).
     """
     model = NoiseModel.isotropic(sigma_mhz)
     sigma_st1, sigma_st0 = (shift_moments(model, spec, tr).std for tr in ("st1", "st0"))

@@ -161,9 +161,8 @@ def corr_ramsey_diff(transition, t_us, tau_us, coupling_mhz, noise=None, spec=No
     alone; coincident components are one line), all under one noise
     average phi(t) = <exp(2 pi i dw t)> in closed form: the characteristic
     function of the transition's noise shift dw,
-    :func:`~zfepr.noise.shift_characteristic`, which is 1 without noise.  It
-    is the Gaussian exp(-(pi sigma_z t)^2 / 2) on S0<->T+-1 and complex on
-    S0<->T0.  No noise is sampled, so the record is deterministic.
+    :func:`~zfepr.noise.shift_characteristic`, which is 1 without noise and
+    complex with it.  No noise is sampled, so the record is deterministic.
 
     The measured photoluminescence difference is half this value.
     """

@@ -177,7 +177,11 @@ def test_transition_fluctuation_examples(spec):
     assert c[2] == pytest.approx(1.0 / 228.0, rel=1e-12)
     assert c[0] == c[1] == pytest.approx(-114.0 / 12604.0, rel=1e-12)
     b, c = shift_coefficients(spec, "st1")
-    assert np.array_equal(b, [0.0, 0.0, 0.5]) and np.array_equal(c, np.zeros(3))
+    assert np.array_equal(b, [0.0, 0.0, 0.5])
+    # T+1's transverse repulsion from S0 and T0 plus S0's from T+-1, and
+    # S0's axial repulsion from T0
+    q_perp = 160.0 / (2 * 12604.0) + 1.0 / 548.0
+    assert c == pytest.approx([q_perp, q_perp, 1.0 / 456.0], rel=1e-12)
     with pytest.raises(ValueError, match="unknown transition 'st7'"):
         shift_coefficients(spec, "st7")
 
@@ -196,20 +200,35 @@ def test_negative_zero_delta_z_labels_t_plus_as_positive_zero_does(spec, shifts)
 @pytest.mark.parametrize("eps", [1e-3, 1e-2])
 def test_shift_coefficients_are_derivatives_of_the_exact_shifts(spec, eps):
     # central differences of the exactly diagonalized line shifts along each
-    # noise axis: the slopes b of both transitions and the curvatures c of
-    # S0<->T0 (S0<->T+-1's curvature is the second order its model leaves
-    # out)
+    # noise axis: the slopes b and curvatures c of both transitions.  The
+    # S0<->T+-1 curvature is read from the mean of the T+-1 pair, which the
+    # pair's own coupling v, left out of c, splits but does not move.
     axes = eps * np.eye(3)
     plus, minus, zero = (level_shifts_exact(d, spec) for d in (axes, -axes, np.zeros(3)))
-    for transition, upper in (("st1", 0), ("st0", 2)):
+    for transition, upper, mean_of in (("st1", 0, [0, 3]), ("st0", 2, [2])):
         def line(shifts):
             return shifts[..., upper] - shifts[..., 1]
 
+        def centered(shifts):
+            return shifts[..., mean_of].mean(axis=-1) - shifts[..., 1]
+
         b, c = shift_coefficients(spec, transition)
         assert np.abs((line(plus) - line(minus)) / (2 * eps) - b).max() < 1e-10
-        if transition == "st0":
-            curvature = (line(plus) + line(minus) - 2 * line(zero)) / (2 * eps**2)
-            assert curvature == pytest.approx(c, rel=1e-4)
+        curvature = (centered(plus) + centered(minus) - 2 * centered(zero)) / (2 * eps**2)
+        assert curvature == pytest.approx(c, rel=1e-4)
+
+
+def test_shift_coefficients_and_perturbative_shifts_read_one_table(spec, rng):
+    # the (b, c) of each transition and the second-order levels are one model:
+    # S0<->T0 is T0 - S0, and S0<->T+-1 is T+1 - S0 without the pair's
+    # coupling v, i.e. the pair's mean less S0 plus T+1's +delta_z/2
+    deltas = rng.normal(scale=2.0, size=(200, 3))
+    levels = level_shifts_perturbative(deltas, spec)
+    expected = {"st1": 0.5 * (levels[:, 0] + levels[:, 3]) - levels[:, 1] + 0.5 * deltas[:, 2],
+                "st0": levels[:, 2] - levels[:, 1]}
+    for transition, want in expected.items():
+        b, c = shift_coefficients(spec, transition)
+        assert np.abs(deltas @ b + deltas**2 @ c - want).max() < 1e-12
 
 
 def test_dipolar_prefactor_from_physical_constants():
@@ -245,6 +264,12 @@ def test_geometry_derived_angle_consistency():
     assert abs(math.cos(g.theta_r_prime) - float(r_vec @ e_vec)) < 1e-10
     with pytest.raises(ValueError):
         DipolarGeometry(r_nm=0.0)
+
+
+@pytest.mark.parametrize("field, value", [("r_nm", math.inf), ("theta_r", math.nan)])
+def test_geometry_rejects_values_that_are_not_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        DipolarGeometry(**{"r_nm": 2.0, field: value})
 
 
 def test_joint_hamiltonian_structure(spec):

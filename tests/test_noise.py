@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zfepr.hamiltonians import TargetSpec, level_shifts_perturbative, shift_coefficients
+from zfepr.hamiltonians import (
+    TargetSpec,
+    level_shifts_exact,
+    level_shifts_perturbative,
+    shift_coefficients,
+)
 from zfepr.noise import (
     FWHM_PER_SIGMA,
     NoiseModel,
@@ -86,9 +91,19 @@ def test_sample_noise_anisotropic_scaling():
     assert draws[:, 2].std() / draws[:, 1].std() == pytest.approx(3.0, rel=0.1)
 
 
+#: The default target's second-order S0<->T+-1 coefficients: c_x = c_y =
+#: a_par/(2(a_par^2 - a_perp^2)) + 1/(2(a_par + a_perp)) and c_z = 1/(4 a_perp).
+Q_PERP, Q_Z = 160.0 / (2 * 12604.0) + 1.0 / 548.0, 1.0 / 456.0
+#: sum_j c_j^2 of the default target's S0<->T0 shift.
+ST0_C2 = 2 * (114.0 / 12604.0) ** 2 + (1.0 / 228.0) ** 2
+
+
 def test_linewidth_stats_paper_point(spec):
     stats = linewidth_stats(0.196, spec)
-    assert stats.sigma_st1_mhz == 0.098
+    # sigma/2 at first order, and 2 sigma^4 sum_j c_j^2 more variance at second
+    sigma_st1 = math.sqrt(0.196**2 / 4 + 2 * 0.196**4 * (2 * Q_PERP**2 + Q_Z**2))
+    assert stats.sigma_st1_mhz == pytest.approx(sigma_st1, rel=1e-12)
+    assert stats.sigma_st1_mhz == pytest.approx(0.0980021, abs=5e-8)
     assert stats.sigma_st0_mhz == pytest.approx(7.3464e-4, rel=1e-3)
     assert abs(stats.chi - 133.0) <= 5.0  # consistent with the reported ~130
 
@@ -103,10 +118,12 @@ def test_linewidth_stats_zero_noise(spec):
 
 
 def test_chi_scale_covariance(spec):
-    # chi carries a 1/sigma prefactor: chi * sigma is scale-invariant
+    # chi carries a 1/sigma prefactor: chi * sigma is sigma_st1/sigma over
+    # sigma_st0/sigma^2, scale-invariant but for S0<->T+-1's second order
     sigmas = np.array([0.05, 0.1, 0.2, 0.4])
     products = np.array([linewidth_stats(s, spec).chi * s for s in sigmas])
-    assert np.abs(products / products[0] - 1.0).max() < 1e-12
+    written = np.sqrt(0.25 + 2 * sigmas**2 * (2 * Q_PERP**2 + Q_Z**2)) / math.sqrt(2 * ST0_C2)
+    assert np.abs(products / written - 1.0).max() < 1e-12
 
 
 def test_shift_statistics_without_noise(spec):
@@ -123,9 +140,22 @@ def test_st0_shift_is_skewed_and_sharp(spec):
     assert moments.excess_kurtosis > 0.0
 
 
-def test_st1_shift_is_gaussian_and_reads_sigma_z_alone(spec):
-    moments = shift_moments(NoiseModel(0.7, 0.3, 1.0), spec, "st1")
-    assert moments == ShiftMoments(0.0, 0.5, 0.0, 0.0)
+def test_st1_shift_moments_are_its_noncentral_chi_square_cumulants(spec):
+    # each axis adds c_j (delta_j + m_j)^2 - c_j m_j^2 with m_j = b_j/(2 c_j):
+    # a scaled noncentral chi-square of one degree of freedom, whose cumulants
+    # are 2^(n-1) (n-1)! (c_j sigma_j^2)^n (1 + n m_j^2 / sigma_j^2); the
+    # offset takes the c_j m_j^2 out of its mean
+    sigma = np.array([0.7, 0.3, 1.0])
+    b, c = np.array([0.0, 0.0, 0.5]), np.array([Q_PERP, Q_PERP, Q_Z])
+    m2 = (b / (2 * c)) ** 2
+    kappa = [float(np.sum(c * sigma**2))] + [
+        float(np.sum(2 ** (n - 1) * math.factorial(n - 1) * (c * sigma**2) ** n
+                     * (1 + n * m2 / sigma**2))) for n in (2, 3, 4)]
+    moments = shift_moments(NoiseModel(*sigma), spec, "st1")
+    expected = (kappa[0], math.sqrt(kappa[1]), kappa[2] / kappa[1] ** 1.5, kappa[3] / kappa[1] ** 2)
+    assert moments == pytest.approx(expected, rel=1e-12)
+    # the second order moves the line and skews it to the blue
+    assert moments.mean > 6e-3 and moments.skewness > 0.0
 
 
 def test_st0_mean_matches_analytic_moments(spec):
@@ -167,10 +197,11 @@ TIMES = {
 
 
 def _sampled_shifts(draws, spec, transition):
-    """Each draw's line shift from the level shifts: S0<->T+-1 follows T+1's
-    +delta_z/2, and S0<->T0 the second-order shifts of T0 and S0."""
+    """Each draw's line shift from the level shifts: S0<->T+-1 is T+1 - S0 of
+    exact diagonalization, and S0<->T0 the second-order shifts of T0 and S0."""
     if transition == "st1":
-        return 0.5 * draws[:, 2]
+        levels = level_shifts_exact(draws, spec)
+        return levels[:, 0] - levels[:, 1]
     levels = level_shifts_perturbative(draws, spec)
     return levels[:, 2] - levels[:, 1]
 
@@ -205,7 +236,6 @@ def test_st0_characteristic_matches_sampling(case):
 
 @pytest.mark.parametrize("case", sorted(NOISE_CASES))
 def test_st1_characteristic_matches_sampling(case):
-    # the anisotropic case shows that S0<->T+-1 reads sigma_z alone
     _check_characteristic_against_sampling(case, "st1")
 
 

@@ -150,18 +150,27 @@ def test_corr_ramsey_diff_scalar_time_with_noise(spec):
 
 
 def test_corr_ramsey_gaussian_envelope_vs_quadrature(spec):
-    # characteristic-function oracle: <cos(pi sigma_z t)> by direct quadrature
+    # characteristic-function oracle: the S0<->T+-1 shift is a sum of
+    # independent per-axis terms, q x^2, q y^2 and z/2 + z^2/(4 a_perp) with
+    # q = a_par/(2(a_par^2 - a_perp^2)) + 1/(2(a_par + a_perp)), so its noise
+    # average is a product of three 1-D Gauss-Hermite quadratures
     sigma = 0.196
     noise = NoiseModel.isotropic(sigma, seed=3)
     t = np.array([0.5, 1.0, 2.0, 4.0])
     vals = corr_ramsey_diff("st1", t, _phase_tau(math.pi), 1.0, noise=noise, spec=spec)
-    x = np.linspace(-8 * sigma, 8 * sigma, 20001)
-    pdf = np.exp(-x**2 / (2 * sigma**2)) / (sigma * math.sqrt(2 * math.pi))
+    nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+    x = sigma * nodes
+    q = 160.0 / (2 * 12604.0) + 1.0 / 548.0
     for ti, vi in zip(t, vals):
-        envelope = np.trapezoid(pdf * np.cos(TWO_PI * (x / 2) * ti), x)
-        expected = 0.25 * 4.0 * envelope * math.cos(TWO_PI * 137.0 * ti)
+        def average(shift):
+            return weights @ np.exp(2j * math.pi * shift * ti) / math.sqrt(2 * math.pi)
+
+        phi = average(q * x**2) ** 2 * average(x / 2 + x**2 / 456.0)
+        expected = 0.25 * 4.0 * (phi * np.exp(2j * math.pi * 137.0 * ti)).real
         assert vi == pytest.approx(expected, abs=1e-6)
-        assert envelope == pytest.approx(math.exp(-(sigma * math.pi * ti) ** 2 / 2), abs=1e-9)
+        # the rule averages the first-order shift z/2 to its Gaussian
+        assert average(x / 2) == pytest.approx(math.exp(-(sigma * math.pi * ti) ** 2 / 2),
+                                               abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
