@@ -2,10 +2,11 @@
 
 A sensor spin (NV-style S=1, optically read) interrogates a hyperfine-coupled
 S=1/2, I=1/2 target at zero magnetic field.  The package reproduces the
-interrogation protocols (DEER, correlation Rabi/Ramsey), the exact noise
-average and moments of each transition's second-order quasi-static noise
-shift (with no linear part on the magnetically quiet S0<->T0), the
-closed-form Ramsey record of a transition's lines (doublets included), and
+interrogation protocols (DEER at any flip angle and with echo decay,
+correlation Rabi/Ramsey), each one closed form on the simulator's inputs;
+the exact noise average and moments of each transition's second-order
+quasi-static noise shift (no linear part on the quiet S0<->T0); the
+closed-form Ramsey record of a transition's lines (doublets included); and
 the spectral fitting pipeline, with every closed form cross-checked against
 brute-force density matrix evolution and its Monte Carlo noise average.
 """
@@ -61,7 +62,6 @@ from .protocols import (
     correlation_ramsey_sequences,
     deer_sequence,
     deer_signal,
-    deer_signal_general,
     monte_carlo_signal,
     simulate_alternative_correlation,
     simulate_sequence,

@@ -52,7 +52,6 @@ from .protocols import (
     correlation_ramsey_sequences,
     deer_sequence,
     deer_signal,
-    deer_signal_general,
     monte_carlo_signal,
     simulate_sequence,
 )
@@ -172,8 +171,8 @@ def _parse_orientations(text):
 # section -> key -> (parser, default[, the subcommands that read the key]).
 # A key without a reader list is read by every subcommand that reads its
 # section (see _COMMANDS).  Unknown sections or keys are errors.  Floats must
-# be finite (interrogation times also >= 0), but for the decay times (inf
-# switches a channel off) and the noise widths (NoiseModel checks them by name).
+# be finite (interrogation times also >= 0), but for the echo time (inf
+# switches the echo decay off) and the noise widths (NoiseModel checks them).
 _SCHEMA = {
     "target": {
         "a_perp_mhz": (_finite, TargetSpec.a_perp_mhz),
@@ -191,7 +190,6 @@ _SCHEMA = {
         "enabled": (_parse_bool, False),
         "t2_nv_us": (float, DecayModel.t2_nv_us),
         "stretch_p": (_finite, DecayModel.stretch_p),
-        "t1rho_us": (float, DecayModel.t1rho_us),
     },
     "protocol": {
         "transition": (_choice("transition", *TRANSITIONS), "st1",
@@ -394,7 +392,7 @@ def _cmd_deer(config):
     p = config["protocol"]
     decay = _decay_model(config)
     taus = np.linspace(p["tau_start_us"], p["tau_stop_us"], p["tau_points"])
-    signal = np.array([deer_signal(tau, p["couplings"], decay) for tau in taus])
+    signal = deer_signal(taus, p["couplings"], decay)
     return {
         "deer.csv": (("tau_us", "signal"), (taus, signal)),
         "deer_summary.json": {
@@ -454,8 +452,7 @@ def _cmd_ramsey(config):
             "transition": config["protocol"]["transition"],
             "points": len(series),
             "dt_us": series.dt,
-            "noise": None if noise is None else
-                [noise.sigma_x_mhz, noise.sigma_y_mhz, noise.sigma_z_mhz],
+            "noise": None if noise is None else noise.widths.tolist(),
             "seed": config["run"]["seed"],
         },
     }
@@ -592,8 +589,9 @@ def _cmd_selftest(config):
 
     worst = 0.0
     for theta, tau, c in draws(10, 2 * math.pi):
-        sim = simulate_sequence(deer_sequence(theta, tau), spec, c)
-        worst = max(worst, abs(sim - deer_signal_general(theta, tau, c)))
+        for decay in (None, DecayModel(stretch_p=1.7)):
+            sim = simulate_sequence(deer_sequence(theta, tau), spec, c, decay=decay)
+            worst = max(worst, abs(sim - deer_signal(tau, c, decay, theta)))
     check(f"deer closed form vs simulator ({worst:.2e})", worst < 1e-9)
 
     worst = 0.0
@@ -682,6 +680,8 @@ are case-sensitive.
 Every subcommand reads [run]; a setting of a section or key it does not
 read (say [field] for compensate, protocol.dt_us for rabi) is a config
 error, and so is a decay parameter while decay.enabled is off.
+[decay] is read by deer alone: decay.t2_nv_us (inf switches the echo decay
+off) and decay.stretch_p set its echo envelope exp(-(tau/T2)^p).
 noise.sigma_mhz: one width in MHz, the same on every axis, or three
 comma-separated widths for x, y and z (linewidth needs them equal).
 protocol.m_gaussians: auto (default) fits the lines the target names:

@@ -109,6 +109,12 @@ def _require_finite(obj):
             raise ValueError(f"{name} must be finite")
 
 
+def _check_weights(weights, what):
+    """The rule of every weighted list: ``what`` weights are >= 0 and sum to 1."""
+    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
+        raise ValueError(f"{what} weights must be >= 0 and sum to 1")
+
+
 def _check_transition(transition):
     if transition not in TRANSITIONS:
         raise ValueError(f"unknown transition {transition!r}")
@@ -143,9 +149,7 @@ class TargetSpec:
         if self.a_par_mhz == self.a_perp_mhz:
             raise ValueError("a_par_mhz == a_perp_mhz leaves T0 and T+-1 degenerate at "
                              "zero field")
-        weights = [w for (_, _, w) in self.orientations]
-        if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
-            raise ValueError("orientation weights must be >= 0 and sum to 1")
+        _check_weights([w for (_, _, w) in self.orientations], "orientation")
         if self.st0_offset_doublet_mhz is not None and len(self.st0_offset_doublet_mhz) != 2:
             raise ValueError("st0_offset_doublet_mhz must be a pair of offsets")
 
@@ -276,7 +280,7 @@ def _second_order(spec):
 def _second_order_shifts(delta, spec):
     """The rows of :func:`_second_order` at noise triples ``delta`` (..., 3):
     level shifts (..., 4) in MHz.  Warns above a_perp/10, where they degrade."""
-    if np.max(np.abs(delta)) > spec.a_perp_mhz / 10.0:
+    if np.abs(delta).max(initial=0.0) > spec.a_perp_mhz / 10.0:
         warnings.warn("noise amplitude above a_perp/10; perturbative shifts degrade",
                       stacklevel=3)
     b, c = _second_order(spec)
@@ -469,7 +473,7 @@ def transitions_vs_field(b_g, spec, mode="perturbative"):
     for transition, centers in (("st1", (t_plus - s0, t_minus - s0)), ("st0", (t0 - s0,))):
         offsets, weights = _line(spec, transition)
         freqs = np.stack(centers, axis=-1)[..., None] + offsets
-        out[transition] = (freqs.reshape(freqs.shape[:-2] + (-1,)),
+        out[transition] = (freqs.reshape(freqs.shape[:-2] + (offsets.size * len(centers),)),
                            np.outer(occupation, np.concatenate((weights,) * len(centers)))
                            / len(centers))
     return out

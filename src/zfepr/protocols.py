@@ -1,5 +1,7 @@
-"""Measurement protocols: closed-form signals and a brute-force density
-matrix simulator that must agree with them.
+"""Measurement protocols: one closed-form signal each, on the simulator's
+inputs (a coupling in MHz or a :class:`~zfepr.hamiltonians.DipolarGeometry`,
+times that may be arrays), and a brute-force density matrix simulator that
+must agree with them.
 
 Phase convention: every ``cos(C tau)`` in the formulas means the angular
 phase ``2*pi * C_MHz * tau_us``.  ``tau`` is the total free evolution of one
@@ -42,9 +44,11 @@ from .hamiltonians import (
     _SENSOR_ZFS_MHZ,
     _block_diag,
     _check_transition,
+    _check_weights,
     _coupling_offsets_mhz,
     _line,
     _noise_matrix_mhz,
+    resolve_coupling,
     target_levels_mhz,
 )
 from .noise import DRAWS_PER_BLOCK, sample_noise, shift_characteristic
@@ -54,7 +58,6 @@ from .spectra import TimeSeries
 
 __all__ = [
     "SequenceError",
-    "deer_signal_general",
     "deer_signal",
     "corr_rabi",
     "corr_ramsey_diff",
@@ -98,60 +101,49 @@ def _phase(coupling_mhz, tau_us):
 # closed forms
 # ---------------------------------------------------------------------------
 
-def deer_signal_general(theta, tau_us, coupling_mhz):
-    """Interrogation signal for arbitrary RF flip angle theta.
+def deer_signal(tau_us, couplings, decay=None, theta=TWO_PI):
+    """Signal of :func:`deer_sequence` at RF flip angle ``theta`` and times
+    ``tau_us``, which broadcast against each other.
 
-    S = (1/32) [25 + 3 cos(Ct) + 4 cos(Ct/2) + 4 (1 - cos(Ct)) cos(theta/2)
-    + 2 (1 - cos(Ct/2))^2 cos(theta)], the weighted average of cos^2(phi)
-    over the thermal target states and their RF branches.
+    S = sum_l w_l (1/8) [5 + c^2 + s^2 h + 2 e ((1+c)^2/4 + s^2 h/2
+    + (1-c)^2 k/4)], c = cos(theta/2), s^2 = sin^2(theta/2), h = cos(C_l tau/2),
+    k = cos(C_l tau): the readout over the thermal target states and their RF
+    branches, with e = ``decay.echo_factor(tau_us)`` (1 without decay) on each
+    branch that ends in T+-1.  At theta = 2*pi, S = sum_l w_l [3/4 + e k/4].
+    ``couplings`` is one coupling, a strength in MHz or a :class:`DipolarGeometry`,
+    or (coupling, w_l) pairs, weights >= 0 summing to 1; several give the
+    beating seen when the target axis hops between bonds.
     """
-    ct = _phase(coupling_mhz, tau_us)
-    return (
-        25.0
-        + 3.0 * np.cos(ct)
-        + 4.0 * np.cos(ct / 2.0)
-        + 4.0 * (1.0 - np.cos(ct)) * np.cos(theta / 2.0)
-        + 2.0 * (1.0 - np.cos(ct / 2.0)) ** 2 * np.cos(theta)
-    ) / 32.0
+    if np.ndim(couplings) == 0:  # one strength or geometry
+        couplings = ((couplings, 1.0),)
+    pairs = [(resolve_coupling(c_l), float(w)) for c_l, w in couplings]
+    _check_weights([w for _, w in pairs], "coupling")
+    c = np.cos(theta / 2.0)
+    s2 = 1.0 - c * c  # exactly 0 at theta = 2*pi
+    e = 1.0 if decay is None else decay.echo_factor(tau_us)
+
+    def one(c_mhz):
+        ct = _phase(c_mhz, tau_us)
+        h, k = np.cos(ct / 2.0), np.cos(ct)
+        return (5.0 + c * c + (1.0 + e) * s2 * h
+                + e * ((1.0 + c) ** 2 / 2.0 + (1.0 - c) ** 2 * k / 2.0)) / 8.0
+
+    return sum(w * one(c_mhz) for c_mhz, w in pairs)
 
 
-def deer_signal(tau_us, couplings, decay=None):
-    """Decoupling-form signal (theta fixed at 2*pi) with the stretched
-    exponential sensor envelope:  sum_i w_i [3/4 + 1/4 e^{-(tau/T2)^p} cos(C_i tau)].
-
-    ``couplings`` is a single strength in MHz or an iterable of (C_i, w_i)
-    pairs with weights summing to one; several strengths produce the beating
-    envelope seen when the target axis hops between orientations.
-    """
-    pairs = _coupling_pairs(couplings)
-    env = 1.0 if decay is None else decay.echo_factor(tau_us)
-    total = 0.0
-    for c, w in pairs:
-        total += w * (0.75 + 0.25 * env * np.cos(_phase(c, tau_us)))
-    return total
-
-
-def _coupling_pairs(couplings):
-    if np.isscalar(couplings):
-        return ((float(couplings), 1.0),)
-    pairs = tuple((float(c), float(w)) for c, w in couplings)
-    if any(w < 0 for _, w in pairs) or abs(sum(w for _, w in pairs) - 1.0) > 1e-9:
-        raise ValueError("coupling weights must be >= 0 and sum to 1")
-    return pairs
-
-
-def corr_rabi(transition, theta, tau_us, coupling_mhz):
+def corr_rabi(transition, theta, tau_us, coupling):
     """Correlated term <cos 2phi1 cos 2phi2> of a correlation Rabi sweep.
 
     (1/8)(1 - cos(Ct))^2 cos(theta) + 3/8 + (1/4) cos(Ct) + (3/8) cos^2(Ct);
     the S0<->T+-1 and S0<->T0 drive variants give the same expression.
+    ``coupling`` is a strength in MHz or a :class:`DipolarGeometry`.
     """
     _check_transition(transition)
-    cc = np.cos(_phase(coupling_mhz, tau_us))
+    cc = np.cos(_phase(resolve_coupling(coupling), tau_us))
     return (1.0 - cc) ** 2 * np.cos(theta) / 8.0 + 0.375 + cc / 4.0 + 0.375 * cc * cc
 
 
-def corr_ramsey_diff(transition, t_us, tau_us, coupling_mhz, noise=None, spec=None):
+def corr_ramsey_diff(transition, t_us, tau_us, coupling, noise=None, spec=None):
     """Differential correlation Ramsey signal (sig minus ref correlated term).
 
     (1/4)(1-cos Ct)^2 Re[phi(t) sum_k w_k exp(2 pi i f_k t)] over the lines
@@ -163,6 +155,7 @@ def corr_ramsey_diff(transition, t_us, tau_us, coupling_mhz, noise=None, spec=No
     function of the transition's noise shift dw,
     :func:`~zfepr.noise.shift_characteristic`, which is 1 without noise and
     complex with it.  No noise is sampled, so the record is deterministic.
+    ``coupling`` is a strength in MHz or a :class:`DipolarGeometry`.
 
     The measured photoluminescence difference is half this value.
     """
@@ -170,7 +163,7 @@ def corr_ramsey_diff(transition, t_us, tau_us, coupling_mhz, noise=None, spec=No
     offsets, weights = _line(spec, transition)
     center = spec.f_st1_mhz if transition == "st1" else spec.f_st0_mhz
     t = np.asarray(t_us, dtype=float)
-    amp = 0.25 * (1.0 - np.cos(_phase(coupling_mhz, tau_us))) ** 2
+    amp = 0.25 * (1.0 - np.cos(_phase(resolve_coupling(coupling), tau_us))) ** 2
     env = 1.0 if noise is None else shift_characteristic(noise, spec, transition, t)
     out = (amp * env * sum(w * np.exp(1j * (TWO_PI * f * t))
                            for f, w in zip(center + offsets, weights))).real

@@ -46,7 +46,7 @@ _MW_2PI = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
 class DecayModel:
     """NV decoherence parameters: echo time T2 with stretch exponent p, and
     the spin-locking relaxation time T1rho.  Infinities switch a channel off.
-    """
+    Each envelope is 1 at times <= 0 and takes a time (a float back) or an array."""
 
     t2_nv_us: float = 16.0
     stretch_p: float = 2.0
@@ -61,16 +61,18 @@ class DecayModel:
             raise ValueError("t1rho_us must be positive")
 
     def echo_factor(self, tau_us):
-        """Coherence envelope exp(-(tau/T2)^p) for one interrogation block."""
-        if tau_us <= 0 or math.isinf(self.t2_nv_us):
-            return 1.0
-        return math.exp(-((tau_us / self.t2_nv_us) ** self.stretch_p))
+        """Coherence envelope exp(-(tau/T2)^p) of interrogation blocks of
+        total free evolution ``tau_us``."""
+        return _envelope((np.maximum(tau_us, 0.0) / self.t2_nv_us) ** self.stretch_p)
 
     def lock_factor(self, t_us):
-        """Locked-contrast envelope exp(-T/T1rho)."""
-        if t_us <= 0 or math.isinf(self.t1rho_us):
-            return 1.0
-        return math.exp(-t_us / self.t1rho_us)
+        """Locked-contrast envelope exp(-T/T1rho) of locks ``t_us`` long."""
+        return _envelope(np.maximum(t_us, 0.0) / self.t1rho_us)
+
+
+def _envelope(x):
+    """exp(-x): a float for a number, an array for an array."""
+    return np.exp(-x) if np.ndim(x) else float(np.exp(-x))
 
 
 _KINDS = ("mw_pi", "mw_2pi", "rf_st1", "rf_st0", "free", "spinlock", "dephase", "readout")

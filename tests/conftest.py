@@ -29,13 +29,15 @@ def rng():
     return np.random.default_rng(20240801)
 
 
-def deer_table_signal(theta, tau_us, coupling_mhz):
-    """Enumerate the interrogation branch table and average cos^2(phi).
+def deer_table_signal(theta, tau_us, coupling_mhz, echo=1.0):
+    """Enumerate the interrogation branch table and average the readout.
 
     Each thermal initial state splits under the mid-sequence RF into
     branches; a branch from state i to state f accumulates the conditional
     phase (s_i - s_f) * C*tau/2 because the decoupling pulse reverses the
-    first-half contribution.
+    first-half contribution, and reads (1 + cos(2 phi))/2.  ``echo``
+    multiplies the correlated term cos(2 phi) of every branch that ends the
+    block in a coupling-modulated state.
     """
     u = u_st1(theta)
     ph = TWO_PI * coupling_mhz * tau_us
@@ -44,7 +46,8 @@ def deer_table_signal(theta, tau_us, coupling_mhz):
         for f in range(4):
             prob = abs(u[f, i]) ** 2
             phi = (SZZ_COEFF[i] - SZZ_COEFF[f]) * ph / 2.0
-            total += 0.25 * prob * np.cos(phi) ** 2
+            factor = echo if f in MODULATED else 1.0
+            total += 0.25 * prob * 0.5 * (1.0 + factor * np.cos(2.0 * phi))
     return total
 
 

@@ -371,7 +371,7 @@ def test_setting_of_a_key_the_command_never_reads_is_a_config_error(
 
 
 # subcommand -> how many of the schema's keys it reads
-KEYS_READ = {"deer": 10, "rabi": 8, "ramsey": 12, "spectrum": 15, "bsweep": 12,
+KEYS_READ = {"deer": 9, "rabi": 8, "ramsey": 12, "spectrum": 15, "bsweep": 12,
              "compensate": 13, "linewidth": 5, "selftest": 4}
 # a value the key's parser accepts, where the default's text is not one
 SAMPLE_VALUES = {"target.orientations": "single", "protocol.band_lo_mhz": "1",
@@ -399,7 +399,7 @@ def test_each_command_accepts_exactly_the_keys_it_reads():
                     assert f"cannot use {name}" in str(exc) or f"{name} (read by" in str(exc)
                 assert accepted[command, name] == reads, (command, name)
     assert Counter(command for (command, _), ok in accepted.items() if ok) == KEYS_READ
-    assert sum(KEYS_READ.values()) == 79 and len(accepted) == 8 * 42
+    assert sum(KEYS_READ.values()) == 78 and len(accepted) == 8 * 41
     # a key's readers read its section, and every key has a reader
     for section, keys in cli._SCHEMA.items():
         section_readers = {c for c, (*_, sections) in cli._COMMANDS.items()
@@ -413,8 +413,8 @@ def test_each_command_accepts_exactly_the_keys_it_reads():
 
 def test_infinite_decay_times_switch_channels_off(tmp_path, capsys):
     base = ["deer", "--set", "decay.enabled=true"]
-    assert main(base + ["--out-dir", str(tmp_path / "off"), "--set", "decay.t2_nv_us=inf",
-                        "--set", "decay.t1rho_us=inf"]) == EXIT_OK
+    assert main(base + ["--out-dir", str(tmp_path / "off"), "--set", "decay.t2_nv_us=inf"]) \
+        == EXIT_OK
     assert main(["deer", "--out-dir", str(tmp_path / "none")]) == EXIT_OK
     assert ((tmp_path / "off" / "deer.csv").read_bytes()
             == (tmp_path / "none" / "deer.csv").read_bytes())
@@ -436,6 +436,17 @@ def test_spinlock_duration_is_not_a_setting(tmp_path, capsys):
     assert main(["rabi", "--out-dir", str(tmp_path), "--set", "protocol.lock_us=50"]) \
         == EXIT_CONFIG
     assert "unknown override target 'protocol.lock_us'" in capsys.readouterr().err
+
+
+def test_lock_relaxation_time_is_not_a_setting(tmp_path, capsys):
+    # deer, the one reader of [decay], has no spin lock
+    argv = ["deer", "--set", "decay.enabled=true", "--set", "decay.t1rho_us=5"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "unknown override target 'decay.t1rho_us'" in capsys.readouterr().err
+    config = _config_file(tmp_path / "run.cfg", ["decay.enabled=true", "decay.t1rho_us=5"])
+    assert main(["deer", config, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "unknown key 't1rho_us' in section [decay]" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("command", ["ramsey", "spectrum"])

@@ -15,6 +15,7 @@ from zfepr.hamiltonians import (
     level_shifts_exact,
     level_shifts_perturbative,
     noise_hamiltonian,
+    resolve_coupling,
     shift_coefficients,
     target_hamiltonian,
     target_levels_mhz,
@@ -272,6 +273,11 @@ def test_geometry_rejects_values_that_are_not_finite(field, value):
         DipolarGeometry(**{"r_nm": 2.0, field: value})
 
 
+def test_resolve_coupling_takes_strengths_and_geometries():
+    g = DipolarGeometry(r_nm=5.0, theta_r=0.7, phi_r=0.3, theta_e=1.1, phi_e=2.0)
+    assert resolve_coupling(0.25) == 0.25 and resolve_coupling(g) == dipolar_constant(g)
+
+
 def test_joint_hamiltonian_structure(spec):
     h = joint_hamiltonian(spec, 0.0) / TWO_PI
     block = np.diag(target_levels_mhz(spec))
@@ -363,6 +369,15 @@ def test_transitions_need_only_the_bond_axis(rng):
         assert list(lines["st1"][0][0]) == pytest.approx([t_plus - s0, t_minus - s0],
                                                          abs=1e-11)
         assert lines["st0"][0][0, 0] == pytest.approx(t0 - s0, abs=1e-11)
+
+
+@pytest.mark.parametrize("mode", ["perturbative", "exact"])
+def test_transitions_of_no_fields_are_empty(mode):
+    spec = TargetSpec(c13_splitting_mhz=0.4, st0_offset_doublet_mhz=(-0.03, 0.03))
+    lines = transitions_vs_field(np.zeros((0, 3)), spec, mode)
+    for transition, n_lines in (("st1", 4), ("st0", 2)):
+        freqs, weights = lines[transition]
+        assert freqs.shape == (0, 4, n_lines) and weights.shape == (4, n_lines)
 
 
 def test_transitions_perturbative_warns_beyond_validity(spec):

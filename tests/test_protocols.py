@@ -32,7 +32,6 @@ from zfepr.protocols import (
     correlation_ramsey_sequences,
     deer_sequence,
     deer_signal,
-    deer_signal_general,
     monte_carlo_signal,
     simulate_alternative_correlation,
     simulate_sequence,
@@ -65,9 +64,16 @@ def _phase_tau(phase, coupling=1.0):
 # ---------------------------------------------------------------------------
 
 def test_deer_general_values():
-    assert deer_signal_general(1.23, 0.0, 0.4) == pytest.approx(1.0, abs=1e-15)
-    assert deer_signal_general(2 * math.pi, _phase_tau(math.pi), 1.0) == pytest.approx(0.5)
-    assert deer_signal_general(math.pi, _phase_tau(math.pi), 1.0) == pytest.approx(0.625)
+    assert deer_signal(0.0, 0.4, theta=1.23) == pytest.approx(1.0, abs=1e-15)
+    assert deer_signal(_phase_tau(math.pi), 1.0, theta=2 * math.pi) == pytest.approx(0.5)
+    assert deer_signal(_phase_tau(math.pi), 1.0, theta=math.pi) == pytest.approx(0.625)
+    # flip angles and times broadcast against each other, as one call per point
+    thetas, taus = np.linspace(0, 2 * math.pi, 5), np.linspace(0, 3, 7)
+    decay, couplings = DecayModel(stretch_p=1.7), ((0.3, 0.4), (0.7, 0.6))
+    grid = deer_signal(taus, couplings, decay, thetas[:, None])
+    assert grid.shape == (5, 7)
+    assert grid.tolist() == [[deer_signal(tau, couplings, decay, theta) for tau in taus]
+                             for theta in thetas]
 
 
 def test_deer_signal_values():
@@ -78,8 +84,12 @@ def test_deer_signal_values():
     tau = 3.3
     expected = sum(w * deer_signal(tau, c) for c, w in couplings)
     assert deer_signal(tau, couplings) == pytest.approx(expected, abs=1e-15)
-    with pytest.raises(ValueError):
-        deer_signal(1.0, ((0.2, 0.7), (0.3, 0.7)))
+    # the weights follow the rule of TargetSpec.orientations
+    for pairs in (((0.2, 0.7), (0.3, 0.7)), ((0.1, 1.5), (0.2, -0.5))):
+        with pytest.raises(ValueError, match="coupling weights must be >= 0 and sum to 1"):
+            deer_signal(1.0, pairs)
+        with pytest.raises(ValueError, match="orientation weights must be >= 0 and sum to 1"):
+            TargetSpec(orientations=tuple((0.0, 0.0, w) for _, w in pairs))
 
 
 def test_deer_signal_decay_envelope():
@@ -87,6 +97,23 @@ def test_deer_signal_decay_envelope():
     tau = _phase_tau(math.pi)
     expected = 0.75 + 0.25 * math.exp(-((tau / 16.0) ** 2)) * math.cos(math.pi)
     assert deer_signal(tau, 1.0, decay) == pytest.approx(expected, abs=1e-15)
+
+
+def test_closed_forms_take_a_dipolar_geometry(spec):
+    # every protocol resolves its coupling as the simulator does
+    geometry = DipolarGeometry(r_nm=5.0, theta_r=0.7, phi_r=0.3, theta_e=1.1, phi_e=2.0)
+    c = dipolar_constant(geometry)
+    t = np.linspace(0.0, 2.0, 9)
+    noise = NoiseModel.isotropic(0.2)
+    assert corr_rabi("st1", 1.0, 5.0, geometry) == corr_rabi("st1", 1.0, 5.0, c)
+    assert np.array_equal(corr_ramsey_diff("st0", t, 5.0, geometry, noise, spec),
+                          corr_ramsey_diff("st0", t, 5.0, c, noise, spec))
+    decay = DecayModel(stretch_p=1.7)
+    assert np.array_equal(deer_signal(t, geometry, decay, 1.3), deer_signal(t, c, decay, 1.3))
+    assert np.array_equal(deer_signal(t, ((geometry, 0.4), (0.2, 0.6))),
+                          deer_signal(t, ((c, 0.4), (0.2, 0.6))))
+    sim = simulate_sequence(correlation_rabi_sequence("st1", 1.0, 5.0), spec, geometry)
+    assert sim == pytest.approx(0.5 * (1.0 + corr_rabi("st1", 1.0, 5.0, geometry)), abs=1e-9)
 
 
 def test_corr_rabi_values():
@@ -177,15 +204,18 @@ def test_corr_ramsey_gaussian_envelope_vs_quadrature(spec):
 # table oracles vs closed forms
 # ---------------------------------------------------------------------------
 
-def test_branch_table_reproduces_deer_closed_form():
-    thetas = np.linspace(0, 2 * math.pi, 20)
-    phases = np.linspace(0, 2 * math.pi, 20)
+def test_branch_table_reproduces_deer_closed_form(rng):
+    # the flip angles 0, pi and 2*pi, random ones, and phases over two turns,
+    # with and without an echo decay that reaches 0.2 there
+    thetas = np.concatenate([[0.0, math.pi, 2 * math.pi], rng.uniform(0, 2 * math.pi, 17)])
     worst = 0.0
-    for theta in thetas:
-        for phase in phases:
-            tau = _phase_tau(phase)
-            worst = max(worst, abs(deer_table_signal(theta, tau, 1.0)
-                                   - deer_signal_general(theta, tau, 1.0)))
+    for decay in (None, DecayModel(t2_nv_us=1.5, stretch_p=1.7)):
+        for theta in thetas:
+            for phase in np.linspace(0, 4 * math.pi, 20):
+                tau = _phase_tau(phase)
+                echo = 1.0 if decay is None else decay.echo_factor(tau)
+                worst = max(worst, abs(deer_table_signal(theta, tau, 1.0, echo)
+                                       - deer_signal(tau, 1.0, decay, theta)))
     assert worst < 1e-12
 
 
@@ -223,12 +253,13 @@ def test_st0_composite_matches_printed_matrix(rng):
 
 def test_simulator_matches_deer_closed_form(spec, rng):
     worst = 0.0
-    for _ in range(50):
-        theta = rng.uniform(0, 2 * math.pi)
-        tau = rng.uniform(0.1, 10.0)
-        c = rng.uniform(0.05, 1.0)
-        sim = simulate_sequence(deer_sequence(theta, tau), spec, c)
-        worst = max(worst, abs(sim - deer_signal_general(theta, tau, c)))
+    for decay in (None, DecayModel(t2_nv_us=16.0, stretch_p=1.7, t1rho_us=150.0)):
+        for _ in range(50):
+            theta = rng.uniform(0, 2 * math.pi)
+            tau = rng.uniform(0.1, 10.0)
+            c = rng.uniform(0.05, 1.0)
+            sim = simulate_sequence(deer_sequence(theta, tau), spec, c, decay=decay)
+            worst = max(worst, abs(sim - deer_signal(tau, c, decay, theta)))
     assert worst < 1e-9
 
 

@@ -173,6 +173,21 @@ def test_decay_model_validation():
     assert DecayModel(t2_nv_us=math.inf).echo_factor(10.0) == 1.0
 
 
+def test_decay_envelopes_take_arrays():
+    d = DecayModel(stretch_p=1.7)
+    times = np.array([[-1.0, 0.0, 3.0], [16.0, 150.0, 400.0]])
+    for envelope in (d.echo_factor, d.lock_factor):
+        # a number gives a Python float, which the simulator inserts as a step
+        assert all(type(envelope(t)) is float for t in (3.0, 0, np.float64(2.0)))
+        values = envelope(times)
+        assert values.shape == times.shape
+        assert values.tolist() == [[envelope(t) for t in row] for row in times.tolist()]
+        assert values[0, 0] == values[0, 1] == 1.0
+    assert d.lock_factor(150.0) == pytest.approx(math.exp(-1.0))
+    off = DecayModel(t2_nv_us=math.inf, t1rho_us=math.inf)
+    assert np.all(off.echo_factor(times) == 1.0) and np.all(off.lock_factor(times) == 1.0)
+
+
 @pytest.mark.parametrize("kind", [k for k in _KINDS if k != "free"])
 def test_target_frame_is_for_free_evolution_only(kind):
     with pytest.raises(ValueError, match="frame applies to free evolution only"):
