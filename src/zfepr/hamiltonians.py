@@ -369,10 +369,18 @@ def dipolar_constant(geometry):
 
 
 def resolve_coupling(coupling):
-    """Coupling strength in MHz from a strength or a :class:`DipolarGeometry`."""
+    """Coupling strength in MHz, which must be finite, from one coupling: a
+    strength or a :class:`DipolarGeometry`.  Weighted (coupling, weight)
+    pairs are read by :func:`~zfepr.protocols.deer_signal` alone."""
     if isinstance(coupling, DipolarGeometry):
         return dipolar_constant(coupling)
-    return float(coupling)
+    if np.ndim(coupling):
+        raise TypeError(f"one coupling expected, a strength in MHz or a DipolarGeometry, not "
+                        f"{coupling!r}; weighted pairs are read by deer_signal alone")
+    c_mhz = float(coupling)
+    if not math.isfinite(c_mhz):
+        raise ValueError(f"coupling strength must be finite, not {c_mhz} MHz")
+    return c_mhz
 
 
 def _block_diag(blocks):

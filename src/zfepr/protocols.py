@@ -8,28 +8,29 @@ phase ``2*pi * C_MHz * tau_us``.  ``tau`` is the total free evolution of one
 interrogation block (two halves of tau/2 around the decoupling pulse).
 
 The simulator holds one 12x12 sensor+target density matrix per noise draw
-in a single stack and applies each run of steps to the whole stack at once;
-a lone simulation is a stack of one.  Each sequence is compiled in one pass that
+in a single stack and applies each step to the whole stack at once; a lone
+simulation is a stack of one.  Each sequence is compiled in one pass that
 checks it and yields its steps: the elements before the readout, with the
 echo decay of each interrogation window inserted as a step where the window
-closes.  The steps are then grouped into runs: each maximal run of unitary
-steps (free evolution, MW and RF pulses) is multiplied into one propagator,
-built once per noise chunk and applied as U rho U^dagger, and each channel
-step (an echo factor, the spin lock, dephasing) breaks a run.  The state
-and the readout observable stay single 12x12 matrices until the first run
-that depends on the draws.  A grid of sequences, such as the times of a
-Ramsey record, is evolved together: the prefix of steps every sequence
-shares is applied once, and the tail they share is folded backwards into
-the readout observable (Heisenberg picture).  On a Ramsey grid each
-sequence's own middle is one target-frame free step, which is diagonal in
-each draw's target eigenbasis; the rotation into that basis is one more
-factor of the last prefix run and of the first tail run, and every time is
-read out there at the cost of six phases per draw.  Any other grid runs
-each middle from the prefix state, one sequence at a time, and reads it out
-against the observable.  Free gaps that fall inside a spin-locking window
-evolve the target factor alone: the locked sensor averages the secular
-coupling away, which is exactly how the closed-form treatment handles that
-interval.
+closes.  The start state |0><0| (x) I/4 and the readout observable
+P0 = |0><0| (x) I4 have rank 4: each is carried as a 12x4 factor through
+the unitary steps (free evolution, MW and RF pulses) before its first
+channel step (an echo factor, the spin lock, dephasing), the observable
+backward from the readout, and becomes a 12x12 matrix there.  From then on
+each maximal run of unitary steps is multiplied into one propagator, built
+once per noise chunk and applied as U rho U^dagger, and each channel step
+breaks a run.  A grid of sequences, such as the times of a Ramsey record,
+is evolved together: the prefix of steps every sequence shares is applied
+once, and the tail they share is folded backwards into the observable
+(Heisenberg picture).  On a Ramsey grid each sequence's own middle is one
+target-frame free step, which is diagonal in each draw's target
+eigenbasis; the rotation into that basis ends the prefix and opens the
+tail, and every time is read out there at the cost of six phases per draw.
+Any other grid runs each middle from the prefix state, one sequence at a
+time, and reads it out against the observable.  Free gaps that fall inside
+a spin-locking window evolve the target factor alone: the locked sensor
+averages the secular coupling away, which is exactly how the closed-form
+treatment handles that interval.
 """
 
 import functools
@@ -74,10 +75,9 @@ _EYE4 = np.eye(4, dtype=complex)
 _MW_JOINT = {kind: np.kron(nv_pulse(kind), _EYE4) for kind in ("mw_pi", "mw_2pi")}
 #: Keeps the sensor-diagonal 4x4 blocks of a joint matrix, zeroes the rest.
 _SENSOR_DIAGONAL = np.kron(np.eye(3), np.ones((4, 4)))
-#: Readout observable P0 = |0><0| (x) I4: the NV |0> population.
-_READOUT = np.kron(np.diag([0.0, 1.0, 0.0]), _EYE4)
-#: Start state |0><0| (x) I/4 of every sequence.
-_START = _READOUT / 4.0
+#: Phi0 = <0| (x) I4, 4x12: the readout observable, the NV |0> population, is
+#: P0 = Phi0^dagger Phi0, and every sequence starts from P0 / 4.
+_PHI0 = np.kron([[0.0, 1.0, 0.0]], _EYE4).astype(complex)
 #: The sectors an interrogation window's echo factor scales: the T+-1 rows or
 #: columns (target indices 0 and 3) of the |+1><-1| and |-1><+1| sensor blocks.
 _ECHO_SECTORS = np.kron([[0, 0, 1], [0, 0, 0], [1, 0, 0]],
@@ -328,32 +328,51 @@ def _compose(factors):
     return functools.reduce(lambda u, m: m @ u, factors)
 
 
-def _runs(steps, eig, built):
-    """The runs of compiled ``steps``, in time order.  Each maximal run of
-    unitary steps (free, MW and RF pulses, or a matrix given as a step) is
-    multiplied into one propagator; each channel step (an echo factor,
-    ``spinlock``, ``dephase``) breaks a run and is kept as it is.
-
-    A step's propagator is taken from the dict ``built``, or built into it,
-    so each distinct step is built once for all the runs that share
-    ``built``.  Within a run, each stretch of draw-independent pulses is
-    multiplied first into one 12x12 matrix.
+def _factors(steps, eig, built):
+    """The propagators of unitary ``steps`` (free, MW and RF pulses, or a
+    matrix given as a step), in time order.  A step's propagator is taken
+    from the dict ``built``, or built into it, so each distinct step is built
+    once for all the calls that share ``built``; each stretch of
+    draw-independent pulses is multiplied first into one 12x12 matrix.
     """
+    factors = []
+    for step in steps:
+        if isinstance(step, Pulse):
+            if step not in built:
+                built[step] = _unitary(step, eig)
+            step = built[step]
+        factors.append(step)
+    return [_compose(stretch) for _, stretch in itertools.groupby(factors, key=np.ndim)]
+
+
+def _runs(steps, eig, built):
+    """The runs of compiled ``steps``, in time order: each maximal run of
+    unitary steps multiplied into one propagator (:func:`_factors`), and each
+    channel step (an echo factor, ``spinlock``, ``dephase``) as it is."""
     runs = []
     for unitary, group in itertools.groupby(steps, key=_is_unitary):
-        if not unitary:
-            runs += group
-            continue
-        factors = []
-        for step in group:
-            if isinstance(step, Pulse):
-                if step not in built:
-                    built[step] = _unitary(step, eig)
-                step = built[step]
-            factors.append(step)
-        runs.append(_compose(_compose(stretch)
-                             for _, stretch in itertools.groupby(factors, key=np.ndim)))
+        runs += [_compose(_factors(group, eig, built))] if unitary else group
     return runs
+
+
+def _lead(steps, eig, built, adjoint=False):
+    """The start state carried through the unitary steps of ``steps`` before
+    the first channel step as psi <- U psi from psi = Phi0^dagger / 2, or with
+    ``adjoint`` the readout observable carried backwards through those after
+    the last one as h <- h U from h = Phi0.  Returns the 12x12 matrix, single
+    or a stack over the draws, psi psi^dagger or h^dagger h, and the steps left.
+    """
+    n = next((i for i, step in enumerate(reversed(steps) if adjoint else steps)
+              if not _is_unitary(step)), len(steps))
+    if adjoint:
+        h = _PHI0
+        for u in reversed(_factors(steps[len(steps) - n :], eig, built)):
+            h = h @ u
+        return h.conj().swapaxes(-1, -2) @ h, steps[: len(steps) - n]
+    psi = _PHI0.T / 2.0
+    for u in _factors(steps[:n], eig, built):
+        psi = u @ psi
+    return psi @ psi.conj().swapaxes(-1, -2), steps[n:]
 
 
 def _apply_run(x, run, decay, adjoint=False):
@@ -402,18 +421,18 @@ def _evolve(sequences, eig, decay):
 
     ``eig`` comes from :func:`_eigensystems`.  Each sequence is compiled once
     by :func:`_steps`, which also rejects a malformed one before any work.
-    The prefix of steps every sequence shares and the tail they share are
-    each grouped into runs (:func:`_runs`), with one propagator per run of
-    unitary steps; every distinct step is built once per call.  The prefix
-    runs evolve the state forward, and the tail runs are folded, walking
-    backwards, into the readout observable P0 = |0><0| (x) I4 (Heisenberg
-    picture).  Both start as single 12x12 matrices and become a stack over
-    the draws at the first run that depends on them.
+    The prefix of steps every sequence shares evolves the state forward, and
+    the tail they share is folded, walking backwards, into the readout
+    observable P0 = |0><0| (x) I4 (Heisenberg picture).  Each is carried as a
+    12x4 factor up to its first channel step (:func:`_lead`), and its steps
+    from there on are grouped into runs (:func:`_runs`); every distinct step
+    is built once per call, and a matrix becomes a stack over the draws at
+    the first step that depends on them.
 
     When every sequence's own middle is a single target-frame free step, as
     on a Ramsey grid, the rotation into each draw's target eigenbasis is one
-    more factor of the last prefix run (V^dagger) and of the first tail run
-    (V), and all the sequences are read out at once in that basis
+    more step at the end of the prefix (V^dagger) and at the start of the
+    tail (V), and all the sequences are read out at once in that basis
     (:func:`_eigenbasis_readout`).  Otherwise each sequence runs the runs of
     its middle from the prefix state and is read out at once as
     Re Tr(O rho), so one middle stack is alive at a time.
@@ -430,8 +449,10 @@ def _evolve(sequences, eig, decay):
         prefix, tail = prefix + [rot.conj().swapaxes(-1, -2)], [rot] + tail
 
     built = {}
-    rho = _apply_runs(_START, _runs(prefix, eig, built), decay)
-    obs = _apply_runs(_READOUT, _runs(tail, eig, built), decay, adjoint=True)
+    rho, prefix = _lead(prefix, eig, built)
+    obs, tail = _lead(tail, eig, built, adjoint=True)
+    rho = _apply_runs(rho, _runs(prefix, eig, built), decay)
+    obs = _apply_runs(obs, _runs(tail, eig, built), decay, adjoint=True)
     if eigenbasis:
         return _eigenbasis_readout(rho, obs, [m[0].value for m in middles], eig[0][:, 1])
 
@@ -518,13 +539,13 @@ def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
     simulated one block of :data:`zfepr.noise.DRAWS_PER_BLOCK` at a time, so
     each chunk builds one generator and the average is reproducible bit for
     bit.  All times of a chunk share one batched eigendecomposition, one
-    propagator per distinct step, one pass through the runs of the sequence
-    prefix they have in common, and one readout observable into which the
-    runs of their common tail are folded.  A Ramsey family's times are then
-    all read out at once in the target eigenbasis, whose rotation is folded
-    into the last prefix run and the first tail run; any other family runs
-    the middle of each time's sequence on its own, one time after another
-    (see :func:`_evolve`).  A grid that the returned
+    propagator per distinct step, one pass through the sequence prefix they
+    have in common, and one readout observable into which their common tail
+    is folded; the state and the observable are carried as 12x4 factors up
+    to their first channel step.  A Ramsey family's times are then all read
+    out at once in the target eigenbasis, whose rotation ends the prefix and
+    opens the tail; any other family runs the middle of each time's sequence
+    on its own, one time after another (see :func:`_evolve`).  A grid that the returned
     :class:`~zfepr.spectra.TimeSeries` cannot hold is rejected before any work.
     """
     if n_draws < 1:

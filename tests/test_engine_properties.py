@@ -5,17 +5,20 @@ of unitary steps (free evolution, MW and RF pulses) is multiplied into one
 propagator, and each channel step (an echo factor, the spin lock,
 dephasing) stands alone.  Any list of steps, applied as runs forward to a
 state or backward to an observable, must equal an independent per-step
-oracle, and must keep a stack of density matrices physical.  Evolving a
-whole grid of sequences (shared prefix runs once, shared tail runs folded
-into the readout observable, each middle run from the prefix state or, on
-a Ramsey grid, read out in the target eigenbasis whose rotation is folded
-into the last prefix run and the first tail run) must equal one forward
+oracle, and must keep a stack of density matrices physical.  The start
+state and the readout observable are carried as 12x4 factors up to their
+first channel step, and a sequence's readout through them must equal the
+oracle's.  Evolving a whole grid of sequences (shared prefix once, shared
+tail folded into the readout observable, each middle run from the prefix
+state or, on a Ramsey grid, read out in the target eigenbasis whose
+rotation ends the prefix and opens the tail) must equal one forward
 simulation per sequence.
 """
 
 import math
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,6 +38,7 @@ from zfepr.pulses import (
     mw_2pi,
     mw_pi,
     nv_pulse,
+    readout,
     rf_st0,
     rf_st1,
     spinlock,
@@ -200,6 +204,52 @@ def test_run_applier_matches_a_per_step_oracle(steps, adjoint, decayed, coupling
     engine = _run_steps(x, steps, eig, decay, adjoint=adjoint)
     expected = _oracle(x, steps, coupling, draws, decay, adjoint)
     assert np.abs(engine - expected).max() < 1e-12
+
+
+#: Sequences of a middle RF angle, with free durations up to 0.05 us as
+#: above, and the number of unitary steps before their first channel step
+#: without and with decay.  One opens with dephasing, so its lead is empty;
+#: one's lead ends at the spin lock, or with decay at the echo factor
+#: inserted just before it; one has no channel without decay, so alone its
+#: state stays a factor up to the readout (with decay its one channel is the
+#: echo before the last MW pi pulse).  Each tail holds a MW pi pulse with
+#: joint free evolution after it, so the order of its steps shows.
+FACTOR_FAMILIES = {
+    "dephase_first": (lambda a: [dephase(), mw_pi(), free(0.03), rf_st1(a), free(0.02),
+                                 mw_pi(), free(0.01), mw_2pi(), free(0.02), readout()], (0, 0)),
+    "echo_lead": (lambda a: [mw_pi(), free(0.03), mw_2pi(), rf_st0(0.7), free(0.02),
+                             spinlock(40.0), rf_st1(a), free(0.04, frame="target"), mw_pi(),
+                             free(0.03), mw_2pi(), free(0.01), mw_pi(), readout()], (5, 5)),
+    "no_channel": (lambda a: [mw_pi(), free(0.03), mw_2pi(), rf_st1(a), free(0.02), mw_pi(),
+                              readout()], (6, 5)),
+}
+
+
+@pytest.mark.parametrize("family", FACTOR_FAMILIES)
+@pytest.mark.parametrize("decayed", [False, True])
+def test_factor_lead_and_tail_match_a_per_step_oracle(family, decayed):
+    # the engine carries the start state and the readout observable as 12x4
+    # factors through the unitary steps before the first channel step and
+    # after the last one; each sequence's readout Re Tr(P0 rho) must equal the
+    # per-step oracle's, alone (a forward lead up to its first channel) and
+    # as a grid of two (the shared tail walked back from the readout)
+    build, leads = FACTOR_FAMILIES[family]
+    rng = np.random.default_rng(29)
+    draws = rng.normal(0.0, 0.3, (2, 3))
+    decay = DECAY if decayed else None
+    sequences = [build(a) for a in (0.6, 2.3)]
+    steps = [protocols._steps(seq, decay) for seq in sequences]
+    unitary = [protocols._is_unitary(step) for step in steps[0]] + [False]
+    assert unitary.index(False) == leads[decayed]
+    if family == "echo_lead":
+        assert isinstance(steps[0][5], float) == decayed
+    rho0 = np.kron(np.diag([0.0, 1.0, 0.0]), np.eye(4)) / 4.0
+    expected = np.array([np.trace(_oracle([rho0] * 2, s, 0.4, draws, decay, False)[:, 4:8, 4:8],
+                                  axis1=-2, axis2=-1).real for s in steps])
+    eig = protocols._eigensystems(SPEC, 0.4, draws)
+    alone = np.concatenate([protocols._evolve([seq], eig, decay) for seq in sequences])
+    assert np.abs(alone - expected).max() < 1e-12
+    assert np.abs(protocols._evolve(sequences, eig, decay) - expected).max() < 1e-12
 
 
 def _grid(family, transition, k, theta, tau, points):

@@ -116,6 +116,29 @@ def test_closed_forms_take_a_dipolar_geometry(spec):
     assert sim == pytest.approx(0.5 * (1.0 + corr_rabi("st1", 1.0, 5.0, geometry)), abs=1e-9)
 
 
+#: The callers that take one coupling, each as a function of it.
+ONE_COUPLING = {
+    "simulate_sequence": lambda c: simulate_sequence(deer_sequence(1.0, 2.0), TargetSpec(), c),
+    "monte_carlo_signal": lambda c: monte_carlo_signal(
+        lambda t: correlation_ramsey_sequences("st1", t, 5.0)[0], [0.0, 0.1], TargetSpec(), c,
+        NoiseModel.isotropic(0.1), 1),
+    "corr_rabi": lambda c: corr_rabi("st1", 1.0, 2.0, c),
+    "corr_ramsey_diff": lambda c: corr_ramsey_diff("st0", 0.5, 2.0, c),
+}
+
+
+@pytest.mark.parametrize("caller", ONE_COUPLING)
+def test_one_coupling_callers_name_their_errors(caller):
+    # weighted pairs are deer_signal's alone, and a strength that is not
+    # finite is rejected by name rather than read out as nan
+    call = ONE_COUPLING[caller]
+    with pytest.raises(TypeError, match="one coupling expected.*read by deer_signal alone"):
+        call(((0.1, 0.5), (0.2, 0.5)))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="coupling strength must be finite"):
+            call(bad)
+
+
 def test_corr_rabi_values():
     assert corr_rabi("st1", 0.77, _phase_tau(0.0), 1.0) == pytest.approx(1.0)
     theta = 1.1
@@ -663,23 +686,31 @@ def test_ramsey_grid_reads_out_in_the_target_eigenbasis_at_long_times(spec):
 @pytest.mark.parametrize("transition", ["st1", "st0"])
 def test_ramsey_grid_applies_only_its_shared_steps(transition, spec, monkeypatch):
     # a Ramsey grid's middles are read out in the target eigenbasis, so it
-    # applies the runs of its shared prefix and tail only, at any length:
-    # two propagators and the spin lock on the state, one propagator on the
-    # observable.  A Rabi grid runs each middle (one RF pulse) as one more
-    # run, so its count grows by one per point.
-    calls = []
-    apply_run = zfepr.protocols._apply_run
+    # applies runs of its shared prefix only, at any length.  The steps
+    # before the spin lock and the whole tail (no channel without decay) are
+    # carried as 12x4 factors, so the runs left are the lock and one
+    # propagator after it on the state, and the tail forms no 12x12 run.  A
+    # Rabi grid runs each middle (one RF pulse) as one more run, so its
+    # count grows by one per point.
+    calls, runs = [], []
+    apply_run, make_runs = zfepr.protocols._apply_run, zfepr.protocols._runs
     monkeypatch.setattr(zfepr.protocols, "_apply_run",
                         lambda *args, **kwargs: calls.append(1) or apply_run(*args, **kwargs))
+    monkeypatch.setattr(zfepr.protocols, "_runs",
+                        lambda *args: runs.append(make_runs(*args)) or runs[-1])
     noise = NoiseModel.isotropic(0.196, seed=8)
 
     def count(family, points):
         calls.clear()
+        runs.clear()
         monte_carlo_signal(family, points, spec, 0.1, noise, 50)
         return len(calls)
 
     ramsey = lambda t: correlation_ramsey_sequences(transition, t, 5.0)[0]
-    assert [count(ramsey, 0.17 * np.arange(n)) for n in (12, 48)] == [4, 4]
+    assert [count(ramsey, 0.17 * np.arange(n)) for n in (12, 48)] == [2, 2]
+    (lock, propagator), tail = runs  # the prefix's runs, then the tail's
+    assert lock == spinlock(10.0) and propagator.shape == (50, 12, 12)
+    assert tail == []
     rabi = lambda theta: correlation_rabi_sequence(transition, theta, 5.0)
     twelve, forty_eight = (count(rabi, np.linspace(0.0, math.pi, n)) for n in (12, 48))
     assert forty_eight - twelve == 36
