@@ -429,8 +429,15 @@ def _cmd_rabi(config):
     }
 
 
-def _ramsey_series(config):
+#: Fewest samples per record: a TimeSeries takes 2, dft_spectrum 8.
+_MIN_T_POINTS = {"ramsey": 2, "spectrum": 8}
+
+
+def _ramsey_series(config, command):
     p = config["protocol"]
+    if p["t_points"] < _MIN_T_POINTS[command]:
+        raise ConfigError(f"bad value for protocol.t_points: {command} needs at least "
+                          f"{_MIN_T_POINTS[command]}, got {p['t_points']}")
     spec = _target_spec(config)
     noise = _noise_model(config)
     # the grid starts at t = 0: the spectrum is built from the even extension
@@ -445,7 +452,7 @@ def _ramsey_table(series):
 
 
 def _cmd_ramsey(config):
-    series, noise = _ramsey_series(config)
+    series, noise = _ramsey_series(config, "ramsey")
     return {
         "ramsey.csv": _ramsey_table(series),
         "ramsey_summary.json": {
@@ -466,7 +473,7 @@ def _cmd_spectrum(config):
         raise ConfigError(f"protocol.band_{missing}_mhz is required when "
                           f"protocol.band_{given}_mhz is set")
     band = None if lo is None else (lo, hi)
-    series, _ = _ramsey_series(config)
+    series, _ = _ramsey_series(config, "spectrum")
     spectrum = dft_spectrum(series, band_hint=band)
     m = p["m_gaussians"]
     if m == "auto":

@@ -13,24 +13,24 @@ simulation is a stack of one.  Each sequence is compiled in one pass that
 checks it and yields its steps: the elements before the readout, with the
 echo decay of each interrogation window inserted as a step where the window
 closes.  The start state |0><0| (x) I/4 and the readout observable
-P0 = |0><0| (x) I4 have rank 4: each is carried as a 12x4 factor through
-the unitary steps (free evolution, MW and RF pulses) before its first
-channel step (an echo factor, the spin lock, dephasing), the observable
-backward from the readout, and becomes a 12x12 matrix there.  From then on
-each maximal run of unitary steps is multiplied into one propagator, built
-once per noise chunk and applied as U rho U^dagger, and each channel step
-breaks a run.  A grid of sequences, such as the times of a Ramsey record,
-is evolved together: the prefix of steps every sequence shares is applied
-once, and the tail they share is folded backwards into the observable
-(Heisenberg picture).  On a Ramsey grid each sequence's own middle is one
-target-frame free step, which is diagonal in each draw's target
-eigenbasis; the rotation into that basis ends the prefix and opens the
-tail, and every time is read out there at the cost of six phases per draw.
-Any other grid runs each middle from the prefix state, one sequence at a
-time, and reads it out against the observable.  Free gaps that fall inside
-a spin-locking window evolve the target factor alone: the locked sensor
-averages the secular coupling away, which is exactly how the closed-form
-treatment handles that interval.
+P0 = |0><0| (x) I4 have rank 4: each is carried as a 4x12 factor (the
+state's is transposed) through the unitary steps (free evolution, MW and RF
+pulses) before its first channel step (an echo factor, the spin lock,
+dephasing), the observable backward from the readout, and becomes a 12x12
+matrix there.  From then on each maximal run of unitary steps is one
+propagator, built once per noise chunk and applied to the Hermitian state
+as U (U rho)^dagger; each channel step breaks a run.  A stack times a
+draw-independent matrix is one product.  A grid of sequences is evolved
+together: the prefix every sequence shares is applied once, then the tail
+they share is folded backwards into the observable (Heisenberg picture).
+On a Ramsey grid each sequence's own middle is one target-frame free step,
+which is diagonal in each draw's target eigenbasis; the rotation into that
+basis ends the prefix and opens the tail, and every time is read out there
+at the cost of six phases per draw.  Any other grid runs each middle from
+the prefix state, one sequence at a time, and reads it out against the
+observable.  Free gaps that fall inside a spin-locking window evolve the
+target factor alone: the locked sensor averages the secular coupling away,
+which is exactly how the closed-form treatment handles that interval.
 """
 
 import functools
@@ -87,6 +87,8 @@ _WINDOW_CLOSING = ("mw_pi", "spinlock")
 #: Elements that act as a unitary: the engine multiplies each run of them into
 #: one propagator, and the alternative protocol allows them during its wait.
 _UNITARY_KINDS = ("free", "mw_pi", "mw_2pi", "rf_st1", "rf_st0")
+#: Times per eigenbasis readout block: (48, n, 6) phases fill one (n, 12, 12) stack.
+_TIME_BLOCK = 48
 
 
 class SequenceError(ValueError):
@@ -323,9 +325,16 @@ def _is_unitary(step):
                                             and step.kind in _UNITARY_KINDS)
 
 
+def _mul(a, b):
+    """a @ b, with a stack (n, r, 12) times a 12x12 made as one (n r, 12) product."""
+    if a.ndim == 3 and b.ndim == 2:
+        return (a.reshape(-1, 12) @ b).reshape(a.shape[:-1] + (12,))
+    return a @ b
+
+
 def _compose(factors):
-    """U_k ... U_1 of propagators given in time order."""
-    return functools.reduce(lambda u, m: m @ u, factors)
+    """U_k ... U_1 of propagators given in time order, multiplied by :func:`_mul`."""
+    return functools.reduce(lambda u, m: _mul(m, u), factors)
 
 
 def _factors(steps, eig, built):
@@ -357,37 +366,42 @@ def _runs(steps, eig, built):
 
 def _lead(steps, eig, built, adjoint=False):
     """The start state carried through the unitary steps of ``steps`` before
-    the first channel step as psi <- U psi from psi = Phi0^dagger / 2, or with
-    ``adjoint`` the readout observable carried backwards through those after
-    the last one as h <- h U from h = Phi0.  Returns the 12x12 matrix, single
-    or a stack over the draws, psi psi^dagger or h^dagger h, and the steps left.
+    the first channel step, or with ``adjoint`` the readout observable
+    carried backwards through those after the last one, each as a 4x12
+    factor (single or a stack over the draws) multiplied from the right by
+    :func:`_mul`: psi^T <- psi^T U^T from psi^T = Phi0 / 2, or h <- h U from
+    h = Phi0.  Returns the 12x12 matrix, psi psi^dagger = (psi^T)^T
+    conj(psi^T) or h^dagger h, and the steps left.
     """
     n = next((i for i, step in enumerate(reversed(steps) if adjoint else steps)
               if not _is_unitary(step)), len(steps))
     if adjoint:
         h = _PHI0
         for u in reversed(_factors(steps[len(steps) - n :], eig, built)):
-            h = h @ u
+            h = _mul(h, u)
         return h.conj().swapaxes(-1, -2) @ h, steps[: len(steps) - n]
-    psi = _PHI0.T / 2.0
+    psi_t = _PHI0 / 2.0
     for u in _factors(steps[:n], eig, built):
-        psi = u @ psi
-    return psi @ psi.conj().swapaxes(-1, -2), steps[n:]
+        psi_t = _mul(psi_t, u.swapaxes(-1, -2))
+    return psi_t.swapaxes(-1, -2) @ psi_t.conj(), steps[n:]
 
 
 def _apply_run(x, run, decay, adjoint=False):
-    """One run of :func:`_runs` applied to ``x``, a 12x12 matrix or a stack
-    of them: rho -> Phi(rho), or with ``adjoint`` an observable
-    O -> Phi^dagger(O).
+    """One run of :func:`_runs` applied to ``x``, a Hermitian 12x12 matrix
+    or a stack of them: rho -> Phi(rho), or with ``adjoint`` an observable
+    O -> Phi^dagger(O).  Neither ``x`` nor ``run`` is written: a grid's
+    middles share the prefix state, and one call's runs share propagators.
 
-    A propagator U acts as U x U^dagger forward and U^dagger x U backward;
-    echo masks, dephasing and the locking channel are their own adjoints.  A
-    single 12x12 ``x`` stays one matrix until a run that depends on the draws
-    broadcasts it to a stack.
+    As x is Hermitian, a propagator U acts as U x U^dagger = U (U x)^dagger
+    forward and U^dagger x U = (x U)^dagger U backward: one product,
+    conjugated in place, and one more.  Echo masks, dephasing and the
+    locking channel are their own adjoints.  A single 12x12 ``x`` stays one
+    matrix until a run that depends on the draws broadcasts it to a stack.
     """
     if isinstance(run, np.ndarray):
-        u_h = run.conj().swapaxes(-1, -2)
-        return u_h @ x @ run if adjoint else run @ x @ u_h
+        y = _mul(x, run) if adjoint else _mul(run, x)
+        y = np.conj(y, out=y).swapaxes(-1, -2)
+        return _mul(y, run) if adjoint else _mul(run, y)
     if isinstance(run, float):
         return x * np.where(_ECHO_SECTORS, run, 1.0)
     if run.kind == "dephase":
@@ -408,10 +422,12 @@ def _split(bodies):
     share, step for step."""
     first = bodies[0]
     shared = min(map(len, bodies))
-    n_prefix = next((i for i in range(shared) if any(b[i] != first[i] for b in bodies)),
-                    shared)
-    n_tail = next((j for j in range(shared - n_prefix)
-                   if any(b[-1 - j] != first[-1 - j] for b in bodies)), shared - n_prefix)
+
+    def differ(i):  # shared elements, such as mw_pi(), are the same object
+        return any(b[i] is not first[i] and b[i] != first[i] for b in bodies)
+
+    n_prefix = next((i for i in range(shared) if differ(i)), shared)
+    n_tail = next((j for j in range(shared - n_prefix) if differ(-1 - j)), shared - n_prefix)
     return n_prefix, n_tail
 
 
@@ -422,9 +438,9 @@ def _evolve(sequences, eig, decay):
     ``eig`` comes from :func:`_eigensystems`.  Each sequence is compiled once
     by :func:`_steps`, which also rejects a malformed one before any work.
     The prefix of steps every sequence shares evolves the state forward, and
-    the tail they share is folded, walking backwards, into the readout
-    observable P0 = |0><0| (x) I4 (Heisenberg picture).  Each is carried as a
-    12x4 factor up to its first channel step (:func:`_lead`), and its steps
+    only then is the tail they share folded, walking backwards, into the
+    readout observable P0 = |0><0| (x) I4 (Heisenberg picture).  Each is a
+    4x12 factor up to its first channel step (:func:`_lead`), and its steps
     from there on are grouped into runs (:func:`_runs`); every distinct step
     is built once per call, and a matrix becomes a stack over the draws at
     the first step that depends on them.
@@ -450,8 +466,8 @@ def _evolve(sequences, eig, decay):
 
     built = {}
     rho, prefix = _lead(prefix, eig, built)
-    obs, tail = _lead(tail, eig, built, adjoint=True)
     rho = _apply_runs(rho, _runs(prefix, eig, built), decay)
+    obs, tail = _lead(tail, eig, built, adjoint=True)
     obs = _apply_runs(obs, _runs(tail, eig, built), decay, adjoint=True)
     if eigenbasis:
         return _eigenbasis_readout(rho, obs, [m[0].value for m in middles], eig[0][:, 1])
@@ -473,17 +489,20 @@ def _eigenbasis_readout(rho, obs, times, w):
     There the evolution is diagonal, so the readout is
     sum_jk c_jk exp(-i (w_j - w_k) t), c_jk = sum_ab rho_(aj),(bk) O_(bk),(aj)
     over the sensor blocks a, b: the populations j = k, plus one phase per
-    pair j < k, added pair by pair so that one (times, draws) array is alive.
+    pair j < k, Re[a exp(-i phase)] with a = c_jk + conj(c_kj).  The six
+    pairs are taken at once in blocks of at most :data:`_TIME_BLOCK` times,
+    so that no temporary outgrows one (n, 12, 12) stack on a long record.
     """
     blocks = (len(w), 3, 4, 3, 4)
     c = np.einsum("najbk,nbkaj->njk", rho.reshape(blocks), obs.reshape(blocks))
+    j, k = np.triu_indices(4, 1)
+    a, dw = (c[:, j, k] + c[:, k, j].conj()).T, (w[:, j] - w[:, k]).T  # (pairs, n)
     t = np.asarray(times, dtype=float)
     out = np.tile(np.trace(c, axis1=1, axis2=2).real, (len(t), 1))
-    for j, k in itertools.combinations(range(4), 2):
-        # Re[a exp(-i phase)], a = c_jk + conj(c_kj)
-        phase = np.outer(t, w[:, j] - w[:, k])
-        a = c[:, j, k] + c[:, k, j].conj()
-        out += a.real * np.cos(phase) + a.imag * np.sin(phase)
+    for i in range(0, len(t), _TIME_BLOCK):
+        phase = t[i : i + _TIME_BLOCK, None] * dw[:, None]
+        for term in a.real[:, None] * np.cos(phase) + a.imag[:, None] * np.sin(phase):
+            out[i : i + _TIME_BLOCK] += term  # pair by pair: one fixed rounding order
     return out
 
 
@@ -541,7 +560,7 @@ def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
     bit.  All times of a chunk share one batched eigendecomposition, one
     propagator per distinct step, one pass through the sequence prefix they
     have in common, and one readout observable into which their common tail
-    is folded; the state and the observable are carried as 12x4 factors up
+    is folded; the state and the observable are carried as 4x12 factors up
     to their first channel step.  A Ramsey family's times are then all read
     out at once in the target eigenbasis, whose rotation ends the prefix and
     opens the tail; any other family runs the middle of each time's sequence

@@ -106,12 +106,16 @@ class Pulse:
             raise ValueError(f"frame applies to free evolution only, not to {self.kind}")
 
 
+#: One shared instance of each parameterless element; Pulse is frozen.
+_SHARED = {kind: Pulse(kind) for kind in ("mw_pi", "mw_2pi", "dephase", "readout")}
+
+
 def mw_pi():
-    return Pulse("mw_pi")
+    return _SHARED["mw_pi"]
 
 
 def mw_2pi():
-    return Pulse("mw_2pi")
+    return _SHARED["mw_2pi"]
 
 
 def rf_st1(theta):
@@ -133,11 +137,11 @@ def spinlock(t_us):
 def dephase():
     """A wait without locking drive: the sensor loses every coherence between
     its energy levels |+1>, |0>, |-1>."""
-    return Pulse("dephase")
+    return _SHARED["dephase"]
 
 
 def readout():
-    return Pulse("readout")
+    return _SHARED["readout"]
 
 
 def u_st1(theta):
@@ -222,10 +226,9 @@ def spinlock_channel(rho, t_us, decay=None):
 
     blocks = rho.reshape(rho.shape[:-2] + (3, d, 3, d))
     e = 1.0 if decay is None else decay.lock_factor(t_us)
-    diagonal = 0.5 * (blocks[..., 0, :, 0, :] + blocks[..., 2, :, 2, :])
-    cross = 0.5 * e * (blocks[..., 0, :, 2, :] + blocks[..., 2, :, 0, :])
-    out = np.zeros_like(blocks)
-    out[..., 0, :, 0, :] = out[..., 2, :, 2, :] = diagonal
-    out[..., 0, :, 2, :] = out[..., 2, :, 0, :] = cross
-    out[..., 1, :, 1, :] = blocks[..., 1, :, 1, :]
+    # block (a, b) of rho + S rho S, S swapping m = +1 and -1, is rho_ab +
+    # rho_(2-a)(2-b); weighted 1/2 on the diagonal blocks, e/2 on the +-1
+    # cross blocks and 0 on the rest, it gives the channel
+    out = blocks + blocks[..., ::-1, :, ::-1, :]
+    out *= np.array([[0.5, 0.0, 0.5 * e], [0.0, 0.5, 0.0], [0.5 * e, 0.0, 0.5]])[:, None, :, None]
     return out.reshape(rho.shape)

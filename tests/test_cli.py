@@ -673,6 +673,19 @@ def test_bad_setting_is_a_config_error(argv, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, minimum", [("ramsey", 2), ("spectrum", 8)])
+def test_a_record_too_short_names_t_points_before_any_work(command, minimum, tmp_path,
+                                                           capsys, monkeypatch):
+    monkeypatch.setattr(cli, "corr_ramsey_diff",
+                        lambda *args: pytest.fail("the record was computed"))
+    out = tmp_path / "out"
+    assert main([command, "--out-dir", str(out),
+                 "--set", f"protocol.t_points={minimum - 1}"]) == EXIT_CONFIG
+    assert (f"bad value for protocol.t_points: {command} needs at least {minimum}, "
+            f"got {minimum - 1}") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_selftest_checks_the_transition_frequencies(monkeypatch, capsys):
     # the zero-field gaps come from diagonalizing the product-basis
     # hyperfine Hamiltonian, so a wrong frequency property is caught

@@ -6,13 +6,15 @@ propagator, and each channel step (an echo factor, the spin lock,
 dephasing) stands alone.  Any list of steps, applied as runs forward to a
 state or backward to an observable, must equal an independent per-step
 oracle, and must keep a stack of density matrices physical.  The start
-state and the readout observable are carried as 12x4 factors up to their
+state and the readout observable are carried as 4x12 factors up to their
 first channel step, and a sequence's readout through them must equal the
 oracle's.  Evolving a whole grid of sequences (shared prefix once, shared
 tail folded into the readout observable, each middle run from the prefix
 state or, on a Ramsey grid, read out in the target eigenbasis whose
 rotation ends the prefix and opens the tail) must equal one forward
-simulation per sequence.
+simulation per sequence.  No run writes into its input or into a
+propagator, and the eigenbasis readout, taken in blocks of times, must
+equal a pair-by-pair sum.
 """
 
 import math
@@ -228,7 +230,7 @@ FACTOR_FAMILIES = {
 @pytest.mark.parametrize("family", FACTOR_FAMILIES)
 @pytest.mark.parametrize("decayed", [False, True])
 def test_factor_lead_and_tail_match_a_per_step_oracle(family, decayed):
-    # the engine carries the start state and the readout observable as 12x4
+    # the engine carries the start state and the readout observable as 4x12
     # factors through the unitary steps before the first channel step and
     # after the last one; each sequence's readout Re Tr(P0 rho) must equal the
     # per-step oracle's, alone (a forward lead up to its first channel) and
@@ -284,3 +286,77 @@ def test_grid_engine_equals_per_sequence_simulation(family, transition, k, point
     single = [protocols.simulate_sequence(seq, SPEC, coupling, noise=draw, decay=decay)
               for seq in sequences]
     assert np.abs(grid - single).max() < 1e-12
+
+
+#: One run of every kind, as (steps, decayed): the steps a run is made of, so
+#: that the oracle sees the same map.  A joint free step is a stack over the
+#: draws, a MW and RF stretch one 12x12 matrix.
+RUN_KINDS = {
+    "stack": ([free(0.03)], False),
+    "single": ([mw_pi(), rf_st1(0.7), mw_2pi()], False),
+    "echo": ([0.37], False),
+    "dephase": ([dephase()], False),
+    "spinlock": ([spinlock(40.0)], False),
+    "spinlock_decay": ([spinlock(40.0)], True),
+}
+
+
+@pytest.mark.parametrize("kind", RUN_KINDS)
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_a_run_writes_into_neither_its_state_nor_itself(kind, adjoint):
+    # a grid's middles all start from the one prefix state, and one call's
+    # propagators are shared by all its sequences, so a run that wrote into
+    # either would corrupt the next sequence
+    steps, decayed = RUN_KINDS[kind]
+    decay = DECAY if decayed else None
+    rng = np.random.default_rng(30)
+    draws = rng.normal(0.0, 0.3, (2, 3))
+    x = _states(rng, 2, 12)
+    if adjoint:  # an observable: any Hermitian matrix
+        x = x + 0.3 * rng.normal(size=x.shape)
+        x = x + x.conj().swapaxes(-1, -2)
+    eig = protocols._eigensystems(SPEC, 0.4, draws)
+    (run,) = protocols._runs(steps, eig, {})
+    assert np.ndim(run) == {"stack": 3, "single": 2}.get(kind, 0)
+    x_before, run_before = x.copy(), np.copy(run)
+    out = protocols._apply_run(x, run, decay, adjoint)
+    assert np.abs(out - _oracle(x, steps, 0.4, draws, decay, adjoint)).max() < 1e-12
+    assert x.tobytes() == x_before.tobytes()
+    assert np.asarray(run).tobytes() == run_before.tobytes()
+
+
+def test_the_factor_walks_leave_the_built_propagators_unwritten():
+    rng = np.random.default_rng(31)
+    eig = protocols._eigensystems(SPEC, 0.4, rng.normal(0.0, 0.3, (3, 3)))
+    # without decay the walks run from both ends up to the spin lock
+    sequence = protocols.correlation_ramsey_sequences("st0", 0.4, 0.05)[0]
+    steps = protocols._steps(sequence, None)
+    built = {}
+    protocols._runs(steps, eig, built)
+    before = {step: u.copy() for step, u in built.items()}
+    protocols._lead(steps, eig, built)
+    protocols._lead(steps, eig, built, adjoint=True)
+    assert built.keys() == before.keys()
+    assert all(built[step].tobytes() == u.tobytes() for step, u in before.items())
+
+
+def test_the_eigenbasis_readout_equals_a_pair_by_pair_sum():
+    # 130 times span three blocks of the readout's time axis
+    rng = np.random.default_rng(32)
+    n = 5
+    rho = _states(rng, n, 12)
+    b = rng.normal(size=(n, 12, 12)) + 1j * rng.normal(size=(n, 12, 12))
+    obs = 0.3 * (b + b.conj().swapaxes(-1, -2))
+    w = rng.normal(0.0, 50.0, (n, 4))
+    times = np.linspace(0.0, 40.0, 130)
+    assert len(times) > 2 * protocols._TIME_BLOCK
+    blocks = (n, 3, 4, 3, 4)
+    c = np.einsum("najbk,nbkaj->njk", rho.reshape(blocks), obs.reshape(blocks))
+    expected = np.tile(np.trace(c, axis1=1, axis2=2).real, (len(times), 1))
+    for j in range(4):
+        for k in range(j + 1, 4):
+            phase = np.outer(times, w[:, j] - w[:, k])
+            a = c[:, j, k] + c[:, k, j].conj()
+            expected += a.real * np.cos(phase) + a.imag * np.sin(phase)
+    out = protocols._eigenbasis_readout(rho, obs, times, w)
+    assert np.abs(out - expected).max() < 1e-14

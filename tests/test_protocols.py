@@ -1,5 +1,6 @@
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -688,7 +689,7 @@ def test_ramsey_grid_applies_only_its_shared_steps(transition, spec, monkeypatch
     # a Ramsey grid's middles are read out in the target eigenbasis, so it
     # applies runs of its shared prefix only, at any length.  The steps
     # before the spin lock and the whole tail (no channel without decay) are
-    # carried as 12x4 factors, so the runs left are the lock and one
+    # carried as 4x12 factors, so the runs left are the lock and one
     # propagator after it on the state, and the tail forms no 12x12 run.  A
     # Rabi grid runs each middle (one RF pulse) as one more run, so its
     # count grows by one per point.
@@ -834,3 +835,21 @@ def test_synthesize_st0_outlives_st1(spec):
     below = np.nonzero(envelope < 1.0 / math.e)[0]
     t1e_st0 = t_grid[below[0]] if len(below) else t_grid[-1]
     assert t1e_st0 / t1e_st1 > 20.0
+
+
+def test_ramsey_grid_peak_memory_stays_under_its_bound(spec):
+    # the engine's short-lived (n, 12, 12) stacks set the page faulting of a
+    # run, so their peak is held: a Ramsey grid of 12 times at 50 draws peaks
+    # at about 8.6 stacks of traced memory above its start
+    noise = NoiseModel.isotropic(0.196, seed=8)
+    family = lambda t: correlation_ramsey_sequences("st0", t, 5.0)[0]
+    t_grid = 0.17 * np.arange(12)
+    monte_carlo_signal(family, t_grid, spec, 0.1, noise, 50)  # warm-up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        monte_carlo_signal(family, t_grid, spec, 0.1, noise, 50)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.5 * 50 * 12 * 12 * 16

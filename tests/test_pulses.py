@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,12 @@ from zfepr.pulses import (
     _KINDS,
     DecayModel,
     Pulse,
+    dephase,
     free,
+    mw_2pi,
+    mw_pi,
     nv_pulse,
+    readout,
     spinlock_channel,
     u_st0,
     u_st1,
@@ -204,3 +209,19 @@ def test_pulse_element_validation():
         Pulse("rf_st1", math.nan)
     with pytest.raises(ValueError):
         Pulse("bogus")
+
+
+def test_parameterless_elements_are_shared_and_frozen():
+    # the engine and the sequence builders share these instances
+    for make in (mw_pi, mw_2pi, dephase, readout):
+        assert make() is make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            make().value = 1.0
+
+
+def test_spinlock_leaves_its_input_unwritten(rng):
+    m = rng.standard_normal((4, 12, 12)) + 1j * rng.standard_normal((4, 12, 12))
+    rho = m @ m.conj().swapaxes(-1, -2)
+    before = rho.copy()
+    spinlock_channel(rho, 40.0, DecayModel())
+    assert rho.tobytes() == before.tobytes()
