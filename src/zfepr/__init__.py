@@ -17,13 +17,12 @@ from .fields import (
     CoilConfig,
     CompensationResult,
     NV_AXES,
-    OdmrScan,
     ScanPlan,
+    ScanWindowError,
     bsweep,
     compensate_3axis,
-    find_symmetric_center,
+    find_symmetric_centers,
     odmr_linewidth_model,
-    simulate_odmr_scan,
 )
 from .fitting import FitError, FitResult, GaussianPeak, fit_gaussians
 from .hamiltonians import (

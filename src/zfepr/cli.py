@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .constants import FWHM_PER_SIGMA
-from .fields import CoilConfig, ScanPlan, bsweep, compensate_3axis
-from .fitting import _MAX_PEAKS, FitError, fit_gaussians
+from .fields import CoilConfig, ScanPlan, ScanWindowError, bsweep, compensate_3axis
+from .fitting import _BINS_PER_PEAK, _MAX_PEAKS, FitError, fit_gaussians
 from .hamiltonians import (
     DegenerateCrossingError,
     FieldVector,
@@ -87,6 +87,13 @@ def _non_negative(text):
     value = _finite(text)
     if value < 0:
         raise ValueError(f"must be >= 0, got {text.strip()!r}")
+    return value
+
+
+def _positive(text):
+    value = _finite(text)
+    if not value > 0:
+        raise ValueError(f"must be > 0, got {text.strip()!r}")
     return value
 
 
@@ -171,8 +178,9 @@ def _parse_orientations(text):
 # section -> key -> (parser, default[, the subcommands that read the key]).
 # A key without a reader list is read by every subcommand that reads its
 # section (see _COMMANDS).  Unknown sections or keys are errors.  Floats must
-# be finite (interrogation times also >= 0), but for the echo time (inf
-# switches the echo decay off) and the noise widths (NoiseModel checks them).
+# be finite (interrogation times also >= 0, the record's time step > 0), but
+# for the echo time (inf switches the echo decay off) and the noise widths
+# (NoiseModel checks them).
 _SCHEMA = {
     "target": {
         "a_perp_mhz": (_finite, TargetSpec.a_perp_mhz),
@@ -202,7 +210,7 @@ _SCHEMA = {
         "theta_start_rad": (_finite, 0.0, ("rabi",)),
         "theta_stop_rad": (_finite, 4.0 * math.pi, ("rabi",)),
         "theta_points": (_parse_count, 201, ("rabi",)),
-        "dt_us": (_finite, 0.2, ("ramsey", "spectrum")),
+        "dt_us": (_positive, 0.2, ("ramsey", "spectrum")),
         "t_points": (_parse_count, 256, ("ramsey", "spectrum")),
         "band_lo_mhz": (_finite, None, ("spectrum",)),
         "band_hi_mhz": (_finite, None, ("spectrum",)),
@@ -438,6 +446,11 @@ def _ramsey_series(config, command):
     if p["t_points"] < _MIN_T_POINTS[command]:
         raise ConfigError(f"bad value for protocol.t_points: {command} needs at least "
                           f"{_MIN_T_POINTS[command]}, got {p['t_points']}")
+    m = p["m_gaussians"]
+    # the 4x zero-padded DFT of a record has 2 t_points + 1 bins
+    if m != "auto" and 2 * p["t_points"] + 1 < _BINS_PER_PEAK * m:
+        raise ConfigError(f"protocol.m_gaussians = {m} needs protocol.t_points >= "
+                          f"{math.ceil((_BINS_PER_PEAK * m - 1) / 2)}, got {p['t_points']}")
     spec = _target_spec(config)
     noise = _noise_model(config)
     # the grid starts at t = 0: the spectrum is built from the even extension
@@ -532,7 +545,11 @@ def _cmd_compensate(config):
 
     seeds = [np.random.SeedSequence(config["run"]["seed"], spawn_key=(trial,))
              for trial in range(c["trials"])]
-    results = compensate_3axis(true_field, coil, plan, seeds)
+    try:
+        results = compensate_3axis(true_field, coil, plan, seeds)
+    except ScanWindowError as exc:
+        raise ConfigError(f"{exc}; move or widen the window with compensation.scan_i_min_a "
+                          "and compensation.scan_i_max_a") from exc
     first = results[0]
     rows = [(trial, r.currents_a["X"], r.currents_a["Y"], r.currents_a["Z"], *r.residual_g)
             for trial, r in enumerate(results)]
@@ -599,14 +616,14 @@ def _cmd_selftest(config):
         for decay in (None, DecayModel(stretch_p=1.7)):
             sim = simulate_sequence(deer_sequence(theta, tau), spec, c, decay=decay)
             worst = max(worst, abs(sim - deer_signal(tau, c, decay, theta)))
-    check(f"deer closed form vs simulator ({worst:.2e})", worst < 1e-9)
+    check(f"deer closed form vs simulator ({worst:.0e})", worst < 1e-9)
 
     worst = 0.0
     for transition in TRANSITIONS:
         for theta, tau, c in draws(5, 2 * math.pi):
             sim = simulate_sequence(correlation_rabi_sequence(transition, theta, tau), spec, c)
             worst = max(worst, abs(sim - 0.5 * (1 + corr_rabi(transition, theta, tau, c))))
-    check(f"correlation rabi vs simulator ({worst:.2e})", worst < 1e-9)
+    check(f"correlation rabi vs simulator ({worst:.0e})", worst < 1e-9)
 
     worst = 0.0
     for transition in TRANSITIONS:
@@ -615,7 +632,7 @@ def _cmd_selftest(config):
             diff = simulate_sequence(sig, spec, c) - simulate_sequence(ref, spec, c)
             closed = 0.5 * corr_ramsey_diff(transition, t, tau, c, spec=spec)
             worst = max(worst, abs(diff - closed))
-    check(f"correlation ramsey vs simulator ({worst:.2e})", worst < 1e-9)
+    check(f"correlation ramsey vs simulator ({worst:.0e})", worst < 1e-9)
 
     # whole Ramsey records, which the simulator reads out in the target
     # eigenbasis: one draw of zero-width noise, at full contrast (C tau = 1/2).
@@ -636,7 +653,7 @@ def _cmd_selftest(config):
         for family, record in zip(families, records):
             single = [simulate_sequence(family(t), spec, c) for t in t_grid[::8]]
             worst = max(worst, float(np.abs(record[::8] - single).max()))
-    check(f"ramsey grid vs closed form and single runs ({worst:.2e})", worst < 1e-9)
+    check(f"ramsey grid vs closed form and single runs ({worst:.0e})", worst < 1e-9)
 
     worst = 0.0
     for _ in range(10):
@@ -645,7 +662,7 @@ def _cmd_selftest(config):
         draw = NoiseDraw(*delta)
         worst = max(worst, float(np.abs(
             level_shifts_exact(draw, spec) - level_shifts_perturbative(draw, spec)).max()))
-    check(f"perturbative vs exact shifts ({worst:.2e} MHz)", worst < 1e-3)
+    check(f"perturbative vs exact shifts ({worst:.0e} MHz)", worst < 1e-3)
 
     if failures:
         raise SelftestFailure(f"{len(failures)} failure(s)")
@@ -695,10 +712,12 @@ protocol.m_gaussians: auto (default) fits the lines the target names:
 one Gaussian for a single line, and for a doublet (target.c13_splitting_mhz
 on st1, target.st0_offset_doublet_mhz on st0) one or two, whichever the
 information criterion prefers; a doublet whose two components coincide is
-one line.  A whole number 1..4 fixes the count; a fixed count must pass the
-same validity tests (converged, inside the spectrum, no sub-bin or negative
+one line.  A whole number 1..4 fixes the count; a fixed count m needs
+protocol.t_points >= 15 m / 2 (rounded down), and must pass the same
+validity tests (converged, inside the spectrum, no sub-bin or negative
 line), or the run fails with exit 3.
-Ramsey records (ramsey, spectrum) start at t = 0 and step by protocol.dt_us.
+Ramsey records (ramsey, spectrum) start at t = 0 and step by protocol.dt_us
+(> 0).
 ramsey.csv's signal is the closed-form difference of the correlated terms of
 the signal and reference sequences (corr_ramsey_diff), which is twice the
 photoluminescence difference a simulation of the two reads out (selftest

@@ -7,6 +7,10 @@ curve nulls one field projection.  Two sensors lying in the plane
 perpendicular to X pin down Bz (their Y projections cancel on averaging) and
 By; a third sensor perpendicular to Y fixes Bx.  What limits the residual is
 the current stability of the supplies, not the fit.
+
+One function fits the symmetric centers: :func:`find_symmetric_centers`
+takes a stack of scans, fits them all at once, and reads a single scan as a
+stack of one.
 """
 
 import math
@@ -21,14 +25,13 @@ from .hamiltonians import _require_finite, transitions_vs_field
 __all__ = [
     "CoilConfig",
     "ScanPlan",
-    "OdmrScan",
     "CompensationResult",
     "CenterFitError",
+    "ScanWindowError",
     "NV_AXES",
     "bsweep",
     "odmr_linewidth_model",
-    "find_symmetric_center",
-    "simulate_odmr_scan",
+    "find_symmetric_centers",
     "compensate_3axis",
 ]
 
@@ -96,30 +99,13 @@ class ScanPlan:
         return center_a + np.linspace(self.i_min_a, self.i_max_a, self.n_points)
 
 
-@dataclass(frozen=True)
-class OdmrScan:
-    """Extracted ODMR linewidths versus coil current for one sensor."""
-
-    currents_a: np.ndarray
-    linewidths_mhz: np.ndarray
-    nv_orientation: np.ndarray
-
-    def __post_init__(self):
-        currents = np.asarray(self.currents_a, dtype=float)
-        widths = np.asarray(self.linewidths_mhz, dtype=float)
-        if currents.shape != widths.shape or currents.ndim != 1:
-            raise ValueError("currents and linewidths must be 1-d, equal length")
-        if np.any(np.diff(currents) <= 0):
-            raise ValueError("currents must be strictly increasing")
-        object.__setattr__(self, "currents_a", currents)
-        object.__setattr__(self, "linewidths_mhz", widths)
-        object.__setattr__(self, "nv_orientation",
-                           np.asarray(self.nv_orientation, dtype=float))
-
-
 class CenterFitError(FitError):
     """The linewidth fit failed numerically: no convergence, or a center
     outside the scanned window."""
+
+
+class ScanWindowError(ValueError):
+    """A scan's window does not bracket its linewidth minimum."""
 
 
 def odmr_linewidth_model(i_a, center_i0_a, coil, base_width_mhz, nv_axis_projection):
@@ -132,24 +118,25 @@ def odmr_linewidth_model(i_a, center_i0_a, coil, base_width_mhz, nv_axis_project
     return np.sqrt(base_width_mhz**2 + (split * (np.asarray(i_a, float) - center_i0_a)) ** 2)
 
 
-def find_symmetric_center(scan):
-    """Locate the symmetric minimum of a linewidth-vs-current curve.
+def find_symmetric_centers(currents, widths):
+    """Symmetric minima of linewidth-vs-current scans, all fitted at once.
 
-    Fits the exact broadening shape sqrt(base^2 + (k (I - I0))^2) of
-    :func:`odmr_linewidth_model`, with base, slope k and I0 free, and returns
-    (I0, standard error) in Amperes.  The scan must bracket the minimum with
-    at least 7 points; a minimum on the scan edge is rejected.  Raises
-    :class:`CenterFitError` when the fit does not converge or its center
-    leaves the scan range.  This is the one-scan case of the stacked fit
-    that :func:`compensate_3axis` runs on every trial's scans at once.
+    ``currents`` (A) and ``widths`` (MHz) are stacks (s, n) of s scans of
+    n >= 7 points, each row of currents strictly increasing; a single scan
+    is a stack of one.  Fits the exact broadening shape
+    sqrt(base^2 + (k (I - I0))^2) of :func:`odmr_linewidth_model`, with
+    base, slope k and I0 free, and returns I0 and its standard error, each
+    (s,) in A.  Raises :class:`ScanWindowError`, naming the window and the
+    parabola vertex of the squared widths, for the first scan whose window
+    does not bracket its minimum (one on the scan edge is rejected), and
+    :class:`CenterFitError` when a fit does not converge or its center
+    leaves the scan range.
     """
-    i0, se = _symmetric_centers(scan.currents_a[None], scan.linewidths_mhz[None])
-    return float(i0[0]), float(se[0])
-
-
-def _symmetric_centers(currents, widths):
-    """:func:`find_symmetric_center` for a stack of scans (s, n) of equal
-    length; returns the centers and their standard errors, each (s,)."""
+    currents, widths = np.asarray(currents, dtype=float), np.asarray(widths, dtype=float)
+    if currents.ndim != 2 or currents.shape != widths.shape:
+        raise ValueError("currents and linewidths must be (scans, points) arrays of one shape")
+    if not (currents[:, 1:] > currents[:, :-1]).all():
+        raise ValueError("currents must be strictly increasing along each scan")
     if currents.shape[-1] < 7:
         raise ValueError("need at least 7 scan points")
     # the squared model is a parabola in I: its least-squares vertex brackets
@@ -165,8 +152,13 @@ def _symmetric_centers(currents, widths):
     with np.errstate(divide="ignore", invalid="ignore"):
         vertex = np.where(c2 > 0, -c1 / (2.0 * c2), np.nan)
     i0 = mid + half * vertex
-    if not np.all((currents[:, 0] < i0) & (i0 < currents[:, -1])):
-        raise ValueError("linewidth minimum not bracketed by the scan")
+    outside = ~((currents[:, 0] < i0) & (i0 < currents[:, -1]))
+    if outside.any():
+        s = np.argmax(outside)
+        near = (f"; the parabola through its squared widths puts the minimum at {i0[s]:.4g} A"
+                if np.isfinite(i0[s]) else "")
+        raise ScanWindowError("linewidth minimum not bracketed by the scan window "
+                              f"[{currents[s, 0]:.4g}, {currents[s, -1]:.4g}] A{near}")
     base2 = c0 - c2 * vertex * vertex
     base = np.where(base2 > 0, np.sqrt(np.maximum(base2, 0.0)), widths.min(axis=-1))
     p0 = np.stack([base, np.sqrt(c2) / half, i0], axis=-1)
@@ -206,21 +198,6 @@ def _scan_widths(nv_axis, coil_axis, total_field, coil, plan, currents, jitter):
     return widths + plan.jitter_frac * plan.base_width_mhz * jitter
 
 
-def simulate_odmr_scan(nv_axis, coil_axis, total_field, coil, plan, rng, center_a=0.0):
-    """Synthesize one linewidth-vs-current scan for a sensor axis.
-
-    ``total_field`` is the field present before this coil is energized; the
-    extracted linewidths carry Gaussian jitter of ``jitter_frac * base``,
-    drawn from ``rng``.  ``center_a`` recenters the scan window (used for
-    the refinement pass).
-    """
-    n = np.asarray(nv_axis, dtype=float)
-    currents = plan.currents(center_a)
-    widths = _scan_widths(n, coil_axis, np.asarray(total_field, dtype=float), coil, plan,
-                          currents, rng.standard_normal(len(currents)))
-    return OdmrScan(currents_a=currents, linewidths_mhz=widths, nv_orientation=n)
-
-
 @dataclass(frozen=True)
 class CompensationResult:
     """Outcome of the three-step procedure: the delivered coil current and
@@ -246,11 +223,15 @@ def compensate_3axis(true_field, coil, plan=ScanPlan(), seeds=(0,)):
     Each seed is anything :func:`numpy.random.default_rng` accepts, such as
     an integer or a :class:`numpy.random.SeedSequence`, and gives its trial
     its own generator.  The trials run in lockstep: at each axis step every
-    trial's coarse scans are fitted as one stack, then every fine scan.  A
-    trial still draws in the order it would alone: for each sensor in turn
-    the jitter of its coarse scan, then of its fine scan, and after the last
-    sensor the supply error.  So a trial's result does not depend on the
-    other trials, nor on how many there are.
+    trial's coarse scans are fitted as one stack by
+    :func:`find_symmetric_centers`, then every fine scan.  A trial still
+    draws in the order it would alone: for each sensor in turn the jitter of
+    its coarse scan, then of its fine scan, and after the last sensor the
+    supply error.  So a trial's result does not depend on the other trials,
+    nor on how many there are.
+
+    Raises :class:`ScanWindowError`, its message led by the axis step ("Z",
+    "Y" or "X"), when a scan's window does not bracket that step's null.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     b = np.tile(true_field.as_array(), (len(rngs), 1))
@@ -269,8 +250,12 @@ def compensate_3axis(true_field, coil, plan=ScanPlan(), seeds=(0,)):
             scan_currents = plan.currents(centers[..., None])
             widths = _scan_widths(nv_axes, axis, b[:, None, :], coil, plan, scan_currents,
                                   jitter[:, :, fine])
-            centers, errors = (a.reshape(centers.shape) for a in _symmetric_centers(
-                scan_currents.reshape(-1, plan.n_points), widths.reshape(-1, plan.n_points)))
+            try:
+                fit = find_symmetric_centers(scan_currents.reshape(-1, plan.n_points),
+                                             widths.reshape(-1, plan.n_points))
+            except ScanWindowError as exc:
+                raise ScanWindowError(f"{axis} step: {exc}") from exc
+            centers, errors = (a.reshape(centers.shape) for a in fit)
         fit_errors[axis] = [math.hypot(*e) / len(sensors) for e in errors]
         currents[axis] = (centers.sum(axis=-1) / len(sensors)
                           + coil.current_stability_a * supply)

@@ -31,6 +31,8 @@ __all__ = [
 _STEP_TOL = 1e-10
 #: Largest number of Gaussians ``fit_gaussians`` fits.
 _MAX_PEAKS = 4
+#: Fewest spectrum bins ``fit_gaussians`` needs per Gaussian.
+_BINS_PER_PEAK = 15
 
 
 class FitError(ValueError):
@@ -379,7 +381,7 @@ def fit_gaussians(spectrum, m):
     best = None
     best_score = math.inf
     for mm in candidates:
-        if len(freqs) < 15 * mm:
+        if len(freqs) < _BINS_PER_PEAK * mm:
             if best is None:
                 raise ValueError("too few spectrum points for requested peak count")
             break

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -99,6 +100,20 @@ def test_compensate_failed_center_fit_is_numerical(tmp_path, monkeypatch, capsys
     assert main(["compensate", "--out-dir", str(tmp_path / "out")]) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("setting, step", [("compensation.true_bz_g=5", "Z"),
+                                           ("compensation.true_bx_g=-2", "X")])
+def test_compensate_null_outside_the_window_names_the_step_and_the_keys(
+        setting, step, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["compensate", "--out-dir", str(out), "--set", setting]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert (f"config error: {step} step: linewidth minimum not bracketed by the scan "
+            "window [-0.5, 0.5] A; the parabola through its squared widths puts the "
+            "minimum at ") in err
+    assert "compensation.scan_i_min_a and compensation.scan_i_max_a" in err
+    assert not out.exists()
 
 
 # stem -> (CSV header, .dat header, data rows) on the default config
@@ -657,13 +672,16 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
                                ("deer", "protocol.tau_stop_us=-1"),
                                ("compensate", "compensation.current_stability_a=-0.004"),
                                ("compensate", "compensation.jitter_frac=-0.1")]],
+    *[([command, f"protocol.dt_us={step}"], f"bad value for protocol.dt_us: must be > 0, "
+       f"got '{step}'") for command, step in [("ramsey", "0"), ("spectrum", "-0.2")]],
 ], ids=["zero-direction", "mode", "rabi-transition", "ramsey-transition",
         "spectrum-transition", "rabi-couplings", "ramsey-couplings",
         "spectrum-couplings", "peaks-abc", "peaks-0", "peaks-5", "peaks-2.0",
         "override-without-equals", "override-without-dot", "linewidth-anisotropic",
         "deer-negative-weight", "rabi-negative-tau", "ramsey-negative-tau",
         "spectrum-negative-tau", "deer-negative-tau-start", "deer-negative-tau-stop",
-        "compensate-negative-stability", "compensate-negative-jitter"])
+        "compensate-negative-stability", "compensate-negative-jitter",
+        "ramsey-zero-step", "spectrum-negative-step"])
 def test_bad_setting_is_a_config_error(argv, message, tmp_path, capsys):
     command, *settings = argv
     out = tmp_path / "out"
@@ -684,6 +702,35 @@ def test_a_record_too_short_names_t_points_before_any_work(command, minimum, tmp
     assert (f"bad value for protocol.t_points: {command} needs at least {minimum}, "
             f"got {minimum - 1}") in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("m, minimum", [(2, 15), (3, 22), (4, 30)])
+def test_a_fixed_peak_count_names_the_record_it_needs_before_any_work(
+        m, minimum, tmp_path, capsys, monkeypatch):
+    # the 4x-padded DFT has 2 t_points + 1 bins, and each Gaussian needs 15
+    record = cli.corr_ramsey_diff
+    monkeypatch.setattr(cli, "corr_ramsey_diff",
+                        lambda *args: pytest.fail("the record was computed"))
+    out = tmp_path / "out"
+    argv = ["spectrum", "--out-dir", str(out), "--set", f"protocol.m_gaussians={m}"]
+    assert main(argv + ["--set", f"protocol.t_points={minimum - 1}"]) == EXIT_CONFIG
+    assert (f"protocol.m_gaussians = {m} needs protocol.t_points >= {minimum}, "
+            f"got {minimum - 1}") in capsys.readouterr().err
+    assert not out.exists()
+    # at the minimum the spectrum holds enough bins for the fit, which may
+    # still reject that many Gaussians on a single line (exit 3)
+    monkeypatch.setattr(cli, "corr_ramsey_diff", record)
+    assert main(argv + ["--set", f"protocol.t_points={minimum}"]) != EXIT_CONFIG
+    assert "too few spectrum points" not in capsys.readouterr().err
+
+
+def test_selftest_prints_each_worst_error_to_one_digit(capsys):
+    assert main(["selftest"]) == EXIT_OK
+    out = capsys.readouterr().out
+    printed = [line for line in out.splitlines() if "(" in line]
+    assert len(printed) == 5
+    for line in printed:
+        assert re.search(r"\(\de[+-]\d\d( MHz)?\): ok$", line), line
 
 
 def test_selftest_checks_the_transition_frequencies(monkeypatch, capsys):

@@ -10,13 +10,12 @@ from zfepr.fields import (
     NV_AXES,
     CenterFitError,
     CoilConfig,
-    OdmrScan,
     ScanPlan,
+    ScanWindowError,
     bsweep,
     compensate_3axis,
-    find_symmetric_center,
+    find_symmetric_centers,
     odmr_linewidth_model,
-    simulate_odmr_scan,
 )
 from zfepr.hamiltonians import (DegenerateCrossingError, FieldVector, TargetSpec,
                                 transitions_vs_field)
@@ -51,22 +50,30 @@ def test_linewidth_model_shape():
 
 
 def _noiseless_scan(i0, n=25, span=2.0):
+    """One noiseless scan as a stack of one: currents and widths, each (1, n)."""
     currents = np.linspace(i0 - span, i0 + span, n)
     widths = odmr_linewidth_model(currents, i0, COIL, 10.0, 1.0 / math.sqrt(3.0))
-    return OdmrScan(currents, widths, NV_AXES["A"])
+    return currents[None], widths[None]
+
+
+def _jittered_scans(field, plan, jitter, center_a=0.0):
+    """Sensor A's Z-coil scans, one per row of standard normal ``jitter``,
+    as stacks of currents and widths."""
+    currents = plan.currents(center_a)
+    widths = zfepr.fields._scan_widths(NV_AXES["A"], "Z", field, COIL, plan, currents, jitter)
+    return np.broadcast_to(currents, widths.shape), widths
 
 
 def test_find_center_noiseless():
-    i0, se = find_symmetric_center(_noiseless_scan(0.123))
+    [i0], [se] = find_symmetric_centers(*_noiseless_scan(0.123))
     assert abs(i0 - 0.123) < 1e-6
     assert se < 1e-3
 
 
 def test_find_center_baseline_shift_invariant():
-    scan = _noiseless_scan(0.2)
-    shifted = OdmrScan(scan.currents_a, scan.linewidths_mhz + 5.0, scan.nv_orientation)
-    i0a, _ = find_symmetric_center(scan)
-    i0b, _ = find_symmetric_center(shifted)
+    currents, widths = _noiseless_scan(0.2)
+    [i0a], _ = find_symmetric_centers(currents, widths)
+    [i0b], _ = find_symmetric_centers(currents, widths + 5.0)
     assert abs(i0a - i0b) < 1e-9
 
 
@@ -74,9 +81,9 @@ def test_find_center_with_jitter():
     rng = np.random.default_rng(17)
     field = np.array([0.0, 0.0, -0.123 * 2.8])  # nulled at I = +0.123 A
     truth = 0.123
-    scan = simulate_odmr_scan(NV_AXES["A"], "Z", field, COIL, ScanPlan(), rng,
-                              center_a=truth)
-    i0, se = find_symmetric_center(scan)
+    plan = ScanPlan()
+    [i0], [se] = find_symmetric_centers(
+        *_jittered_scans(field, plan, rng.standard_normal((1, plan.n_points)), center_a=truth))
     assert abs(i0 - truth) < 1e-3
     assert se <= 1e-3
 
@@ -102,11 +109,9 @@ def test_find_center_unbiased():
     plan = ScanPlan()
     field = np.array([0.0, 0.0, 0.35])
     truth = -0.35 / 2.8
-    centers = []
-    for _ in range(500):
-        scan = simulate_odmr_scan(NV_AXES["A"], "Z", field, COIL, plan, rng,
-                                  center_a=truth)
-        centers.append(find_symmetric_center(scan)[0])
+    centers, _ = find_symmetric_centers(
+        *_jittered_scans(field, plan, rng.standard_normal((500, plan.n_points)),
+                         center_a=truth))
     assert abs(np.mean(centers) - truth) < 1e-4
 
 
@@ -131,17 +136,47 @@ def test_a_stable_supply_and_a_noiseless_scan_are_valid():
 
 
 def test_find_center_validation():
-    scan = _noiseless_scan(0.0)
-    with pytest.raises(ValueError):
-        find_symmetric_center(OdmrScan(scan.currents_a[:5], scan.linewidths_mhz[:5],
-                                       scan.nv_orientation))
+    currents, widths = _noiseless_scan(0.0)
+    with pytest.raises(ValueError, match="need at least 7 scan points"):
+        find_symmetric_centers(currents[:, :5], widths[:, :5])
+    for bad in (currents[0], currents[None], currents[:, :-1], np.vstack([currents] * 2)):
+        with pytest.raises(ValueError, match=r"must be \(scans, points\) arrays of one shape"):
+            find_symmetric_centers(bad, widths if bad.ndim == 2 else bad)
+    for bad in (currents[:, ::-1], np.where(np.arange(25) == 3, currents[0, 2], currents),
+                np.where(np.arange(25) == 3, np.nan, currents)):
+        with pytest.raises(ValueError, match="currents must be strictly increasing"):
+            find_symmetric_centers(bad, widths)
     # minimum at the edge of the scan window
     currents = np.linspace(1.0, 3.0, 21)
     widths = odmr_linewidth_model(currents, 0.9, COIL, 10.0, 0.6)
-    with pytest.raises(ValueError):
-        find_symmetric_center(OdmrScan(currents, widths, NV_AXES["A"]))
-    with pytest.raises(ValueError):
-        OdmrScan(currents[::-1], widths, NV_AXES["A"])
+    with pytest.raises(ScanWindowError, match="not bracketed"):
+        find_symmetric_centers(currents[None], widths[None])
+
+
+def test_an_unbracketed_minimum_names_the_window_and_the_vertex():
+    currents = np.linspace(-0.5, 0.5, 21)
+    # a stack names its first scan that does not bracket its minimum
+    brackets = currents - 1.25
+    stack = (np.vstack([brackets, currents, currents + 0.25]),
+             odmr_linewidth_model(np.vstack([brackets, currents, currents + 0.25]),
+                                  -1.25, COIL, 2.0, 0.6))
+    with pytest.raises(ScanWindowError, match=r"window \[-0\.5, 0\.5\] A; the parabola "
+                       r"through its squared widths puts the minimum at -1\.25 A$"):
+        find_symmetric_centers(*stack)
+    # squared widths that curve downward have no vertex to name
+    with pytest.raises(ScanWindowError, match=r"window \[-0\.5, 0\.5\] A$"):
+        find_symmetric_centers(currents[None], 3.0 - currents[None] ** 2)
+    assert issubclass(ScanWindowError, ValueError)
+
+
+# the Y step never fails alone in a window centred on 0 A: sensor A's Y null
+# is 1/sqrt(2) of half the gap between the Z step's two nulls, both inside it
+@pytest.mark.parametrize("field, step", [(FieldVector(0.35, -0.52, 5.0), "Z"),
+                                         (FieldVector(-2.0, 0.0, 0.0), "X")])
+def test_compensation_names_the_step_whose_null_is_outside_the_window(field, step):
+    with pytest.raises(ScanWindowError, match=f"^{step} step: linewidth minimum not "
+                       r"bracketed by the scan window \[-0\.5, 0\.5\] A"):
+        compensate_3axis(field, COIL, ScanPlan(), seeds=[0])
 
 
 def test_find_center_lowest_sample_on_window_edge():
@@ -153,7 +188,7 @@ def test_find_center_lowest_sample_on_window_edge():
     widths = odmr_linewidth_model(currents, truth, COIL, 2.0, NV_AXES["B"][2])
     widths[0] -= 0.1
     assert np.argmin(widths) == 0
-    i0, _ = find_symmetric_center(OdmrScan(currents, widths, NV_AXES["B"]))
+    [i0], _ = find_symmetric_centers(currents[None], widths[None])
     assert abs(i0 - truth) < 1e-3
 
 
@@ -162,7 +197,7 @@ def test_find_center_unconverged_fit_raises(monkeypatch):
     monkeypatch.setattr(zfepr.fields, "levenberg_marquardt_stack",
                         lambda fun, p0: lm(fun, p0, max_iter=0))
     with pytest.raises(CenterFitError, match="did not converge"):
-        find_symmetric_center(_noiseless_scan(0.123))
+        find_symmetric_centers(*_noiseless_scan(0.123))
     assert issubclass(CenterFitError, ValueError)
 
 
@@ -222,19 +257,25 @@ def test_compensation_trial_does_not_depend_on_the_batch(plan):
 
 
 def _one_trial_in_sequence(field, coil, plan, seed):
-    """The procedure for one trial, scan by scan from the public functions:
-    per axis step and sensor a coarse, then a fine scan, then the supply
-    error, all drawn from the trial's own generator."""
+    """The procedure for one trial, scan by scan: per axis step and sensor a
+    coarse, then a fine scan, each fitted alone, then the supply error, all
+    drawn from the trial's own generator."""
     rng = np.random.default_rng(seed)
     b = field.as_array()
     currents, errors = {}, {}
+
+    def fit_scan(name, axis, center_a=0.0):
+        scan_currents = plan.currents(center_a)
+        widths = zfepr.fields._scan_widths(NV_AXES[name], axis, b, coil, plan, scan_currents,
+                                           rng.standard_normal(plan.n_points))
+        [i0], [se] = find_symmetric_centers(scan_currents[None], widths[None])
+        return float(i0), float(se)
+
     for axis, sensors in (("Z", "AB"), ("Y", "A"), ("X", "C")):
         fits = []
         for name in sensors:
-            coarse, _ = find_symmetric_center(
-                simulate_odmr_scan(NV_AXES[name], axis, b, coil, plan, rng))
-            fits.append(find_symmetric_center(
-                simulate_odmr_scan(NV_AXES[name], axis, b, coil, plan, rng, center_a=coarse)))
+            coarse, _ = fit_scan(name, axis)
+            fits.append(fit_scan(name, axis, center_a=coarse))
         centers, errs = zip(*fits)
         errors[axis] = math.hypot(*errs) / len(sensors)
         currents[axis] = (sum(centers) / len(sensors)
