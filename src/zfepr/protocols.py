@@ -9,38 +9,45 @@ interrogation block (two halves of tau/2 around the decoupling pulse).
 
 The simulator holds one 12x12 sensor+target density matrix per noise draw
 in a single stack and applies each step to the whole stack at once; a lone
-simulation is a stack of one.  Each sequence is compiled in one pass that
-checks it and yields its steps: the elements before the readout, with the
-echo decay of each interrogation window inserted as a step where the window
-closes.  The start state |0><0| (x) I/4 and the readout observable
-P0 = |0><0| (x) I4 have rank 4: each is carried as a 4x12 factor (the
-state's is transposed) through the unitary steps (free evolution, MW and RF
-pulses) before its first channel step (an echo factor, the spin lock,
-dephasing), the observable backward from the readout, and becomes a 12x12
-matrix there.  From then on each maximal run of unitary steps is one
+simulation is a stack of one.  The free Hamiltonians of all draws are
+diagonalised by one real-symmetric batched ``eigh``, after a rotation about
+z that puts each draw's transverse noise on x.  Each sequence is compiled in
+one pass that checks it and yields its steps: the elements before the
+readout, with the echo decay of each interrogation window inserted as a step
+where the window closes.  The start state |0><0| (x) I/4 and the readout
+observable P0 = |0><0| (x) I4 have rank 4: each is carried as a 4x12 factor
+(the state's is transposed) through the unitary steps (free evolution, MW
+and RF pulses) before its first channel step (an echo factor, the spin
+lock, dephasing), the observable backward from the readout, and becomes a
+12x12 matrix there.  From then on each maximal run of unitary steps is one
 propagator, built once per noise chunk and applied to the Hermitian state
 as U (U rho)^dagger; each channel step breaks a run.  A stack times a
-draw-independent matrix is one product.  A grid of sequences is evolved
-together: the prefix every sequence shares is applied once, then the tail
-they share is folded backwards into the observable (Heisenberg picture).
-On a Ramsey grid each sequence's own middle is one target-frame free step,
-which is diagonal in each draw's target eigenbasis; the rotation into that
-basis ends the prefix and opens the tail, and every time is read out there
-at the cost of six phases per draw.  Any other grid runs each middle from
-the prefix state, one sequence at a time, and reads it out against the
-observable.  Free gaps that fall inside a spin-locking window evolve the
-target factor alone: the locked sensor averages the secular coupling away,
-which is exactly how the closed-form treatment handles that interval.
+draw-independent matrix is one product, and so is a factor times a
+transposed stack.  A grid of sequences is evolved together: the prefix every
+sequence shares is applied once, then the tail they share is folded
+backwards into the observable (Heisenberg picture).  On a Ramsey grid each
+sequence's own middle is one target-frame free step, which is diagonal in
+each draw's target eigenbasis; the rotation into that basis ends the prefix
+and opens the tail, and every time is read out there at the cost of six
+phases per draw.  Any other grid runs each middle from the prefix state, one
+sequence at a time, and reads it out against the observable.  Free gaps that
+fall inside a spin-locking window evolve the target factor alone: the locked
+sensor averages the secular coupling away, which is exactly how the
+closed-form treatment handles that interval.
 """
 
 import functools
 import itertools
 import math
+import numbers
 
 import numpy as np
 
 from .constants import TWO_PI
 from .hamiltonians import (
+    SX_T,
+    SZ_T,
+    NoiseDraw,
     TargetSpec,
     _SENSOR_ZFS_MHZ,
     _block_diag,
@@ -48,11 +55,10 @@ from .hamiltonians import (
     _check_weights,
     _coupling_offsets_mhz,
     _line,
-    _noise_matrix_mhz,
     resolve_coupling,
     target_levels_mhz,
 )
-from .noise import DRAWS_PER_BLOCK, sample_noise, shift_characteristic
+from .noise import DRAWS_PER_BLOCK, NoiseModel, sample_noise, shift_characteristic
 from .pulses import Pulse, dephase, free, mw_2pi, mw_pi, nv_pulse, readout, rf_st0, rf_st1
 from .pulses import spinlock, spinlock_channel, u_st0, u_st1
 from .spectra import TimeSeries
@@ -73,6 +79,8 @@ __all__ = [
 
 _EYE4 = np.eye(4, dtype=complex)
 _MW_JOINT = {kind: np.kron(nv_pulse(kind), _EYE4) for kind in ("mw_pi", "mw_2pi")}
+#: SX_T and SZ_T, both real in the singlet-triplet basis, as real matrices.
+_SX_REAL, _SZ_REAL = SX_T.real, SZ_T.real
 #: Keeps the sensor-diagonal 4x4 blocks of a joint matrix, zeroes the rest.
 _SENSOR_DIAGONAL = np.kron(np.eye(3), np.ones((4, 4)))
 #: Phi0 = <0| (x) I4, 4x12: the readout observable, the NV |0> population, is
@@ -89,6 +97,8 @@ _WINDOW_CLOSING = ("mw_pi", "spinlock")
 _UNITARY_KINDS = ("free", "mw_pi", "mw_2pi", "rf_st1", "rf_st0")
 #: Times per eigenbasis readout block: (48, n, 6) phases fill one (n, 12, 12) stack.
 _TIME_BLOCK = 48
+#: What each engine entry point takes as its noise, named in their type errors.
+_NOISE_ROLES = "monte_carlo_signal averages a NoiseModel; simulate_sequence takes one NoiseDraw"
 
 
 class SequenceError(ValueError):
@@ -203,8 +213,10 @@ def _rf(transition):
 
 
 def _interrogation_block(tau_us, drive):
-    """tau/2 - (2pi MW + the RF ``drive``) - tau/2, without the MW pi pulses."""
-    return [free(tau_us / 2.0), mw_2pi(), drive, free(tau_us / 2.0)]
+    """tau/2 - (2pi MW + the RF ``drive``) - tau/2, without the MW pi pulses;
+    both halves are one element."""
+    half = free(tau_us / 2.0)
+    return [half, mw_2pi(), drive, half]
 
 
 def deer_sequence(theta, tau_us, transition="st1"):
@@ -237,12 +249,14 @@ def correlation_ramsey_sequences(transition, t_us, tau_us, lock_us=10.0):
 
     Signal closes the target superposition with -pi/2, reference with +pi/2,
     and the two share every other element; their difference cancels every
-    background term.
+    background term.  The opening pi/2 pulse and the reference's closing one
+    are one element.
     """
     rf = _rf(transition)
+    quarter = rf(math.pi / 2.0)
     return tuple(_correlation_sequences(transition, tau_us, lock_us,
-                                        [rf(math.pi / 2.0), free(t_us, frame="target")],
-                                        [rf(-math.pi / 2.0), rf(math.pi / 2.0)]))
+                                        [quarter, free(t_us, frame="target")],
+                                        [rf(-math.pi / 2.0), quarter]))
 
 
 # ---------------------------------------------------------------------------
@@ -253,19 +267,32 @@ def _eigensystems(spec, coupling, draws):
     """Eigendecompositions (rad/us) of the free Hamiltonians of each draw.
 
     ``draws`` is an (n, 3) array of noise triples in MHz.  Returns ``(w, v)``
-    of shapes (n, 3, 4) and (n, 3, 4, 4), from one batched ``eigh`` over the
-    sensor blocks m = +1, 0, -1 of :func:`~zfepr.hamiltonians.joint_hamiltonian`.
-    The zero-field splitting, 1.8e4 rad/us times the identity in a block, is
-    added to the eigenvalues after ``eigh``, which would lose digits to it.
-    The m = 0 block (index 1) is the target-alone Hamiltonian bit for bit:
-    the target frame reads it.
+    of shapes (n, 3, 4) and (n, 3, 4, 4) for the sensor blocks m = +1, 0, -1
+    of :func:`~zfepr.hamiltonians.joint_hamiltonian` plus the draw's
+    :func:`~zfepr.hamiltonians.noise_hamiltonian`.
+
+    A rotation about z by the total target spin turns the transverse noise
+    dx SX + dy SY into d_perp SX, d_perp = hypot(dx, dy), and leaves the
+    axial hyperfine levels and C*m*szz alone.  So each block is
+    D H' D^dagger with H' = levels + d_perp SX + dz SZ + C*m*szz real
+    symmetric and D = diag(exp(-i phi), 1, 1, exp(i phi)) over (T+1, S0, T0,
+    T-1), phi = atan2(dy, dx): one real batched ``eigh`` gives H' = V' w V'^T,
+    and v = D V'.  The zero-field splitting, 1.8e4 rad/us times the
+    identity in a block, is added to the eigenvalues after ``eigh``, which
+    would lose digits to it.  The m = 0 block (index 1) of H' is the rotated
+    target-alone Hamiltonian bit for bit (its C*m*szz is zero), so index 1
+    is the target frame's eigensystem.
     """
-    h_target = np.diag(target_levels_mhz(spec)) + _noise_matrix_mhz(draws)
+    dx, dy, dz = draws.T[..., None, None]
+    h_target = np.diag(target_levels_mhz(spec)) + (np.hypot(dx, dy) * _SX_REAL + dz * _SZ_REAL)
     h = h_target[:, None] + _coupling_offsets_mhz(coupling)
     h *= TWO_PI
     w, v = np.linalg.eigh(h)
     w += TWO_PI * _SENSOR_ZFS_MHZ[:, None]
-    return w, v
+    d = np.ones((len(draws), 1, 4, 1), dtype=complex)
+    d[:, 0, 0, 0] = np.exp(-1j * np.arctan2(draws[:, 1], draws[:, 0]))
+    d[:, 0, 3, 0] = d[:, 0, 0, 0].conj()
+    return w, d * v
 
 
 def _steps(sequence, decay):
@@ -326,9 +353,17 @@ def _is_unitary(step):
 
 
 def _mul(a, b):
-    """a @ b, with a stack (n, r, 12) times a 12x12 made as one (n r, 12) product."""
+    """a @ b, with one operand a single matrix and the other a stack over the
+    draws, made as one (n r, 12) product instead of n small ones: a stack
+    (n, r, 12) times a 12x12, or an r x 12 factor times U^T for a contiguous
+    stack U (the forward factor walk's step), as (U_i a^T)^T with the rows of
+    U read in place.  A factor times U itself stays numpy's product of n
+    small ones, which copies nothing: one product would first copy U."""
     if a.ndim == 3 and b.ndim == 2:
         return (a.reshape(-1, 12) @ b).reshape(a.shape[:-1] + (12,))
+    if a.ndim == 2 and b.ndim == 3 and b.swapaxes(-1, -2).flags.c_contiguous:
+        rows = b.swapaxes(-1, -2).reshape(-1, 12) @ a.T  # (n 12, r)
+        return rows.reshape(len(b), 12, len(a)).swapaxes(-1, -2)
     return a @ b
 
 
@@ -419,16 +454,18 @@ def _apply_runs(x, runs, decay, adjoint=False):
 
 def _split(bodies):
     """Lengths of the prefix and of the tail that all compiled ``bodies``
-    share, step for step."""
-    first = bodies[0]
-    shared = min(map(len, bodies))
+    share, step for step.  Steps are compared by what their maps depend on:
+    a pulse's (kind, value, frame), or the echo factor itself."""
+    keys = [[(s.kind, s.value, s.frame) if isinstance(s, Pulse) else s for s in body]
+            for body in bodies]
+    shared = min(map(len, keys))
 
-    def differ(i):  # shared elements, such as mw_pi(), are the same object
-        return any(b[i] is not first[i] and b[i] != first[i] for b in bodies)
+    def agreeing(columns, limit):  # leading columns, of at most limit, with one key
+        return next((i for i, col in enumerate(itertools.islice(columns, limit))
+                     if col.count(col[0]) < len(col)), limit)
 
-    n_prefix = next((i for i in range(shared) if differ(i)), shared)
-    n_tail = next((j for j in range(shared - n_prefix) if differ(-1 - j)), shared - n_prefix)
-    return n_prefix, n_tail
+    n_prefix = agreeing(zip(*keys), shared)
+    return n_prefix, agreeing(zip(*(k[::-1] for k in keys)), shared - n_prefix)
 
 
 def _evolve(sequences, eig, decay):
@@ -460,15 +497,24 @@ def _evolve(sequences, eig, decay):
     middles = [body[n_prefix : len(body) - n_tail] for body in bodies]
     eigenbasis = all(len(m) == 1 and isinstance(m[0], Pulse) and m[0].frame == "target"
                      for m in middles)
+    # the rotations V^dagger, ending the prefix, and V, opening the tail, are
+    # built as their walk starts, each step list is dropped once its runs are
+    # made and each list of runs once applied: so their (n, 12, 12) stacks
+    # stay out of the peak of the call
     if eigenbasis:
-        rot = _block_diag(eig[1][:, 1:2])
-        prefix, tail = prefix + [rot.conj().swapaxes(-1, -2)], [rot] + tail
-
+        prefix = prefix + [_block_diag(eig[1][:, 1:2].conj().swapaxes(-1, -2))]
     built = {}
     rho, prefix = _lead(prefix, eig, built)
-    rho = _apply_runs(rho, _runs(prefix, eig, built), decay)
+    runs = _runs(prefix, eig, built)
+    del prefix
+    rho = _apply_runs(rho, runs, decay)
+    del runs
+    if eigenbasis:
+        tail = [_block_diag(eig[1][:, 1:2])] + tail
     obs, tail = _lead(tail, eig, built, adjoint=True)
-    obs = _apply_runs(obs, _runs(tail, eig, built), decay, adjoint=True)
+    runs = _runs(tail, eig, built)
+    del tail
+    obs = _apply_runs(obs, runs, decay, adjoint=True)
     if eigenbasis:
         return _eigenbasis_readout(rho, obs, [m[0].value for m in middles], eig[0][:, 1])
 
@@ -516,6 +562,9 @@ def simulate_sequence(sequence, spec, coupling, noise=None, decay=None):
     pulse or at the locking channel), which reproduces the closed-form decay
     model exactly.
     """
+    if not (noise is None or isinstance(noise, NoiseDraw)):
+        raise TypeError(f"noise must be a NoiseDraw or None, not {type(noise).__name__}: "
+                        f"{_NOISE_ROLES}")
     draws = np.zeros((1, 3)) if noise is None else noise.as_array()[None]
     return float(_evolve([sequence], _eigensystems(spec, coupling, draws), decay)[0, 0])
 
@@ -564,9 +613,16 @@ def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
     to their first channel step.  A Ramsey family's times are then all read
     out at once in the target eigenbasis, whose rotation ends the prefix and
     opens the tail; any other family runs the middle of each time's sequence
-    on its own, one time after another (see :func:`_evolve`).  A grid that the returned
-    :class:`~zfepr.spectra.TimeSeries` cannot hold is rejected before any work.
+    on its own, one time after another (see :func:`_evolve`).  A noise that
+    is not a :class:`~zfepr.noise.NoiseModel`, a draw count that is not a
+    positive integer and a grid that the returned
+    :class:`~zfepr.spectra.TimeSeries` cannot hold are rejected before any work.
     """
+    if not isinstance(noise, NoiseModel):
+        raise TypeError(f"noise must be a NoiseModel, not {type(noise).__name__}: "
+                        f"{_NOISE_ROLES}")
+    if isinstance(n_draws, bool) or not isinstance(n_draws, numbers.Integral):
+        raise TypeError(f"n_draws must be an integer, not {n_draws!r}")
     if n_draws < 1:
         raise ValueError("need at least one draw")
     t_grid = np.asarray(t_grid, dtype=float)

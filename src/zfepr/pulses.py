@@ -75,10 +75,11 @@ def _envelope(x):
     return np.exp(-x) if np.ndim(x) else float(np.exp(-x))
 
 
-_KINDS = ("mw_pi", "mw_2pi", "rf_st1", "rf_st0", "free", "spinlock", "dephase", "readout")
+_KINDS = frozenset(("mw_pi", "mw_2pi", "rf_st1", "rf_st0", "free", "spinlock", "dephase",
+                    "readout"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pulse:
     """One element of a pulse sequence.
 

@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,8 @@ from zfepr.hamiltonians import (
     NoiseDraw,
     TargetSpec,
     dipolar_constant,
+    joint_hamiltonian,
+    noise_hamiltonian,
     transitions_vs_field,
 )
 from zfepr.noise import NoiseModel, sample_noise
@@ -39,6 +42,7 @@ from zfepr.protocols import (
 )
 from zfepr.pulses import (
     DecayModel,
+    Pulse,
     dephase,
     free,
     mw_2pi,
@@ -411,6 +415,25 @@ def test_ramsey_pair_differs_only_in_the_closing_pulse(transition):
     assert (sig[i].value, ref[i].value) == (-math.pi / 2, math.pi / 2)
 
 
+@pytest.mark.parametrize("transition", ["st1", "st0"])
+def test_sequence_builders_share_their_repeated_elements(transition):
+    # each interrogation block's two halves are one free(tau/2), in both
+    # blocks and both sequences of a pair, and the opening pi/2 pulse is the
+    # reference's closing one; equality is that of freshly built elements
+    sig, ref = correlation_ramsey_sequences(transition, 0.7, 4.0)
+    halves = [el for seq in (sig, ref) for el in seq if el == free(2.0)]
+    assert len(halves) == 8 and all(el is halves[0] for el in halves)
+    quarter = [el for el in sig if el.value == math.pi / 2 and el.kind == f"rf_{transition}"]
+    assert len(quarter) == 1
+    i = next(i for i, (a, b) in enumerate(zip(sig, ref)) if a != b)
+    assert ref[i] is quarter[0] and sig[i] is not quarter[0]
+    for seq in (sig, ref):
+        assert seq == [Pulse(el.kind, el.value, el.frame) for el in seq]
+    assert (sig, ref) == correlation_ramsey_sequences(transition, 0.7, 4.0) and sig != ref
+    deer = deer_sequence(0.7, 4.0, transition)
+    assert deer[1] is deer[4] and deer[1] == free(2.0)
+
+
 def test_sequence_validation_errors(spec):
     with pytest.raises(SequenceError):
         simulate_sequence([mw_pi(), free(1.0)], spec, 0.1)  # no readout
@@ -541,6 +564,52 @@ def test_monte_carlo_matches_the_exact_st0_average(spec):
     assert np.all((np.abs(sig - ref - bare) > bound)[1:])
 
 
+_ROLES = "monte_carlo_signal averages a NoiseModel; simulate_sequence takes one NoiseDraw"
+
+
+@pytest.mark.parametrize("noise, n_draws, error, message", [
+    (None, 10, TypeError, "noise must be a NoiseModel, not NoneType: " + _ROLES),
+    (NoiseDraw(0.1, 0.0, 0.0), 10, TypeError, "noise must be a NoiseModel, not NoiseDraw: "
+     + _ROLES),
+    (NoiseModel.isotropic(0.2), 2.5, TypeError, "n_draws must be an integer, not 2.5"),
+    (NoiseModel.isotropic(0.2), True, TypeError, "n_draws must be an integer, not True"),
+    (NoiseModel.isotropic(0.2), np.float64(3.0), TypeError, "n_draws must be an integer"),
+    (NoiseModel.isotropic(0.2), 0, ValueError, "need at least one draw"),
+], ids=["none", "noise-draw", "fractional-draws", "bool-draws", "float-draws", "zero-draws"])
+def test_monte_carlo_names_a_wrong_noise_or_draw_count_before_any_work(
+        noise, n_draws, error, message, spec, monkeypatch):
+    calls = []
+    monkeypatch.setattr(zfepr.protocols, "_evolve", lambda *args: calls.append("evolve"))
+    monkeypatch.setattr(zfepr.protocols, "sample_noise", lambda *args, **kw: calls.append("noise"))
+    family = lambda t: calls.append("build") or correlation_ramsey_sequences("st1", t, 4.0)[0]
+    with pytest.raises(error, match="^" + re.escape(message)):
+        monte_carlo_signal(family, [0.1, 0.3], spec, 0.3, noise, n_draws)
+    assert calls == []
+
+
+def test_monte_carlo_takes_a_numpy_integer_draw_count(spec):
+    noise = NoiseModel.isotropic(0.2, seed=4)
+    family = lambda t: correlation_ramsey_sequences("st1", t, 4.0)[0]
+    a, b = (monte_carlo_signal(family, [0.1, 0.3], spec, 0.3, noise, n).values
+            for n in (np.int64(7), 7))
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("caller", [
+    lambda spec, noise: simulate_sequence(deer_sequence(1.0, 2.0), spec, 0.3, noise=noise),
+    lambda spec, noise: simulate_alternative_correlation([], 2.0, spec, 0.3, noise=noise),
+], ids=["simulate_sequence", "simulate_alternative_correlation"])
+@pytest.mark.parametrize("noise", [NoiseModel.isotropic(0.2), np.array([0.1, 0.0, 0.0])],
+                         ids=["noise-model", "array"])
+def test_single_runs_name_a_noise_that_is_not_one_draw(caller, noise, spec, monkeypatch):
+    calls = []
+    monkeypatch.setattr(zfepr.protocols, "_eigensystems", lambda *args: calls.append("eig"))
+    message = f"noise must be a NoiseDraw or None, not {type(noise).__name__}: {_ROLES}"
+    with pytest.raises(TypeError, match="^" + re.escape(message)):
+        caller(spec, noise)
+    assert calls == []
+
+
 def test_monte_carlo_standard_error_scaling(spec):
     # the standard error of the draw mean halves when the draw count doubles
     noise = NoiseModel(0.0, 0.0, 0.196, seed=5)
@@ -620,6 +689,70 @@ def test_monte_carlo_grid_of_changing_length_matches_per_draw(spec):
     series = monte_carlo_signal(family, t_grid, spec, 0.3, noise, 600, decay=decay)
     expected = _per_draw_mean(family, t_grid, spec, 0.3, draws, decay)
     assert np.abs(series.values - expected).max() < 1e-12
+
+
+_EIG_DRAWS = np.array([
+    [0.3, 0.2, 0.1], [-0.3, 0.2, -0.1], [-0.3, -0.2, 0.05], [0.3, -0.2, 0.0],  # quadrants
+    [0.0, 0.0, 0.4], [-0.0, 0.0, 0.4], [-0.0, -0.0, -0.2], [0.0, -0.0, 0.0],  # d_perp = 0
+    [0.0, 0.7, 0.0], [-0.7, 0.0, 0.0],  # on the axes
+    [11.4, -11.4, 11.4], [-11.4, 3.0, -7.0],  # a_perp/10
+])
+
+
+@pytest.mark.parametrize("coupling", [0.1, 0.7, DipolarGeometry(r_nm=2.0, theta_r=0.4)],
+                         ids=["0.1", "0.7", "geometry"])
+def test_eigensystems_reproduce_each_draws_hamiltonian(coupling, spec, rng):
+    # each block's v diag(w) v^dagger is the joint Hamiltonian plus the
+    # draw's noise Hamiltonian, and v is unitary: the real eigh of the
+    # rotated block and its rotation back, in every (dx, dy) quadrant, at
+    # d_perp = 0 with either sign of zero, for pure dz and up to a_perp/10
+    draws = np.concatenate([_EIG_DRAWS, rng.normal(0.0, spec.a_perp_mhz / 10.0, (20, 3))])
+    w, v = zfepr.protocols._eigensystems(spec, coupling, draws)
+    joint = joint_hamiltonian(spec, coupling)
+    for d, w_d, v_d in zip(draws, w, v):
+        h = joint + np.kron(np.eye(3), noise_hamiltonian(d))
+        for m in range(3):
+            block = h[4 * m : 4 * m + 4, 4 * m : 4 * m + 4]
+            rebuilt = (v_d[m] * w_d[m]) @ v_d[m].conj().T
+            assert np.abs(rebuilt - block).max() <= 1e-12 * np.abs(block).max(), (d, m)
+            assert np.abs(v_d[m].conj().T @ v_d[m] - np.eye(4)).max() <= 1e-13, (d, m)
+
+
+def _split_reference(bodies):
+    """Shared prefix and tail lengths, one step at a time by plain equality."""
+    shared = min(map(len, bodies))
+    differ = lambda i: any(b[i] != bodies[0][i] for b in bodies)
+    n_prefix = next((i for i in range(shared) if differ(i)), shared)
+    return n_prefix, next((j for j in range(shared - n_prefix) if differ(-1 - j)),
+                          shared - n_prefix)
+
+
+@pytest.mark.parametrize("family, times", [
+    (lambda t: correlation_ramsey_sequences("st0", t, 5.0)[0], 0.17 * np.arange(12)),
+    (lambda t: correlation_ramsey_sequences("st1" if t < 0.2 else "st0", t, 4.0)[0],
+     [0.1, 0.3, 0.5]),
+    (lambda t: deer_sequence(1.3, t), [0.5, 4.0, 7.5]),
+    (lambda t: correlation_rabi_sequence("st1", t, 5.0), [0.3, 0.3]),
+    (lambda t: correlation_rabi_sequence("st0", t, 5.0), [0.3]),
+], ids=["ramsey", "changing-length", "deer", "equal", "one"])
+def test_split_finds_the_shared_prefix_and_tail(family, times):
+    decay = DecayModel(t2_nv_us=16.0, stretch_p=1.7, t1rho_us=150.0)
+    for d in (None, decay):  # with decay, echo factors (floats) are steps too
+        bodies = [zfepr.protocols._steps(family(t), d) for t in times]
+        assert zfepr.protocols._split(bodies) == _split_reference(bodies)
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["stack", "transposed-stack"])
+def test_factor_times_a_stack_is_the_batched_product(transpose, rng):
+    # an r x 12 factor times a stack (n, 12, 12), or its transpose, as one
+    # product, and a stack (n, r, 12) times one 12x12
+    u = rng.normal(size=(7, 12, 12)) + 1j * rng.normal(size=(7, 12, 12))
+    b = u.swapaxes(-1, -2) if transpose else u
+    a = rng.normal(size=(4, 12)) + 1j * rng.normal(size=(4, 12))
+    out = zfepr.protocols._mul(a, b)
+    assert out.shape == (7, 4, 12)
+    assert np.abs(out - a @ b).max() <= 1e-13
+    assert np.abs(zfepr.protocols._mul(out, u[0]) - out @ u[0]).max() <= 1e-12
 
 
 def test_engine_steps_adjoint_identity(spec, rng):

@@ -193,7 +193,7 @@ def test_decay_envelopes_take_arrays():
     assert np.all(off.echo_factor(times) == 1.0) and np.all(off.lock_factor(times) == 1.0)
 
 
-@pytest.mark.parametrize("kind", [k for k in _KINDS if k != "free"])
+@pytest.mark.parametrize("kind", [k for k in sorted(_KINDS) if k != "free"])
 def test_target_frame_is_for_free_evolution_only(kind):
     with pytest.raises(ValueError, match="frame applies to free evolution only"):
         Pulse(kind, 1.0, frame="target")
@@ -217,6 +217,18 @@ def test_parameterless_elements_are_shared_and_frozen():
         assert make() is make()
         with pytest.raises(dataclasses.FrozenInstanceError):
             make().value = 1.0
+
+
+def test_pulse_has_slots_and_stays_frozen():
+    # slots make the many pulses a sequence family builds cheap; the type,
+    # its equality, its hash and its checks are those of the frozen dataclass
+    p = Pulse("free", 1.0, frame="target")
+    assert not hasattr(p, "__dict__") and dataclasses.is_dataclass(p)
+    for name, value in (("kind", "rf_st1"), ("value", 2.0), ("frame", "joint")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, value)
+    assert p == free(1.0, frame="target") and hash(p) == hash(free(1.0, frame="target"))
+    assert p != free(1.0) and dataclasses.astuple(p) == ("free", 1.0, "target")
 
 
 def test_spinlock_leaves_its_input_unwritten(rng):
