@@ -72,7 +72,6 @@ from .pulses import (
     free,
     mw_2pi,
     mw_pi,
-    nv_pulse,
     readout,
     rf_st0,
     rf_st1,

@@ -41,6 +41,7 @@ from .hamiltonians import (
     TRANSITIONS,
     TargetSpec,
     _line,
+    _noise_limit_mhz,
     level_shifts_exact,
     level_shifts_perturbative,
 )
@@ -314,9 +315,16 @@ def _target_spec(config):
     return TargetSpec(**config["target"])
 
 
-def _noise_model(config):
+def _noise_model(config, spec):
+    """The configured noise, None if every width is 0.  A width past the
+    perturbative limit of the target ``spec`` is a config error: the noise
+    averages and the linewidth theory rest on second-order noise shifts."""
     widths = config["noise"]["sigma_mhz"]
     model = NoiseModel(*widths, seed=config["run"]["seed"])
+    limit = _noise_limit_mhz(spec)
+    if max(widths) > limit:
+        raise ConfigError(f"noise.sigma_mhz: the largest width, {max(widths):g} MHz, is past "
+                          f"the perturbative limit a_perp/10 = {limit:g} MHz of the target")
     return model if any(widths) else None
 
 
@@ -379,16 +387,17 @@ def format_fit_report(result, label="spectrum"):
 
 
 def format_compensation_report(result):
-    """Per-axis applied current and fit error, then the residual field."""
+    """Trial 0 of a :class:`~zfepr.fields.CompensationResult`: per axis the
+    applied current and its fit error, then the residual field."""
     lines = ["# three-axis compensation"]
     for axis in ("Z", "Y", "X"):
         lines.append(
-            f"axis {axis}: current_A = {result.currents_a[axis]:+.6f}"
-            f" ; fit_error_A = {result.fit_errors_a[axis]:.6f}"
+            f"axis {axis}: current_A = {result.currents_a[axis][0]:+.6f}"
+            f" ; fit_error_A = {result.fit_errors_a[axis][0]:.6f}"
         )
-    rx, ry, rz = result.residual_g
+    rx, ry, rz = result.residual_g[0]
     lines.append(f"residual_G = ({rx:+.6f}, {ry:+.6f}, {rz:+.6f})")
-    lines.append(f"residual_abs_G = {np.abs(result.residual_g).max():.6f} (max axis)")
+    lines.append(f"residual_abs_G = {np.abs(result.residual_g[0]).max():.6f} (max axis)")
     return "\n".join(lines) + "\n"
 
 
@@ -452,7 +461,7 @@ def _ramsey_series(config, command):
         raise ConfigError(f"protocol.m_gaussians = {m} needs protocol.t_points >= "
                           f"{math.ceil((_BINS_PER_PEAK * m - 1) / 2)}, got {p['t_points']}")
     spec = _target_spec(config)
-    noise = _noise_model(config)
+    noise = _noise_model(config, spec)
     # the grid starts at t = 0: the spectrum is built from the even extension
     # of the record, which needs the zero-time sample
     t_grid = p["dt_us"] * np.arange(p["t_points"])
@@ -487,6 +496,10 @@ def _cmd_spectrum(config):
                           f"protocol.band_{given}_mhz is set")
     band = None if lo is None else (lo, hi)
     series, _ = _ramsey_series(config, "spectrum")
+    if np.all(series.values == series.values[0]):
+        raise ConfigError("the ramsey record is constant: protocol.couplings and "
+                          "protocol.tau_us leave the correlation no contrast, so there is "
+                          "no line to fit")
     spectrum = dft_spectrum(series, band_hint=band)
     m = p["m_gaussians"]
     if m == "auto":
@@ -546,23 +559,20 @@ def _cmd_compensate(config):
     seeds = [np.random.SeedSequence(config["run"]["seed"], spawn_key=(trial,))
              for trial in range(c["trials"])]
     try:
-        results = compensate_3axis(true_field, coil, plan, seeds)
+        result = compensate_3axis(true_field, coil, plan, seeds)
     except ScanWindowError as exc:
         raise ConfigError(f"{exc}; move or widen the window with compensation.scan_i_min_a "
                           "and compensation.scan_i_max_a") from exc
-    first = results[0]
-    rows = [(trial, r.currents_a["X"], r.currents_a["Y"], r.currents_a["Z"], *r.residual_g)
-            for trial, r in enumerate(results)]
-    residuals = np.array([r.residual_g for r in results])
+    i, residuals = result.currents_a, result.residual_g
     return {
         "compensate.csv": (("trial", "I_X_A", "I_Y_A", "I_Z_A",
                             "residual_x_G", "residual_y_G", "residual_z_G"),
-                           list(zip(*rows))),
-        "compensate_report.txt": format_compensation_report(first),
+                           (range(c["trials"]), i["X"], i["Y"], i["Z"], *residuals.T)),
+        "compensate_report.txt": format_compensation_report(result),
         "compensate_summary.json": {
             "trials": c["trials"],
             "rms_residual_g": [float(x) for x in np.sqrt((residuals**2).mean(axis=0))],
-            "max_fit_error_a": max(first.fit_errors_a.values()),
+            "max_fit_error_a": max(float(e[0]) for e in result.fit_errors_a.values()),
             "seed": config["run"]["seed"],
         },
     }
@@ -570,11 +580,14 @@ def _cmd_compensate(config):
 
 def _cmd_linewidth(config):
     sigma, sigma_y, sigma_z = config["noise"]["sigma_mhz"]
-    # a width that is not finite is named as such before the axes are compared
-    stats = linewidth_stats(sigma, _target_spec(config))
+    spec = _target_spec(config)
+    # a width that is not finite, or past the limit, is named as such before
+    # the axes are compared
+    _noise_model(config, spec)
     if not sigma == sigma_y == sigma_z:
         raise ConfigError("linewidth theory needs isotropic noise; "
                           "set noise.sigma_mhz to one width")
+    stats = linewidth_stats(sigma, spec)
     payload = {
         "sigma_mhz": sigma,
         "sigma_st1_mhz": stats.sigma_st1_mhz,
@@ -707,7 +720,11 @@ error, and so is a decay parameter while decay.enabled is off.
 [decay] is read by deer alone: decay.t2_nv_us (inf switches the echo decay
 off) and decay.stretch_p set its echo envelope exp(-(tau/T2)^p).
 noise.sigma_mhz: one width in MHz, the same on every axis, or three
-comma-separated widths for x, y and z (linewidth needs them equal).
+comma-separated widths for x, y and z (linewidth needs them equal).  No width
+may exceed a_perp/10 of the target (11.4 MHz at the default
+target.a_perp_mhz): the results of ramsey, spectrum and linewidth rest on
+second-order noise shifts, which degrade past it, so a larger width is a
+config error.
 protocol.m_gaussians: auto (default) fits the lines the target names:
 one Gaussian for a single line, and for a doublet (target.c13_splitting_mhz
 on st1, target.st0_offset_doublet_mhz on st0) one or two, whichever the
@@ -717,7 +734,10 @@ protocol.t_points >= 15 m / 2 (rounded down), and must pass the same
 validity tests (converged, inside the spectrum, no sub-bin or negative
 line), or the run fails with exit 3.
 Ramsey records (ramsey, spectrum) start at t = 0 and step by protocol.dt_us
-(> 0).
+(> 0).  A protocol.couplings and protocol.tau_us that leave the correlation
+no contrast (a zero coupling or time, or one that turns the correlation
+phase through whole cycles) make the record constant: ramsey writes it, and
+spectrum, with no line to fit, stops with a config error.
 ramsey.csv's signal is the closed-form difference of the correlated terms of
 the signal and reference sequences (corr_ramsey_diff), which is twice the
 photoluminescence difference a simulation of the two reads out (selftest

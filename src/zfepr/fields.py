@@ -40,7 +40,10 @@ _S3 = math.sqrt(3.0)
 
 #: Sensor axes used by the compensation procedure, lab frame.  A and B lie in
 #: the plane perpendicular to X (opposite Y projections, equal Z projection);
-#: C lies in the plane perpendicular to Y.
+#: C lies in the plane perpendicular to Y.  They are <111> axes in a frame
+#: with x along [110] and z along [001]: turned by +45 deg about z, each lies
+#: along +- one direction of
+#: :data:`~zfepr.hamiltonians.P1_BOND_ORIENTATIONS`, whose x is along [100].
 NV_AXES = {
     "A": np.array([0.0, 2.0 / _S6, 1.0 / _S3]),
     "B": np.array([0.0, -2.0 / _S6, 1.0 / _S3]),
@@ -200,9 +203,11 @@ def _scan_widths(nv_axis, coil_axis, total_field, coil, plan, currents, jitter):
 
 @dataclass(frozen=True)
 class CompensationResult:
-    """Outcome of the three-step procedure: the delivered coil current and
-    the standard error of its fitted center per axis "X", "Y", "Z" (A), and
-    the residual field (x, y, z) left after compensation (G)."""
+    """Outcome of the three-step procedure for a stack of trials, one row
+    per seed: per axis "X", "Y", "Z", the delivered coil currents and the
+    standard errors of their fitted centers, each a (trials,) array (A), and
+    the residual fields (x, y, z) left after compensation, (trials, 3) (G).
+    A single trial is a stack of one."""
 
     currents_a: dict
     fit_errors_a: dict
@@ -211,7 +216,8 @@ class CompensationResult:
 
 def compensate_3axis(true_field, coil, plan=ScanPlan(), seeds=(0,)):
     """Simulate the full Bz -> By -> Bx compensation of a :class:`FieldVector`,
-    once per trial; returns one :class:`CompensationResult` per seed.
+    once per seed; returns one :class:`CompensationResult` whose arrays hold
+    one trial per seed, in the order of ``seeds``.
 
     Step (i) sweeps the Z coil with sensors A and B and averages the two
     symmetric centers, which cancels their equal-and-opposite Y projections.
@@ -256,14 +262,11 @@ def compensate_3axis(true_field, coil, plan=ScanPlan(), seeds=(0,)):
             except ScanWindowError as exc:
                 raise ScanWindowError(f"{axis} step: {exc}") from exc
             centers, errors = (a.reshape(centers.shape) for a in fit)
-        fit_errors[axis] = [math.hypot(*e) / len(sensors) for e in errors]
+        fit_errors[axis] = np.array([math.hypot(*e) for e in errors]) / len(sensors)
         currents[axis] = (centers.sum(axis=-1) / len(sensors)
                           + coil.current_stability_a * supply)
         b = b + coil.coefficient_g_per_a * currents[axis][:, None] * _AXIS_VECTORS[axis]
-    return [CompensationResult(currents_a={axis: float(i[t]) for axis, i in currents.items()},
-                               fit_errors_a={axis: e[t] for axis, e in fit_errors.items()},
-                               residual_g=b[t])
-            for t in range(len(rngs))]
+    return CompensationResult(currents_a=currents, fit_errors_a=fit_errors, residual_g=b)
 
 
 # ---------------------------------------------------------------------------

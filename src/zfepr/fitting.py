@@ -16,7 +16,6 @@ import numpy as np
 from .constants import FWHM_PER_SIGMA
 
 __all__ = [
-    "FWHM_PER_SIGMA",
     "FitError",
     "GaussianPeak",
     "FitResult",

@@ -87,7 +87,10 @@ _ACOS_INV_SQRT3 = math.acos(1.0 / math.sqrt(3.0))
 
 #: The four N-C bond directions of a substitutional nitrogen defect in a
 #: (001)-surface frame (z vertical).  The defect axis hops between them, so
-#: by default all four carry equal weight.
+#: by default all four carry equal weight.  They are the four <111> lines in
+#: the cube frame, x along [100] and z along [001];
+#: :data:`zfepr.fields.NV_AXES` uses x along [110] instead, so its vectors
+#: turned by +45 deg about z lie along these.
 P1_BOND_ORIENTATIONS = (
     (_ACOS_INV_SQRT3, 0.25 * math.pi, 0.25),
     (_ACOS_INV_SQRT3, 1.25 * math.pi, 0.25),
@@ -277,10 +280,16 @@ def _second_order(spec):
     return np.outer([0.5, 0.0, 0.0, -0.5], [0.0, 0.0, 1.0]), c
 
 
+def _noise_limit_mhz(spec):
+    """a_perp/10, the largest noise amplitude (MHz) at which the second-order
+    shifts of :func:`_second_order` hold; past it they degrade."""
+    return spec.a_perp_mhz / 10.0
+
+
 def _second_order_shifts(delta, spec):
     """The rows of :func:`_second_order` at noise triples ``delta`` (..., 3):
-    level shifts (..., 4) in MHz.  Warns above a_perp/10, where they degrade."""
-    if np.abs(delta).max(initial=0.0) > spec.a_perp_mhz / 10.0:
+    level shifts (..., 4) in MHz.  Warns past :func:`_noise_limit_mhz`."""
+    if np.abs(delta).max(initial=0.0) > _noise_limit_mhz(spec):
         warnings.warn("noise amplitude above a_perp/10; perturbative shifts degrade",
                       stacklevel=3)
     b, c = _second_order(spec)

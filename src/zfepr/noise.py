@@ -22,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import FWHM_PER_SIGMA, TWO_PI
+from .constants import TWO_PI
 from .hamiltonians import shift_coefficients
 
 __all__ = [
     "DRAWS_PER_BLOCK",
-    "FWHM_PER_SIGMA",
     "NoiseModel",
     "LinewidthStats",
     "ShiftMoments",

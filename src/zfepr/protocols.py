@@ -59,7 +59,7 @@ from .hamiltonians import (
     target_levels_mhz,
 )
 from .noise import DRAWS_PER_BLOCK, NoiseModel, sample_noise, shift_characteristic
-from .pulses import Pulse, dephase, free, mw_2pi, mw_pi, nv_pulse, readout, rf_st0, rf_st1
+from .pulses import MW_2PI, MW_PI, Pulse, dephase, free, mw_2pi, mw_pi, readout, rf_st0, rf_st1
 from .pulses import spinlock, spinlock_channel, u_st0, u_st1
 from .spectra import TimeSeries
 
@@ -78,7 +78,7 @@ __all__ = [
 ]
 
 _EYE4 = np.eye(4, dtype=complex)
-_MW_JOINT = {kind: np.kron(nv_pulse(kind), _EYE4) for kind in ("mw_pi", "mw_2pi")}
+_MW_JOINT = {"mw_pi": np.kron(MW_PI, _EYE4), "mw_2pi": np.kron(MW_2PI, _EYE4)}
 #: SX_T and SZ_T, both real in the singlet-triplet basis, as real matrices.
 _SX_REAL, _SZ_REAL = SX_T.real, SZ_T.real
 #: Keeps the sensor-diagonal 4x4 blocks of a joint matrix, zeroes the rest.

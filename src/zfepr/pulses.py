@@ -1,8 +1,10 @@
-"""Pulse primitives: RF unitaries on the target, MW unitaries on the NV,
-the spin-locking channel and photoluminescence readout.
+"""Pulse primitives: RF unitaries on the target, the MW unitaries on the NV
+(:data:`MW_PI`, :data:`MW_2PI`), the spin-locking channel on joint NV (x)
+target states, and photoluminescence readout.
 
 Pulses are ideal and instantaneous; a finite-duration RF drive enters only
-through its flip angle theta = Omega_x * t_RF.
+through its flip angle theta = Omega_x * t_RF.  The NV basis is
+|+1>, |0>, |-1>.
 """
 
 import math
@@ -10,9 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hamiltonians import _readonly
+
 __all__ = [
     "DecayModel",
     "Pulse",
+    "MW_PI",
+    "MW_2PI",
     "mw_pi",
     "mw_2pi",
     "rf_st1",
@@ -23,23 +29,24 @@ __all__ = [
     "readout",
     "u_st1",
     "u_st0",
-    "nv_pulse",
     "spinlock_channel",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 
-# pi pulse: |0> <-> |psi+> (up to -i), |psi-> untouched
-_MW_PI = np.array(
+#: The MW pi pulse, 3x3 and read-only: maps |0> to -i |psi+>, with
+#: |psi+-> = (|+1> +- |-1>)/sqrt(2), and leaves |psi-> alone.
+MW_PI = _readonly(np.array(
     [
         [0.5, -1j / _SQRT2, -0.5],
         [-1j / _SQRT2, 0.0, -1j / _SQRT2],
         [-0.5, -1j / _SQRT2, 0.5],
     ],
     dtype=complex,
-)
-# 2pi pulse: swaps |+1> and |-1|, fixes |0>; reverses the interferometer phase
-_MW_2PI = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
+))
+#: The MW 2pi pulse, 3x3 and read-only: swaps |+1> and |-1> and fixes |0>,
+#: which reverses the interferometer phase.
+MW_2PI = _readonly(np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -176,36 +183,10 @@ def u_st0(theta):
     )
 
 
-def nv_pulse(kind):
-    """3x3 MW unitary: "mw_pi" maps |0> to (|+1>+|-1>)/sqrt(2) leaving the
-    antisymmetric state alone; "mw_2pi" swaps |+1> and |-1> (phase reversal).
-    """
-    if kind == "mw_pi":
-        return _MW_PI.copy()
-    if kind == "mw_2pi":
-        return _MW_2PI.copy()
-    raise ValueError(f"unknown MW pulse kind {kind!r}")
-
-
-def _require_density_matrix(rho, tol=1e-10):
-    trace = np.trace(rho, axis1=-2, axis2=-1)
-    if np.abs(trace.real - 1.0).max() > 1e-9 or np.abs(trace.imag).max() > 1e-9:
-        raise ValueError("density matrix must have unit trace")
-    if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > tol:
-        raise ValueError("density matrix must be Hermitian")
-    if np.linalg.eigvalsh(rho).min() < -tol:
-        raise ValueError("density matrix must be positive semidefinite")
-
-
-def _nv_dimension(rho):
-    """d of a (..., 3d, 3d) NV (x) d-level matrix, 0 for any other shape."""
-    d = rho.shape[-1] // 3 if rho.ndim >= 2 else 0
-    return d if d and rho.shape[-2:] == (3 * d, 3 * d) else 0
-
-
 def spinlock_channel(rho, t_us, decay=None):
-    """Spin-locking as its net effect, written on the bare NV blocks
-    m = +1, 0, -1 (each a d x d block over the target).
+    """Spin-locking as its net effect on joint NV (x) target matrices
+    (..., 12, 12), NV factor first, written on their NV blocks m = +1, 0, -1
+    (each a 4x4 block over the target).
 
     Both +-1 diagonal blocks become their mean, both +-1 cross blocks become
     e times their mean, with e = ``decay.lock_factor(t_us)`` (1 without
@@ -214,18 +195,16 @@ def spinlock_channel(rho, t_us, decay=None):
     populations of |psi+-> = (|+1> +- |-1>)/sqrt(2) and |0> and erases every
     coherence between them, and the psi+/psi- population imbalance, which
     stores the first interrogation phase and is the +-1 cross block in the
-    bare basis, relaxes by e.  Accepts a bare 3x3 NV density matrix, which
-    is validated, or a 3d x 3d joint one (NV factor first), each with any
-    leading batch axes.
+    bare basis, relaxes by e.  The channel is linear and its own adjoint, so
+    it maps observables as it maps states; ``rho`` is not written.  Any shape
+    other than (..., 12, 12) raises ValueError.
     """
     rho = np.asarray(rho, dtype=complex)
-    d = _nv_dimension(rho)
-    if not d:
-        raise ValueError("density matrix dimension must be a multiple of 3")
-    if d == 1:
-        _require_density_matrix(rho)
+    if rho.shape[-2:] != (12, 12):
+        raise ValueError("spinlock_channel takes joint NV (x) target matrices (..., 12, 12), "
+                         f"not shape {rho.shape}")
 
-    blocks = rho.reshape(rho.shape[:-2] + (3, d, 3, d))
+    blocks = rho.reshape(rho.shape[:-2] + (3, 4, 3, 4))
     e = 1.0 if decay is None else decay.lock_factor(t_us)
     # block (a, b) of rho + S rho S, S swapping m = +1 and -1, is rho_ab +
     # rho_(2-a)(2-b); weighted 1/2 on the diagonal blocks, e/2 on the +-1

@@ -228,6 +228,45 @@ def test_noise_width_that_is_not_finite_is_a_config_error(command, width, tmp_pa
     assert "must be finite and >= 0" in capsys.readouterr().err
 
 
+# a_perp/10 is 11.4 MHz for the default target and 5 MHz for a_perp = 50 MHz
+PAST_THE_LIMIT = [
+    ("linewidth", ["noise.sigma_mhz=30"], "30", "11.4", "linewidth_stats"),
+    ("ramsey", ["protocol.transition=st0", "noise.sigma_mhz=30"], "30", "11.4",
+     "corr_ramsey_diff"),
+    ("spectrum", ["noise.sigma_mhz=0.1,0.1,12"], "12", "11.4", "corr_ramsey_diff"),
+    ("ramsey", ["target.a_perp_mhz=50", "noise.sigma_mhz=5.5,0.1,0.1"], "5.5", "5",
+     "corr_ramsey_diff"),
+]
+
+
+@pytest.mark.parametrize("command, settings, widest, limit, work", PAST_THE_LIMIT,
+                         ids=["linewidth", "ramsey", "spectrum-z", "ramsey-small-a_perp"])
+def test_noise_past_the_perturbative_limit_is_a_config_error(command, settings, widest, limit,
+                                                              work, tmp_path, capsys,
+                                                              monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} called")
+
+    # refused before any work
+    monkeypatch.setattr(cli, work, refuse)
+    out = tmp_path / "out"
+    argv = [a for item in settings for a in ("--set", item)]
+    assert main([command, "--out-dir", str(out), *argv]) == EXIT_CONFIG
+    assert (f"config error: noise.sigma_mhz: the largest width, {widest} MHz, is past the "
+            f"perturbative limit a_perp/10 = {limit} MHz") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("linewidth", ["noise.sigma_mhz=11.4"]),
+    ("ramsey", ["protocol.transition=st0", "noise.sigma_mhz=11.4"]),
+    ("ramsey", ["target.a_perp_mhz=50", "noise.sigma_mhz=5,0.1,0.1"]),
+], ids=["linewidth", "ramsey", "ramsey-small-a_perp"])
+def test_noise_at_the_perturbative_limit_runs(command, settings, tmp_path):
+    argv = [a for item in settings for a in ("--set", item)]
+    assert main([command, "--out-dir", str(tmp_path), *argv]) == EXIT_OK
+
+
 # every float key the parser checks, with a value that is not finite
 NON_FINITE = [
     "target.a_perp_mhz=inf", "target.a_par_mhz=nan", "target.c13_splitting_mhz=nan",
@@ -487,13 +526,27 @@ def test_record_start_is_not_a_setting(command, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
 
-def test_flat_spectrum_is_numerical(tmp_path, capsys):
-    # C tau = 1 leaves no correlation contrast, so the record is flat
+# settings whose C tau is a whole number, which leaves no correlation contrast
+ZERO_CONTRAST = {
+    "C-tau-1": ["protocol.couplings=0.2"],
+    "no-coupling": ["protocol.couplings=0"],
+    "no-time": ["protocol.tau_us=0"],
+    "C-tau-1-at-10us": ["protocol.couplings=0.1", "protocol.tau_us=10"],
+}
+
+
+@pytest.mark.parametrize("settings", ZERO_CONTRAST.values(), ids=ZERO_CONTRAST)
+def test_zero_contrast_record_is_a_config_error(settings, tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["spectrum", "--out-dir", str(out), "--set", "protocol.couplings=0.2"]) \
-        == EXIT_NUMERICAL
-    assert "numerical failure: flat spectrum cannot be fitted" in capsys.readouterr().err
+    argv = [a for item in settings for a in ("--set", item)]
+    assert main(["spectrum", "--out-dir", str(out), *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the ramsey record is constant")
+    assert "protocol.couplings" in err and "protocol.tau_us" in err
     assert not out.exists()
+    # ramsey still writes the all-zero record
+    assert main(["ramsey", "--out-dir", str(out), *argv]) == EXIT_OK
+    assert set(np.loadtxt(out / "ramsey.csv", delimiter=",", skiprows=1)[:, 1]) == {0.0}
 
 
 # subcommands that draw no random number, with settings that give a noisy record

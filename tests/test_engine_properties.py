@@ -34,12 +34,13 @@ from zfepr.hamiltonians import (
     target_hamiltonian,
 )
 from zfepr.pulses import (
+    MW_2PI,
+    MW_PI,
     DecayModel,
     dephase,
     free,
     mw_2pi,
     mw_pi,
-    nv_pulse,
     readout,
     rf_st0,
     rf_st1,
@@ -158,7 +159,7 @@ def _step_map(step, coupling, draw, decay):
         h = target_hamiltonian(SPEC) + noise_hamiltonian(draw)
         u = np.kron(_EYE3, scipy.linalg.expm(-1j * step.value * h))
     elif step.kind in ("mw_pi", "mw_2pi"):
-        u = np.kron(nv_pulse(step.kind), _EYE4)
+        u = np.kron(MW_PI if step.kind == "mw_pi" else MW_2PI, _EYE4)
     else:
         u = np.kron(_EYE3, (u_st1 if step.kind == "rf_st1" else u_st0)(step.value))
     return lambda x: u @ x @ u.conj().T

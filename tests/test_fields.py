@@ -17,8 +17,8 @@ from zfepr.fields import (
     find_symmetric_centers,
     odmr_linewidth_model,
 )
-from zfepr.hamiltonians import (DegenerateCrossingError, FieldVector, TargetSpec,
-                                transitions_vs_field)
+from zfepr.hamiltonians import (P1_BOND_ORIENTATIONS, DegenerateCrossingError, FieldVector,
+                                TargetSpec, transitions_vs_field)
 
 COIL = CoilConfig()
 SYMMETRIC_DIRECTION = np.array([0.0, 0.0, 1.0])
@@ -31,6 +31,24 @@ def test_nv_axes_geometry():
     assert NV_AXES["C"][1] == 0.0                             # blind to By
     assert NV_AXES["A"][2] == NV_AXES["B"][2]
     assert NV_AXES["A"][1] == -NV_AXES["B"][1]
+
+
+def test_nv_axes_turned_45_degrees_about_z_are_p1_bond_lines():
+    # NV_AXES has x along [110], P1_BOND_ORIENTATIONS x along [100]; both z
+    # along [001].  Distinct <111> lines meet at cos = 1/3.
+    bonds = np.array([[math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)]
+                      for t, p, _ in P1_BOND_ORIENTATIONS])
+    r = math.sqrt(0.5)
+    turn = np.array([[r, -r, 0.0], [r, r, 0.0], [0.0, 0.0, 1.0]])  # +45 deg about z
+    matched = []
+    for axis in NV_AXES.values():
+        overlaps = np.abs(bonds @ (turn @ axis))
+        matched.append(int(np.argmax(overlaps)))
+        assert overlaps[matched[-1]] == pytest.approx(1.0, abs=1e-15)
+        assert np.delete(overlaps, matched[-1]) == pytest.approx([1 / 3] * 3, abs=1e-15)
+        # unturned, the axis lies along no bond
+        assert np.abs(bonds @ axis).max() < 0.9
+    assert len(set(matched)) == len(NV_AXES)
 
 
 def test_linewidth_model_shape():
@@ -204,18 +222,16 @@ def test_find_center_unconverged_fit_raises(monkeypatch):
 def test_compensation_perfect_hardware():
     coil = CoilConfig(current_stability_a=0.0)
     plan = ScanPlan(jitter_frac=0.0)
-    [result] = compensate_3axis(FieldVector(0.35, -0.52, 0.47), coil, plan, seeds=[1])
+    result = compensate_3axis(FieldVector(0.35, -0.52, 0.47), coil, plan, seeds=[1])
+    assert result.residual_g.shape == (1, 3)
     assert np.abs(result.residual_g).max() < 1e-6
 
 
 def test_compensation_residual_set_by_current_stability():
     plan = ScanPlan()
-    residuals = []
-    for result in compensate_3axis(FieldVector(0.35, -0.52, 0.47), COIL, plan,
-                                   seeds=range(30)):
-        residuals.append(result.residual_g)
-        assert max(result.fit_errors_a.values()) <= 1e-3
-    rms = np.sqrt((np.array(residuals) ** 2).mean(axis=0))
+    result = compensate_3axis(FieldVector(0.35, -0.52, 0.47), COIL, plan, seeds=range(30))
+    assert max(e.max() for e in result.fit_errors_a.values()) <= 1e-3
+    rms = np.sqrt((result.residual_g ** 2).mean(axis=0))
     # 4 mA at 2.8 G/A puts each axis near 0.011 G
     assert np.all(rms > 0.005) and np.all(rms < 0.020)
 
@@ -225,9 +241,8 @@ def test_compensation_scales_with_stability():
     rms = {}
     for stability in (0.004, 0.002):
         coil = CoilConfig(current_stability_a=stability)
-        res = [r.residual_g for r in compensate_3axis(FieldVector(0.3, -0.4, 0.5), coil, plan,
-                                                      seeds=range(100))]
-        rms[stability] = float(np.sqrt((np.array(res) ** 2).mean()))
+        res = compensate_3axis(FieldVector(0.3, -0.4, 0.5), coil, plan, seeds=range(100))
+        rms[stability] = float(np.sqrt((res.residual_g ** 2).mean()))
     assert rms[0.004] / rms[0.002] == pytest.approx(2.0, rel=0.25)
 
 
@@ -236,24 +251,35 @@ def test_compensation_z_step_averaging_cancels_by():
     # centers disagree, but the average still nulls Bz
     coil = CoilConfig(current_stability_a=0.0)
     plan = ScanPlan(jitter_frac=0.0)
-    [with_bx] = compensate_3axis(FieldVector(0.8, 0.0, 0.5), coil, plan, seeds=[3])
-    assert abs(with_bx.currents_a["Z"] - (-0.5 / 2.8)) < 1e-6
-    [with_by] = compensate_3axis(FieldVector(0.0, 0.6, 0.5), coil, plan, seeds=[3])
-    assert abs(with_by.currents_a["Z"] - (-0.5 / 2.8)) < 1e-6
+    [with_bx] = compensate_3axis(FieldVector(0.8, 0.0, 0.5), coil, plan, seeds=[3]).currents_a["Z"]
+    assert abs(with_bx - (-0.5 / 2.8)) < 1e-6
+    [with_by] = compensate_3axis(FieldVector(0.0, 0.6, 0.5), coil, plan, seeds=[3]).currents_a["Z"]
+    assert abs(with_by - (-0.5 / 2.8)) < 1e-6
 
 
 PLANS = [ScanPlan(), ScanPlan(i_min_a=-0.6, i_max_a=0.5, n_points=61, jitter_frac=0.05)]
+
+
+def _trial(result, t):
+    """Trial ``t`` of a stacked result: its currents and fit errors by axis,
+    and its residual field."""
+    return ({axis: i[t] for axis, i in result.currents_a.items()},
+            {axis: e[t] for axis, e in result.fit_errors_a.items()}, result.residual_g[t])
 
 
 @pytest.mark.parametrize("plan", PLANS, ids=["default", "shifted"])
 def test_compensation_trial_does_not_depend_on_the_batch(plan):
     seeds = [np.random.SeedSequence(11, spawn_key=(t,)) for t in range(4)]
     together = compensate_3axis(FieldVector(0.35, -0.52, 0.47), COIL, plan, seeds)
-    for seed, result in zip(seeds, together):
-        [alone] = compensate_3axis(FieldVector(0.35, -0.52, 0.47), COIL, plan, [seed])
-        assert result.currents_a == alone.currents_a
-        assert result.fit_errors_a == alone.fit_errors_a
-        assert np.array_equal(result.residual_g, alone.residual_g)
+    assert together.residual_g.shape == (4, 3)
+    assert all(a.shape == (4,) for a in (*together.currents_a.values(),
+                                         *together.fit_errors_a.values()))
+    for t, seed in enumerate(seeds):
+        alone = compensate_3axis(FieldVector(0.35, -0.52, 0.47), COIL, plan, [seed])
+        currents, errors, residual = _trial(together, t)
+        assert currents == _trial(alone, 0)[0]
+        assert errors == _trial(alone, 0)[1]
+        assert np.array_equal(residual, alone.residual_g[0])
 
 
 def _one_trial_in_sequence(field, coil, plan, seed):
@@ -288,17 +314,21 @@ def _one_trial_in_sequence(field, coil, plan, seed):
 @pytest.mark.parametrize("plan", PLANS, ids=["default", "shifted"])
 def test_compensation_draws_each_trial_in_scan_order(plan):
     field = FieldVector(0.2, 0.3, -0.4)
-    for result, seed in zip(compensate_3axis(field, COIL, plan, seeds=range(3)), range(3)):
+    result = compensate_3axis(field, COIL, plan, seeds=range(3))
+    for seed in range(3):
         currents, errors, residual = _one_trial_in_sequence(field, COIL, plan, seed)
-        assert result.currents_a == currents
-        assert result.fit_errors_a == errors
-        assert np.array_equal(result.residual_g, residual)
+        assert _trial(result, seed)[0] == currents
+        assert _trial(result, seed)[1] == errors
+        assert np.array_equal(result.residual_g[seed], residual)
 
 
 def test_compensation_report_format():
-    [result] = compensate_3axis(FieldVector(0.1, 0.2, 0.3), COIL, ScanPlan(), seeds=[9])
+    result = compensate_3axis(FieldVector(0.1, 0.2, 0.3), COIL, ScanPlan(), seeds=[9])
     report = format_compensation_report(result)
     assert "axis Z" in report and "residual_G" in report
+    # a stack reports its first trial
+    stack = compensate_3axis(FieldVector(0.1, 0.2, 0.3), COIL, ScanPlan(), seeds=[9, 4])
+    assert format_compensation_report(stack) == report
 
 
 # bsweep's table columns: B, f_ST1_low, f_ST1_high, f_ST0_low, f_ST0_high

@@ -6,8 +6,8 @@ import pytest
 
 import zfepr.fitting
 from zfepr.cli import EXIT_OK, format_fit_report, main
-from zfepr.fitting import (FWHM_PER_SIGMA, fit_gaussians, levenberg_marquardt,
-                           levenberg_marquardt_stack)
+from zfepr.constants import FWHM_PER_SIGMA
+from zfepr.fitting import fit_gaussians, levenberg_marquardt, levenberg_marquardt_stack
 from zfepr.hamiltonians import TargetSpec
 from zfepr.noise import NoiseModel
 from zfepr.protocols import corr_ramsey_diff

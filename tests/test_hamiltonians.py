@@ -10,6 +10,7 @@ from zfepr.hamiltonians import (
     FieldVector,
     NoiseDraw,
     TargetSpec,
+    _noise_limit_mhz,
     dipolar_constant,
     joint_hamiltonian,
     level_shifts_exact,
@@ -98,6 +99,15 @@ def test_perturbative_shift_examples(spec):
 def test_perturbative_warns_on_large_noise(spec):
     with pytest.warns(UserWarning):
         level_shifts_perturbative(NoiseDraw(0, 0, 20.0), spec)
+
+
+def test_perturbative_warns_only_past_the_noise_limit(spec):
+    # the limit the CLI refuses noise past, and the one the shifts warn past
+    limit = _noise_limit_mhz(spec)
+    assert limit == spec.a_perp_mhz / 10
+    level_shifts_perturbative(NoiseDraw(0, 0, limit), spec)  # any warning fails
+    with pytest.warns(UserWarning, match="a_perp/10"):
+        level_shifts_perturbative(NoiseDraw(0, 0, np.nextafter(limit, np.inf)), spec)
 
 
 def test_exact_shifts_trivial_and_small_noise(spec):

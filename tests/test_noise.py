@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zfepr.constants import FWHM_PER_SIGMA
 from zfepr.hamiltonians import (
     TargetSpec,
     level_shifts_exact,
@@ -12,7 +13,6 @@ from zfepr.hamiltonians import (
     shift_coefficients,
 )
 from zfepr.noise import (
-    FWHM_PER_SIGMA,
     NoiseModel,
     ShiftMoments,
     linewidth_stats,

@@ -877,14 +877,14 @@ def test_nothing_is_rebuilt_within_a_chunk(transition, n_draws, chunks, monkeypa
 # the closed-form Ramsey record of a transition's lines
 # ---------------------------------------------------------------------------
 
-def test_synthesize_pure_cosine_without_noise(spec):
+def test_ramsey_record_is_a_pure_cosine_without_noise(spec):
     t = np.linspace(0, 2, 101)
     values = corr_ramsey_diff("st1", t, 4.0, 0.25, spec=spec)
     amp = 0.25 * (1 - math.cos(TWO_PI * 0.25 * 4.0)) ** 2
     assert np.abs(values - amp * np.cos(TWO_PI * 137.0 * t)).max() < 1e-12
 
 
-def test_synthesize_c13_beat(spec):
+def test_ramsey_record_beats_at_the_c13_splitting(spec):
     spec2 = TargetSpec(c13_splitting_mhz=0.37)
     t = np.linspace(0, 20, 512)
     values = corr_ramsey_diff("st1", t, 4.0, 0.25, spec=spec2)
@@ -894,7 +894,7 @@ def test_synthesize_c13_beat(spec):
     assert np.abs(values - expected).max() < 1e-12
 
 
-def test_synthesize_uses_the_zero_field_lines_of_the_sweep():
+def test_ramsey_record_uses_the_zero_field_lines_of_the_sweep():
     # the record and the field sweep share one line model
     spec2 = TargetSpec(orientations=((0.0, 0.0, 1.0),), c13_splitting_mhz=0.37,
                        st0_offset_doublet_mhz=(-0.0125, 0.0125))
@@ -907,7 +907,7 @@ def test_synthesize_uses_the_zero_field_lines_of_the_sweep():
         assert np.abs(values - expected).max() < 1e-12
 
 
-def test_synthesize_doublet_samples_each_draw_once(spec, monkeypatch):
+def test_ramsey_doublet_samples_no_draw_and_is_the_line_times_its_beat(spec, monkeypatch):
     # the doublet's components share one noise average, taken in closed form:
     # no draw is sampled for either component, and the doublet is the single
     # line times cos(2 pi 0.03 t)
@@ -934,7 +934,7 @@ def test_unknown_transition_has_no_line(spec):
         corr_ramsey_diff("st2", np.linspace(0, 2, 16), 4.0, 0.25, spec=spec)
 
 
-def test_synthesize_builds_one_generator_per_block(spec, monkeypatch):
+def test_ramsey_record_builds_no_generator_and_ignores_the_seed(spec, monkeypatch):
     # the closed form samples no block of draws, so it builds no generator,
     # and the seed changes nothing
     default_rng = zfepr.noise.np.random.default_rng
@@ -953,7 +953,7 @@ def test_synthesize_builds_one_generator_per_block(spec, monkeypatch):
     assert np.array_equal(records[0], records[1])
 
 
-def test_synthesize_st0_outlives_st1(spec):
+def test_st0_coherence_outlives_st1(spec):
     # 1/e times of the coherence envelopes differ by far more than 20x
     sigma = 0.196
     noise = NoiseModel.isotropic(sigma, seed=11)

@@ -6,13 +6,14 @@ import pytest
 
 from zfepr.pulses import (
     _KINDS,
+    MW_2PI,
+    MW_PI,
     DecayModel,
     Pulse,
     dephase,
     free,
     mw_2pi,
     mw_pi,
-    nv_pulse,
     readout,
     spinlock_channel,
     u_st0,
@@ -85,7 +86,7 @@ def test_u_st0_special_angles():
 
 def test_nv_pi_pulse_roundtrip():
     ket0 = np.array([0, 1, 0], dtype=complex)
-    u = nv_pulse("mw_pi")
+    u = MW_PI
     once = u @ ket0
     psi_plus = np.array([1, 0, 1], dtype=complex) / SQRT2
     assert abs(abs(psi_plus.conj() @ once) - 1.0) < 1e-12
@@ -99,13 +100,18 @@ def test_nv_pi_pulse_roundtrip():
 def test_nv_2pi_pulse_reverses_phase():
     phi = 0.7
     state = np.array([np.exp(1j * phi), 0, np.exp(-1j * phi)], dtype=complex) / SQRT2
-    flipped = nv_pulse("mw_2pi") @ state
+    flipped = MW_2PI @ state
     expected = np.array([np.exp(-1j * phi), 0, np.exp(1j * phi)], dtype=complex) / SQRT2
     assert np.abs(flipped - expected).max() < 1e-14
     ket0 = np.array([0, 1, 0], dtype=complex)
-    assert np.abs(nv_pulse("mw_2pi") @ ket0 - ket0).max() == 0.0
+    assert np.abs(MW_2PI @ ket0 - ket0).max() == 0.0
+
+
+@pytest.mark.parametrize("u", [MW_PI, MW_2PI], ids=["MW_PI", "MW_2PI"])
+def test_mw_pulses_are_read_only(u):
+    assert u.shape == (3, 3) and not u.flags.writeable
     with pytest.raises(ValueError):
-        nv_pulse("mw_3pi")
+        u[0, 0] = 0.0
 
 
 def _psi(phi):
@@ -114,9 +120,14 @@ def _psi(phi):
     return math.cos(phi) * plus + 1j * math.sin(phi) * minus
 
 
+def _joint(rho_nv):
+    """rho_NV (x) I4/4: an NV state with the target fully mixed."""
+    return np.kron(rho_nv, np.eye(4) / 4)
+
+
 def test_spinlock_preserves_locked_populations():
     plus = np.array([1, 0, 1], dtype=complex) / SQRT2
-    rho = np.outer(plus, plus.conj())
+    rho = _joint(np.outer(plus, plus.conj()))
     out = spinlock_channel(rho, 25.0, None)
     assert np.abs(out - rho).max() < 1e-14
 
@@ -124,12 +135,12 @@ def test_spinlock_preserves_locked_populations():
 def test_spinlock_projects_superposition():
     phi = 0.6
     state = _psi(phi)
-    out = spinlock_channel(np.outer(state, state.conj()), 5.0, None)
+    out = spinlock_channel(_joint(np.outer(state, state.conj())), 5.0, None)
     plus = np.array([1, 0, 1], dtype=complex) / SQRT2
     minus = np.array([1, 0, -1], dtype=complex) / SQRT2
     expected = (math.cos(phi) ** 2 * np.outer(plus, plus.conj())
                 + math.sin(phi) ** 2 * np.outer(minus, minus.conj()))
-    assert np.abs(out - expected).max() < 1e-14
+    assert np.abs(out - _joint(expected)).max() < 1e-14
 
 
 def test_spinlock_trace_preserving_and_idempotent(rng):
@@ -137,7 +148,7 @@ def test_spinlock_trace_preserving_and_idempotent(rng):
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         rho = m @ m.conj().T
         rho /= np.trace(rho).real
-        out = spinlock_channel(rho, 7.0, None)
+        out = spinlock_channel(_joint(rho), 7.0, None)
         assert abs(np.trace(out).real - 1.0) < 1e-12
         assert np.linalg.eigvalsh(out).min() > -1e-12
         again = spinlock_channel(out, 7.0, None)
@@ -147,22 +158,23 @@ def test_spinlock_trace_preserving_and_idempotent(rng):
 def test_spinlock_relaxes_population_imbalance():
     plus = np.array([1, 0, 1], dtype=complex) / SQRT2
     minus = np.array([1, 0, -1], dtype=complex) / SQRT2
-    rho = np.outer(plus, plus.conj())
+    rho = _joint(np.outer(plus, plus.conj()))
     decay = DecayModel(t1rho_us=150.0)
     out = spinlock_channel(rho, 150.0, decay)
     e = math.exp(-1.0)
-    p_plus = (plus.conj() @ out @ plus).real
-    p_minus = (minus.conj() @ out @ minus).real
+    # the NV populations of psi+ and psi-, traced over the target
+    p_plus = np.trace(np.kron(np.outer(plus, plus.conj()), np.eye(4)) @ out).real
+    p_minus = np.trace(np.kron(np.outer(minus, minus.conj()), np.eye(4)) @ out).real
     assert p_plus - p_minus == pytest.approx(e, abs=1e-12)
     assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spinlock_rejects_invalid_density_matrix():
-    with pytest.raises(ValueError):
-        spinlock_channel(np.eye(3), 1.0, None)  # trace 3
-    bad = np.diag([1.5, 0.0, -0.5]).astype(complex)
-    with pytest.raises(ValueError):
-        spinlock_channel(bad, 1.0, None)
+    # the channel takes joint NV (x) target matrices only; a bare NV one and
+    # every other shape are named as such
+    for shape in [(3, 3), (2, 3, 3), (6, 6), (12, 4), (4, 12), (12,), ()]:
+        with pytest.raises(ValueError, match=r"\(\.\.\., 12, 12\)"):
+            spinlock_channel(np.zeros(shape), 1.0, None)
 
 
 def test_decay_model_validation():
