@@ -572,7 +572,7 @@ def _cmd_compensate(config):
         "compensate_summary.json": {
             "trials": c["trials"],
             "rms_residual_g": [float(x) for x in np.sqrt((residuals**2).mean(axis=0))],
-            "max_fit_error_a": max(float(e[0]) for e in result.fit_errors_a.values()),
+            "max_fit_error_a": max(float(e.max()) for e in result.fit_errors_a.values()),
             "seed": config["run"]["seed"],
         },
     }

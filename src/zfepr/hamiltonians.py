@@ -392,10 +392,14 @@ def resolve_coupling(coupling):
     return c_mhz
 
 
-def _block_diag(blocks):
+def _block_diag(blocks, out=None):
     """(..., 12, 12) block-diagonal matrix from sensor blocks (..., 3, 4, 4);
-    a single block (..., 1, 4, 4) is repeated, which lifts a target operator."""
-    out = np.zeros(blocks.shape[:-3] + (12, 12), dtype=complex)
+    a single block (..., 1, 4, 4) is repeated, which lifts a target operator.
+    It is written into ``out`` when given."""
+    if out is None:
+        out = np.zeros(blocks.shape[:-3] + (12, 12), dtype=complex)
+    else:
+        out[...] = 0.0
     for k in range(3):
         out[..., 4 * k : 4 * k + 4, 4 * k : 4 * k + 4] = blocks[..., k % blocks.shape[-3], :, :]
     return out

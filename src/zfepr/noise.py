@@ -73,9 +73,10 @@ def sample_noise(model, n, start=0):
     """Draws ``start`` to ``start + n - 1`` of the model's stream as an (n, 3)
     array of MHz triples.
 
-    The blocks that cover the range are generated whole and sliced (see the
-    module docstring), so any split of a range into calls returns the same
-    rows; a call inside one block builds one generator.
+    Each block that covers the range (see the module docstring) is generated
+    up to the last row the range needs: a generator's first rows are those of
+    its whole block, bit for bit, so any split of a range into calls returns
+    the same rows.  A call inside one block builds one generator.
     """
     if n < 1:
         raise ValueError("need at least one draw")
@@ -84,7 +85,7 @@ def sample_noise(model, n, start=0):
     first, stop = start // DRAWS_PER_BLOCK, (start + n - 1) // DRAWS_PER_BLOCK + 1
     blocks = [
         np.random.default_rng(np.random.SeedSequence(model.seed, spawn_key=(b,)))
-        .standard_normal((DRAWS_PER_BLOCK, 3))
+        .standard_normal((min(DRAWS_PER_BLOCK, start + n - b * DRAWS_PER_BLOCK), 3))
         for b in range(first, stop)
     ]
     offset = start - first * DRAWS_PER_BLOCK

@@ -28,15 +28,16 @@ sequence shares is applied once, then the tail they share is folded
 backwards into the observable (Heisenberg picture).  On a Ramsey grid each
 sequence's own middle is one target-frame free step, which is diagonal in
 each draw's target eigenbasis; the rotation into that basis ends the prefix
-and opens the tail, and every time is read out there at the cost of six
-phases per draw.  Any other grid runs each middle from the prefix state, one
-sequence at a time, and reads it out against the observable.  Free gaps that
+and opens the tail, and every time is read out there at the cost of the
+four level phases of each draw.  Any other grid runs each middle from the
+prefix state, one sequence at a time, and reads it out against the
+observable.  Every stack over the draws that a noise chunk computes is a
+slot of one workspace, allocated as one block.  Free gaps that
 fall inside a spin-locking window evolve the target factor alone: the locked
 sensor averages the secular coupling away, which is exactly how the
 closed-form treatment handles that interval.
 """
 
-import functools
 import itertools
 import math
 import numbers
@@ -95,8 +96,13 @@ _WINDOW_CLOSING = ("mw_pi", "spinlock")
 #: Elements that act as a unitary: the engine multiplies each run of them into
 #: one propagator, and the alternative protocol allows them during its wait.
 _UNITARY_KINDS = ("free", "mw_pi", "mw_2pi", "rf_st1", "rf_st0")
-#: Times per eigenbasis readout block: (48, n, 6) phases fill one (n, 12, 12) stack.
-_TIME_BLOCK = 48
+#: Times per eigenbasis readout block: (n, 36, 4) level phases fill one
+#: (n, 12, 12) stack.
+_TIME_BLOCK = 36
+#: Slots of a chunk's workspace: the most (n, 12, 12) stacks a Ramsey grid
+#: holds at once, a free propagator, a composed run, a channel's output and
+#: both products of the sandwich that follows it (see :func:`_evolve`).
+_SLOTS = 5
 #: What each engine entry point takes as its noise, named in their type errors.
 _NOISE_ROLES = "monte_carlo_signal averages a NoiseModel; simulate_sequence takes one NoiseDraw"
 
@@ -332,16 +338,66 @@ def _steps(sequence, decay):
     raise SequenceError("sequence must end with a readout")
 
 
-def _unitary(step, eig):
+class _Workspace:
+    """What one chunk of draws is evolved with: its eigensystems ``eig``, the
+    propagators ``built`` from them, one per distinct unitary step, and its
+    (n, 12, 12) stacks, handed out as slots of one block.
+
+    :meth:`stack` hands out a free slot.  :meth:`free` takes back those of
+    the arrays it is given that are slots, unless :meth:`keep` named them (as
+    :func:`_factors` names every propagator it builds); a caller frees a
+    stack once it will not read it again, and anything else it frees (a
+    single matrix, a factor, an array from outside) is ignored.  Should a
+    chunk hold more stacks at once than the block has slots, the extra ones
+    are fresh arrays.  Slots are told apart by identity: each one is held
+    here until the chunk ends, so no other array can share its ``id``.
+    """
+
+    def __init__(self, eig):
+        self.eig, self.built = eig, {}
+        # one block, not one array per stack: stacks freed one by one at the heap's top
+        # are trimmed and faulted in again every chunk, while a freed block stays in the heap
+        block = np.empty((_SLOTS, len(eig[0]), 12, 12), dtype=complex)
+        self._slots = {id(slot): slot for slot in block}
+        self._free, self._kept = dict(self._slots), set()  # popped last in, first out
+
+    def stack(self):
+        """A free (n, 12, 12) slot, its contents undefined."""
+        if self._free:
+            return self._free.popitem()[1]
+        slot = np.empty((len(self.eig[0]), 12, 12), dtype=complex)
+        self._slots[id(slot)] = slot
+        return slot
+
+    def out(self, *operands):
+        """A free slot when one of ``operands`` is a stack over the draws, for
+        a result that is one; None when the result is a single matrix."""
+        for x in operands:
+            if x.ndim == 3:
+                return self.stack()
+        return None
+
+    def keep(self, x):
+        """Never take ``x`` back: it is read until the chunk ends."""
+        self._kept.add(id(x))
+        return x
+
+    def free(self, *arrays):
+        for x in arrays:
+            if id(x) in self._slots and id(x) not in self._kept:
+                self._free[id(x)] = x
+
+
+def _unitary(step, ws):
     """The propagator of one unitary step: the (n, 12, 12) stack of a free
-    evolution, one matrix per draw of ``eig``, or the 12x12 matrix of a MW or
-    RF pulse, which no draw changes."""
+    evolution, one matrix per draw of the workspace's eigensystems, in a
+    slot, or the 12x12 matrix of a MW or RF pulse, which no draw changes."""
     kind = step.kind
     if kind == "free":
-        w, v = eig
+        w, v = ws.eig
         wb, vb = (w, v) if step.frame == "joint" else (w[:, 1:2], v[:, 1:2])
         return _block_diag((vb * np.exp(-1j * wb[..., None, :] * step.value))
-                           @ vb.conj().swapaxes(-1, -2))
+                           @ vb.conj().swapaxes(-1, -2), ws.stack())
     if kind in _MW_JOINT:
         return _MW_JOINT[kind]
     return _block_diag((u_st1 if kind == "rf_st1" else u_st0)(step.value)[None])
@@ -352,103 +408,128 @@ def _is_unitary(step):
                                             and step.kind in _UNITARY_KINDS)
 
 
-def _mul(a, b):
-    """a @ b, with one operand a single matrix and the other a stack over the
-    draws, made as one (n r, 12) product instead of n small ones: a stack
-    (n, r, 12) times a 12x12, or an r x 12 factor times U^T for a contiguous
-    stack U (the forward factor walk's step), as (U_i a^T)^T with the rows of
-    U read in place.  A factor times U itself stays numpy's product of n
-    small ones, which copies nothing: one product would first copy U."""
+def _mul(a, b, out=None):
+    """a @ b, written into ``out`` when given, which must not be an operand
+    (numpy would first copy it).  With one operand a single matrix and the
+    other a stack over the draws, it is one (n r, 12) product instead of n
+    small ones: a stack (n, r, 12) times a 12x12, or, without ``out``, an
+    r x 12 factor times U^T for a contiguous stack U (the forward factor
+    walk's step), as (U_i a^T)^T with the rows of U read in place.  A matrix
+    times U itself stays numpy's product of n small ones, which copies
+    nothing: one product would first copy U."""
     if a.ndim == 3 and b.ndim == 2:
-        return (a.reshape(-1, 12) @ b).reshape(a.shape[:-1] + (12,))
-    if a.ndim == 2 and b.ndim == 3 and b.swapaxes(-1, -2).flags.c_contiguous:
+        flat = np.matmul(a.reshape(-1, 12), b, out=None if out is None else out.reshape(-1, 12))
+        return flat.reshape(a.shape[:-1] + (12,)) if out is None else out
+    if out is None and a.ndim == 2 and b.ndim == 3 and b.swapaxes(-1, -2).flags.c_contiguous:
         rows = b.swapaxes(-1, -2).reshape(-1, 12) @ a.T  # (n 12, r)
         return rows.reshape(len(b), 12, len(a)).swapaxes(-1, -2)
-    return a @ b
+    return np.matmul(a, b, out=out)
 
 
-def _compose(factors):
-    """U_k ... U_1 of propagators given in time order, multiplied by :func:`_mul`."""
-    return functools.reduce(lambda u, m: _mul(m, u), factors)
+def _compose(factors, ws):
+    """U_k ... U_1 of propagators given in time order, multiplied by
+    :func:`_mul`; each stack is freed once multiplied on."""
+    u = factors[0]
+    for m in factors[1:]:
+        u, done = _mul(m, u, ws.out(m, u)), u
+        ws.free(done, m)
+    return u
 
 
-def _factors(steps, eig, built):
+def _factors(steps, ws):
     """The propagators of unitary ``steps`` (free, MW and RF pulses, or a
     matrix given as a step), in time order.  A step's propagator is taken
-    from the dict ``built``, or built into it, so each distinct step is built
-    once for all the calls that share ``built``; each stretch of
-    draw-independent pulses is multiplied first into one 12x12 matrix.
+    from the workspace's ``built``, or built into it, so each distinct step
+    is built once per chunk; each stretch of draw-independent pulses is
+    multiplied first into one 12x12 matrix.
     """
     factors = []
     for step in steps:
         if isinstance(step, Pulse):
-            if step not in built:
-                built[step] = _unitary(step, eig)
-            step = built[step]
+            if step not in ws.built:
+                ws.built[step] = ws.keep(_unitary(step, ws))
+            step = ws.built[step]
         factors.append(step)
-    return [_compose(stretch) for _, stretch in itertools.groupby(factors, key=np.ndim)]
+    return [_compose(list(stretch), ws) for _, stretch in itertools.groupby(factors, key=np.ndim)]
 
 
-def _runs(steps, eig, built):
+def _runs(steps, ws):
     """The runs of compiled ``steps``, in time order: each maximal run of
     unitary steps multiplied into one propagator (:func:`_factors`), and each
     channel step (an echo factor, ``spinlock``, ``dephase``) as it is."""
     runs = []
     for unitary, group in itertools.groupby(steps, key=_is_unitary):
-        runs += [_compose(_factors(group, eig, built))] if unitary else group
+        runs += [_compose(_factors(group, ws), ws)] if unitary else group
     return runs
 
 
-def _lead(steps, eig, built, adjoint=False):
+def _lead(steps, ws, adjoint=False):
     """The start state carried through the unitary steps of ``steps`` before
     the first channel step, or with ``adjoint`` the readout observable
     carried backwards through those after the last one, each as a 4x12
     factor (single or a stack over the draws) multiplied from the right by
     :func:`_mul`: psi^T <- psi^T U^T from psi^T = Phi0 / 2, or h <- h U from
     h = Phi0.  Returns the 12x12 matrix, psi psi^dagger = (psi^T)^T
-    conj(psi^T) or h^dagger h, and the steps left.
+    conj(psi^T) or h^dagger h, in a slot if it is a stack, and the steps left.
     """
     n = next((i for i, step in enumerate(reversed(steps) if adjoint else steps)
               if not _is_unitary(step)), len(steps))
     if adjoint:
+        factors = _factors(steps[len(steps) - n :], ws)
         h = _PHI0
-        for u in reversed(_factors(steps[len(steps) - n :], eig, built)):
+        for u in reversed(factors):
             h = _mul(h, u)
-        return h.conj().swapaxes(-1, -2) @ h, steps[: len(steps) - n]
+        ws.free(*factors)
+        return np.matmul(h.conj().swapaxes(-1, -2), h, out=ws.out(h)), steps[: len(steps) - n]
+    factors = _factors(steps[:n], ws)
     psi_t = _PHI0 / 2.0
-    for u in _factors(steps[:n], eig, built):
+    for u in factors:
         psi_t = _mul(psi_t, u.swapaxes(-1, -2))
-    return psi_t.swapaxes(-1, -2) @ psi_t.conj(), steps[n:]
+    ws.free(*factors)
+    return np.matmul(psi_t.swapaxes(-1, -2), psi_t.conj(), out=ws.out(psi_t)), steps[n:]
 
 
-def _apply_run(x, run, decay, adjoint=False):
+def _apply_run(x, run, ws, decay, adjoint=False):
     """One run of :func:`_runs` applied to ``x``, a Hermitian 12x12 matrix
     or a stack of them: rho -> Phi(rho), or with ``adjoint`` an observable
     O -> Phi^dagger(O).  Neither ``x`` nor ``run`` is written: a grid's
     middles share the prefix state, and one call's runs share propagators.
+    A stack comes back in a slot of the workspace ``ws``.
 
-    As x is Hermitian, a propagator U acts as U x U^dagger = U (U x)^dagger
-    forward and U^dagger x U = (x U)^dagger U backward: one product,
-    conjugated in place, and one more.  Echo masks, dephasing and the
-    locking channel are their own adjoints.  A single 12x12 ``x`` stays one
-    matrix until a run that depends on the draws broadcasts it to a stack.
+    As x is Hermitian, a stack of propagators U acts as U x U^dagger =
+    U (U x)^dagger forward and U^dagger x U = (x U)^dagger U backward: one
+    product, conjugated in place, and one more.  A single propagator acts as
+    (A x) A^dagger, with A = U forward and U^dagger backward, so that its
+    second product is a stack times one matrix.  Echo masks, dephasing and
+    the locking channel are their own adjoints.  A single 12x12 ``x`` stays
+    one matrix until a run that depends on the draws broadcasts it to a stack.
     """
+    if isinstance(run, np.ndarray) and run.ndim == 2:
+        a = run.conj().T if adjoint else run
+        y = _mul(a, x, ws.out(x))
+        out = _mul(y, a.conj().T, ws.out(y))
+        ws.free(y)
+        return out
     if isinstance(run, np.ndarray):
-        y = _mul(x, run) if adjoint else _mul(run, x)
-        y = np.conj(y, out=y).swapaxes(-1, -2)
-        return _mul(y, run) if adjoint else _mul(run, y)
+        y = _mul(x, run, ws.stack()) if adjoint else _mul(run, x, ws.stack())
+        y_h = np.conj(y, out=y).swapaxes(-1, -2)
+        out = _mul(y_h, run, ws.stack()) if adjoint else _mul(run, y_h, ws.stack())
+        ws.free(y)
+        return out
     if isinstance(run, float):
-        return x * np.where(_ECHO_SECTORS, run, 1.0)
+        return np.multiply(x, np.where(_ECHO_SECTORS, run, 1.0), out=ws.out(x))
     if run.kind == "dephase":
-        return x * _SENSOR_DIAGONAL
-    return spinlock_channel(x, run.value, decay)
+        return np.multiply(x, _SENSOR_DIAGONAL, out=ws.out(x))
+    return spinlock_channel(x, run.value, decay, out=ws.out(x))
 
 
-def _apply_runs(x, runs, decay, adjoint=False):
+def _apply_runs(x, runs, ws, decay, adjoint=False):
     """``runs`` applied to ``x`` in time order or, with ``adjoint``, their
-    adjoints in reverse order (Heisenberg picture)."""
+    adjoints in reverse order (Heisenberg picture).  Each state a run has
+    read, ``x`` among them, is then freed."""
     for run in reversed(runs) if adjoint else runs:
-        x = _apply_run(x, run, decay, adjoint)
+        x, done = _apply_run(x, run, ws, decay, adjoint), x
+        ws.free(done)
     return x
 
 
@@ -482,6 +563,13 @@ def _evolve(sequences, eig, decay):
     is built once per call, and a matrix becomes a stack over the draws at
     the first step that depends on them.
 
+    Every stack over the draws the call computes (the free and rotation
+    propagators, the composed runs, the state, each channel's output, both
+    products of a sandwich and the observable) is a slot of one
+    :class:`_Workspace`, allocated as one block when the call starts and
+    dropped when it ends; each slot is freed as soon as it is last read, so
+    that the :data:`_SLOTS` of the block cover a Ramsey grid.
+
     When every sequence's own middle is a single target-frame free step, as
     on a Ramsey grid, the rotation into each draw's target eigenbasis is one
     more step at the end of the prefix (V^dagger) and at the start of the
@@ -497,32 +585,33 @@ def _evolve(sequences, eig, decay):
     middles = [body[n_prefix : len(body) - n_tail] for body in bodies]
     eigenbasis = all(len(m) == 1 and isinstance(m[0], Pulse) and m[0].frame == "target"
                      for m in middles)
+    ws = _Workspace(eig)
     # the rotations V^dagger, ending the prefix, and V, opening the tail, are
-    # built as their walk starts, each step list is dropped once its runs are
-    # made and each list of runs once applied: so their (n, 12, 12) stacks
-    # stay out of the peak of the call
+    # built as their walk starts, and every list of runs is freed once
+    # applied: so their stacks stay out of the peak of the call
     if eigenbasis:
-        prefix = prefix + [_block_diag(eig[1][:, 1:2].conj().swapaxes(-1, -2))]
-    built = {}
-    rho, prefix = _lead(prefix, eig, built)
-    runs = _runs(prefix, eig, built)
-    del prefix
-    rho = _apply_runs(rho, runs, decay)
-    del runs
+        prefix = prefix + [_block_diag(eig[1][:, 1:2].conj().swapaxes(-1, -2), ws.stack())]
+    rho, prefix = _lead(prefix, ws)
+    runs = _runs(prefix, ws)
+    rho = _apply_runs(rho, runs, ws, decay)
+    ws.free(*runs)
     if eigenbasis:
-        tail = [_block_diag(eig[1][:, 1:2])] + tail
-    obs, tail = _lead(tail, eig, built, adjoint=True)
-    runs = _runs(tail, eig, built)
-    del tail
-    obs = _apply_runs(obs, runs, decay, adjoint=True)
+        tail = [_block_diag(eig[1][:, 1:2], ws.stack())] + tail
+    obs, tail = _lead(tail, ws, adjoint=True)
+    runs = _runs(tail, ws)
+    obs = _apply_runs(obs, runs, ws, decay, adjoint=True)
+    ws.free(*runs)
     if eigenbasis:
         return _eigenbasis_readout(rho, obs, [m[0].value for m in middles], eig[0][:, 1])
 
-    obs = obs.conj()  # Tr(O rho) = sum(conj(O) * rho) for a Hermitian O
+    ws.keep(rho)  # every middle starts from it
+    obs = np.conj(obs, out=obs)  # Tr(O rho) = sum(conj(O) * rho) for a Hermitian O
     out = np.empty((len(bodies), len(eig[0])))
     for k, middle in enumerate(middles):
-        x = _apply_runs(rho, _runs(middle, eig, built), decay)
+        runs = _runs(middle, ws)
+        x = _apply_runs(rho, runs, ws, decay)
         out[k] = np.einsum("...ij,...ij->...", obs, x).real
+        ws.free(x, *runs)
     return out
 
 
@@ -533,22 +622,20 @@ def _eigenbasis_readout(rho, obs, times, w):
     and ``obs`` already rotated into each draw's target eigenbasis.
 
     There the evolution is diagonal, so the readout is
-    sum_jk c_jk exp(-i (w_j - w_k) t), c_jk = sum_ab rho_(aj),(bk) O_(bk),(aj)
-    over the sensor blocks a, b: the populations j = k, plus one phase per
-    pair j < k, Re[a exp(-i phase)] with a = c_jk + conj(c_kj).  The six
-    pairs are taken at once in blocks of at most :data:`_TIME_BLOCK` times,
-    so that no temporary outgrows one (n, 12, 12) stack on a long record.
+    Re sum_jk c_jk e_j conj(e_k), c_jk = sum_ab rho_(aj),(bk) O_(bk),(aj)
+    over the sensor blocks a, b, with the four level phases e_j =
+    exp(-i w_j t) of each draw and time: one complex ``exp`` and one batched
+    product (e c) per block of at most :data:`_TIME_BLOCK` times, so that no
+    temporary outgrows one (n, 12, 12) stack on a long record.
     """
     blocks = (len(w), 3, 4, 3, 4)
     c = np.einsum("najbk,nbkaj->njk", rho.reshape(blocks), obs.reshape(blocks))
-    j, k = np.triu_indices(4, 1)
-    a, dw = (c[:, j, k] + c[:, k, j].conj()).T, (w[:, j] - w[:, k]).T  # (pairs, n)
     t = np.asarray(times, dtype=float)
-    out = np.tile(np.trace(c, axis1=1, axis2=2).real, (len(t), 1))
+    out = np.empty((len(t), len(w)))
     for i in range(0, len(t), _TIME_BLOCK):
-        phase = t[i : i + _TIME_BLOCK, None] * dw[:, None]
-        for term in a.real[:, None] * np.cos(phase) + a.imag[:, None] * np.sin(phase):
-            out[i : i + _TIME_BLOCK] += term  # pair by pair: one fixed rounding order
+        e = np.exp(-1j * (w[:, None, :] * t[i : i + _TIME_BLOCK, None]))  # (n, times, 4)
+        # Re sum_k (e c)_k conj(e_k), as the sum of the products of the parts
+        out[i : i + _TIME_BLOCK] = np.einsum("ntk,ntk->tn", (e @ c).view(float), e.view(float))
     return out
 
 

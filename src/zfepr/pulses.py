@@ -183,7 +183,7 @@ def u_st0(theta):
     )
 
 
-def spinlock_channel(rho, t_us, decay=None):
+def spinlock_channel(rho, t_us, decay=None, out=None):
     """Spin-locking as its net effect on joint NV (x) target matrices
     (..., 12, 12), NV factor first, written on their NV blocks m = +1, 0, -1
     (each a 4x4 block over the target).
@@ -197,7 +197,9 @@ def spinlock_channel(rho, t_us, decay=None):
     stores the first interrogation phase and is the +-1 cross block in the
     bare basis, relaxes by e.  The channel is linear and its own adjoint, so
     it maps observables as it maps states; ``rho`` is not written.  Any shape
-    other than (..., 12, 12) raises ValueError.
+    other than (..., 12, 12) raises ValueError.  The result is written into
+    ``out``, a C-contiguous array of ``rho``'s shape other than ``rho``, when
+    given.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (12, 12):
@@ -209,6 +211,8 @@ def spinlock_channel(rho, t_us, decay=None):
     # block (a, b) of rho + S rho S, S swapping m = +1 and -1, is rho_ab +
     # rho_(2-a)(2-b); weighted 1/2 on the diagonal blocks, e/2 on the +-1
     # cross blocks and 0 on the rest, it gives the channel
-    out = blocks + blocks[..., ::-1, :, ::-1, :]
-    out *= np.array([[0.5, 0.0, 0.5 * e], [0.0, 0.5, 0.0], [0.5 * e, 0.0, 0.5]])[:, None, :, None]
-    return out.reshape(rho.shape)
+    weights = np.array([[0.5, 0.0, 0.5 * e], [0.0, 0.5, 0.0], [0.5 * e, 0.0, 0.5]])
+    summed = np.add(blocks, blocks[..., ::-1, :, ::-1, :],
+                    out=None if out is None else out.reshape(blocks.shape))
+    summed *= weights[:, None, :, None]
+    return summed.reshape(rho.shape) if out is None else out

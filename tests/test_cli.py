@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import pathlib
@@ -207,6 +208,28 @@ def test_compensation_trials_do_not_depend_on_the_trial_count(tmp_path):
         assert (out / "compensate_report.txt").read_text() == (
             tmp_path / "3" / "compensate_report.txt").read_text()
     assert len(rows[4]) == 5 and rows[3] == rows[4][:4]
+
+
+def test_compensation_summary_reports_the_largest_fit_error_of_every_trial(
+        tmp_path, monkeypatch):
+    # the summary covers every trial, as its rms residual does; for these
+    # seeds the largest error lies in a trial other than the first
+    results = []
+    compensate = cli.compensate_3axis
+    monkeypatch.setattr(cli, "compensate_3axis",
+                        lambda *args: results.append(compensate(*args)) or results[-1])
+    trials_of_the_largest = []
+    for seed in (8, 11):
+        out = tmp_path / str(seed)
+        argv = ["compensate", "--out-dir", str(out), "--seed", str(seed),
+                "--set", "compensation.trials=4"]
+        assert main(argv) == EXIT_OK
+        errors = np.stack(list(results[-1].fit_errors_a.values()))  # (axes, trials)
+        assert errors.shape == (3, 4)
+        summary = json.loads((out / "compensate_summary.json").read_text())
+        assert summary["max_fit_error_a"] == errors.max()
+        trials_of_the_largest.append(np.unravel_index(errors.argmax(), errors.shape)[1])
+    assert any(trial != 0 for trial in trials_of_the_largest)
 
 
 @pytest.mark.parametrize("given, missing", [("band_lo_mhz", "band_hi_mhz"),
@@ -859,10 +882,14 @@ def test_help_lists_every_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == EXIT_OK
+    # the indented block under "commands:" that build_parser writes into the
+    # description; the epilog's prose may start a line with a command name
     lines = capsys.readouterr().out.splitlines()
-    for name, (_, help_text, _) in cli._COMMANDS.items():
-        assert [line.split() for line in lines if line.split()[:1] == [name]] \
-            == [[name, *help_text.split()]]
+    assert lines.count("commands:") == 1
+    block = list(itertools.takewhile(lambda line: line.startswith("  "),
+                                     lines[lines.index("commands:") + 1 :]))
+    assert [line.split() for line in block] == [
+        [name, *help_text.split()] for name, (_, help_text, _) in cli._COMMANDS.items()]
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == EXIT_OK

@@ -81,7 +81,8 @@ def _states(rng, n, rank):
 
 def _run_steps(x, steps, eig, decay, adjoint=False):
     """The engine's run applier on a list of compiled steps."""
-    return protocols._apply_runs(x, protocols._runs(steps, eig, {}), decay, adjoint)
+    ws = protocols._Workspace(eig)
+    return protocols._apply_runs(x, protocols._runs(steps, ws), ws, decay, adjoint)
 
 
 @settings(deadline=None)
@@ -317,10 +318,11 @@ def test_a_run_writes_into_neither_its_state_nor_itself(kind, adjoint):
         x = x + 0.3 * rng.normal(size=x.shape)
         x = x + x.conj().swapaxes(-1, -2)
     eig = protocols._eigensystems(SPEC, 0.4, draws)
-    (run,) = protocols._runs(steps, eig, {})
+    ws = protocols._Workspace(eig)
+    (run,) = protocols._runs(steps, ws)
     assert np.ndim(run) == {"stack": 3, "single": 2}.get(kind, 0)
     x_before, run_before = x.copy(), np.copy(run)
-    out = protocols._apply_run(x, run, decay, adjoint)
+    out = protocols._apply_run(x, run, ws, decay, adjoint)
     assert np.abs(out - _oracle(x, steps, 0.4, draws, decay, adjoint)).max() < 1e-12
     assert x.tobytes() == x_before.tobytes()
     assert np.asarray(run).tobytes() == run_before.tobytes()
@@ -332,32 +334,30 @@ def test_the_factor_walks_leave_the_built_propagators_unwritten():
     # without decay the walks run from both ends up to the spin lock
     sequence = protocols.correlation_ramsey_sequences("st0", 0.4, 0.05)[0]
     steps = protocols._steps(sequence, None)
-    built = {}
-    protocols._runs(steps, eig, built)
-    before = {step: u.copy() for step, u in built.items()}
-    protocols._lead(steps, eig, built)
-    protocols._lead(steps, eig, built, adjoint=True)
-    assert built.keys() == before.keys()
-    assert all(built[step].tobytes() == u.tobytes() for step, u in before.items())
+    ws = protocols._Workspace(eig)
+    protocols._runs(steps, ws)
+    before = {step: u.copy() for step, u in ws.built.items()}
+    protocols._lead(steps, ws)
+    protocols._lead(steps, ws, adjoint=True)
+    assert ws.built.keys() == before.keys()
+    assert all(ws.built[step].tobytes() == u.tobytes() for step, u in before.items())
 
 
-def test_the_eigenbasis_readout_equals_a_pair_by_pair_sum():
-    # 130 times span three blocks of the readout's time axis
+def test_the_eigenbasis_readout_equals_the_direct_trace():
+    # 100 times span three blocks of the readout's time axis, and the
+    # phases reach 6,000 rad; both sides take the level phases exp(-i w t)
     rng = np.random.default_rng(32)
     n = 5
     rho = _states(rng, n, 12)
     b = rng.normal(size=(n, 12, 12)) + 1j * rng.normal(size=(n, 12, 12))
     obs = 0.3 * (b + b.conj().swapaxes(-1, -2))
     w = rng.normal(0.0, 50.0, (n, 4))
-    times = np.linspace(0.0, 40.0, 130)
+    times = np.linspace(0.0, 40.0, 100)
     assert len(times) > 2 * protocols._TIME_BLOCK
-    blocks = (n, 3, 4, 3, 4)
-    c = np.einsum("najbk,nbkaj->njk", rho.reshape(blocks), obs.reshape(blocks))
-    expected = np.tile(np.trace(c, axis1=1, axis2=2).real, (len(times), 1))
-    for j in range(4):
-        for k in range(j + 1, 4):
-            phase = np.outer(times, w[:, j] - w[:, k])
-            a = c[:, j, k] + c[:, k, j].conj()
-            expected += a.real * np.cos(phase) + a.imag * np.sin(phase)
+    # U(t) = I3 (x) exp(-i w t) of each draw, as (times, n, 12) diagonals
+    u = np.tile(np.exp(-1j * np.multiply.outer(times, w)), 3)
+    evolved = u[..., :, None] * rho * u[..., None, :].conj()
+    expected = np.einsum("nij,tnji->tn", obs, evolved).real
     out = protocols._eigenbasis_readout(rho, obs, times, w)
+    assert out.shape == (len(times), n)
     assert np.abs(out - expected).max() < 1e-14

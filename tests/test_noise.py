@@ -13,6 +13,7 @@ from zfepr.hamiltonians import (
     shift_coefficients,
 )
 from zfepr.noise import (
+    DRAWS_PER_BLOCK,
     NoiseModel,
     ShiftMoments,
     linewidth_stats,
@@ -50,6 +51,18 @@ def test_sample_noise_deterministic_and_chunkable():
         assert np.array_equal(bulk, np.vstack(pieces))
     assert np.array_equal(bulk[300:1100], sample_noise(model, 800, start=300))
     assert np.array_equal(bulk[1024:1025], sample_noise(model, 1, start=1024))
+
+
+@pytest.mark.parametrize("start, n", [(0, 1), (0, 50), (17, 50), (500, 30), (0, 512),
+                                      (512, 512), (300, 700)])
+def test_sample_noise_is_the_documented_block_stream(start, n):
+    # the module docstring's contract, with every block generated whole: a
+    # call that generates only the rows it needs must return the same bits
+    model = NoiseModel(0.1, 0.2, 0.3, seed=7)
+    blocks = [np.random.default_rng(np.random.SeedSequence(7, spawn_key=(b,)))
+              .standard_normal((DRAWS_PER_BLOCK, 3)) for b in range(3)]
+    stream = np.concatenate(blocks) * model.widths
+    assert np.array_equal(sample_noise(model, n, start=start), stream[start : start + n])
 
 
 @settings(max_examples=50, deadline=None)

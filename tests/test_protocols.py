@@ -773,9 +773,10 @@ def test_engine_steps_adjoint_identity(spec, rng):
                    [rf_st0(0.4), free(0.3, frame="target"), 0.37, mw_pi(), spinlock(40.0),
                     free(0.8), rf_st1(2.0), dephase(), mw_2pi()]]
     for steps in step_lists:
-        runs = zfepr.protocols._runs(steps, eig, {})
-        forward = zfepr.protocols._apply_runs(rho, runs, decay)
-        backward = zfepr.protocols._apply_runs(obs, runs, decay, adjoint=True)
+        ws = zfepr.protocols._Workspace(eig)
+        runs = zfepr.protocols._runs(steps, ws)
+        forward = zfepr.protocols._apply_runs(rho, runs, ws, decay)
+        backward = zfepr.protocols._apply_runs(obs, runs, ws, decay, adjoint=True)
         lhs = np.einsum("nij,nji->n", obs, forward)
         rhs = np.einsum("nij,nji->n", backward, rho)
         assert np.abs(lhs - rhs).max() < 1e-12, steps
@@ -789,9 +790,9 @@ def test_ramsey_grid_runs_shared_prefix_once(spec, monkeypatch):
     # the spin lock sits in the prefix every time of the grid shares
     calls = []
 
-    def counting(rho, t_us, decay=None):
+    def counting(rho, t_us, decay=None, out=None):
         calls.append(t_us)
-        return spinlock_channel(rho, t_us, decay)
+        return spinlock_channel(rho, t_us, decay, out)
 
     monkeypatch.setattr(zfepr.protocols, "spinlock_channel", counting)
     noise = NoiseModel.isotropic(0.196, seed=8)
@@ -971,9 +972,10 @@ def test_st0_coherence_outlives_st1(spec):
 
 
 def test_ramsey_grid_peak_memory_stays_under_its_bound(spec):
-    # the engine's short-lived (n, 12, 12) stacks set the page faulting of a
-    # run, so their peak is held: a Ramsey grid of 12 times at 50 draws peaks
-    # at about 8.6 stacks of traced memory above its start
+    # the engine's (n, 12, 12) stacks are the slots of one workspace per
+    # chunk, and their peak is held: a Ramsey grid of 12 times at 50 draws
+    # peaks at about 6.6 stacks of traced memory above its start, the five
+    # slots of the workspace and the eigensystems among them
     noise = NoiseModel.isotropic(0.196, seed=8)
     family = lambda t: correlation_ramsey_sequences("st0", t, 5.0)[0]
     t_grid = 0.17 * np.arange(12)
@@ -985,4 +987,25 @@ def test_ramsey_grid_peak_memory_stays_under_its_bound(spec):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 9.5 * 50 * 12 * 12 * 16
+    assert peak <= 7.5 * 50 * 12 * 12 * 16
+
+
+@pytest.mark.parametrize("decayed", [False, True])
+@pytest.mark.parametrize("transition", ["st1", "st0"])
+def test_ramsey_grid_stays_inside_its_workspace_block(transition, decayed, spec, monkeypatch):
+    # every stack of a Ramsey grid is a slot of the one block allocated per
+    # chunk: a slot handed out past the block would be a fresh array again
+    slots = []
+    stack = zfepr.protocols._Workspace.stack
+
+    def recording(ws):
+        out = stack(ws)
+        slots.append(len(ws._slots))
+        return out
+
+    monkeypatch.setattr(zfepr.protocols._Workspace, "stack", recording)
+    decay = DecayModel(t2_nv_us=16.0, stretch_p=1.7, t1rho_us=150.0) if decayed else None
+    family = lambda t: correlation_ramsey_sequences(transition, t, 5.0)[0]
+    monte_carlo_signal(family, 0.17 * np.arange(12), spec, 0.1,
+                       NoiseModel.isotropic(0.196, seed=8), 50, decay=decay)
+    assert slots and max(slots) == zfepr.protocols._SLOTS
