@@ -99,9 +99,9 @@ _UNITARY_KINDS = ("free", "mw_pi", "mw_2pi", "rf_st1", "rf_st0")
 #: Times per eigenbasis readout block: (n, 36, 4) level phases fill one
 #: (n, 12, 12) stack.
 _TIME_BLOCK = 36
-#: Slots of a chunk's workspace: the most (n, 12, 12) stacks a Ramsey grid
-#: holds at once, a free propagator, a composed run, a channel's output and
-#: both products of the sandwich that follows it (see :func:`_evolve`).
+#: Slots of a chunk's workspace: the most (n, 12, 12) stacks a grid holds at
+#: once, on a Ramsey grid a free propagator, a composed run, a channel's
+#: output and both products of the sandwich that follows it (see :func:`_evolve`).
 _SLOTS = 5
 #: What each engine entry point takes as its noise, named in their type errors.
 _NOISE_ROLES = "monte_carlo_signal averages a NoiseModel; simulate_sequence takes one NoiseDraw"
@@ -347,10 +347,11 @@ class _Workspace:
     the arrays it is given that are slots, unless :meth:`keep` named them (as
     :func:`_factors` names every propagator it builds); a caller frees a
     stack once it will not read it again, and anything else it frees (a
-    single matrix, a factor, an array from outside) is ignored.  Should a
-    chunk hold more stacks at once than the block has slots, the extra ones
-    are fresh arrays.  Slots are told apart by identity: each one is held
-    here until the chunk ends, so no other array can share its ``id``.
+    single matrix, a factor, an array from outside) is ignored, and
+    :meth:`unbuild` frees propagators no later step needs.  Should a chunk
+    hold more stacks at once than the block has slots, the extra ones are
+    fresh arrays.  Slots are told apart by identity: each one is held here
+    until the chunk ends, so no other array can share its ``id``.
     """
 
     def __init__(self, eig):
@@ -386,6 +387,15 @@ class _Workspace:
         for x in arrays:
             if id(x) in self._slots and id(x) not in self._kept:
                 self._free[id(x)] = x
+
+    def unbuild(self, n_built):
+        """Free and forget the propagator stacks built after the first
+        ``n_built`` entries of ``built``; single matrices stay built."""
+        for step in list(self.built)[n_built:]:
+            if self.built[step].ndim == 3:
+                u = self.built.pop(step)
+                self._kept.discard(id(u))
+                self.free(u)
 
 
 def _unitary(step, ws):
@@ -567,8 +577,10 @@ def _evolve(sequences, eig, decay):
     propagators, the composed runs, the state, each channel's output, both
     products of a sandwich and the observable) is a slot of one
     :class:`_Workspace`, allocated as one block when the call starts and
-    dropped when it ends; each slot is freed as soon as it is last read, so
-    that the :data:`_SLOTS` of the block cover a Ramsey grid.
+    dropped when it ends.  Each slot is freed as soon as it is last read,
+    and the free propagators a middle builds are freed after it (a later
+    middle that needs one builds it again), so that the :data:`_SLOTS` of the
+    block cover a grid of any length.
 
     When every sequence's own middle is a single target-frame free step, as
     on a Ramsey grid, the rotation into each draw's target eigenbasis is one
@@ -608,10 +620,12 @@ def _evolve(sequences, eig, decay):
     obs = np.conj(obs, out=obs)  # Tr(O rho) = sum(conj(O) * rho) for a Hermitian O
     out = np.empty((len(bodies), len(eig[0])))
     for k, middle in enumerate(middles):
+        n_built = len(ws.built)
         runs = _runs(middle, ws)
         x = _apply_runs(rho, runs, ws, decay)
         out[k] = np.einsum("...ij,...ij->...", obs, x).real
         ws.free(x, *runs)
+        ws.unbuild(n_built)  # so that a grid of any length stays in the block
     return out
 
 

@@ -990,11 +990,21 @@ def test_ramsey_grid_peak_memory_stays_under_its_bound(spec):
     assert peak <= 7.5 * 50 * 12 * 12 * 16
 
 
+WORKSPACE_GRIDS = {
+    "ramsey-st1": (lambda t: correlation_ramsey_sequences("st1", t, 5.0)[0], 0.17 * np.arange(12)),
+    "ramsey-st0": (lambda t: correlation_ramsey_sequences("st0", t, 5.0)[0], 0.17 * np.arange(12)),
+    "deer": (lambda tau: deer_sequence(math.pi, tau), np.linspace(0.5, 3.0, 24)),
+    "rabi-st0": (lambda theta: correlation_rabi_sequence("st0", theta, 5.0),
+                 np.linspace(0.0, math.pi, 24)),
+}
+
+
 @pytest.mark.parametrize("decayed", [False, True])
-@pytest.mark.parametrize("transition", ["st1", "st0"])
-def test_ramsey_grid_stays_inside_its_workspace_block(transition, decayed, spec, monkeypatch):
-    # every stack of a Ramsey grid is a slot of the one block allocated per
-    # chunk: a slot handed out past the block would be a fresh array again
+@pytest.mark.parametrize("grid", WORKSPACE_GRIDS)
+def test_a_grid_stays_inside_its_workspace_block(grid, decayed, spec, monkeypatch):
+    # every stack of a grid is a slot of the one block allocated per chunk,
+    # however many times the grid has: a slot handed out past the block
+    # would be a fresh array again
     slots = []
     stack = zfepr.protocols._Workspace.stack
 
@@ -1005,7 +1015,7 @@ def test_ramsey_grid_stays_inside_its_workspace_block(transition, decayed, spec,
 
     monkeypatch.setattr(zfepr.protocols._Workspace, "stack", recording)
     decay = DecayModel(t2_nv_us=16.0, stretch_p=1.7, t1rho_us=150.0) if decayed else None
-    family = lambda t: correlation_ramsey_sequences(transition, t, 5.0)[0]
-    monte_carlo_signal(family, 0.17 * np.arange(12), spec, 0.1,
-                       NoiseModel.isotropic(0.196, seed=8), 50, decay=decay)
+    family, points = WORKSPACE_GRIDS[grid]
+    monte_carlo_signal(family, points, spec, 0.1, NoiseModel.isotropic(0.196, seed=8), 50,
+                       decay=decay)
     assert slots and max(slots) == zfepr.protocols._SLOTS
