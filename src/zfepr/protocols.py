@@ -345,13 +345,13 @@ class _Workspace:
 
     :meth:`stack` hands out a free slot.  :meth:`free` takes back those of
     the arrays it is given that are slots, unless :meth:`keep` named them (as
-    :func:`_factors` names every propagator it builds); a caller frees a
+    :func:`_factors` names every propagator it builds): a caller frees a
     stack once it will not read it again, and anything else it frees (a
-    single matrix, a factor, an array from outside) is ignored, and
-    :meth:`unbuild` frees propagators no later step needs.  Should a chunk
-    hold more stacks at once than the block has slots, the extra ones are
-    fresh arrays.  Slots are told apart by identity: each one is held here
-    until the chunk ends, so no other array can share its ``id``.
+    single matrix, a factor, an array from outside) is ignored.
+    :meth:`unbuild` frees and forgets propagators that no later step needs.
+    Should a chunk hold more stacks at once than the block has slots, the
+    extra ones are fresh arrays.  Slots are told apart by identity: each one
+    is held here until the chunk ends, so no other array can share its ``id``.
     """
 
     def __init__(self, eig):
@@ -379,7 +379,8 @@ class _Workspace:
         return None
 
     def keep(self, x):
-        """Never take ``x`` back: it is read until the chunk ends."""
+        """Never take ``x`` back: it is read until the chunk ends (or, for a
+        propagator, until :meth:`unbuild`)."""
         self._kept.add(id(x))
         return x
 
