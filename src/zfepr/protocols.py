@@ -25,9 +25,13 @@ as U (U rho)^dagger; each channel step breaks a run.  A stack times a
 draw-independent matrix is one product, and so is a factor times a
 transposed stack.  A grid of sequences is evolved together: the prefix every
 sequence shares is applied once, then the tail they share is folded
-backwards into the observable (Heisenberg picture).  On a Ramsey grid each
-sequence's own middle is one target-frame free step, which is diagonal in
-each draw's target eigenbasis; the rotation into that basis ends the prefix
+backwards into the observable (Heisenberg picture).  A channel that acts on
+the sensor alone (the spin lock, dephasing) commutes with steps that act on
+the target alone, so when only such steps follow the prefix's last channel
+step, that channel ends the prefix and the state's factor walks on through
+them.  On a Ramsey grid each sequence's own middle is one target-frame free
+step, which is diagonal in each draw's target eigenbasis; the rotation into
+that basis closes the prefix's steps (the spin lock, moved, comes after it)
 and opens the tail, and every time is read out there at the cost of the
 four level phases of each draw.  Any other grid runs each middle from the
 prefix state, one sequence at a time, and reads it out against the
@@ -100,8 +104,10 @@ _UNITARY_KINDS = ("free", "mw_pi", "mw_2pi", "rf_st1", "rf_st0")
 #: (n, 12, 12) stack.
 _TIME_BLOCK = 36
 #: Slots of a chunk's workspace: the most (n, 12, 12) stacks a grid holds at
-#: once, on a Ramsey grid a free propagator, a composed run, a channel's
-#: output and both products of the sandwich that follows it (see :func:`_evolve`).
+#: once, on a decayed Ramsey grid a free propagator, a composed run, a
+#: channel's output and both products of the sandwich that follows it, and on
+#: a Rabi grid the free propagator, the state, the observable and a middle's
+#: sandwich (see :func:`_evolve`).
 _SLOTS = 5
 #: What each engine entry point takes as its noise, named in their type errors.
 _NOISE_ROLES = "monte_carlo_signal averages a NoiseModel; simulate_sequence takes one NoiseDraw"
@@ -218,6 +224,13 @@ def _rf(transition):
     return rf_st1 if transition == "st1" else rf_st0
 
 
+#: The fixed-angle RF pulses of the correlation sequences, built once and
+#: shared like :data:`zfepr.pulses._SHARED` (Pulse is frozen): the decoupling
+#: rf_st1(2 pi), the shuttle rf_st1(pi), and each transition's +-pi/2 pulses.
+_DECOUPLE, _SHUTTLE = rf_st1(2.0 * math.pi), rf_st1(math.pi)
+_QUARTERS = {tr: (_rf(tr)(math.pi / 2.0), _rf(tr)(-math.pi / 2.0)) for tr in ("st1", "st0")}
+
+
 def _interrogation_block(tau_us, drive):
     """tau/2 - (2pi MW + the RF ``drive``) - tau/2, without the MW pi pulses;
     both halves are one element."""
@@ -236,10 +249,10 @@ def _correlation_sequences(transition, tau_us, lock_us, opening, closings):
     second block, readout.  On S0<->T0 the window's drive is sandwiched
     between S0<->T+-1 pi pulses, which shuttle population through the
     auxiliary states.  Every element but the closing one is built once and
-    shared by all the sequences.
+    shared by all the sequences, and the fixed-angle RF pulses by every call.
     """
-    block = _interrogation_block(tau_us, rf_st1(2.0 * math.pi))
-    shuttle = [rf_st1(math.pi)] if transition == "st0" else []
+    block = _interrogation_block(tau_us, _DECOUPLE)
+    shuttle = [_SHUTTLE] if transition == "st0" else []
     head = [mw_pi()] + block + [spinlock(lock_us)] + shuttle + opening
     tail = shuttle + block + [mw_pi(), readout()]
     return [head + [closing] + tail for closing in closings]
@@ -258,11 +271,11 @@ def correlation_ramsey_sequences(transition, t_us, tau_us, lock_us=10.0):
     background term.  The opening pi/2 pulse and the reference's closing one
     are one element.
     """
-    rf = _rf(transition)
-    quarter = rf(math.pi / 2.0)
+    _check_transition(transition)
+    quarter, minus_quarter = _QUARTERS[transition]
     return tuple(_correlation_sequences(transition, tau_us, lock_us,
                                         [quarter, free(t_us, frame="target")],
-                                        [rf(-math.pi / 2.0), quarter]))
+                                        [minus_quarter, quarter]))
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +432,25 @@ def _is_unitary(step):
                                             and step.kind in _UNITARY_KINDS)
 
 
+def _on_target(step):
+    """Whether a prefix step acts on the target alone: an RF pulse, a
+    target-frame free step, or a matrix, which in a prefix is the rotation
+    V^dagger into the target eigenbasis that :func:`_evolve` appends."""
+    return isinstance(step, np.ndarray) or (isinstance(step, Pulse) and (
+        step.kind in ("rf_st1", "rf_st0") or step.frame == "target"))
+
+
+def _channel_last(prefix):
+    """``prefix`` with its last channel step moved to its end, when that step
+    acts on the sensor alone (the spin lock, dephasing) and every step after
+    it on the target alone: the two commute, so the state's factor walks on
+    through those steps (:func:`_lead`) and the channel ends the prefix."""
+    i = next((i for i in reversed(range(len(prefix))) if not _is_unitary(prefix[i])), None)
+    if i is None or not isinstance(prefix[i], Pulse) or not all(map(_on_target, prefix[i + 1 :])):
+        return prefix
+    return prefix[:i] + prefix[i + 1 :] + [prefix[i]]
+
+
 def _mul(a, b, out=None):
     """a @ b, written into ``out`` when given, which must not be an operand
     (numpy would first copy it).  With one operand a single matrix and the
@@ -572,7 +604,14 @@ def _evolve(sequences, eig, decay):
     4x12 factor up to its first channel step (:func:`_lead`), and its steps
     from there on are grouped into runs (:func:`_runs`); every distinct step
     is built once per call, and a matrix becomes a stack over the draws at
-    the first step that depends on them.
+    the first step that depends on them.  A sensor-only channel (the spin
+    lock, dephasing) commutes with target-only steps (RF pulses, target-frame
+    free steps, V^dagger below), so when only such steps follow the prefix's
+    last channel step, that channel ends the prefix (:func:`_channel_last`),
+    one rule for every grid: without decay, a Ramsey grid's state factor
+    walks through the opening pulses and V^dagger, and its prefix's only
+    12x12 work is psi psi^dagger and the lock.  With decay the echo factor
+    before the lock still ends the walk.
 
     Every stack over the draws the call computes (the free and rotation
     propagators, the composed runs, the state, each channel's output, both
@@ -599,12 +638,12 @@ def _evolve(sequences, eig, decay):
     eigenbasis = all(len(m) == 1 and isinstance(m[0], Pulse) and m[0].frame == "target"
                      for m in middles)
     ws = _Workspace(eig)
-    # the rotations V^dagger, ending the prefix, and V, opening the tail, are
+    # the rotations V^dagger, closing the prefix's steps, and V, opening the tail, are
     # built as their walk starts, and every list of runs is freed once
     # applied: so their stacks stay out of the peak of the call
     if eigenbasis:
         prefix = prefix + [_block_diag(eig[1][:, 1:2].conj().swapaxes(-1, -2), ws.stack())]
-    rho, prefix = _lead(prefix, ws)
+    rho, prefix = _lead(_channel_last(prefix), ws)
     runs = _runs(prefix, ws)
     rho = _apply_runs(rho, runs, ws, decay)
     ws.free(*runs)
@@ -684,7 +723,7 @@ def simulate_alternative_correlation(manipulation, tau_us, spec, coupling, noise
     for el in manipulation:
         if not (isinstance(el, Pulse) and el.kind in _UNITARY_KINDS):
             raise SequenceError(f"element {el!r} not allowed here")
-    block = [mw_pi()] + _interrogation_block(tau_us, rf_st1(2.0 * math.pi)) + [mw_pi()]
+    block = [mw_pi()] + _interrogation_block(tau_us, _DECOUPLE) + [mw_pi()]
     return simulate_sequence(block + [dephase()] + manipulation + block + [readout()],
                              spec, coupling, noise=noise)
 
@@ -713,9 +752,9 @@ def monte_carlo_signal(sequence_family, t_grid, spec, coupling, noise, n_draws,
     have in common, and one readout observable into which their common tail
     is folded; the state and the observable are carried as 4x12 factors up
     to their first channel step.  A Ramsey family's times are then all read
-    out at once in the target eigenbasis, whose rotation ends the prefix and
-    opens the tail; any other family runs the middle of each time's sequence
-    on its own, one time after another (see :func:`_evolve`).  A noise that
+    out at once in the target eigenbasis, whose rotation closes the prefix's
+    steps and opens the tail; any other family runs the middle of each time's
+    sequence on its own, one time after another (see :func:`_evolve`).  A noise that
     is not a :class:`~zfepr.noise.NoiseModel`, a draw count that is not a
     positive integer and a grid that the returned
     :class:`~zfepr.spectra.TimeSeries` cannot hold are rejected before any work.

@@ -434,6 +434,26 @@ def test_sequence_builders_share_their_repeated_elements(transition):
     assert deer[1] is deer[4] and deer[1] == free(2.0)
 
 
+@pytest.mark.parametrize("transition", ["st1", "st0"])
+def test_fixed_angle_pulses_are_shared_by_every_call(transition):
+    # the decoupling rf_st1(2 pi), the shuttle rf_st1(pi) and the +-pi/2
+    # pulses are built once: two calls at other times and taus hold the same
+    # objects, and a Rabi sequence holds the same decoupling and shuttle
+    first = correlation_ramsey_sequences(transition, 0.7, 4.0)
+    second = correlation_ramsey_sequences(transition, 1.9, 5.0)
+    rabi = correlation_rabi_sequence(transition, 0.7, 4.0)
+    rf = lambda seq, angles: [el for el in seq if el.kind.startswith("rf_") and el.value in angles]
+    fixed = (2 * math.pi, math.pi, math.pi / 2, -math.pi / 2)
+    for seq_a, seq_b in zip(first, second):
+        pulses = list(zip(rf(seq_a, fixed), rf(seq_b, fixed), strict=True))
+        assert len(pulses) == (4 if transition == "st1" else 6)
+        assert all(a is b for a, b in pulses)
+        # each equals its freshly built element
+        assert seq_a == [Pulse(el.kind, el.value, el.frame) for el in seq_a]
+    pulses = list(zip(rf(rabi, fixed[:2]), rf(first[0], fixed[:2]), strict=True))
+    assert len(pulses) == (2 if transition == "st1" else 4) and all(a is b for a, b in pulses)
+
+
 def test_sequence_validation_errors(spec):
     with pytest.raises(SequenceError):
         simulate_sequence([mw_pi(), free(1.0)], spec, 0.1)  # no readout
@@ -821,12 +841,13 @@ def test_ramsey_grid_reads_out_in_the_target_eigenbasis_at_long_times(spec):
 @pytest.mark.parametrize("transition", ["st1", "st0"])
 def test_ramsey_grid_applies_only_its_shared_steps(transition, spec, monkeypatch):
     # a Ramsey grid's middles are read out in the target eigenbasis, so it
-    # applies runs of its shared prefix only, at any length.  The steps
-    # before the spin lock and the whole tail (no channel without decay) are
-    # carried as 4x12 factors, so the runs left are the lock and one
-    # propagator after it on the state, and the tail forms no 12x12 run.  A
-    # Rabi grid runs each middle (one RF pulse) as one more run, so its
-    # count grows by one per point.
+    # applies runs of its shared prefix only, at any length.  The spin lock
+    # acts on the sensor alone and commutes with the target-only steps after
+    # it (the opening pulses and V^dagger), so it ends the prefix: every
+    # other prefix step and the whole tail (no channel without decay) are
+    # carried as 4x12 factors, the only run left is the lock, and the tail
+    # forms no 12x12 run.  A Rabi grid runs each middle (one RF pulse) as one
+    # more run, so its count grows by one per point.
     calls, runs = [], []
     apply_run, make_runs = zfepr.protocols._apply_run, zfepr.protocols._runs
     monkeypatch.setattr(zfepr.protocols, "_apply_run",
@@ -842,13 +863,97 @@ def test_ramsey_grid_applies_only_its_shared_steps(transition, spec, monkeypatch
         return len(calls)
 
     ramsey = lambda t: correlation_ramsey_sequences(transition, t, 5.0)[0]
-    assert [count(ramsey, 0.17 * np.arange(n)) for n in (12, 48)] == [2, 2]
-    (lock, propagator), tail = runs  # the prefix's runs, then the tail's
-    assert lock == spinlock(10.0) and propagator.shape == (50, 12, 12)
+    assert [count(ramsey, 0.17 * np.arange(n)) for n in (12, 48)] == [1, 1]
+    prefix, tail = runs  # the prefix's runs, then the tail's
+    assert prefix == [spinlock(10.0)]
     assert tail == []
     rabi = lambda theta: correlation_rabi_sequence(transition, theta, 5.0)
     twelve, forty_eight = (count(rabi, np.linspace(0.0, math.pi, n)) for n in (12, 48))
     assert forty_eight - twelve == 36
+
+
+_DECAY = DecayModel(t2_nv_us=16.0, stretch_p=1.7, t1rho_us=150.0)
+
+
+def _grid_against_per_draw(family, points, spec, decay, monkeypatch):
+    """The grid's prefix, after its channel step is moved, and the grid's
+    worst distance from one run per draw and point.  Those runs are single
+    sequences, whose last channel step is followed by a joint free step or a
+    MW pulse, so they move none: they are the unmoved oracle."""
+    moves, channel_last = [], zfepr.protocols._channel_last
+    monkeypatch.setattr(zfepr.protocols, "_channel_last",
+                        lambda steps: moves.append((steps, channel_last(steps))) or moves[-1][1])
+    noise = NoiseModel.isotropic(0.196, seed=31)
+    series = monte_carlo_signal(family, points, spec, 0.3, noise, 20, decay=decay)
+    (grid_moved,) = moves
+    moves.clear()
+    draws = [NoiseDraw(*d) for d in sample_noise(noise, 20)]
+    expected = _per_draw_mean(family, points, spec, 0.3, draws, decay)
+    assert moves and all(moved is prefix for prefix, moved in moves)
+    return grid_moved[1], np.abs(series.values - expected).max()
+
+
+def test_only_a_sensor_channel_before_target_steps_moves():
+    # the spin lock and dephasing act on the sensor alone and move past RF
+    # pulses, target-frame free steps and matrices; an echo factor scales
+    # target sectors, and joint steps and MW pulses act on the sensor
+    channel_last = zfepr.protocols._channel_last
+    v_dagger = np.zeros((3, 12, 12), dtype=complex)
+    target = [rf_st1(math.pi), rf_st0(0.5), free(0.4, frame="target"), v_dagger]
+    for channel in (spinlock(10.0), dephase()):
+        moved = channel_last([mw_pi(), 0.8, channel] + target)
+        assert moved[:5] == [mw_pi(), 0.8] + target[:3] and moved[5] is v_dagger
+        assert moved[6:] == [channel]
+    for prefix in ([mw_pi(), spinlock(10.0), rf_st1(1.0), free(0.4)],
+                   [mw_pi(), dephase(), rf_st1(1.0), mw_2pi()],
+                   [mw_pi(), spinlock(10.0), 0.8, rf_st1(1.0)],
+                   [mw_pi(), free(0.4), rf_st1(1.0)]):
+        assert channel_last(prefix) is prefix
+    assert channel_last([]) == []
+
+
+@pytest.mark.parametrize("decayed", [False, True], ids=["no-decay", "decay"])
+@pytest.mark.parametrize("k", [0, 1], ids=["signal", "reference"])
+@pytest.mark.parametrize("transition", ["st1", "st0"])
+def test_ramsey_grid_with_the_lock_at_its_prefix_end_matches_per_draw(
+        transition, k, decayed, spec, monkeypatch):
+    # the spin lock acts on the sensor alone and the steps after it in the
+    # prefix (the opening pulses, V^dagger) on the target alone, so the lock
+    # moves to the prefix's end, with decay too
+    family = lambda t: correlation_ramsey_sequences(transition, t, 4.0)[k]
+    decay = _DECAY if decayed else None
+    prefix, worst = _grid_against_per_draw(family, np.linspace(0.0, 2.0, 7), spec, decay,
+                                           monkeypatch)
+    assert prefix[-1] == spinlock(10.0) and isinstance(prefix[-2], np.ndarray)
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("decayed", [False, True], ids=["no-decay", "decay"])
+def test_st0_rabi_grid_with_the_lock_after_the_shuttle_matches_per_draw(
+        decayed, spec, monkeypatch):
+    # the S0<->T0 Rabi grid's prefix ends [lock, shuttle]: the lock moves past
+    # the shuttle, and each middle (one RF pulse) runs from the state after it
+    family = lambda theta: correlation_rabi_sequence("st0", theta, 4.0)
+    decay = _DECAY if decayed else None
+    prefix, worst = _grid_against_per_draw(family, np.linspace(0.0, math.pi, 5), spec, decay,
+                                           monkeypatch)
+    assert prefix[-2:] == [rf_st1(math.pi), spinlock(10.0)]
+    assert worst < 1e-12
+
+
+def test_a_joint_step_after_the_lock_keeps_it_in_place(spec, monkeypatch):
+    # a hand-built Ramsey grid with a joint-frame free step between the lock
+    # and the middle: the lock does not commute with it and stays where it is
+    def family(t):
+        seq = correlation_ramsey_sequences("st0", t, 4.0)[0]
+        i = seq.index(spinlock(10.0))
+        return seq[: i + 1] + [free(0.3)] + seq[i + 1 :]
+
+    prefix, worst = _grid_against_per_draw(family, np.linspace(0.0, 2.0, 7), spec, None,
+                                           monkeypatch)
+    assert prefix[prefix.index(spinlock(10.0)) + 1] == free(0.3)
+    assert not isinstance(prefix[-1], Pulse)  # V^dagger still ends the prefix
+    assert worst < 1e-12
 
 
 @pytest.mark.parametrize("transition", ["st1", "st0"])
