@@ -8,9 +8,12 @@ perpendicular to X pin down Bz (their Y projections cancel on averaging) and
 By; a third sensor perpendicular to Y fixes Bx.  What limits the residual is
 the current stability of the supplies, not the fit.
 
-One function fits the symmetric centers: :func:`find_symmetric_centers`
-takes a stack of scans, fits them all at once, and reads a single scan as a
-stack of one.
+Each sensor is scanned twice per axis step.  The coarse scan is not
+fitted: the least-squares parabola vertex of its squared widths, exact for
+the noise-free broadening, centers the window of the fine scan.  One
+function fits the fine scans' symmetric centers:
+:func:`find_symmetric_centers` takes a stack of scans, fits them all at
+once from that same vertex, and reads a single scan as a stack of one.
 """
 
 import math
@@ -78,7 +81,9 @@ class ScanPlan:
 
     The window must bracket the linewidth minimum.  The center's standard
     error is smallest when the window is centered on it, since the steep
-    arms on both sides then pin the minimum.
+    arms on both sides then pin the minimum.  So the compensation scans each
+    sensor twice: a coarse scan on this window, whose parabola vertex places
+    the same window shifted onto it for a fine scan, which is fitted.
     """
 
     i_min_a: float = -0.5
@@ -104,7 +109,8 @@ class ScanPlan:
 
 class CenterFitError(FitError):
     """The linewidth fit failed numerically: no convergence, or a center
-    outside the scanned window."""
+    outside the scanned window.  The message names the center and the
+    window."""
 
 
 class ScanWindowError(ValueError):
@@ -121,21 +127,16 @@ def odmr_linewidth_model(i_a, center_i0_a, coil, base_width_mhz, nv_axis_project
     return np.sqrt(base_width_mhz**2 + (split * (np.asarray(i_a, float) - center_i0_a)) ** 2)
 
 
-def find_symmetric_centers(currents, widths):
-    """Symmetric minima of linewidth-vs-current scans, all fitted at once.
+def _parabola_seeds(currents, widths):
+    """Least-squares parabola through the squared widths of each scan.
 
-    ``currents`` (A) and ``widths`` (MHz) are stacks (s, n) of s scans of
-    n >= 7 points, each row of currents strictly increasing; a single scan
-    is a stack of one.  Fits the exact broadening shape
-    sqrt(base^2 + (k (I - I0))^2) of :func:`odmr_linewidth_model`, with
-    base, slope k and I0 free, and returns I0 and its standard error, each
-    (s,) in A.  Raises :class:`ScanWindowError`, naming the window and the
-    parabola vertex of the squared widths, for the first scan whose window
-    does not bracket its minimum (one on the scan edge is rejected), and
-    :class:`CenterFitError` when a fit does not converge or its center
-    leaves the scan range.
+    Checks the float arrays (s, n) as :func:`find_symmetric_centers` states,
+    and returns its LM start (s, 3): base width, slope k and the vertex I0
+    (A).
+    The vertex is exact for the noise-free broadening model.  Raises
+    :class:`ScanWindowError`, naming the window and the vertex, for the
+    first scan whose window does not bracket it.
     """
-    currents, widths = np.asarray(currents, dtype=float), np.asarray(widths, dtype=float)
     if currents.ndim != 2 or currents.shape != widths.shape:
         raise ValueError("currents and linewidths must be (scans, points) arrays of one shape")
     if not (currents[:, 1:] > currents[:, :-1]).all():
@@ -161,10 +162,33 @@ def find_symmetric_centers(currents, widths):
         near = (f"; the parabola through its squared widths puts the minimum at {i0[s]:.4g} A"
                 if np.isfinite(i0[s]) else "")
         raise ScanWindowError("linewidth minimum not bracketed by the scan window "
-                              f"[{currents[s, 0]:.4g}, {currents[s, -1]:.4g}] A{near}")
+                              f"{_window(currents[s])}{near}")
     base2 = c0 - c2 * vertex * vertex
     base = np.where(base2 > 0, np.sqrt(np.maximum(base2, 0.0)), widths.min(axis=-1))
-    p0 = np.stack([base, np.sqrt(c2) / half, i0], axis=-1)
+    return np.stack([base, np.sqrt(c2) / half, i0], axis=-1)
+
+
+def _window(currents):
+    return f"[{currents[0]:.4g}, {currents[-1]:.4g}] A"
+
+
+def find_symmetric_centers(currents, widths):
+    """Symmetric minima of linewidth-vs-current scans, all fitted at once.
+
+    ``currents`` (A) and ``widths`` (MHz) are stacks (s, n) of s scans of
+    n >= 7 points, each row of currents strictly increasing; a single scan
+    is a stack of one.  Fits the exact broadening shape
+    sqrt(base^2 + (k (I - I0))^2) of :func:`odmr_linewidth_model`, with
+    base, slope k and I0 free, from the parabola vertex of the squared
+    widths, and returns I0 and its standard error, each (s,) in A.  Raises
+    :class:`ScanWindowError`, naming the window and the vertex, for the
+    first scan whose window does not bracket its minimum (one on the scan
+    edge is rejected), and :class:`CenterFitError`, naming the center and
+    the window, for the first whose fit does not converge or whose center
+    leaves the scan range.
+    """
+    currents, widths = np.asarray(currents, dtype=float), np.asarray(widths, dtype=float)
+    p0 = _parabola_seeds(currents, widths)
 
     def fun(params, rows):
         b, k, c = params.T[..., None]
@@ -177,12 +201,17 @@ def find_symmetric_centers(currents, widths):
         return w - widths[rows], jac
 
     res = levenberg_marquardt_stack(fun, p0)
-    if not res.converged.all():
-        raise CenterFitError("linewidth fit did not converge in "
-                             f"{res.iterations[~res.converged][0]} iterations")
     i0 = res.params[:, 2]
-    if not np.all((currents[:, 0] <= i0) & (i0 <= currents[:, -1])):
-        raise CenterFitError("fitted center outside the scan range")
+    if not res.converged.all():
+        s = np.argmin(res.converged)
+        raise CenterFitError(f"linewidth fit did not converge in {res.iterations[s]} "
+                             f"iterations; its center stopped at {i0[s]:.4g} A, scan window "
+                             f"{_window(currents[s])}")
+    outside = ~((currents[:, 0] <= i0) & (i0 <= currents[:, -1]))
+    if outside.any():
+        s = np.argmax(outside)
+        raise CenterFitError(f"fitted center {i0[s]:.4g} A outside the scan window "
+                             f"{_window(currents[s])}")
     return i0, np.sqrt(np.maximum(res.covariance[:, 2, 2], 0.0))
 
 
@@ -228,16 +257,21 @@ def compensate_3axis(true_field, coil, plan=ScanPlan(), seeds=(0,)):
 
     Each seed is anything :func:`numpy.random.default_rng` accepts, such as
     an integer or a :class:`numpy.random.SeedSequence`, and gives its trial
-    its own generator.  The trials run in lockstep: at each axis step every
-    trial's coarse scans are fitted as one stack by
-    :func:`find_symmetric_centers`, then every fine scan.  A trial still
-    draws in the order it would alone: for each sensor in turn the jitter of
-    its coarse scan, then of its fine scan, and after the last sensor the
-    supply error.  So a trial's result does not depend on the other trials,
-    nor on how many there are.
+    its own generator.  Each sensor is scanned twice per axis step: a coarse
+    scan on the plan's window, whose parabola vertex (the start of
+    :func:`find_symmetric_centers`' fit, not a fit) centers the window of a
+    fine scan, which is fitted.  The applied current and its standard error
+    come from the fine scans alone.  The trials run in lockstep: at each
+    axis step every trial's coarse scans are placed as one stack, then every
+    fine scan is fitted as one stack.  A trial still draws in the order it
+    would alone: for each sensor in turn the jitter of its coarse scan, then
+    of its fine scan, and after the last sensor the supply error.  So a
+    trial's result does not depend on the other trials, nor on how many
+    there are.
 
-    Raises :class:`ScanWindowError`, its message led by the axis step ("Z",
-    "Y" or "X"), when a scan's window does not bracket that step's null.
+    Raises :class:`ScanWindowError` when a scan's window does not bracket
+    that step's null, and :class:`CenterFitError` when a fine fit fails,
+    each with its message led by the axis step ("Z", "Y" or "X").
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     b = np.tile(true_field.as_array(), (len(rngs), 1))
@@ -249,19 +283,24 @@ def compensate_3axis(true_field, coil, plan=ScanPlan(), seeds=(0,)):
         supply = np.array([rng.standard_normal() for rng in rngs])
         # two passes: the fit is unbiased at any window position, but a
         # null near the window edge leaves one arm short and the center
-        # poorly pinned; a window centered on the first estimate restores
-        # the precision
-        centers = np.zeros((len(rngs), len(sensors)))
-        for fine in (0, 1):
-            scan_currents = plan.currents(centers[..., None])
-            widths = _scan_widths(nv_axes, axis, b[:, None, :], coil, plan, scan_currents,
-                                  jitter[:, :, fine])
-            try:
-                fit = find_symmetric_centers(scan_currents.reshape(-1, plan.n_points),
-                                             widths.reshape(-1, plan.n_points))
-            except ScanWindowError as exc:
-                raise ScanWindowError(f"{axis} step: {exc}") from exc
-            centers, errors = (a.reshape(centers.shape) for a in fit)
+        # poorly pinned.  The coarse scan only places the fine window, at
+        # the parabola vertex of its squared widths (exact without jitter);
+        # the fine scan, centered there, is fitted
+        shape = (len(rngs), len(sensors))
+        try:
+            centers = np.zeros(shape)
+            for fine in (0, 1):
+                scan_currents = plan.currents(centers[..., None])
+                widths = _scan_widths(nv_axes, axis, b[:, None, :], coil, plan, scan_currents,
+                                      jitter[:, :, fine])
+                scans = (scan_currents.reshape(-1, plan.n_points),
+                         widths.reshape(-1, plan.n_points))
+                if fine:
+                    centers, errors = (a.reshape(shape) for a in find_symmetric_centers(*scans))
+                else:
+                    centers = _parabola_seeds(*scans)[:, 2].reshape(shape)
+        except (ScanWindowError, CenterFitError) as exc:
+            raise type(exc)(f"{axis} step: {exc}") from exc
         fit_errors[axis] = np.array([math.hypot(*e) for e in errors]) / len(sensors)
         currents[axis] = (centers.sum(axis=-1) / len(sensors)
                           + coil.current_stability_a * supply)

@@ -99,7 +99,10 @@ def test_compensate_failed_center_fit_is_numerical(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(zfepr.fields, "levenberg_marquardt_stack",
                         lambda fun, p0: lm(fun, p0, max_iter=0))
     assert main(["compensate", "--out-dir", str(tmp_path / "out")]) == EXIT_NUMERICAL
-    assert "numerical failure" in capsys.readouterr().err
+    # the message names the axis step, where the fit stopped and its window
+    assert re.fullmatch(r"numerical failure: Z step: linewidth fit did not converge in 0 "
+                        r"iterations; its center stopped at -?[0-9.e-]+ A, scan window "
+                        r"\[-?[0-9.e-]+, -?[0-9.e-]+\] A\n", capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -191,10 +192,18 @@ def test_an_unbracketed_minimum_names_the_window_and_the_vertex():
 # is 1/sqrt(2) of half the gap between the Z step's two nulls, both inside it
 @pytest.mark.parametrize("field, step", [(FieldVector(0.35, -0.52, 5.0), "Z"),
                                          (FieldVector(-2.0, 0.0, 0.0), "X")])
-def test_compensation_names_the_step_whose_null_is_outside_the_window(field, step):
+def test_compensation_names_the_step_whose_null_is_outside_the_window(
+        field, step, monkeypatch):
+    # the step's coarse scan raises, before its fine scans are fitted: one
+    # fit per earlier step
+    fits = []
+    lm = zfepr.fields.levenberg_marquardt_stack
+    monkeypatch.setattr(zfepr.fields, "levenberg_marquardt_stack",
+                        lambda fun, p0: fits.append(len(p0)) or lm(fun, p0))
     with pytest.raises(ScanWindowError, match=f"^{step} step: linewidth minimum not "
                        r"bracketed by the scan window \[-0\.5, 0\.5\] A"):
         compensate_3axis(field, COIL, ScanPlan(), seeds=[0])
+    assert len(fits) == "ZYX".index(step)
 
 
 def test_find_center_lowest_sample_on_window_edge():
@@ -214,9 +223,69 @@ def test_find_center_unconverged_fit_raises(monkeypatch):
     lm = zfepr.fields.levenberg_marquardt_stack
     monkeypatch.setattr(zfepr.fields, "levenberg_marquardt_stack",
                         lambda fun, p0: lm(fun, p0, max_iter=0))
-    with pytest.raises(CenterFitError, match="did not converge"):
+    # the fit stops at its start, the vertex, and names it and the window
+    with pytest.raises(CenterFitError, match=r"^linewidth fit did not converge in 0 "
+                       r"iterations; its center stopped at 0\.123 A, scan window "
+                       r"\[-1\.877, 2\.123\] A$"):
         find_symmetric_centers(*_noiseless_scan(0.123))
     assert issubclass(CenterFitError, ValueError)
+
+
+def test_find_center_outside_the_window_names_the_center_and_the_window(monkeypatch):
+    lm = zfepr.fields.levenberg_marquardt_stack
+
+    def shifted(fun, p0):
+        res = lm(fun, p0)
+        return dataclasses.replace(res, params=res.params + [0.0, 0.0, 2.5])
+
+    monkeypatch.setattr(zfepr.fields, "levenberg_marquardt_stack", shifted)
+    with pytest.raises(CenterFitError, match=r"^fitted center 2\.623 A outside the scan "
+                       r"window \[-1\.877, 2\.123\] A$"):
+        find_symmetric_centers(*_noiseless_scan(0.123))
+
+
+@pytest.mark.parametrize("trials", [1, 4])
+@pytest.mark.parametrize("jitter_frac", [0.0, 0.03])
+def test_compensation_fits_each_axis_step_once(trials, jitter_frac, monkeypatch):
+    # the coarse scans are placed by their vertex, not fitted: one stacked
+    # fit per axis step, of every trial's fine scans
+    stacks = []
+    lm = zfepr.fields.levenberg_marquardt_stack
+
+    def recording(fun, p0):
+        stacks.append(len(p0))
+        return lm(fun, p0)
+
+    monkeypatch.setattr(zfepr.fields, "levenberg_marquardt_stack", recording)
+    compensate_3axis(FieldVector(0.35, -0.52, 0.47), COIL, ScanPlan(jitter_frac=jitter_frac),
+                     seeds=range(trials))
+    assert stacks == [2 * trials, trials, trials]
+
+
+def test_the_vertex_is_the_fits_start(monkeypatch):
+    rng = np.random.default_rng(23)
+    plan = ScanPlan()
+    scans = _jittered_scans(np.array([0.1, -0.2, 0.3]), plan,
+                            rng.standard_normal((5, plan.n_points)), center_a=-0.1)
+    starts = []
+    lm = zfepr.fields.levenberg_marquardt_stack
+
+    def recording(fun, p0):
+        starts.append(p0)
+        return lm(fun, p0)
+
+    monkeypatch.setattr(zfepr.fields, "levenberg_marquardt_stack", recording)
+    find_symmetric_centers(*scans)
+    [p0] = starts
+    assert np.array_equal(zfepr.fields._parabola_seeds(*scans)[:, 2], p0[:, 2])
+
+
+@pytest.mark.parametrize("truth", [0.0, 0.123, -0.4305])
+def test_the_vertex_of_a_noiseless_scan_is_the_null(truth):
+    currents = np.linspace(-0.5, 0.5, 201)
+    widths = odmr_linewidth_model(currents, truth, COIL, 2.0, NV_AXES["B"][2])
+    [[_, _, vertex]] = zfepr.fields._parabola_seeds(currents[None], widths[None])
+    assert abs(vertex - truth) < 1e-12
 
 
 def test_compensation_perfect_hardware():
@@ -284,24 +353,25 @@ def test_compensation_trial_does_not_depend_on_the_batch(plan):
 
 def _one_trial_in_sequence(field, coil, plan, seed):
     """The procedure for one trial, scan by scan: per axis step and sensor a
-    coarse, then a fine scan, each fitted alone, then the supply error, all
-    drawn from the trial's own generator."""
+    coarse scan, placed alone by its parabola vertex, then a fine scan
+    centered there and fitted alone, then the supply error, all drawn from
+    the trial's own generator."""
     rng = np.random.default_rng(seed)
     b = field.as_array()
     currents, errors = {}, {}
 
-    def fit_scan(name, axis, center_a=0.0):
+    def scan(name, axis, center_a=0.0):
         scan_currents = plan.currents(center_a)
         widths = zfepr.fields._scan_widths(NV_AXES[name], axis, b, coil, plan, scan_currents,
                                            rng.standard_normal(plan.n_points))
-        [i0], [se] = find_symmetric_centers(scan_currents[None], widths[None])
-        return float(i0), float(se)
+        return scan_currents[None], widths[None]
 
     for axis, sensors in (("Z", "AB"), ("Y", "A"), ("X", "C")):
         fits = []
         for name in sensors:
-            coarse, _ = fit_scan(name, axis)
-            fits.append(fit_scan(name, axis, center_a=coarse))
+            [[_, _, coarse]] = zfepr.fields._parabola_seeds(*scan(name, axis))
+            [i0], [se] = find_symmetric_centers(*scan(name, axis, center_a=coarse))
+            fits.append((float(i0), float(se)))
         centers, errs = zip(*fits)
         errors[axis] = math.hypot(*errs) / len(sensors)
         currents[axis] = (sum(centers) / len(sensors)
